@@ -13,7 +13,7 @@ import sys
 sys.dont_write_bytecode = True
 
 from polygauss.errors import PolyGaussError
-from polygauss.geometry import RationalVector, build_polytope
+from polygauss.geometry import RationalVector, build_polytope, det3
 from polygauss.polysum import (
     polyhedral_gauss_sum_direct,
     polyhedral_gauss_sum_folded,
@@ -36,11 +36,7 @@ def random_polytope(rng: random.Random, dim: int, span: int):
 def random_minimal_tetra(rng: random.Random, span: int):
     while True:
         vs = [tuple(rng.randint(-span, span) for _ in range(3)) for _ in range(3)]
-        a, b, c = vs
-        det = (a[0] * (b[1] * c[2] - b[2] * c[1])
-               - a[1] * (b[0] * c[2] - b[2] * c[0])
-               + a[2] * (b[0] * c[1] - b[1] * c[0]))
-        if abs(det) == 1:
+        if abs(det3(*vs)) == 1:
             return ((0, 0, 0),) + tuple(vs)
 
 

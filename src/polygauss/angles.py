@@ -27,13 +27,10 @@ from .geometry import (
     Rational,
     RationalVector,
     classify_point,
+    det3,
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-def _det3(a: RationalVector, b: RationalVector, c: RationalVector) -> Fraction:
-    return a.dot(b.cross(c))
 
 
 def _cone_angle(a: RationalVector, b: RationalVector, c: RationalVector) -> float:
@@ -44,7 +41,7 @@ def _cone_angle(a: RationalVector, b: RationalVector, c: RationalVector) -> floa
 
     evaluated through atan2 so obtuse cones (negative denominator) land on
     the correct branch; the result lies in (0, 1/2)."""
-    det = _det3(a, b, c)
+    det = det3(a, b, c)
     if det == 0:
         raise DegenerateCone("cone generators are linearly dependent")
     la = math.sqrt(a.norm_sq())
@@ -98,7 +95,7 @@ def external_solid_angle(
     a = pts[j] - pts[i]
     b = pts[k] - pts[i]
     c = pts[l] - pts[i]
-    det = _det3(a, b, c)
+    det = det3(a, b, c)
     if det == 0:
         raise DegenerateCone("tetrahedron vertices are affinely dependent")
     la = math.sqrt(a.norm_sq())
@@ -251,7 +248,7 @@ class TetrahedronAngles:
     solid: tuple[float, float, float, float]
     dihedral: dict[tuple[int, int], float]
     external: dict[tuple[int, int], float]
-    sq_lengths: dict[tuple[int, int], int | Fraction]
+    sq_lengths: dict[tuple[int, int], Rational]
     volume: Fraction
 
     def gram_residuals(self) -> list[float]:
@@ -289,7 +286,7 @@ def tetrahedron_angles(
     pts = [p if isinstance(p, RationalVector) else RationalVector(p) for p in points]
     if any(p.dim != 3 for p in pts):
         raise UnsupportedDimension("tetrahedron vertices must be 3-dimensional")
-    det = _det3(pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0])
+    det = det3(pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0])
     if det == 0:
         raise DegenerateTetrahedron("zero signed volume")
 
@@ -303,7 +300,7 @@ def tetrahedron_angles(
             external[(i, j)] = external_solid_angle(pts, i, j)
 
     dihedral: dict[tuple[int, int], float] = {}
-    sq_lengths: dict[tuple[int, int], int | Fraction] = {}
+    sq_lengths: dict[tuple[int, int], Rational] = {}
     for i in range(4):
         for j in range(i + 1, 4):
             k, l = (m for m in range(4) if m not in (i, j))
@@ -325,5 +322,5 @@ def tetrahedron_angles(
         dihedral=dihedral,
         external=external,
         sq_lengths=sq_lengths,
-        volume=abs(det) / 6,
+        volume=Fraction(abs(det), 6),
     )

@@ -20,7 +20,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .angles import face_angle, tetrahedron_angles
 from .classify import DEFAULT_NS, DEFAULT_TOL, run_theorem2_experiment
@@ -36,24 +35,6 @@ from .polysum import (
     tetra_gauss_sum_formula,
 )
 from .weyl import SAMPLE_DENOMINATOR, multitiling_check
-
-
-@dataclass
-class RunConfig:
-    """Run-wide knobs shared by the subcommands."""
-
-    tolerance: float = 1e-9
-    seed: int = 0
-    thread_count: int = 1
-    output: str = "human"
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise MalformedInput(f"tolerance must be positive, got {self.tolerance}")
-        if self.thread_count < 1:
-            raise MalformedInput(
-                f"thread_count must be >= 1, got {self.thread_count}"
-            )
 
 
 def _thread_count(args: argparse.Namespace) -> int:

@@ -5,6 +5,13 @@ and a facet system of primitive integer normals with rational offsets.  All
 membership and face-classification queries are done in exact rational
 arithmetic; floating point only ever enters downstream (angles, phases).
 
+Exact values have one representation: an integral value is a built-in
+``int`` and only a non-integral one is a ``Fraction``.  RationalVector
+normalises its coordinates on construction, so lattice data stays in
+machine-speed int arithmetic through hulls, dilates, volumes and angles,
+and "is this coordinate integral" is ``type(c) is int``.  Divisions of
+exact values are written ``Fraction(a, b)``, never ``a / b``.
+
 The face lattice is explicit.  Every face carries the set of vertex indices
 lying on it, which is what the point classifier and the angle-weight cache
 key on.
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -33,13 +41,25 @@ Rational = int | Fraction
 _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 
 
+def _exact(c: Rational | str) -> Rational:
+    """A coordinate in normal form: a built-in int when integral (numpy
+    integers included), otherwise a Fraction."""
+    if isinstance(c, numbers.Integral):
+        return int(c)
+    f = c if type(c) is Fraction else Fraction(c)
+    return int(f) if f.denominator == 1 else f
+
+
 class RationalVector:
-    """Immutable point or direction with exact rational coordinates."""
+    """Immutable point or direction with exact rational coordinates, each an
+    int when integral and a Fraction otherwise."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[Rational | str]) -> None:
-        self.coords: tuple[Fraction, ...] = tuple(Fraction(c) for c in coords)
+        self.coords: tuple[Rational, ...] = tuple(
+            c if type(c) is int else _exact(c) for c in coords
+        )
 
     @property
     def dim(self) -> int:
@@ -51,7 +71,7 @@ class RationalVector:
     def __iter__(self):
         return iter(self.coords)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> Rational:
         return self.coords[i]
 
     def __eq__(self, other: object) -> bool:
@@ -91,9 +111,9 @@ class RationalVector:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "RationalVector") -> Fraction:
+    def dot(self, other: "RationalVector") -> Rational:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
+        return sum(a * b for a, b in zip(self.coords, other.coords))
 
     def cross(self, other: "RationalVector") -> "RationalVector":
         if len(self.coords) != 3 or len(other.coords) != 3:
@@ -107,8 +127,8 @@ class RationalVector:
             )
         )
 
-    def norm_sq(self) -> Fraction:
-        return sum((a * a for a in self.coords), Fraction(0))
+    def norm_sq(self) -> Rational:
+        return sum(a * a for a in self.coords)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -119,22 +139,21 @@ def rvec(*coords: Rational | str) -> RationalVector:
     return RationalVector(coords)
 
 
-def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+def independent_rows(rows: Sequence[Sequence[Rational]]) -> list[int]:
     """Indices of a maximal linearly independent subset, by Gaussian elimination.
 
     Scans rows in order and keeps each row that is not in the span of the
     rows kept so far, so the result is the greedy (lexicographically first)
-    basis.  Exact arithmetic throughout.
+    basis.  Elimination is fraction-free (r <- b[p] r - r[p] b), which
+    scales rows without changing their span, so integer rows stay integer.
     """
-    basis: list[list[Fraction]] = []
+    basis: list[Sequence[Rational]] = []
     pivots: list[int] = []
     picked: list[int] = []
-    for idx, raw in enumerate(rows):
-        r = [Fraction(x) for x in raw]
+    for idx, r in enumerate(rows):
         for b, p in zip(basis, pivots):
             if r[p]:
-                factor = r[p] / b[p]
-                r = [x - factor * y for x, y in zip(r, b)]
+                r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
         pivot = next((j for j, x in enumerate(r) if x), None)
         if pivot is None:
             continue
@@ -142,6 +161,28 @@ def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
         pivots.append(pivot)
         picked.append(idx)
     return picked
+
+
+def det3(a, b, c):
+    """Determinant of the 3x3 matrix with rows a, b, c.
+
+    Rows may be exact coordinate sequences (int tuples, RationalVectors),
+    giving an exact int or Fraction, or numpy arrays holding the three
+    coordinates along their last axis, giving an array of determinants.
+    """
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+        np.moveaxis(v, -1, 0) if isinstance(v, np.ndarray) else v for v in (a, b, c)
+    )
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+
+
+def integer_points(points: Sequence, error: str) -> list[tuple[int, ...]]:
+    """Coordinates of lattice points as int tuples; raises MalformedInput
+    with the given message when any coordinate is not integral."""
+    pts = [tuple(RationalVector(p)) for p in points]
+    if any(type(c) is not int for p in pts for c in p):
+        raise MalformedInput(error)
+    return pts
 
 
 def affine_rank(points: Sequence[RationalVector]) -> int:
@@ -153,16 +194,15 @@ def affine_rank(points: Sequence[RationalVector]) -> int:
     return len(independent_rows(diffs))
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
+def _primitive(vec: Sequence[Rational]) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational into primitive
-    integers.  Returns (integer vector, scale factor applied)."""
+    integers."""
     lcm = 1
     for c in vec:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in vec]
     g = math.gcd(*ints) if len(ints) > 1 else abs(ints[0])
-    scale = Fraction(lcm, g)
-    return tuple(n // g for n in ints), scale
+    return tuple(n // g for n in ints)
 
 
 class LocationKind(Enum):
@@ -210,7 +250,7 @@ class Polytope:
     dim: int
     vertices: tuple[RationalVector, ...]
     facet_normals: tuple[tuple[int, ...], ...]
-    facet_offsets: tuple[Fraction, ...]
+    facet_offsets: tuple[Rational, ...]
     facet_vertex_ids: tuple[frozenset[int], ...]
     faces: tuple[Face, ...]
     _face_by_vertices: dict[frozenset[int], int] = field(repr=False, default_factory=dict)
@@ -240,7 +280,7 @@ class Polytope:
             raise AssertionError(f"tight set {sorted(tight)} resolves to no face")
         return face_id
 
-    def bbox(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    def bbox(self) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
         lo = tuple(min(v[i] for v in self.vertices) for i in range(self.dim))
         hi = tuple(max(v[i] for v in self.vertices) for i in range(self.dim))
         return lo, hi
@@ -257,13 +297,13 @@ class Polytope:
 
 def _facet_planes(
     dim: int, points: list[RationalVector]
-) -> list[tuple[tuple[int, ...], Fraction]]:
+) -> list[tuple[tuple[int, ...], Rational]]:
     """All supporting hyperplanes spanned by d-subsets of the points, oriented
     so the polytope satisfies <normal, x> <= offset."""
-    planes: dict[tuple[tuple[int, ...], Fraction], None] = {}
+    planes: dict[tuple[tuple[int, ...], Rational], None] = {}
     for subset in itertools.combinations(points, dim):
         if dim == 1:
-            normal_frac = (Fraction(1),)
+            normal_frac = (1,)
         elif dim == 2:
             d = subset[1] - subset[0]
             if d.is_zero():
@@ -274,11 +314,9 @@ def _facet_planes(
             if n.is_zero():
                 continue
             normal_frac = n.coords
-        normal, scale = _primitive(normal_frac)
-        offset = sum(
-            (Fraction(a) * c for a, c in zip(normal, subset[0].coords)), Fraction(0)
-        )
+        normal = _primitive(normal_frac)
         nvec = RationalVector(normal)
+        offset = _exact(nvec.dot(subset[0]))
         side_lo = side_hi = False
         for p in points:
             s = nvec.dot(p) - offset
@@ -436,7 +474,7 @@ def classify_point(P: Polytope, x: RationalVector) -> FaceLocation:
         raise DimensionMismatch(f"point has dimension {x.dim}, polytope {P.dim}")
     tight = []
     for i, (normal, offset) in enumerate(zip(P.facet_normals, P.facet_offsets)):
-        s = sum((a * c for a, c in zip(normal, x.coords)), Fraction(0)) - offset
+        s = sum(a * c for a, c in zip(normal, x.coords)) - offset
         if s > 0:
             return FaceLocation(LocationKind.OUTSIDE)
         if s == 0:
@@ -548,13 +586,14 @@ def volume(P: Polytope) -> Fraction:
     """Euclidean volume of P, exact.
 
     Dimension 3 triangulates each facet polygon along its boundary cycle and
-    cones the triangles over an interior point; the resulting simplices are
-    disjoint, so absolute determinants can be summed.
+    cones the triangles over vertex 0; the resulting simplices are disjoint
+    (those on facets through vertex 0 are flat), so absolute determinants
+    can be summed.
     """
     if P._volume is not None:
         return P._volume
     if P.dim == 1:
-        vol = P.vertices[-1][0] - P.vertices[0][0]
+        vol = Fraction(P.vertices[-1][0] - P.vertices[0][0])
     elif P.dim == 2:
         # The boundary of a polygon is a single cycle of its edges.
         adj: dict[int, list[int]] = {i: [] for i in range(len(P.vertices))}
@@ -570,29 +609,21 @@ def volume(P: Polytope) -> Fraction:
                 break
             cycle.append(nxt)
         base = P.vertices[cycle[0]]
-        vol = Fraction(0)
+        vol = 0
         for a, b in zip(cycle[1:], cycle[2:]):
             u = P.vertices[a] - base
             w = P.vertices[b] - base
             vol += abs(u[0] * w[1] - u[1] * w[0])
-        vol /= 2
+        vol = Fraction(vol, 2)
     else:
-        apex = RationalVector(
-            tuple(
-                sum((v[i] for v in P.vertices), Fraction(0)) / len(P.vertices)
-                for i in range(3)
-            )
-        )
-        vol = Fraction(0)
-        for fi, cycle in _facet_cycles(P).items():
+        apex = P.vertices[0]
+        vol = 0
+        for cycle in _facet_cycles(P).values():
             base = P.vertices[cycle[0]]
+            z = base - apex
             for a, b in zip(cycle[1:], cycle[2:]):
-                u = P.vertices[a] - base
-                w = P.vertices[b] - base
-                z = base - apex
-                det = u.cross(w).dot(z)
-                vol += abs(det)
-        vol /= 6
+                vol += abs(det3(P.vertices[a] - base, P.vertices[b] - base, z))
+        vol = Fraction(vol, 6)
     P._volume = vol
     return vol
 
@@ -603,7 +634,7 @@ def translate(P: Polytope, shift: RationalVector) -> Polytope:
         raise DimensionMismatch("shift dimension differs from polytope dimension")
     vertices = tuple(v + shift for v in P.vertices)
     offsets = tuple(
-        b + sum((Fraction(a) * s for a, s in zip(normal, shift.coords)), Fraction(0))
+        _exact(b + sum(a * s for a, s in zip(normal, shift.coords)))
         for normal, b in zip(P.facet_normals, P.facet_offsets)
     )
     return Polytope(
@@ -652,7 +683,7 @@ def polytope_from_dict(data: object) -> Polytope:
                     f"vertices[{i}][{j}]: expected an integer or 'p/q' string"
                 )
             try:
-                coords.append(Fraction(c))
+                coords.append(_exact(c))
             except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedInput(f"vertices[{i}][{j}]: {exc}") from exc
         parsed.append(RationalVector(coords))

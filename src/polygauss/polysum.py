@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -34,9 +33,10 @@ from .errors import DegenerateTetrahedron, MalformedInput, VolumeNotMinimal
 from .gauss import gauss_sum_closed, phase_table, quad_gauss_closed
 from .geometry import (
     Polytope,
-    Rational,
     RationalVector,
+    det3,
     dilate,
+    integer_points,
     scan_lattice,
     volume,
 )
@@ -45,6 +45,10 @@ from .weyl import weyl_elements
 ROUTE_DIRECT = "direct"
 ROUTE_FOLDED = "folded"
 ROUTE_TETRA = "tetra"
+
+_NOT_LATTICE = (
+    "polyhedral Gauss sums are defined for lattice polytopes (integer vertices)"
+)
 
 
 @dataclass(frozen=True)
@@ -77,15 +81,6 @@ class GaussSumReport:
             "residual_re": self.residual.real,
             "residual_im": self.residual.imag,
         }
-
-
-def _require_lattice(P: Polytope) -> None:
-    for v in P.vertices:
-        if any(c.denominator != 1 for c in v.coords):
-            raise MalformedInput(
-                "polyhedral Gauss sums are defined for lattice polytopes "
-                "(integer vertices)"
-            )
 
 
 def _residues_to_value(acc: Sequence[float], n: int) -> complex:
@@ -126,7 +121,7 @@ def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     weights are accumulated per residue class of |x|^2 mod n and the n
     residue phases are combined last under compensated summation.
     """
-    _require_lattice(P)
+    integer_points(P.vertices, _NOT_LATTICE)
     if n < 1:
         raise MalformedInput(f"dilation factor must be >= 1, got {n}")
     Q = dilate(P, n)
@@ -165,7 +160,7 @@ def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
     weights summed; the phase is e(|z|^2 mod n / n), well defined on the
     orbit because the group preserves norms mod the lattice.
     """
-    _require_lattice(P)
+    integer_points(P.vertices, _NOT_LATTICE)
     if n < 1:
         raise MalformedInput(f"dilation factor must be >= 1, got {n}")
     d = P.dim
@@ -207,33 +202,19 @@ def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
     return _report(P, n, value, ROUTE_FOLDED, reps)
 
 
-def _as_int_vertices(points: Sequence) -> list[tuple[int, ...]]:
-    pts = []
-    for p in points:
-        coords = p.coords if isinstance(p, RationalVector) else tuple(Fraction(c) for c in p)
-        if any(Fraction(c).denominator != 1 for c in coords):
-            raise MalformedInput("tetrahedron formula needs integer vertices")
-        pts.append(tuple(int(c) for c in coords))
+def _minimal_tetrahedron(points: Sequence) -> list[tuple[int, ...]]:
+    """The four vertices as int tuples, checked to span volume exactly 1/6."""
+    pts = integer_points(points, "tetrahedron formula needs integer vertices")
     if len(pts) != 4 or any(len(p) != 3 for p in pts):
         raise DegenerateTetrahedron("need exactly 4 integer points in dimension 3")
-    return pts
-
-
-def _check_minimal(pts: list[tuple[int, ...]]) -> None:
-    a, b, c = (
-        tuple(x - y for x, y in zip(pts[k], pts[0])) for k in (1, 2, 3)
-    )
-    det = (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+    det = det3(*(tuple(x - y for x, y in zip(pts[k], pts[0])) for k in (1, 2, 3)))
     if det == 0:
         raise DegenerateTetrahedron("zero signed volume")
     if abs(det) != 1:
         raise VolumeNotMinimal(
             f"edge-vector determinant is {det}, need +-1 (volume 1/6)"
         )
+    return pts
 
 
 def kappa(points: Sequence, n: int) -> complex:
@@ -248,8 +229,7 @@ def kappa(points: Sequence, n: int) -> complex:
     minimal-volume property, so volume 1/6 is enforced."""
     if n < 1:
         raise MalformedInput(f"modulus must be >= 1, got {n}")
-    pts = _as_int_vertices(points)
-    _check_minimal(pts)
+    pts = _minimal_tetrahedron(points)
     table = phase_table(n)
 
     def norm_sq(vec: tuple[int, int, int]) -> int:
@@ -296,8 +276,7 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
     quadratic Gauss sum in closed form."""
     if n < 1:
         raise MalformedInput(f"dilation factor must be >= 1, got {n}")
-    pts = _as_int_vertices(points)
-    _check_minimal(pts)
+    pts = _minimal_tetrahedron(points)
     ta = tetrahedron_angles([RationalVector(p) for p in pts])
     value = complex(-1.0, 0.0)
     for (i, j), w in sorted(ta.dihedral.items()):

@@ -25,6 +25,7 @@ from .geometry import (
     Polytope,
     RationalVector,
     _integer_facet_system,
+    integer_points,
     volume,
 )
 
@@ -245,22 +246,6 @@ def multitiling_check(
     )
 
 
-def _as_int_points(points: Sequence) -> list[tuple[int, ...]]:
-    out = []
-    for p in points:
-        coords = tuple(p) if not isinstance(p, RationalVector) else p.coords
-        row = []
-        for c in coords:
-            f = Fraction(c)
-            if f.denominator != 1:
-                raise MalformedInput(
-                    "canonical form is defined for integer vertices only"
-                )
-            row.append(int(f))
-        out.append(tuple(row))
-    return out
-
-
 def canonical_form(points: Sequence) -> tuple[tuple[int, ...], ...]:
     """Canonical representative of a lattice simplex under signed
     permutations and integer translations.
@@ -270,7 +255,9 @@ def canonical_form(points: Sequence) -> tuple[tuple[int, ...], ...]:
     simplices are equivalent under the full group iff their canonical forms
     coincide.
     """
-    pts = _as_int_points(points)
+    pts = integer_points(
+        points, "canonical form is defined for integer vertices only"
+    )
     d = len(pts[0])
     best = None
     for w in weyl_elements(d):

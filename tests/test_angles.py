@@ -84,7 +84,7 @@ def test_cone_errors():
 
 def test_reference_tetrahedron_angle_table():
     T = tetrahedron_angles(FUND_TET)
-    assert T.volume == Fraction(1, 6)
+    assert type(T.volume) is Fraction and T.volume == Fraction(1, 6)
     expect_dihedral = {
         (0, 1): 0.125,
         (0, 2): 0.25,

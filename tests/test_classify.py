@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
 from polygauss.classify import (
     DEFAULT_NS,
     FUNDAMENTAL_TETRAHEDRON,
+    _candidate_tetrahedra,
+    _canonical_keys,
     _decode_key,
     _enumerate,
     enumerate_minimal_tetrahedra,
@@ -59,6 +62,30 @@ def test_packed_key_decodes_to_canonical_form():
     _, orbits = _enumerate(1)
     for key, rep in orbits:
         assert _decode_key(key, 1) == canonical_form(rep)
+
+
+def _assert_keys_match_oracle(pts, B):
+    keys = _canonical_keys(pts, B)
+    for key, tetra in zip(keys.tolist(), pts.tolist()):
+        assert _decode_key(key, B) == canonical_form(tetra)
+
+
+def test_canonical_keys_match_oracle_on_every_bound_one_candidate():
+    pts = _candidate_tetrahedra(1)
+    assert len(pts) == 1160
+    _assert_keys_match_oracle(pts, 1)
+
+
+def test_canonical_keys_match_oracle_on_bound_two_sample():
+    pts = _candidate_tetrahedra(2)
+    pick = np.random.default_rng(20150807).choice(len(pts), size=500, replace=False)
+    _assert_keys_match_oracle(pts[pick], 2)
+
+
+def test_canonical_key_round_trips_at_largest_bound():
+    # translated coordinates reach +-18 = 2B, the packed key's extreme
+    tetra = np.array([[(-9, -9, -9), (9, 9, 8), (-8, 9, -8), (-9, -8, -9)]])
+    _assert_keys_match_oracle(tetra, 9)
 
 
 def test_enumeration_bound_validation():

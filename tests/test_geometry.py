@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from polygauss.geometry import (
     lattice_points,
     polytope_from_dict,
     polytope_to_dict,
+    rvec,
     translate,
     volume,
 )
@@ -168,3 +170,29 @@ def test_dilate_contains_scaled_vertices(pts, k):
     assert volume(Q) == k ** P.dim * volume(P)
     for v in P.vertices:
         assert classify_point(Q, v * k).inside
+
+
+@pytest.mark.parametrize(
+    "raw, value", [(3, 3), ("3", 3), (Fraction(4, 2), 2), (np.int64(-5), -5), ("-6/3", -2)]
+)
+def test_integral_coordinates_are_builtin_ints(raw, value):
+    (c,) = RationalVector([raw]).coords
+    assert type(c) is int and c == value
+
+
+@pytest.mark.parametrize("raw", ["1/2", Fraction(-7, 3), 0.25])
+def test_non_integral_coordinates_stay_fractions(raw):
+    (c,) = RationalVector([raw]).coords
+    assert type(c) is Fraction and c == Fraction(raw)
+
+
+def test_integral_sum_of_fractions_is_int():
+    total = rvec("1/2") + rvec("1/2")
+    assert total == rvec(1)
+    assert type(total[0]) is int
+
+
+def test_lattice_polytope_data_stays_int(fund_tet):
+    for P in (fund_tet, dilate(fund_tet, 3), translate(fund_tet, rvec(1, -2, 0))):
+        assert all(type(c) is int for v in P.vertices for c in v)
+        assert all(type(b) is int for b in P.facet_offsets)
