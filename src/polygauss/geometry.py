@@ -40,6 +40,18 @@ Rational = int | Fraction
 
 _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 
+# Most lattice points, (lattice line, facet) pairs or kappa terms one request
+# may materialise; larger requests raise MalformedInput.  At its peak a
+# request holds about 60 bytes per scanned point on the direct route, 100 on
+# the folded route (coordinates, face ids, tight bits, weights, residues,
+# sort keys; all 8-byte) and 110 per kappa term, so the budget caps one
+# request near 1.8 GB.  Before its points exist a scan holds 8 bytes per line
+# and coordinate plus 16 for the line's interval, at most 32 bytes per line;
+# a d-polytope has at least d + 1 facets, so that stage stays under 140 MB.
+# fund_tet at n = 256 has 2,862,209 points on 65,536 lines.
+POINT_BUDGET = 1 << 24
+_SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
+
 
 def _exact(c: Rational | str) -> Rational:
     """A coordinate in normal form: a built-in int when integral (numpy
@@ -179,7 +191,7 @@ def det3(a, b, c):
 def integer_points(points: Sequence, error: str) -> list[tuple[int, ...]]:
     """Coordinates of lattice points as int tuples; raises MalformedInput
     with the given message when any coordinate is not integral."""
-    pts = [tuple(RationalVector(p)) for p in points]
+    pts = [tuple(c if type(c) is int else _exact(c) for c in p) for p in points]
     if any(type(c) is not int for p in pts for c in p):
         raise MalformedInput(error)
     return pts
@@ -243,8 +255,8 @@ class Polytope:
     """Convex rational polytope, full-dimensional in its ambient space.
 
     Treat instances as immutable; the private fields are lazy caches that
-    other modules fill in (angle weights, lattice scans, dilate memo) and
-    are safe to share between a polytope and its dilates.
+    other modules fill in (angle weights, lattice scans, dilate memo, faces
+    by tight set) and are safe to share between a polytope and its dilates.
     """
 
     dim: int
@@ -254,6 +266,7 @@ class Polytope:
     facet_vertex_ids: tuple[frozenset[int], ...]
     faces: tuple[Face, ...]
     _face_by_vertices: dict[frozenset[int], int] = field(repr=False, default_factory=dict)
+    _face_by_mask: dict[int, int] = field(repr=False, default_factory=dict)
     _full_face_id: int = field(repr=False, default=-1)
     _angle_cache: dict[int, float] = field(repr=False, default_factory=dict)
     _scan_cache: dict = field(repr=False, default_factory=dict)
@@ -280,10 +293,18 @@ class Polytope:
             raise AssertionError(f"tight set {sorted(tight)} resolves to no face")
         return face_id
 
+    def face_id_of_mask(self, mask: int) -> int:
+        """face_id_from_tight for the tight set given as a bitmask of facet
+        indices; memoised, and shared with dilates and translates."""
+        face_id = self._face_by_mask.get(mask)
+        if face_id is None:
+            tight = frozenset(i for i in range(self.n_facets) if mask >> i & 1)
+            face_id = self._face_by_mask[mask] = self.face_id_from_tight(tight)
+        return face_id
+
     def bbox(self) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
-        lo = tuple(min(v[i] for v in self.vertices) for i in range(self.dim))
-        hi = tuple(max(v[i] for v in self.vertices) for i in range(self.dim))
-        return lo, hi
+        axes = list(zip(*(v.coords for v in self.vertices)))
+        return tuple(map(min, axes)), tuple(map(max, axes))
 
     def edges(self) -> list[Face]:
         return [f for f in self.faces if f.dim == 1]
@@ -461,6 +482,7 @@ def dilate(P: Polytope, n: int) -> Polytope:
         facet_vertex_ids=P.facet_vertex_ids,
         faces=faces,
         _face_by_vertices=P._face_by_vertices,
+        _face_by_mask=P._face_by_mask,
         _full_face_id=P._full_face_id,
         _angle_cache=P._angle_cache,  # angles are dilation-invariant
     )
@@ -497,12 +519,66 @@ def _integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64), np.array(bounds, dtype=np.int64)
 
 
+def line_points(heads: np.ndarray, lower: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Rows (h, t) for every row h of `heads` and t = lower .. lower + count - 1,
+    head by head, so lexicographically ordered heads give lexicographically
+    ordered rows."""
+    total = int(counts.sum())
+    out = np.empty((total, heads.shape[1] + 1), dtype=np.int64)
+    out[:, :-1] = np.repeat(heads, counts, axis=0)
+    out[:, -1] = np.arange(total) - np.repeat(np.cumsum(counts) - counts - lower, counts)
+    return out
+
+
+def check_budget(what: str, count: int) -> None:
+    """Raise MalformedInput when a request would materialise more than
+    POINT_BUDGET rows."""
+    if count > POINT_BUDGET:
+        raise MalformedInput(
+            f"{count} {what} exceed the budget of {POINT_BUDGET}; use a smaller n"
+        )
+
+
+def _line_intervals(
+    heads: np.ndarray, A: np.ndarray, c: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First last coordinate and point count of the lattice line through each
+    head inside A x <= c and lo <= x_last <= hi, in chunks of heads."""
+    a = A[:, -1]
+    step = np.where(a == 0, 1, np.abs(a))
+    lower = np.empty(len(heads), dtype=np.int64)
+    counts = np.empty(len(heads), dtype=np.int64)
+    for s in range(0, len(heads), _SCAN_CHUNK):
+        room = c - heads[s : s + _SCAN_CHUNK] @ A[:, :-1].T  # (chunk, facets)
+        t = room // step
+        upper = t[:, a > 0].min(axis=1, initial=hi)
+        first = -t[:, a < 0].min(axis=1, initial=-lo)
+        upper[(room[:, a == 0] < 0).any(axis=1)] = lo - 1
+        lower[s : s + _SCAN_CHUNK] = first
+        counts[s : s + _SCAN_CHUNK] = np.maximum(upper - first + 1, 0)
+    return lower, counts
+
+
 def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """All lattice points of P with their face classification, vectorized.
 
     Returns (points, face_ids): an (N, dim) int64 array in lexicographic
     order and a parallel int array; interior points get the id of the full
     face.  Cached on the polytope.
+
+    The scan walks the lattice lines parallel to the last axis, one per
+    lattice point ("head") of the bounding box with its last coordinate
+    dropped.  On the line through head h, facet k of the integer system
+    A x <= c leaves room s_k = c_k - A_k[:-1] . h for a_k x_last, so a_k > 0
+    bounds x_last above by floor(s_k / a_k), a_k < 0 bounds it below by
+    ceil(s_k / a_k) = -floor(s_k / |a_k|), and a_k = 0 empties the line
+    when s_k < 0.  int64 floor division makes every interval exact.  Only
+    the lattice points inside are materialised.  Intervals, slacks and
+    tight bits are computed in fixed-size chunks, so memory is O(points +
+    lines) instead of O(bounding box x facets).  A request of more than
+    POINT_BUDGET (line, facet) pairs raises MalformedInput before anything
+    is allocated, and one of more than POINT_BUDGET points before its
+    points are.
     """
     hit = P._scan_cache.get("scan")
     if hit is not None:
@@ -518,22 +594,27 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
         empty = (np.zeros((0, P.dim), np.int64), np.zeros(0, np.int64))
         P._scan_cache["scan"] = empty
         return empty
-    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.dim)
+    extents = [h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]
+    lines = math.prod(extents)
+    check_budget("lattice line-facet pairs", lines * P.n_facets)
+    heads = np.indices(extents, dtype=np.int64).reshape(P.dim - 1, lines).T
+    heads += np.array(lo[:-1], dtype=np.int64)
     A, c = _integer_facet_system(P)
-    slack = c[None, :] - grid @ A.T
-    inside = (slack >= 0).all(axis=1)
-    pts = grid[inside]
-    tight = slack[inside] == 0
-    weights_bits = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
-    bits = tight @ weights_bits
-    uniq, inv = np.unique(bits, return_inverse=True)
-    resolved = np.empty(len(uniq), dtype=np.int64)
-    for k, mask in enumerate(uniq):
-        m = int(mask)
-        tight_set = frozenset(i for i in range(P.n_facets) if (m >> i) & 1)
-        resolved[k] = P.face_id_from_tight(tight_set)
-    result = (pts, resolved[inv])
+    lower, counts = _line_intervals(heads, A, c, lo[-1], hi[-1])
+    check_budget("lattice points", int(counts.sum()))
+    pts = line_points(heads, lower, counts)
+
+    facet_bits = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
+    bits = np.empty(len(pts), dtype=np.int64)
+    for s in range(0, len(pts), _SCAN_CHUNK):
+        bits[s : s + _SCAN_CHUNK] = (pts[s : s + _SCAN_CHUNK] @ A.T == c) @ facet_bits
+    face_ids = np.full(len(pts), P._full_face_id, dtype=np.int64)
+    on_boundary = np.flatnonzero(bits)
+    boundary_bits = bits[on_boundary]
+    masks = np.unique(boundary_bits)
+    resolved = np.array([P.face_id_of_mask(m) for m in masks.tolist()], dtype=np.int64)
+    face_ids[on_boundary] = resolved[np.searchsorted(masks, boundary_bits)]
+    result = (pts, face_ids)
     P._scan_cache["scan"] = result
     return result
 
@@ -645,6 +726,7 @@ def translate(P: Polytope, shift: RationalVector) -> Polytope:
         facet_vertex_ids=P.facet_vertex_ids,
         faces=tuple(Face(f.dim, f.vertex_ids, f.span_basis) for f in P.faces),
         _face_by_vertices=P._face_by_vertices,
+        _face_by_mask=P._face_by_mask,
         _full_face_id=P._full_face_id,
         _angle_cache=P._angle_cache,
     )

@@ -4,11 +4,12 @@ polytope, by three independent routes.
 Direct: enumerate the lattice points of nP, weight each by the solid angle
 of nP there, and attach the phase e(|x|^2 / n).
 
-Folded: enumerate representatives z/n in the wedge 0 <= x_1 <= ... <= x_d
-<= 1/2 (one per orbit of the signed-permutation-plus-translation group),
-unfold each orbit into the dilate's bounding box, and sum the solid-angle
-weights of the distinct orbit points; phases depend only on the
-representative because the group preserves |x|^2 mod 1 after scaling.
+Folded: fold every lattice point of nP to its representative z/n in the
+wedge 0 <= x_1 <= ... <= x_d <= 1/2 (one per orbit of the
+signed-permutation-plus-translation group), sum the solid-angle weights per
+representative, and attach one phase per representative; phases depend
+only on the representative because the group preserves |x|^2 mod 1 after
+scaling.
 
 Tetrahedron formula: for minimal (volume 1/6) lattice tetrahedra the whole
 sum collapses to dihedral angles times quadratic Gauss sums plus a small
@@ -21,9 +22,9 @@ summation over the n residue classes, so results are deterministic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -34,13 +35,14 @@ from .gauss import gauss_sum_closed, phase_table, quad_gauss_closed
 from .geometry import (
     Polytope,
     RationalVector,
+    check_budget,
     det3,
     dilate,
     integer_points,
+    line_points,
     scan_lattice,
     volume,
 )
-from .weyl import weyl_elements
 
 ROUTE_DIRECT = "direct"
 ROUTE_FOLDED = "folded"
@@ -128,7 +130,7 @@ def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     pts, fids = scan_lattice(Q)
     weights = _face_weights(Q)[fids]
     if len(pts):
-        residues = ((pts * pts).sum(axis=1) % n).astype(np.int64)
+        residues = np.einsum("ij,ij->i", pts, pts) % n
         acc = np.bincount(residues, weights=weights, minlength=n)
     else:
         acc = np.zeros(n)
@@ -136,29 +138,18 @@ def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     return _report(P, n, value, ROUTE_DIRECT, len(pts))
 
 
-def _fold_offsets(lo: np.ndarray, hi: np.ndarray, n: int, d: int) -> np.ndarray:
-    """All translation vectors n*lam whose translate of some wedge image can
-    meet the box [lo, hi]; padded by the wedge coordinate bound n/2."""
-    zmax = n // 2
-    axes = []
-    for i in range(d):
-        lam_lo = -((zmax - int(lo[i])) // n)  # ceil((lo - zmax)/n)
-        lam_hi = (int(hi[i]) + zmax) // n
-        axes.append(np.arange(lam_lo, lam_hi + 1, dtype=np.int64) * n)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return grid
-
-
 def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
     """G_P(n) by summing over one representative per symmetry orbit.
 
     Representatives are the points z/n with integer z in the sorted wedge
-    0 <= z_1 <= ... <= z_d <= n/2 (each orbit of the signed-permutation and
-    integer-translation group meets the closed wedge exactly once, via
-    folding mod 1 and sorting).  Each representative's orbit is unfolded
-    into the bounding box of nP, deduplicated exactly, and its solid-angle
-    weights summed; the phase is e(|z|^2 mod n / n), well defined on the
-    orbit because the group preserves norms mod the lattice.
+    0 <= z_1 <= ... <= z_d <= n/2: each orbit of the signed-permutation and
+    integer-translation group meets the closed wedge exactly once.  Every
+    scanned point x of nP folds to its representative by z = x mod n,
+    z = min(z, n - z) and sorting.  A stable sort groups the points by
+    representative in scan order, each group's solid-angle weights are
+    summed, and the group sum is attached to the phase e(|z|^2 mod n / n),
+    well defined on the orbit because the group preserves norms mod the
+    lattice.  The point count reported is the number of representatives.
     """
     integer_points(P.vertices, _NOT_LATTICE)
     if n < 1:
@@ -166,40 +157,19 @@ def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
     d = P.dim
     Q = dilate(P, n)
     pts, fids = scan_lattice(Q)
-    weights = _face_weights(Q)[fids]
-    lo_f, hi_f = Q.bbox()
-    lo = np.array([math.ceil(c) for c in lo_f], dtype=np.int64)
-    hi = np.array([math.floor(c) for c in hi_f], dtype=np.int64)
-    if np.any(hi < lo):
-        return _report(P, n, 0j, ROUTE_FOLDED, 0)
-    dims = tuple(int(x) for x in (hi - lo + 1))
-    enc_pts = np.ravel_multi_index((pts - lo).T, dims)  # ascending: scan is lex
-
-    wmats = np.stack([w.matrix() for w in weyl_elements(d)])  # (|W|, d, d)
-    offsets = _fold_offsets(lo, hi, n, d)  # (L, d)
-
-    acc = [0.0] * n
-    reps = 0
-    for z in itertools.combinations_with_replacement(range(n // 2 + 1), d):
-        reps += 1
-        zv = np.array(z, dtype=np.int64)
-        images = np.unique(wmats @ zv, axis=0)  # (m, d)
-        cand = (images[:, None, :] + offsets[None, :, :]).reshape(-1, d)
-        keep = ((cand >= lo) & (cand <= hi)).all(axis=1)
-        cand = cand[keep]
-        if not len(cand):
-            continue
-        enc = np.unique(np.ravel_multi_index((cand - lo).T, dims))
-        idx = np.searchsorted(enc_pts, enc)
-        idx_valid = idx < len(enc_pts)
-        hit = np.zeros(len(enc), dtype=bool)
-        hit[idx_valid] = enc_pts[idx[idx_valid]] == enc[idx_valid]
-        g = float(weights[idx[hit]].sum())
-        if g:
-            r = sum(c * c for c in z) % n
-            acc[r] += g
-    value = _residues_to_value(acc, n)
-    return _report(P, n, value, ROUTE_FOLDED, reps)
+    z = pts % n
+    np.minimum(z, n - z, out=z)
+    z.sort(axis=1)
+    key = z @ (n // 2 + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    weights = _face_weights(Q)[fids[order]]
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    ends = np.append(starts[1:], len(order))
+    sums = [float(weights[s:e].sum()) for s, e in zip(starts.tolist(), ends.tolist())]
+    reps = z[order[starts]]
+    acc = np.bincount(np.einsum("ij,ij->i", reps, reps) % n, weights=sums, minlength=n)
+    value = _residues_to_value(acc.tolist(), n)
+    return _report(P, n, value, ROUTE_FOLDED, math.comb(n // 2 + d, d))
 
 
 def _minimal_tetrahedron(points: Sequence) -> list[tuple[int, ...]]:
@@ -217,6 +187,33 @@ def _minimal_tetrahedron(points: Sequence) -> list[tuple[int, ...]]:
     return pts
 
 
+def compositions(n: int, parts: int) -> np.ndarray:
+    """The compositions of n into `parts` positive parts, one per row of an
+    int64 array, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for later in range(parts - 1, 0, -1):  # parts still to come after this one
+        room = np.maximum(n - rows.sum(axis=1) - later, 0)
+        rows = line_points(rows, np.ones(len(rows), dtype=np.int64), room)
+    return np.column_stack([rows, n - rows.sum(axis=1)])
+
+
+def _build_kappa_weights(n: int) -> tuple[np.ndarray, int]:
+    """Barycentric weights over the four vertices of every term of kappa(n):
+    the compositions of n into three parts on each face (zero on the vertex
+    off the face), then those into four parts; and the number of face rows."""
+    tri = compositions(n, 3)
+    faces = [np.insert(tri, off, 0, axis=1) for off in (3, 2, 1, 0)]
+    weights = np.concatenate(faces + [compositions(n, 4)])
+    weights.setflags(write=False)  # cached tables are shared between calls
+    return weights, 4 * len(tri)
+
+
+# kappa is called once per (tetrahedron, n) and the search repeats n = 1..4
+# for every orbit, so the tables for n <= 32 (at most 0.2 MB each) are kept.
+_CACHED_KAPPA_N = 32
+_cached_kappa_weights = lru_cache(maxsize=_CACHED_KAPPA_N)(_build_kappa_weights)
+
+
 def kappa(points: Sequence, n: int) -> complex:
     """The correction term of the tetrahedron formula: phase sums over the
     face-interior and interior lattice points of the dilate, expressed by
@@ -226,43 +223,27 @@ def kappa(points: Sequence, n: int) -> complex:
                  + sum_{a+b+c+d=n, >0} e(|a v_0 + b v_1 + c v_2 + d v_3|^2 / n).
 
     That these terms exhaust the non-edge points of nT is exactly the
-    minimal-volume property, so volume 1/6 is enforced."""
+    minimal-volume property, so volume 1/6 is enforced.  Every term's
+    residue comes from one integer matrix product over all compositions,
+    and each of the four sums is one math.fsum over its terms."""
     if n < 1:
         raise MalformedInput(f"modulus must be >= 1, got {n}")
     pts = _minimal_tetrahedron(points)
-    table = phase_table(n)
-
-    def norm_sq(vec: tuple[int, int, int]) -> int:
-        return vec[0] * vec[0] + vec[1] * vec[1] + vec[2] * vec[2]
-
-    face_terms: list[complex] = []
-    for i, j, k in itertools.combinations(range(4), 3):
-        vi, vj, vk = pts[i], pts[j], pts[k]
-        for a in range(1, n - 1):
-            for b in range(1, n - a):
-                c = n - a - b
-                if c < 1:
-                    continue
-                v = tuple(a * vi[t] + b * vj[t] + c * vk[t] for t in range(3))
-                face_terms.append(table[norm_sq(v) % n])
-    interior_terms: list[complex] = []
-    for a in range(1, n - 2):
-        for b in range(1, n - a - 1):
-            for c in range(1, n - a - b):
-                e = n - a - b - c
-                if e < 1:
-                    continue
-                v = tuple(
-                    a * pts[0][t] + b * pts[1][t] + c * pts[2][t] + e * pts[3][t]
-                    for t in range(3)
-                )
-                interior_terms.append(table[norm_sq(v) % n])
-    re = 0.5 * math.fsum(t.real for t in face_terms) + math.fsum(
-        t.real for t in interior_terms
-    )
-    im = 0.5 * math.fsum(t.imag for t in face_terms) + math.fsum(
-        t.imag for t in interior_terms
-    )
+    if n < 3:  # no composition of n into three positive parts
+        return complex(0.0, 0.0)
+    check_budget("kappa terms", 4 * math.comb(n - 1, 2) + math.comb(n - 1, 3))
+    if n <= _CACHED_KAPPA_N:
+        weights, face_rows = _cached_kappa_weights(n)
+    else:
+        weights, face_rows = _build_kappa_weights(n)
+    # |x|^2 mod n depends only on x mod n, and reduced vertices keep every
+    # product below 3 n^4, far inside int64 for any n under the budget.
+    verts = np.array([c % n for p in pts for c in p], dtype=np.int64).reshape(4, 3)
+    x = weights @ verts
+    terms = np.array(phase_table(n))[(x * x).sum(axis=1) % n]
+    face, inner = terms[:face_rows], terms[face_rows:]
+    re = 0.5 * math.fsum(face.real.tolist()) + math.fsum(inner.real.tolist())
+    im = 0.5 * math.fsum(face.imag.tolist()) + math.fsum(inner.imag.tolist())
     return complex(re, im)
 
 

@@ -1,0 +1,97 @@
+"""Literal reference implementations of the vectorised layers.
+
+Each is the straightforward (and slow) form of a library function: the
+bounding-box lattice scan, the triple-loop kappa and the folded route that
+unfolds every orbit representative into the bounding box.  Tests compare
+the library against them for exact equality, so every float they produce is
+summed in the same order as the library's.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from polygauss.gauss import phase_table
+from polygauss.geometry import _integer_facet_system, dilate
+from polygauss.polysum import _face_weights, _residues_to_value
+from polygauss.weyl import weyl_elements
+
+
+def grid_scan_lattice(P):
+    """scan_lattice by testing every point of the bounding box against the
+    whole facet system."""
+    lo = [math.ceil(c) for c in P.bbox()[0]]
+    hi = [math.floor(c) for c in P.bbox()[1]]
+    if any(h < l for l, h in zip(lo, hi)):
+        return np.zeros((0, P.dim), np.int64), np.zeros(0, np.int64)
+    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.dim)
+    A, c = _integer_facet_system(P)
+    slack = c[None, :] - grid @ A.T
+    inside = (slack >= 0).all(axis=1)
+    tight = slack[inside] == 0
+    face_ids = [
+        P.face_id_from_tight(frozenset(np.flatnonzero(row).tolist())) for row in tight
+    ]
+    return grid[inside], np.array(face_ids, dtype=np.int64)
+
+
+def loop_kappa(pts, n):
+    """kappa(n) term by term over the compositions of n into 3 and 4 parts."""
+    table = phase_table(n)
+
+    def phase(weights, verts):
+        v = [sum(w * p[t] for w, p in zip(weights, verts)) for t in range(3)]
+        return table[sum(c * c for c in v) % n]
+
+    face_terms = [
+        phase((a, b, n - a - b), [pts[i], pts[j], pts[k]])
+        for i, j, k in itertools.combinations(range(4), 3)
+        for a in range(1, n - 1)
+        for b in range(1, n - a)
+    ]
+    interior_terms = [
+        phase((a, b, c, n - a - b - c), pts)
+        for a in range(1, n - 2)
+        for b in range(1, n - a - 1)
+        for c in range(1, n - a - b)
+    ]
+    re = 0.5 * math.fsum(t.real for t in face_terms) + math.fsum(
+        t.real for t in interior_terms
+    )
+    im = 0.5 * math.fsum(t.imag for t in face_terms) + math.fsum(
+        t.imag for t in interior_terms
+    )
+    return complex(re, im)
+
+
+def unfolded_sum(P, n):
+    """The folded route's value by unfolding each wedge representative z
+    into the bounding box of nP and summing the weights of its orbit points
+    in scan order."""
+    d = P.dim
+    Q = dilate(P, n)
+    pts, fids = grid_scan_lattice(Q)
+    weights = _face_weights(Q)[fids]
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    dims = tuple((hi - lo + 1).tolist())
+    enc_pts = np.ravel_multi_index((pts - lo).T, dims)
+    half = n // 2
+    shifts = [
+        np.arange(-((half - lo[i]) // n), (hi[i] + half) // n + 1, dtype=np.int64) * n
+        for i in range(d)
+    ]
+    offsets = np.stack(np.meshgrid(*shifts, indexing="ij"), axis=-1).reshape(-1, d)
+    wmats = np.stack([w.matrix() for w in weyl_elements(d)])
+    acc = [0.0] * n
+    for z in itertools.combinations_with_replacement(range(half + 1), d):
+        images = np.unique(wmats @ np.array(z, dtype=np.int64), axis=0)
+        cand = (images[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        cand = cand[((cand >= lo) & (cand <= hi)).all(axis=1)]
+        enc = np.unique(np.ravel_multi_index((cand - lo).T, dims))
+        g = float(weights[np.isin(enc_pts, enc)].sum())
+        if g:
+            acc[sum(c * c for c in z) % n] += g
+    return _residues_to_value(acc, n)

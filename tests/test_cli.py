@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
@@ -227,3 +231,52 @@ def test_json_output_deterministic(capsys):
     # canonical encoding: re-serializing parsed output reproduces it
     payload = json.loads(first)
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == first
+
+
+def _run_measured(*argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr, peak
+    RSS in MB) of that process alone."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polygauss.cli", *argv], stdout=out, stderr=err, env=env
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return proc.returncode, err.read().decode(), usage.ru_maxrss / 1024
+
+
+needs_linux_rusage = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only"
+)
+
+
+@needs_linux_rusage
+@pytest.mark.parametrize(
+    "n",
+    [
+        100_000,  # refused on its lines
+        4_000,  # 16.0M lines, just under 2^24, refused on its 96M line-facet pairs
+        1_600,  # 2.56M lines pass, refused on its 4.1e9 points after the line stage
+    ],
+)
+def test_oversized_sum_fails_fast_without_allocating(n):
+    code, err, peak_mb = _run_measured(
+        "sum", "--polytope", str(DATA / "unit_cube_3d.json"), "--n", str(n)
+    )
+    assert code == 2
+    assert err.startswith("error:") and "exceed the budget" in err
+    assert peak_mb < 200
+
+
+@needs_linux_rusage
+def test_large_direct_sum_memory():
+    # 2,862,209 lattice points; the bounding-box scan peaked near 1.5 GB on it
+    code, _, peak_mb = _run_measured(
+        "sum", "--polytope", FUND, "--n", "256", "--route", "direct", "--json"
+    )
+    assert code == 0
+    assert peak_mb < 600

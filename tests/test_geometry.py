@@ -2,24 +2,29 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from polygauss import geometry
 from polygauss.errors import DegenerateInput, MalformedInput, UnsupportedDimension
 from polygauss.geometry import (
+    POINT_BUDGET,
     LocationKind,
     RationalVector,
     build_polytope,
     classify_point,
     dilate,
     lattice_points,
+    line_points,
     polytope_from_dict,
     polytope_to_dict,
     rvec,
+    scan_lattice,
     translate,
     volume,
 )
 from tests.conftest import make
+from tests.oracles import grid_scan_lattice
 
 
 def test_vertex_identification_drops_redundant_points():
@@ -196,3 +201,67 @@ def test_lattice_polytope_data_stays_int(fund_tet):
     for P in (fund_tet, dilate(fund_tet, 3), translate(fund_tet, rvec(1, -2, 0))):
         assert all(type(c) is int for v in P.vertices for c in v)
         assert all(type(b) is int for b in P.facet_offsets)
+
+
+def _rational_coord(integral: bool):
+    if integral:
+        return st.integers(-3, 3)
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def polytopes(draw):
+    """Integer or p/q polytopes in dimension 1..3."""
+    d = draw(st.integers(1, 3))
+    c = _rational_coord(draw(st.booleans()))
+    pts = draw(st.lists(st.tuples(*[c] * d), min_size=d + 1, max_size=d + 4))
+    try:
+        return build_polytope(pts)
+    except DegenerateInput:
+        assume(False)
+
+
+@given(P=polytopes(), n=st.integers(1, 8))
+def test_scan_lattice_matches_grid_oracle(P, n):
+    Q = dilate(P, n)
+    pts, face_ids = scan_lattice(Q)
+    want_pts, want_ids = grid_scan_lattice(Q)
+    assert pts.dtype == face_ids.dtype == np.int64
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(face_ids, want_ids)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["fund_tet", "unit_cube", "unit_triangle", "unit_interval"]
+)
+def test_scan_lattice_matches_grid_oracle_on_fixtures(request, fixture):
+    P = request.getfixturevalue(fixture)
+    for n in (1, 2, 5, 13):
+        Q = dilate(P, n)
+        got, want = scan_lattice(Q), grid_scan_lattice(Q)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_scan_lattice_chunks_match_grid_oracle(monkeypatch, fund_tet, unit_cube):
+    # chunk boundaries fall inside lines and inside runs of equal heads
+    monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
+    for P in (fund_tet, unit_cube):
+        Q = dilate(P, 9)
+        Q._scan_cache.clear()
+        got, want = scan_lattice(Q), grid_scan_lattice(Q)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_scan_lattice_refuses_requests_over_the_budget(unit_cube, unit_interval):
+    # 100001^2 lines x 6 facets: refused before any array is allocated
+    with pytest.raises(MalformedInput, match="line-facet pairs exceed the budget"):
+        scan_lattice(dilate(unit_cube, 100_000))
+    # one line holding POINT_BUDGET + 1 points
+    with pytest.raises(MalformedInput, match="lattice points exceed the budget"):
+        scan_lattice(dilate(unit_interval, POINT_BUDGET))
+
+
+def test_line_points_fill_each_interval_in_order():
+    heads = np.array([[0, 5], [1, 5], [2, 7]])
+    rows = line_points(heads, np.array([3, 0, -1]), np.array([2, 0, 3]))
+    assert rows.tolist() == [[0, 5, 3], [0, 5, 4], [2, 7, -1], [2, 7, 0], [2, 7, 1]]

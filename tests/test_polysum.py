@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from polygauss.errors import (
@@ -17,6 +17,7 @@ from polygauss.geometry import RationalVector, build_polytope, translate
 from polygauss.polysum import (
     closed_form_residual,
     closed_form_value,
+    compositions,
     kappa,
     polyhedral_gauss_sum_direct,
     polyhedral_gauss_sum_folded,
@@ -24,6 +25,7 @@ from polygauss.polysum import (
 )
 from polygauss.weyl import weyl_elements
 from tests.conftest import FUND_TET, SECOND_TILE_TET, STD_SIMPLEX, make
+from tests.oracles import loop_kappa, unfolded_sum
 
 SQ3 = math.sqrt(3)
 
@@ -192,18 +194,67 @@ def test_invariance_under_lattice_symmetries(fund_tet):
         assert abs(polyhedral_gauss_sum_direct(shifted, n).value - base) < 1e-11
 
 
-coord2 = st.integers(min_value=-2, max_value=3)
-
-
-@given(
-    pts=st.lists(st.tuples(coord2, coord2), min_size=3, max_size=5),
-    n=st.integers(1, 5),
-)
-def test_folded_equals_direct_property(pts, n):
+@st.composite
+def lattice_polytopes(draw):
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
     try:
-        P = build_polytope(pts)
+        return build_polytope(pts)
     except DegenerateInput:
-        return
+        assume(False)
+
+
+@seed(20150417)
+@settings(max_examples=100, derandomize=False)
+@given(P=lattice_polytopes(), n=st.integers(1, 12))
+def test_folded_equals_direct_property(P, n):
     a = polyhedral_gauss_sum_direct(P, n)
     b = polyhedral_gauss_sum_folded(P, n)
     assert abs(a.value - b.value) < 1e-10
+
+
+PARITY_TET = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 2, 1))
+# minimal, with |x|^2 of the vertex combinations past int64 unless reduced mod n
+FAR_TETS = [
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (K, K, 1)) for K in (3_100_000_000, 2**64 + 5)
+]
+
+
+@pytest.mark.parametrize(
+    "pts", [FUND_TET, SECOND_TILE_TET, STD_SIMPLEX, PARITY_TET] + FAR_TETS
+)
+def test_kappa_equals_loop_oracle(pts):
+    for n in range(1, 25):
+        assert kappa(pts, n) == loop_kappa(pts, n), n
+
+
+@pytest.mark.parametrize(
+    "name", ["fund_tet", "std_simplex", "unit_cube", "unit_triangle", "unit_interval"]
+)
+def test_folded_route_equals_unfolding_oracle(request, name):
+    P = request.getfixturevalue(name)
+    for n in (1, 2, 3, 4, 7, 10):
+        assert polyhedral_gauss_sum_folded(P, n).value == unfolded_sum(P, n), n
+
+
+def test_folded_point_count_is_representatives(fund_tet, unit_square):
+    for P in (fund_tet, unit_square):
+        for n in (1, 6, 9):
+            rep = polyhedral_gauss_sum_folded(P, n)
+            assert rep.point_count == math.comb(n // 2 + P.dim, P.dim)
+
+
+def test_compositions():
+    for n in range(1, 9):
+        for parts in (1, 3, 4):
+            rows = compositions(n, parts)
+            assert rows.shape == (math.comb(n - 1, parts - 1), parts)
+            assert (rows >= 1).all() and (rows.sum(axis=1) == n).all()
+            assert rows.tolist() == sorted(rows.tolist())
+            assert len({tuple(r) for r in rows.tolist()}) == len(rows)
+
+
+def test_kappa_refuses_requests_over_the_budget():
+    with pytest.raises(MalformedInput, match="kappa terms exceed the budget"):
+        kappa(FUND_TET, 1000)
