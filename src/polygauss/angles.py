@@ -81,33 +81,14 @@ def external_solid_angle(
 ) -> float:
     """External solid angle phi_ij of a tetrahedron: the angle of the cone at
     v_i generated by v_i - v_j together with the two edges from v_i to the
-    remaining vertices.  Flipping the first generator negates two of the dot
-    products in the arctangent denominator:
-
-        tan(2 pi phi) = |det| / (la lb lc + (b.c) la - (c.a) lb - (a.b) lc)
-    """
+    remaining vertices."""
     if i == j:
         raise DegenerateCone("external angle needs distinct vertex indices")
     pts = [p if isinstance(p, RationalVector) else RationalVector(p) for p in vertices]
     if len(pts) != 4:
         raise DegenerateTetrahedron(f"need 4 vertices, got {len(pts)}")
     k, l = (m for m in range(4) if m not in (i, j))
-    a = pts[j] - pts[i]
-    b = pts[k] - pts[i]
-    c = pts[l] - pts[i]
-    det = det3(a, b, c)
-    if det == 0:
-        raise DegenerateCone("tetrahedron vertices are affinely dependent")
-    la = math.sqrt(a.norm_sq())
-    lb = math.sqrt(b.norm_sq())
-    lc = math.sqrt(c.norm_sq())
-    denom = (
-        la * lb * lc
-        + float(b.dot(c)) * la
-        - float(c.dot(a)) * lb
-        - float(a.dot(b)) * lc
-    )
-    return math.atan2(abs(float(det)), denom) / TWO_PI
+    return _cone_angle(pts[i] - pts[j], pts[k] - pts[i], pts[l] - pts[i])
 
 
 def _planar_angle(u: RationalVector, w: RationalVector) -> float:
@@ -296,8 +277,9 @@ def tetrahedron_angles(
         others = [j for j in range(4) if j != i]
         gens = [pts[j] - pts[i] for j in others]
         solid.append(_cone_angle(*gens))
-        for j in others:
-            external[(i, j)] = external_solid_angle(pts, i, j)
+        for n, j in enumerate(others):
+            b, c = gens[:n] + gens[n + 1 :]
+            external[(i, j)] = _cone_angle(-gens[n], b, c)
 
     dihedral: dict[tuple[int, int], float] = {}
     sq_lengths: dict[tuple[int, int], Rational] = {}

@@ -13,8 +13,9 @@ and "is this coordinate integral" is ``type(c) is int``.  Divisions of
 exact values are written ``Fraction(a, b)``, never ``a / b``.
 
 The face lattice is explicit.  Every face carries the set of vertex indices
-lying on it, which is what the point classifier and the angle-weight cache
-key on.
+lying on it, which is what the angle-weight cache keys on.  A point is
+located by the bitmask of facets it is tight on, and every lookup of a face
+from such a mask goes through one memo, Polytope.face_id_of_mask.
 """
 
 from __future__ import annotations
@@ -242,12 +243,10 @@ class FaceLocation:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of the lattice: its dimension, the vertices on it, and a basis
-    of its direction space (empty for vertices)."""
+    """A face of the lattice: its dimension and the vertices on it."""
 
     dim: int
     vertex_ids: tuple[int, ...]
-    span_basis: tuple[RationalVector, ...]
 
 
 @dataclass(eq=False)
@@ -255,8 +254,9 @@ class Polytope:
     """Convex rational polytope, full-dimensional in its ambient space.
 
     Treat instances as immutable; the private fields are lazy caches that
-    other modules fill in (angle weights, lattice scans, dilate memo, faces
-    by tight set) and are safe to share between a polytope and its dilates.
+    other modules fill in (angle weights, lattice scans and orbit frames,
+    dilate memo, faces by tight set) and are safe to share between a
+    polytope and its dilates.
     """
 
     dim: int
@@ -276,9 +276,6 @@ class Polytope:
     @property
     def n_facets(self) -> int:
         return len(self.facet_normals)
-
-    def face_id_of_vertex_set(self, vertex_ids: frozenset[int]) -> int:
-        return self._face_by_vertices[vertex_ids]
 
     def face_id_from_tight(self, tight: frozenset[int]) -> int:
         """Face whose relative interior a feasible point lies in, given the
@@ -382,16 +379,13 @@ def _build_face_lattice(
     index: dict[frozenset[int], int] = {}
     for vs, fdim in sorted(face_sets.items(), key=sort_key):
         ids = tuple(sorted(vs))
-        pts = [vertices[i] for i in ids]
-        diffs = [pts[k] - pts[0] for k in range(1, len(pts))]
-        picked = independent_rows([tuple(d.coords) for d in diffs])
-        basis = tuple(diffs[k] for k in picked)
-        if len(basis) != fdim:
+        rank = affine_rank([vertices[i] for i in ids])
+        if rank != fdim:
             raise AssertionError(
-                f"face on vertices {ids} has affine rank {len(basis)}, expected {fdim}"
+                f"face on vertices {ids} has affine rank {rank}, expected {fdim}"
             )
         index[vs] = len(faces)
-        faces.append(Face(dim=fdim, vertex_ids=ids, span_basis=basis))
+        faces.append(Face(dim=fdim, vertex_ids=ids))
     return tuple(faces), index, index[everything]
 
 
@@ -471,16 +465,13 @@ def dilate(P: Polytope, n: int) -> Polytope:
     if cached is not None:
         return cached
     vertices = tuple(RationalVector(tuple(c * n for c in v.coords)) for v in P.vertices)
-    faces = tuple(
-        Face(f.dim, f.vertex_ids, tuple(n * b for b in f.span_basis)) for f in P.faces
-    )
     Q = Polytope(
         dim=P.dim,
         vertices=vertices,
         facet_normals=P.facet_normals,
         facet_offsets=tuple(b * n for b in P.facet_offsets),
         facet_vertex_ids=P.facet_vertex_ids,
-        faces=faces,
+        faces=P.faces,
         _face_by_vertices=P._face_by_vertices,
         _face_by_mask=P._face_by_mask,
         _full_face_id=P._full_face_id,
@@ -494,20 +485,20 @@ def classify_point(P: Polytope, x: RationalVector) -> FaceLocation:
     """Exact location of a rational point relative to P."""
     if x.dim != P.dim:
         raise DimensionMismatch(f"point has dimension {x.dim}, polytope {P.dim}")
-    tight = []
+    mask = 0
     for i, (normal, offset) in enumerate(zip(P.facet_normals, P.facet_offsets)):
         s = sum(a * c for a, c in zip(normal, x.coords)) - offset
         if s > 0:
             return FaceLocation(LocationKind.OUTSIDE)
         if s == 0:
-            tight.append(i)
-    if not tight:
+            mask |= 1 << i
+    if not mask:
         return FaceLocation(LocationKind.INTERIOR)
-    face_id = P.face_id_from_tight(frozenset(tight))
+    face_id = P.face_id_of_mask(mask)
     return FaceLocation(LocationKind.FACE, face_id, P.faces[face_id].dim)
 
 
-def _integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
+def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Facet system cleared of denominators: rows A, bounds c with the body
     equal to {x : A x <= c} and tightness preserved row by row."""
     rows = []
@@ -530,12 +521,43 @@ def line_points(heads: np.ndarray, lower: np.ndarray, counts: np.ndarray) -> np.
     return out
 
 
-def check_budget(what: str, count: int) -> None:
+def _require_bitmask_facets(P: Polytope) -> None:
+    if P.n_facets > _MAX_FACETS_FOR_BITMASK:
+        raise UnsupportedDimension(
+            f"{P.n_facets} facets exceeds the bitmask scan limit"
+        )
+
+
+def locate_points(P: Polytope, points: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Face of P at each integer row z of `points`, all inside A z <= c: the
+    id of the face in whose relative interior z lies.
+
+    A, c is P's integer facet system or a scaled or shifted copy of it, row
+    for row.  The bitmask of the facets each point is tight on is computed
+    in chunks of points and resolved by Polytope.face_id_of_mask once per
+    distinct mask; only boundary masks are uniqued, so mostly interior
+    points pay for no sort.
+    """
+    _require_bitmask_facets(P)
+    bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
+    masks = np.empty(len(points), dtype=np.int64)
+    for s in range(0, len(points), _SCAN_CHUNK):
+        masks[s : s + _SCAN_CHUNK] = (points[s : s + _SCAN_CHUNK] @ A.T == c) @ bit
+    face_ids = np.full(len(points), P._full_face_id, dtype=np.int64)
+    on_boundary = np.flatnonzero(masks)
+    boundary_masks = masks[on_boundary]
+    distinct = np.unique(boundary_masks)
+    resolved = np.array([P.face_id_of_mask(m) for m in distinct.tolist()], dtype=np.int64)
+    face_ids[on_boundary] = resolved[np.searchsorted(distinct, boundary_masks)]
+    return face_ids
+
+
+def check_budget(what: str, count: int, remedy: str = "use a smaller n") -> None:
     """Raise MalformedInput when a request would materialise more than
     POINT_BUDGET rows."""
     if count > POINT_BUDGET:
         raise MalformedInput(
-            f"{count} {what} exceed the budget of {POINT_BUDGET}; use a smaller n"
+            f"{count} {what} exceed the budget of {POINT_BUDGET}; {remedy}"
         )
 
 
@@ -583,10 +605,7 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     hit = P._scan_cache.get("scan")
     if hit is not None:
         return hit
-    if P.n_facets > _MAX_FACETS_FOR_BITMASK:
-        raise UnsupportedDimension(
-            f"{P.n_facets} facets exceeds the bitmask scan limit"
-        )
+    _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()
     lo = [math.ceil(c) for c in lo_f]
     hi = [math.floor(c) for c in hi_f]
@@ -599,22 +618,11 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     check_budget("lattice line-facet pairs", lines * P.n_facets)
     heads = np.indices(extents, dtype=np.int64).reshape(P.dim - 1, lines).T
     heads += np.array(lo[:-1], dtype=np.int64)
-    A, c = _integer_facet_system(P)
+    A, c = integer_facet_system(P)
     lower, counts = _line_intervals(heads, A, c, lo[-1], hi[-1])
     check_budget("lattice points", int(counts.sum()))
     pts = line_points(heads, lower, counts)
-
-    facet_bits = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
-    bits = np.empty(len(pts), dtype=np.int64)
-    for s in range(0, len(pts), _SCAN_CHUNK):
-        bits[s : s + _SCAN_CHUNK] = (pts[s : s + _SCAN_CHUNK] @ A.T == c) @ facet_bits
-    face_ids = np.full(len(pts), P._full_face_id, dtype=np.int64)
-    on_boundary = np.flatnonzero(bits)
-    boundary_bits = bits[on_boundary]
-    masks = np.unique(boundary_bits)
-    resolved = np.array([P.face_id_of_mask(m) for m in masks.tolist()], dtype=np.int64)
-    face_ids[on_boundary] = resolved[np.searchsorted(masks, boundary_bits)]
-    result = (pts, face_ids)
+    result = (pts, locate_points(P, pts, A, c))
     P._scan_cache["scan"] = result
     return result
 
@@ -724,7 +732,7 @@ def translate(P: Polytope, shift: RationalVector) -> Polytope:
         facet_normals=P.facet_normals,
         facet_offsets=offsets,
         facet_vertex_ids=P.facet_vertex_ids,
-        faces=tuple(Face(f.dim, f.vertex_ids, f.span_basis) for f in P.faces),
+        faces=P.faces,
         _face_by_vertices=P._face_by_vertices,
         _face_by_mask=P._face_by_mask,
         _full_face_id=P._full_face_id,

@@ -129,11 +129,13 @@ def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     Q = dilate(P, n)
     pts, fids = scan_lattice(Q)
     weights = _face_weights(Q)[fids]
-    if len(pts):
-        residues = np.einsum("ij,ij->i", pts, pts) % n
-        acc = np.bincount(residues, weights=weights, minlength=n)
-    else:
-        acc = np.zeros(n)
+    lo, hi = Q.bbox()
+    if P.dim * max(map(abs, lo + hi)) ** 2 >= 1 << 63:
+        # |x|^2 mod n is unchanged by a shift in n Z^d, such as the corner n lo
+        # of nP's box, after which every coordinate is at most the box's extent
+        pts = pts - np.array(lo, dtype=np.int64)
+    residues = np.einsum("ij,ij->i", pts, pts) % n
+    acc = np.bincount(residues, weights=weights, minlength=n)
     value = _residues_to_value(acc.tolist(), n)
     return _report(P, n, value, ROUTE_DIRECT, len(pts))
 

@@ -5,6 +5,15 @@ G-equivalence.
 
 The action convention is y = w(x) with y[i] = signs[i] * x[perm[i]]; this
 preserves the integer lattice and the Euclidean norm.
+
+Orbit sums are one vectorised integer query.  For x = a/q the G-orbit is
+the set of points (u + q lam)/q with u = w a mod q over w in W and lam
+integral.  The distinct images u, the translations lam that can reach P's
+bounding box and the facet slacks of every candidate are int64 arrays, and
+the candidates inside P are located on their faces by
+geometry.locate_points, the lookup scan_lattice uses.  A polytope with more
+than geometry.POINT_BUDGET (candidate, facet) pairs, |W| x (bounding-box
+extents) x facets, raises MalformedInput before any candidate exists.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -24,8 +33,10 @@ from .errors import MalformedInput, UnsupportedDimension
 from .geometry import (
     Polytope,
     RationalVector,
-    _integer_facet_system,
+    check_budget,
+    integer_facet_system,
     integer_points,
+    locate_points,
     volume,
 )
 
@@ -84,86 +95,67 @@ def weyl_elements(d: int) -> tuple[WeylElement, ...]:
     return tuple(out)
 
 
-def _common_denominator(x: RationalVector) -> tuple[tuple[int, ...], int]:
-    q = 1
-    for c in x.coords:
-        q = q * c.denominator // math.gcd(q, c.denominator)
-    return tuple(int(c * q) for c in x.coords), q
+def _orbit_frame(P: Polytope) -> tuple:
+    """The x-independent part of the orbit count, cached on P: the stacked
+    matrices of W, P - floor(lo) as the integer facet system A y <= c, the
+    translations mu in 0 .. floor(hi) - floor(lo) per axis, and the largest
+    bound sum_i |A_ki| E_i over the facets, with E the extents of mu."""
+    hit = P._scan_cache.get("orbit")
+    if hit is not None:
+        return hit
+    W = np.stack([w.matrix() for w in weyl_elements(P.dim)])
+    lo, hi = P.bbox()
+    corner = [math.floor(v) for v in lo]
+    extents = [math.floor(h) - l + 1 for l, h in zip(corner, hi)]
+    A, c = integer_facet_system(P)
+    check_budget(
+        "orbit candidate-facet pairs",
+        len(W) * math.prod(extents) * len(A),
+        "use a smaller polytope",
+    )
+    rows = A.tolist()
+    shifted = [b - sum(a * l for a, l in zip(row, corner)) for row, b in zip(rows, c.tolist())]
+    reach = max(sum(abs(a) * e for a, e in zip(row, extents)) for row in rows)
+    mu = np.indices(extents, dtype=np.int64).reshape(P.dim, -1).T
+    frame = (W, A, np.array(shifted, dtype=np.int64), mu, reach)
+    P._scan_cache["orbit"] = frame
+    return frame
 
 
-def _orbit_weight_sum(
-    P: Polytope, x: RationalVector, indicator: bool
-) -> tuple[float, int, bool]:
-    """Sum of weights of P over the G-orbit of x, where G is the signed
-    permutations extended by integer translations.
+def _orbit_face_ids(P: Polytope, x: RationalVector) -> np.ndarray:
+    """Face id of P at each distinct point of the G-orbit of x inside P.
 
-    With indicator=False the weight is the solid angle (so the result is the
-    orbit sum of angle weights); with indicator=True every point inside
-    closed P counts 1.  Returns (sum, integer hit count, boundary_hit): the
-    latter flags any orbit point landing exactly on the boundary of P, where
-    an indicator is ambiguous.
-
-    Arithmetic is pure-integer: x = a/q, and membership of (w a + q lam)/q
-    is tested as A (w a + q lam) <= q b for the cleared facet system A, b.
+    With x = a/q, reduced mod q (the orbit is the same), the images
+    u = w a mod q over w in W are deduplicated by a lexicographic sort,
+    exact for any q: images distinct mod q give disjoint point sets.  An
+    orbit point z/q = u/q + lam lies in the bounding box only for
+    floor(lo) <= lam <= floor(hi), as 0 <= u/q < 1, so with
+    lam = floor(lo) + mu the candidates are z = u + q mu, tested against
+    A z <= q c on P - floor(lo).
     """
-    a, q = _common_denominator(x)
-    A, b = _integer_facet_system(P)
-    A_rows = A.tolist()
-    qb = [q * int(bi) for bi in b.tolist()]
-    lo_f, hi_f = P.bbox()
-    d = P.dim
-    total = 0.0
-    hits = 0
-    boundary = False
-    seen: set[tuple[int, ...]] = set()
-    for w in weyl_elements(d):
-        u = w.apply_ints(a)
-        ranges = []
-        for i in range(d):
-            lo_i = math.ceil(lo_f[i] - Fraction(u[i], q))
-            hi_i = math.floor(hi_f[i] - Fraction(u[i], q))
-            ranges.append(range(lo_i, hi_i + 1))
-        for lam in itertools.product(*ranges):
-            z = tuple(u[i] + q * lam[i] for i in range(d))
-            if z in seen:
-                continue
-            tight = []
-            ok = True
-            for row, bound in zip(A_rows, qb):
-                s = bound - sum(r * zi for r, zi in zip(row, z))
-                if s < 0:
-                    ok = False
-                    break
-                if s == 0:
-                    tight.append(True)
-            if not ok:
-                continue
-            seen.add(z)
-            hits += 1
-            if tight:
-                boundary = True
-                if not indicator:
-                    # exact face lookup for the angle weight
-                    tight_ids = frozenset(
-                        i
-                        for i, (row, bound) in enumerate(zip(A_rows, qb))
-                        if bound == sum(r * zi for r, zi in zip(row, z))
-                    )
-                    fid = P.face_id_from_tight(tight_ids)
-                    total += face_angle(P, fid)
-                else:
-                    total += 1.0
-            else:
-                total += 1.0
-    return total, hits, boundary
+    W, A, c, mu, reach = _orbit_frame(P)
+    q = math.lcm(*(v.denominator for v in x.coords))
+    # 0 <= z_i < q E_i and |c_k| <= sum_i |A_ki| E_i because facet k is
+    # tight on P - floor(lo), which lies in [0, E); so every slack
+    # q c_k - A_k z is below 2 q reach in magnitude, whatever P's position.
+    if 2 * q * reach >= 1 << 63:
+        raise MalformedInput(f"orbit of a point with denominator {q} overflows int64")
+    a = np.array([int(v * q) % q for v in x.coords], dtype=np.int64)
+    u = W @ a % q
+    u = u[np.lexsort(u.T)]
+    u = u[np.r_[True, (u[1:] != u[:-1]).any(axis=1)]]
+    z = (u[:, None, :] + q * mu).reshape(-1, P.dim)
+    qc = q * c
+    z = z[(z @ A.T <= qc).all(axis=1)]
+    return locate_points(P, z, A, qc)
 
 
 def f_P(P: Polytope, x: RationalVector) -> float:
     """The orbit sum f(x) = sum over g in G of the solid angle of P at g(x),
     where G combines signed permutations with integer translations.  Only
-    finitely many terms are nonzero since P is bounded."""
-    total, _, _ = _orbit_weight_sum(P, x, indicator=False)
-    return total
+    finitely many terms are nonzero since P is bounded; they are summed by
+    math.fsum, so the value does not depend on their order."""
+    return math.fsum(face_angle(P, f) for f in _orbit_face_ids(P, x).tolist())
 
 
 SAMPLE_DENOMINATOR = 10007  # prime; boundary strata of lattice polytopes
@@ -206,10 +198,13 @@ def multitiling_check(
     """Sampled multi-tiling verification.
 
     Draws generic rational points in the open fundamental region and counts
-    the G-orbit points falling in P with exact arithmetic.  Accepts only if
-    every count equals the same integer m and m = |W| vol(P) exactly; any
-    deviating sample is returned as a witness.  Rejections are certificates;
-    acceptance is probabilistic in the samples.
+    the G-orbit points falling in P, each count one vectorised int64 query
+    (_orbit_face_ids); a sample whose orbit touches the boundary of P is
+    redrawn.  Accepts only if every count equals the same integer m and
+    m = |W| vol(P) exactly; any deviating sample is returned as a witness.
+    Rejections are certificates; acceptance is probabilistic in the
+    samples.  A polytope whose |W| x (bounding-box extents) orbit
+    candidates exceed geometry.POINT_BUDGET raises MalformedInput.
     """
     if sample_count < 1:
         raise MalformedInput(f"sample_count must be >= 1, got {sample_count}")
@@ -222,8 +217,9 @@ def multitiling_check(
     redraws = 0
     while checked < sample_count:
         x = _sample_fundamental_point(rng, d, SAMPLE_DENOMINATOR)
-        count, hits, boundary = _orbit_weight_sum(P, x, indicator=True)
-        if boundary:
+        ids = _orbit_face_ids(P, x)
+        hits = len(ids)
+        if (ids != P._full_face_id).any():
             redraws += 1
             if redraws > 50:
                 witnesses.append(

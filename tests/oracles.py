@@ -1,19 +1,23 @@
 """Literal reference implementations of the vectorised layers.
 
 Each is the straightforward (and slow) form of a library function: the
-bounding-box lattice scan, the triple-loop kappa and the folded route that
-unfolds every orbit representative into the bounding box.  Tests compare
-the library against them for exact equality, so every float they produce is
-summed in the same order as the library's.
+bounding-box lattice scan, the triple-loop kappa, the folded route that
+unfolds every orbit representative into the bounding box, and the G-orbit
+count that walks every translation box point by point.  Tests compare the
+library against the first three for exact equality, so every float they
+produce is summed in the same order as the library's; the orbit count's
+angle sum is summed in loop order and compared to within rounding.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from polygauss.angles import face_angle
 from polygauss.gauss import phase_table
-from polygauss.geometry import _integer_facet_system, dilate
+from polygauss.geometry import Polytope, RationalVector, dilate, integer_facet_system
 from polygauss.polysum import _face_weights, _residues_to_value
 from polygauss.weyl import weyl_elements
 
@@ -27,7 +31,7 @@ def grid_scan_lattice(P):
         return np.zeros((0, P.dim), np.int64), np.zeros(0, np.int64)
     axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.dim)
-    A, c = _integer_facet_system(P)
+    A, c = integer_facet_system(P)
     slack = c[None, :] - grid @ A.T
     inside = (slack >= 0).all(axis=1)
     tight = slack[inside] == 0
@@ -95,3 +99,77 @@ def unfolded_sum(P, n):
         if g:
             acc[sum(c * c for c in z) % n] += g
     return _residues_to_value(acc, n)
+
+
+def _common_denominator(x: RationalVector) -> tuple[tuple[int, ...], int]:
+    q = 1
+    for c in x.coords:
+        q = q * c.denominator // math.gcd(q, c.denominator)
+    return tuple(int(c * q) for c in x.coords), q
+
+
+def loop_orbit_weight_sum(
+    P: Polytope, x: RationalVector, indicator: bool
+) -> tuple[float, int, bool]:
+    """Sum of weights of P over the G-orbit of x, where G is the signed
+    permutations extended by integer translations.
+
+    With indicator=False the weight is the solid angle (so the result is the
+    orbit sum of angle weights); with indicator=True every point inside
+    closed P counts 1.  Returns (sum, integer hit count, boundary_hit): the
+    latter flags any orbit point landing exactly on the boundary of P, where
+    an indicator is ambiguous.
+
+    Arithmetic is pure-integer: x = a/q, and membership of (w a + q lam)/q
+    is tested as A (w a + q lam) <= q b for the cleared facet system A, b.
+    """
+    a, q = _common_denominator(x)
+    A, b = integer_facet_system(P)
+    A_rows = A.tolist()
+    qb = [q * int(bi) for bi in b.tolist()]
+    lo_f, hi_f = P.bbox()
+    d = P.dim
+    total = 0.0
+    hits = 0
+    boundary = False
+    seen: set[tuple[int, ...]] = set()
+    for w in weyl_elements(d):
+        u = w.apply_ints(a)
+        ranges = []
+        for i in range(d):
+            lo_i = math.ceil(lo_f[i] - Fraction(u[i], q))
+            hi_i = math.floor(hi_f[i] - Fraction(u[i], q))
+            ranges.append(range(lo_i, hi_i + 1))
+        for lam in itertools.product(*ranges):
+            z = tuple(u[i] + q * lam[i] for i in range(d))
+            if z in seen:
+                continue
+            tight = []
+            ok = True
+            for row, bound in zip(A_rows, qb):
+                s = bound - sum(r * zi for r, zi in zip(row, z))
+                if s < 0:
+                    ok = False
+                    break
+                if s == 0:
+                    tight.append(True)
+            if not ok:
+                continue
+            seen.add(z)
+            hits += 1
+            if tight:
+                boundary = True
+                if not indicator:
+                    # exact face lookup for the angle weight
+                    tight_ids = frozenset(
+                        i
+                        for i, (row, bound) in enumerate(zip(A_rows, qb))
+                        if bound == sum(r * zi for r, zi in zip(row, z))
+                    )
+                    fid = P.face_id_from_tight(tight_ids)
+                    total += face_angle(P, fid)
+                else:
+                    total += 1.0
+            else:
+                total += 1.0
+    return total, hits, boundary

@@ -272,6 +272,18 @@ def test_oversized_sum_fails_fast_without_allocating(n):
     assert peak_mb < 200
 
 
+def test_oversized_check_tiling_fails_fast(capsys, tmp_path):
+    # 48 * 201^3 orbit candidates times 6 facets; the point-by-point orbit
+    # count ran for hours on this cube
+    cube = tmp_path / "cube200.json"
+    corners = [[i, j, k] for i in (0, 200) for j in (0, 200) for k in (0, 200)]
+    cube.write_text(json.dumps({"dim": 3, "vertices": corners}))
+    code, out, err = run(capsys, "check-tiling", "--polytope", str(cube))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceed the budget" in err
+
+
 @needs_linux_rusage
 def test_large_direct_sum_memory():
     # 2,862,209 lattice points; the bounding-box scan peaked near 1.5 GB on it

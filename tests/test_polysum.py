@@ -194,6 +194,14 @@ def test_invariance_under_lattice_symmetries(fund_tet):
         assert abs(polyhedral_gauss_sum_direct(shifted, n).value - base) < 1e-11
 
 
+def test_direct_route_far_from_the_origin(unit_cube):
+    # the coordinates of 5P, near 1e10, overflow int64 when squared
+    far = translate(unit_cube, RationalVector((2 * 10**9,) * 3))
+    base = polyhedral_gauss_sum_direct(unit_cube, 5).value
+    assert polyhedral_gauss_sum_direct(far, 5).value == base
+    assert abs(polyhedral_gauss_sum_folded(far, 5).value - base) < 1e-10
+
+
 @st.composite
 def lattice_polytopes(draw):
     d = draw(st.integers(1, 3))

@@ -4,16 +4,18 @@ from fractions import Fraction
 import pytest
 
 from polygauss.errors import MalformedInput
-from polygauss.geometry import RationalVector
+from polygauss.geometry import RationalVector, polytope_from_dict, translate
 from polygauss.weyl import (
     MultiTilingReport,
     WeylElement,
+    _orbit_face_ids,
     canonical_form,
     f_P,
     multitiling_check,
     weyl_elements,
 )
-from tests.conftest import FUND_TET, SECOND_TILE_TET, make
+from tests.conftest import DATA, FUND_TET, SECOND_TILE_TET, load_bundled, make
+from tests.oracles import loop_orbit_weight_sum
 
 FT_CANONICAL = ((-1, -1, -1), (-1, -1, 0), (-1, 0, 0), (0, 0, 0))
 SECOND_CANONICAL = ((-2, -1, -1), (-1, -1, -1), (-1, -1, 0), (0, 0, 0))
@@ -71,6 +73,11 @@ def test_orbit_count_interval(unit_interval):
     )
 
 
+@pytest.fixture(scope="module")
+def far_cube(unit_cube):
+    return translate(unit_cube, RationalVector((10**15, -(10**15), 3)))
+
+
 @pytest.mark.parametrize(
     "fixture,mult",
     [
@@ -78,6 +85,7 @@ def test_orbit_count_interval(unit_interval):
         ("unit_triangle", 4),
         ("unit_square", 8),
         ("unit_cube", 48),
+        ("far_cube", 48),
         ("fund_tet", 8),
         ("second_tile_tet", 8),
     ],
@@ -90,6 +98,35 @@ def test_multitiling_accepts(request, fixture, mult):
     assert rep.expected == mult
     assert rep.samples_checked == 40
     assert rep.witnesses == ()
+
+
+ORACLE_SHAPES = [
+    [(0, 0), (1, 0), (1, 3)],
+    [(0, 0), (3, 1), (1, 3)],
+    [(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)],
+    [("0", "0"), ("1", "0"), ("0", "1/2")],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)],
+    [("0",), ("1/4",)],
+]
+
+
+def test_orbit_count_matches_loop_oracle(far_cube):
+    shapes = [polytope_from_dict(load_bundled(p.stem)) for p in sorted(DATA.glob("*.json"))]
+    shapes += [make(pts) for pts in ORACLE_SHAPES] + [far_cube]
+    rng = random.Random(41)
+    for P in shapes:
+        for _ in range(30):
+            q = rng.choice([7, 12, 30, 10007])
+            # numerators in [-3q, 3q): points outside the fundamental region,
+            # not reduced mod q, and often on the boundary for small q
+            x = RationalVector(
+                Fraction(rng.randrange(-3 * q, 3 * q), q) for _ in range(P.dim)
+            )
+            ids = _orbit_face_ids(P, x)
+            angles, hits, boundary = loop_orbit_weight_sum(P, x, indicator=False)
+            assert len(ids) == hits, (P, x)
+            assert bool((ids != P._full_face_id).any()) == boundary, (P, x)
+            assert f_P(P, x) == pytest.approx(angles, abs=1e-12), (P, x)
 
 
 def test_multitiling_rejects_standard_simplex(std_simplex):
