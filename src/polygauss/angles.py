@@ -33,9 +33,12 @@ from .geometry import (
 TWO_PI = 2.0 * math.pi
 
 
-def _cone_angle(a: RationalVector, b: RationalVector, c: RationalVector) -> float:
+def _cone_angle(
+    a: Sequence[Rational], b: Sequence[Rational], c: Sequence[Rational]
+) -> float:
     """Solid angle of the cone spanned by three independent vectors at the
-    origin.  With la, lb, lc the generator lengths,
+    origin, each any exact 3-sequence (a coordinate tuple or a
+    RationalVector).  With la, lb, lc the generator lengths,
 
         tan(2 pi w) = |det(a,b,c)| / (la lb lc + (b.c) la + (c.a) lb + (a.b) lc)
 
@@ -44,14 +47,17 @@ def _cone_angle(a: RationalVector, b: RationalVector, c: RationalVector) -> floa
     det = det3(a, b, c)
     if det == 0:
         raise DegenerateCone("cone generators are linearly dependent")
-    la = math.sqrt(a.norm_sq())
-    lb = math.sqrt(b.norm_sq())
-    lc = math.sqrt(c.norm_sq())
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0, c1, c2 = c
+    la = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    lb = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
+    lc = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     denom = (
         la * lb * lc
-        + float(b.dot(c)) * la
-        + float(c.dot(a)) * lb
-        + float(a.dot(b)) * lc
+        + float(b0 * c0 + b1 * c1 + b2 * c2) * la
+        + float(c0 * a0 + c1 * a1 + c2 * a2) * lb
+        + float(a0 * b0 + a1 * b1 + a2 * b2) * lc
     )
     return math.atan2(abs(float(det)), denom) / TWO_PI
 
@@ -267,7 +273,11 @@ def tetrahedron_angles(
     pts = [p if isinstance(p, RationalVector) else RationalVector(p) for p in points]
     if any(p.dim != 3 for p in pts):
         raise UnsupportedDimension("tetrahedron vertices must be 3-dimensional")
-    det = det3(pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0])
+    # edge[i][j] = v_j - v_i as a coordinate tuple
+    edge = [
+        [(q[0] - p[0], q[1] - p[1], q[2] - p[2]) for q in pts] for p in pts
+    ]
+    det = det3(edge[0][1], edge[0][2], edge[0][3])
     if det == 0:
         raise DegenerateTetrahedron("zero signed volume")
 
@@ -275,27 +285,30 @@ def tetrahedron_angles(
     external: dict[tuple[int, int], float] = {}
     for i in range(4):
         others = [j for j in range(4) if j != i]
-        gens = [pts[j] - pts[i] for j in others]
+        gens = [edge[i][j] for j in others]
         solid.append(_cone_angle(*gens))
         for n, j in enumerate(others):
             b, c = gens[:n] + gens[n + 1 :]
-            external[(i, j)] = _cone_angle(-gens[n], b, c)
+            external[(i, j)] = _cone_angle(edge[j][i], b, c)
 
     dihedral: dict[tuple[int, int], float] = {}
     sq_lengths: dict[tuple[int, int], Rational] = {}
     for i in range(4):
         for j in range(i + 1, 4):
             k, l = (m for m in range(4) if m not in (i, j))
-            u = pts[j] - pts[i]
-            m1 = u.cross(pts[k] - pts[i])
-            m2 = u.cross(pts[l] - pts[i])
-            dihedral[(i, j)] = (
-                math.atan2(
-                    abs(float(det)) * math.sqrt(u.norm_sq()), float(m1.dot(m2))
-                )
-                / TWO_PI
+            u0, u1, u2 = edge[i][j]
+            p0, p1, p2 = edge[i][k]
+            q0, q1, q2 = edge[i][l]
+            # (u x p) . (u x q), expanded
+            m12 = (
+                (u1 * p2 - u2 * p1) * (u1 * q2 - u2 * q1)
+                + (u2 * p0 - u0 * p2) * (u2 * q0 - u0 * q2)
+                + (u0 * p1 - u1 * p0) * (u0 * q1 - u1 * q0)
             )
-            nsq = u.norm_sq()
+            nsq = u0 * u0 + u1 * u1 + u2 * u2
+            dihedral[(i, j)] = (
+                math.atan2(abs(float(det)) * math.sqrt(nsq), float(m12)) / TWO_PI
+            )
             sq_lengths[(i, j)] = int(nsq) if nsq.denominator == 1 else nsq
 
     return TetrahedronAngles(

@@ -41,8 +41,10 @@ Rational = int | Fraction
 
 _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 
-# Most lattice points, (lattice line, facet) pairs or kappa terms one request
-# may materialise; larger requests raise MalformedInput.  At its peak a
+# Most lattice points, (lattice line, facet) pairs, kappa terms or search
+# candidates one request may materialise; larger requests raise
+# MalformedInput.  A search candidate takes 6 bytes while it is enumerated
+# and then 20 (int8 vertices and an int64 key).  At its peak a
 # request holds about 60 bytes per scanned point on the direct route, 100 on
 # the folded route (coordinates, face ids, tight bits, weights, residues,
 # sort keys; all 8-byte) and 110 per kappa term, so the budget caps one
@@ -177,15 +179,13 @@ def independent_rows(rows: Sequence[Sequence[Rational]]) -> list[int]:
 
 
 def det3(a, b, c):
-    """Determinant of the 3x3 matrix with rows a, b, c.
-
-    Rows may be exact coordinate sequences (int tuples, RationalVectors),
-    giving an exact int or Fraction, or numpy arrays holding the three
-    coordinates along their last axis, giving an array of determinants.
-    """
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
-        np.moveaxis(v, -1, 0) if isinstance(v, np.ndarray) else v for v in (a, b, c)
-    )
+    """Determinant of the 3x3 matrix with rows a, b, c, each a sequence of
+    three coordinates.  Exact coordinates (int tuples, RationalVectors) give
+    an exact int or Fraction; rows of three numpy arrays give an array of
+    determinants."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0, c1, c2 = c
     return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
 
 

@@ -2,11 +2,13 @@
 
 Each is the straightforward (and slow) form of a library function: the
 bounding-box lattice scan, the triple-loop kappa, the folded route that
-unfolds every orbit representative into the bounding box, and the G-orbit
-count that walks every translation box point by point.  Tests compare the
-library against the first three for exact equality, so every float they
-produce is summed in the same order as the library's; the orbit count's
-angle sum is summed in loop order and compared to within rounding.
+unfolds every orbit representative into the bounding box, the G-orbit
+count that walks every translation box point by point, the search's
+candidates from every index triple, and the tetrahedron angles computed on
+RationalVector arithmetic.  Tests compare the library against the first
+three and the last two for exact equality, so every float they produce is
+computed in the same order as the library's; the orbit count's angle sum is
+summed in loop order and compared to within rounding.
 """
 
 import itertools
@@ -15,9 +17,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from polygauss.angles import face_angle
+from polygauss.angles import TWO_PI, TetrahedronAngles, face_angle
+from polygauss.errors import (
+    DegenerateCone,
+    DegenerateTetrahedron,
+    UnsupportedDimension,
+)
 from polygauss.gauss import phase_table
-from polygauss.geometry import Polytope, RationalVector, dilate, integer_facet_system
+from polygauss.geometry import (
+    Polytope,
+    RationalVector,
+    det3,
+    dilate,
+    integer_facet_system,
+)
 from polygauss.polysum import _face_weights, _residues_to_value
 from polygauss.weyl import weyl_elements
 
@@ -173,3 +186,83 @@ def loop_orbit_weight_sum(
             else:
                 total += 1.0
     return total, hits, boundary
+
+
+def index_triple_candidates(B: int) -> np.ndarray:
+    """The search's candidates from every index triple of nonzero vectors in
+    [-B, B]^3, kept where the determinant is +-1, in index-triple order."""
+    rng = np.arange(-B, B + 1, dtype=np.int64)
+    vecs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
+    vecs = vecs[np.any(vecs != 0, axis=1)]
+    flat = itertools.chain.from_iterable(itertools.combinations(range(len(vecs)), 3))
+    edges = vecs[np.fromiter(flat, dtype=np.int64).reshape(-1, 3)]  # (M, 3, 3)
+    edges = edges[np.abs(det3(edges[:, 0].T, edges[:, 1].T, edges[:, 2].T)) == 1]
+    pts = np.zeros((len(edges), 4, 3), dtype=np.int64)
+    pts[:, 1:] = edges
+    return pts
+
+
+def vector_cone_angle(a: RationalVector, b: RationalVector, c: RationalVector) -> float:
+    """Solid angle of the cone on three RationalVector generators."""
+    det = det3(a, b, c)
+    if det == 0:
+        raise DegenerateCone("cone generators are linearly dependent")
+    la = math.sqrt(a.norm_sq())
+    lb = math.sqrt(b.norm_sq())
+    lc = math.sqrt(c.norm_sq())
+    denom = (
+        la * lb * lc
+        + float(b.dot(c)) * la
+        + float(c.dot(a)) * lb
+        + float(a.dot(b)) * lc
+    )
+    return math.atan2(abs(float(det)), denom) / TWO_PI
+
+
+def vector_tetrahedron_angles(points) -> TetrahedronAngles:
+    """tetrahedron_angles with a new RationalVector for every subtraction,
+    negation and cross product."""
+    if len(points) != 4:
+        raise DegenerateTetrahedron(f"need 4 points, got {len(points)}")
+    pts = [p if isinstance(p, RationalVector) else RationalVector(p) for p in points]
+    if any(p.dim != 3 for p in pts):
+        raise UnsupportedDimension("tetrahedron vertices must be 3-dimensional")
+    det = det3(pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0])
+    if det == 0:
+        raise DegenerateTetrahedron("zero signed volume")
+
+    solid = []
+    external = {}
+    for i in range(4):
+        others = [j for j in range(4) if j != i]
+        gens = [pts[j] - pts[i] for j in others]
+        solid.append(vector_cone_angle(*gens))
+        for n, j in enumerate(others):
+            b, c = gens[:n] + gens[n + 1 :]
+            external[(i, j)] = vector_cone_angle(-gens[n], b, c)
+
+    dihedral = {}
+    sq_lengths = {}
+    for i in range(4):
+        for j in range(i + 1, 4):
+            k, l = (m for m in range(4) if m not in (i, j))
+            u = pts[j] - pts[i]
+            m1 = u.cross(pts[k] - pts[i])
+            m2 = u.cross(pts[l] - pts[i])
+            dihedral[(i, j)] = (
+                math.atan2(
+                    abs(float(det)) * math.sqrt(u.norm_sq()), float(m1.dot(m2))
+                )
+                / TWO_PI
+            )
+            nsq = u.norm_sq()
+            sq_lengths[(i, j)] = int(nsq) if nsq.denominator == 1 else nsq
+
+    return TetrahedronAngles(
+        vertices=tuple(pts),
+        solid=tuple(solid),
+        dihedral=dihedral,
+        external=external,
+        sq_lengths=sq_lengths,
+        volume=Fraction(abs(det), 6),
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from polygauss.angles import (
+    _cone_angle,
     dihedral_angle,
     external_solid_angle,
     face_angle,
@@ -20,7 +22,9 @@ from polygauss.errors import (
     UnsupportedDimension,
 )
 from polygauss.geometry import RationalVector
+from polygauss.classify import enumerate_minimal_tetrahedra
 from tests.conftest import FUND_TET, SECOND_TILE_TET
+from tests.oracles import vector_cone_angle, vector_tetrahedron_angles
 
 ORIGIN = RationalVector((0, 0, 0))
 
@@ -192,3 +196,42 @@ def test_solid_angle_of_point(fund_tet):
     assert solid_angle(fund_tet, RationalVector((5, 5, 5))) == 0.0
     at_apex = solid_angle(fund_tet, RationalVector((0, 0, 0)))
     assert at_apex == pytest.approx(1 / 48, abs=1e-12)
+
+
+def _same_fields(got, want):
+    return all(
+        repr(getattr(got, f.name)) == repr(getattr(want, f.name))
+        for f in dataclasses.fields(want)
+    )
+
+
+def test_tetrahedron_angles_match_vector_oracle_on_bound_two_orbits():
+    reps = list(enumerate_minimal_tetrahedra(2))
+    assert len(reps) == 330
+    for rep in reps:
+        assert _same_fields(tetrahedron_angles(rep), vector_tetrahedron_angles(rep))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [("1/2", 0, 0), (0, "1/3", 0), (0, 0, "1/5"), ("-3/2", "7/4", "2/3")],
+        [(0, 0, 0), ("3/2", "1/2", 0), ("1/2", "3/2", 0), ("1/2", "1/2", "5/2")],
+        [("-1/7", 2, "3/7"), (1, "-5/3", 0), ("9/2", 1, -1), (0, "1/6", "11/6")],
+    ],
+)
+def test_tetrahedron_angles_match_vector_oracle_on_fractions(points):
+    pts = [RationalVector(p) for p in points]
+    assert _same_fields(tetrahedron_angles(pts), vector_tetrahedron_angles(pts))
+
+
+def test_cone_angle_takes_vectors_and_tuples():
+    gens = [(2, 1, 0), (0, 3, 1), (1, -1, 4)]
+    want = vector_cone_angle(*(RationalVector(g) for g in gens))
+    assert _cone_angle(*(RationalVector(g) for g in gens)) == want
+    assert _cone_angle(*gens) == want
+    halves = [(Fraction(1, 2), 0, 0), (0, Fraction(3, 2), 1), (1, 1, Fraction(-5, 3))]
+    want = vector_cone_angle(*(RationalVector(g) for g in halves))
+    assert _cone_angle(*halves) == want
+    with pytest.raises(DegenerateCone):
+        _cone_angle((1, 0, 0), (0, 1, 0), (1, 1, 0))

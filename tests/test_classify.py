@@ -16,6 +16,7 @@ from polygauss.classify import (
 from polygauss.errors import MalformedInput, VolumeNotMinimal
 from polygauss.weyl import canonical_form
 from tests.conftest import SECOND_TILE_TET, STD_SIMPLEX
+from tests.oracles import index_triple_candidates
 from tests.test_weyl import FT_CANONICAL, SECOND_CANONICAL
 
 
@@ -56,6 +57,21 @@ def test_enumeration_reps_are_minimal_and_in_range():
             + a[2] * (b[0] * c[1] - b[1] * c[0])
         )
         assert abs(det) == 1
+
+
+@pytest.mark.parametrize("B", [1, 2])
+def test_candidates_match_index_triple_oracle(B):
+    # same triples in the same order, so first-seen representatives agree
+    got = _candidate_tetrahedra(B)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, index_triple_candidates(B))
+
+
+def test_enumeration_counts_bound_three():
+    scanned, orbits = _enumerate(3)
+    assert scanned == 213608
+    assert len(orbits) == 3027
+    assert all(max(map(abs, sum(rep, ()))) <= 3 for _, rep in orbits)
 
 
 def test_packed_key_decodes_to_canonical_form():

@@ -285,6 +285,20 @@ def test_oversized_check_tiling_fails_fast(capsys, tmp_path):
 
 
 @needs_linux_rusage
+def test_oversized_classify_bound_fails_within_memory():
+    # B = 7 is the smallest bound whose candidates (more than 2^24) exceed
+    # the budget; B = 6 has 7,842,440.  Enumeration stops at the first
+    # vector whose triples cross the budget, which takes about 11 s and
+    # 141 MB on a 2-CPU Xeon VM.  Holding every candidate and its key would
+    # need more than 300 MB.
+    code, err, peak_mb = _run_measured("classify", "--bound", "7")
+    assert code == 2
+    assert err.startswith("error:") and "candidate tetrahedra exceed the budget" in err
+    assert err.rstrip().endswith("use a smaller bound")
+    assert peak_mb < 200
+
+
+@needs_linux_rusage
 def test_large_direct_sum_memory():
     # 2,862,209 lattice points; the bounding-box scan peaked near 1.5 GB on it
     code, _, peak_mb = _run_measured(

@@ -2,7 +2,9 @@
 
 A golden file changes only together with a spec change recorded in
 CHANGES.md.  To regenerate one, redirect the stdout of
-`python -m polygauss.cli <argv of its case> --json` to it.
+`python -m polygauss.cli <argv of its case> --json` to it.  The one CSV
+file is what `classify --bound 2 --route tetra --csv FILE` writes; its
+residual reprs pin the orbit representatives and every angle bit.
 """
 
 import pathlib
@@ -13,13 +15,18 @@ from polygauss.cli import main
 from tests.conftest import DATA
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+CSV_GOLDEN = GOLDEN / "classify_b2_tetra.csv"
 
 ROUTES = ("direct", "folded", "tetra")
 SOLIDS = ("fund_tet", "second_tile_tet", "std_simplex", "unit_cube_3d")
 
 CASES = (
     [
-        (f"classify_b1_{route}", ["classify", "--bound", "1", "--route", route])
+        (
+            f"classify_b{bound}_{route}",
+            ["classify", "--bound", str(bound), "--route", route],
+        )
+        for bound in (1, 2)
         for route in ("direct", "tetra")
     ]
     + [
@@ -40,9 +47,17 @@ CASES = (
 
 def test_every_golden_file_has_a_case():
     assert {name for name, _ in CASES} == {p.stem for p in GOLDEN.glob("*.json")}
+    assert [p.name for p in GOLDEN.glob("*.csv")] == [CSV_GOLDEN.name]
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_cli_json_matches_golden(capsys, name, argv):
     assert main(argv + ["--json"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_classify_csv_matches_golden(capsys, tmp_path):
+    out = tmp_path / "orbits.csv"
+    assert main(["classify", "--bound", "2", "--route", "tetra", "--csv", str(out)]) == 0
+    assert capsys.readouterr().err == "wrote 1320 rows to " + str(out) + "\n"
+    assert out.read_bytes() == CSV_GOLDEN.read_bytes()
