@@ -27,6 +27,7 @@ from .geometry import (
     Rational,
     RationalVector,
     classify_point,
+    cycle_order,
     det3,
 )
 
@@ -144,7 +145,7 @@ def _cyclic_edge_directions(P: Polytope, vid: int) -> list[RationalVector]:
     k = len(dirs)
     if k == 3:
         return dirs
-    adj: dict[int, list[int]] = {i: [] for i in range(k)}
+    pairs = []
     for vs in P.facet_vertex_ids:
         if vid not in vs:
             continue
@@ -155,14 +156,8 @@ def _cyclic_edge_directions(P: Polytope, vid: int) -> list[RationalVector]:
             raise AssertionError(
                 f"facet holds {len(members)} edges at vertex {vid}, expected 2"
             )
-        a, b = members
-        adj[a].append(b)
-        adj[b].append(a)
-    cycle = [0, adj[0][0]]
-    while len(cycle) < k:
-        prev, cur = cycle[-2], cycle[-1]
-        cycle.append(adj[cur][0] if adj[cur][0] != prev else adj[cur][1])
-    return [dirs[i] for i in cycle]
+        pairs.append(members)
+    return [dirs[i] for i in cycle_order(range(k), pairs)]
 
 
 def _vertex_angle(P: Polytope, vid: int) -> float:

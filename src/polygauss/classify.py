@@ -4,9 +4,10 @@ Enumerates every tetrahedron conv{0, v1, v2, v3} with vertex coordinates in
 [-B, B] and |det(v1, v2, v3)| = 1 (volume 1/6), deduplicates them into
 orbits of the signed-permutation-plus-translation group, tests each orbit
 representative against the closed-form relation G_T(n) = G(n)^3 / 6 for
-n in {1, 2, 3, 4}, and reports which orbits pass.  The expected outcome is
-a single passing orbit: the one containing
-conv{(0,0,0), (1,0,0), (1,1,0), (1,1,1)}.
+n in {1, 2, 3, 4}, and reports which orbits pass.  The converse guess is
+that only the orbit of T = conv{(0,0,0), (1,0,0), (1,1,0), (1,1,1)} passes;
+every search from B = 1 to 5 passes exactly two orbits, T and
+T' = conv{(0,0,0), (1,0,0), (0,0,-1), (1,1,1)} (README "Findings").
 
 The enumeration is vectorized one first vector at a time: the cross
 products v_i x v_j with every later v_j, dotted with every later v_k, give
@@ -302,6 +303,8 @@ def run_theorem2_experiment(
     minimum over rejected orbits of their worst residual is reported so the
     pass/fail separation is measured rather than assumed.
     """
+    if workers < 1:
+        raise MalformedInput(f"workers must be >= 1, got {workers}")
     scanned, orbits = _enumerate(B)
     ns = tuple(ns)
     jobs = [(rep, ns, tol, route) for _, rep in orbits]

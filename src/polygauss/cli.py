@@ -41,12 +41,9 @@ def _thread_count(args: argparse.Namespace) -> int:
     env = os.environ.get("POLYGAUSS_THREADS")
     if env is not None:
         try:
-            n = int(env)
+            return int(env)
         except ValueError:
             raise MalformedInput(f"POLYGAUSS_THREADS: not an integer: {env!r}")
-        if n < 1:
-            raise MalformedInput(f"POLYGAUSS_THREADS: must be >= 1, got {n}")
-        return n
     return getattr(args, "workers", 1)
 
 

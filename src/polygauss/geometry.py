@@ -253,10 +253,12 @@ class Face:
 class Polytope:
     """Convex rational polytope, full-dimensional in its ambient space.
 
-    Treat instances as immutable; the private fields are lazy caches that
-    other modules fill in (angle weights, lattice scans and orbit frames,
-    dilate memo, faces by tight set) and are safe to share between a
-    polytope and its dilates.
+    Treat instances as immutable.  A polytope holds its structure and a few
+    memos: faces by tight set and angle weights, which its dilates and
+    translates share (see _moved), and its volume and weyl's orbit frame,
+    which depend on its position and size and so are its own.  Results over
+    its lattice points, such as scans, are not kept, so evaluating many
+    dilates holds one dilate's scan at a time.
     """
 
     dim: int
@@ -269,9 +271,8 @@ class Polytope:
     _face_by_mask: dict[int, int] = field(repr=False, default_factory=dict)
     _full_face_id: int = field(repr=False, default=-1)
     _angle_cache: dict[int, float] = field(repr=False, default_factory=dict)
-    _scan_cache: dict = field(repr=False, default_factory=dict)
-    _dilate_cache: dict = field(repr=False, default_factory=dict)
     _volume: Fraction | None = field(repr=False, default=None)
+    _orbit_frame: tuple | None = field(repr=False, default=None)
 
     @property
     def n_facets(self) -> int:
@@ -451,34 +452,38 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
     )
 
 
-def dilate(P: Polytope, n: int) -> Polytope:
-    """The dilate nP for a positive integer n.
+def _moved(
+    P: Polytope, vertices: tuple[RationalVector, ...], offsets: tuple[Rational, ...]
+) -> Polytope:
+    """P with new vertices and facet offsets, after a dilation or translation.
 
-    Combinatorics, face indexing and angle weights are identical to P's, so
-    the angle cache is shared with the parent; repeated calls are memoized.
+    The copy shares everything such a move leaves alone: normals, facet
+    vertex ids, faces and their indices, and the angle weights.  Its volume
+    and orbit frame start empty.
     """
-    if n < 1:
-        raise MalformedInput(f"dilation factor must be a positive integer, got {n}")
-    if n == 1:
-        return P
-    cached = P._dilate_cache.get(n)
-    if cached is not None:
-        return cached
-    vertices = tuple(RationalVector(tuple(c * n for c in v.coords)) for v in P.vertices)
-    Q = Polytope(
+    return Polytope(
         dim=P.dim,
         vertices=vertices,
         facet_normals=P.facet_normals,
-        facet_offsets=tuple(b * n for b in P.facet_offsets),
+        facet_offsets=offsets,
         facet_vertex_ids=P.facet_vertex_ids,
         faces=P.faces,
         _face_by_vertices=P._face_by_vertices,
         _face_by_mask=P._face_by_mask,
         _full_face_id=P._full_face_id,
-        _angle_cache=P._angle_cache,  # angles are dilation-invariant
+        _angle_cache=P._angle_cache,
     )
-    P._dilate_cache[n] = Q
-    return Q
+
+
+def dilate(P: Polytope, n: int) -> Polytope:
+    """The dilate nP for a positive integer n, a new polytope on every call
+    that shares P's structure and angle weights."""
+    if n < 1:
+        raise MalformedInput(f"dilation factor must be a positive integer, got {n}")
+    if n == 1:
+        return P
+    vertices = tuple(RationalVector(tuple(c * n for c in v.coords)) for v in P.vertices)
+    return _moved(P, vertices, tuple(b * n for b in P.facet_offsets))
 
 
 def classify_point(P: Polytope, x: RationalVector) -> FaceLocation:
@@ -586,7 +591,7 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (points, face_ids): an (N, dim) int64 array in lexicographic
     order and a parallel int array; interior points get the id of the full
-    face.  Cached on the polytope.
+    face.  Nothing is kept on the polytope: each call scans afresh.
 
     The scan walks the lattice lines parallel to the last axis, one per
     lattice point ("head") of the bounding box with its last coordinate
@@ -602,17 +607,12 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     is allocated, and one of more than POINT_BUDGET points before its
     points are.
     """
-    hit = P._scan_cache.get("scan")
-    if hit is not None:
-        return hit
     _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()
     lo = [math.ceil(c) for c in lo_f]
     hi = [math.floor(c) for c in hi_f]
     if any(h < l for l, h in zip(lo, hi)):
-        empty = (np.zeros((0, P.dim), np.int64), np.zeros(0, np.int64))
-        P._scan_cache["scan"] = empty
-        return empty
+        return np.zeros((0, P.dim), np.int64), np.zeros(0, np.int64)
     extents = [h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]
     lines = math.prod(extents)
     check_budget("lattice line-facet pairs", lines * P.n_facets)
@@ -622,9 +622,7 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     lower, counts = _line_intervals(heads, A, c, lo[-1], hi[-1])
     check_budget("lattice points", int(counts.sum()))
     pts = line_points(heads, lower, counts)
-    result = (pts, locate_points(P, pts, A, c))
-    P._scan_cache["scan"] = result
-    return result
+    return pts, locate_points(P, pts, A, c)
 
 
 def lattice_points(P: Polytope) -> list[tuple[RationalVector, FaceLocation]]:
@@ -641,34 +639,28 @@ def lattice_points(P: Polytope) -> list[tuple[RationalVector, FaceLocation]]:
     return out
 
 
-def _facet_cycles(P: Polytope) -> dict[int, list[int]]:
-    """For a 3-polytope: vertex ids of every facet in boundary-cycle order."""
-    edge_pairs = [set(f.vertex_ids) for f in P.faces if f.dim == 1]
-    cycles: dict[int, list[int]] = {}
-    for fi, vs in enumerate(P.facet_vertex_ids):
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        for pair in edge_pairs:
-            if pair <= vs:
-                a, b = sorted(pair)
-                adj[a].append(b)
-                adj[b].append(a)
-        for v, nbrs in adj.items():
-            if len(nbrs) != 2:
-                raise AssertionError(
-                    f"vertex {v} has {len(nbrs)} neighbours on facet {fi}"
-                )
-        start = min(vs)
-        cycle = [start, adj[start][0]]
-        while True:
-            prev, cur = cycle[-2], cycle[-1]
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            if nxt == start:
-                break
-            cycle.append(nxt)
-        if len(cycle) != len(vs):
-            raise AssertionError(f"facet {fi} cycle misses vertices")
-        cycles[fi] = cycle
-    return cycles
+def cycle_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The nodes of the single cycle whose edges are the given node pairs, in
+    walking order: from the least node on to the first neighbour paired with
+    it, then around."""
+    adj: dict[int, list[int]] = {v: [] for v in nodes}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    for v, nbrs in adj.items():
+        if len(nbrs) != 2:
+            raise AssertionError(f"node {v} has {len(nbrs)} neighbours on a cycle")
+    start = min(adj)
+    cycle = [start, adj[start][0]]
+    while True:
+        prev, cur = cycle[-2], cycle[-1]
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        if nxt == start:
+            break
+        cycle.append(nxt)
+    if len(cycle) != len(adj):
+        raise AssertionError(f"cycle through {start} misses vertices")
+    return cycle
 
 
 def volume(P: Polytope) -> Fraction:
@@ -685,18 +677,7 @@ def volume(P: Polytope) -> Fraction:
         vol = Fraction(P.vertices[-1][0] - P.vertices[0][0])
     elif P.dim == 2:
         # The boundary of a polygon is a single cycle of its edges.
-        adj: dict[int, list[int]] = {i: [] for i in range(len(P.vertices))}
-        for vs in P.facet_vertex_ids:
-            a, b = sorted(vs)
-            adj[a].append(b)
-            adj[b].append(a)
-        cycle = [0, adj[0][0]]
-        while True:
-            prev, cur = cycle[-2], cycle[-1]
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            if nxt == 0:
-                break
-            cycle.append(nxt)
+        cycle = cycle_order(range(len(P.vertices)), map(sorted, P.facet_vertex_ids))
         base = P.vertices[cycle[0]]
         vol = 0
         for a, b in zip(cycle[1:], cycle[2:]):
@@ -706,8 +687,10 @@ def volume(P: Polytope) -> Fraction:
         vol = Fraction(vol, 2)
     else:
         apex = P.vertices[0]
+        edges = [f.vertex_ids for f in P.faces if f.dim == 1]
         vol = 0
-        for cycle in _facet_cycles(P).values():
+        for vs in P.facet_vertex_ids:
+            cycle = cycle_order(vs, (e for e in edges if vs.issuperset(e)))
             base = P.vertices[cycle[0]]
             z = base - apex
             for a, b in zip(cycle[1:], cycle[2:]):
@@ -718,26 +701,14 @@ def volume(P: Polytope) -> Fraction:
 
 
 def translate(P: Polytope, shift: RationalVector) -> Polytope:
-    """P + shift.  Shares the angle cache; face structure is unchanged."""
+    """P + shift, sharing P's structure and angle weights."""
     if shift.dim != P.dim:
         raise DimensionMismatch("shift dimension differs from polytope dimension")
-    vertices = tuple(v + shift for v in P.vertices)
     offsets = tuple(
         _exact(b + sum(a * s for a, s in zip(normal, shift.coords)))
         for normal, b in zip(P.facet_normals, P.facet_offsets)
     )
-    return Polytope(
-        dim=P.dim,
-        vertices=vertices,
-        facet_normals=P.facet_normals,
-        facet_offsets=offsets,
-        facet_vertex_ids=P.facet_vertex_ids,
-        faces=P.faces,
-        _face_by_vertices=P._face_by_vertices,
-        _face_by_mask=P._face_by_mask,
-        _full_face_id=P._full_face_id,
-        _angle_cache=P._angle_cache,
-    )
+    return _moved(P, tuple(v + shift for v in P.vertices), offsets)
 
 
 def polytope_to_dict(P: Polytope) -> dict:

@@ -93,12 +93,7 @@ def _residues_to_value(acc: Sequence[float], n: int) -> complex:
 
 
 def _face_weights(Q: Polytope) -> np.ndarray:
-    hit = Q._scan_cache.get("face_weights")
-    if hit is not None:
-        return hit
-    w = np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
-    Q._scan_cache["face_weights"] = w
-    return w
+    return np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
 
 
 def closed_form_value(P: Polytope, n: int) -> complex:

@@ -100,9 +100,8 @@ def _orbit_frame(P: Polytope) -> tuple:
     matrices of W, P - floor(lo) as the integer facet system A y <= c, the
     translations mu in 0 .. floor(hi) - floor(lo) per axis, and the largest
     bound sum_i |A_ki| E_i over the facets, with E the extents of mu."""
-    hit = P._scan_cache.get("orbit")
-    if hit is not None:
-        return hit
+    if P._orbit_frame is not None:
+        return P._orbit_frame
     W = np.stack([w.matrix() for w in weyl_elements(P.dim)])
     lo, hi = P.bbox()
     corner = [math.floor(v) for v in lo]
@@ -117,9 +116,8 @@ def _orbit_frame(P: Polytope) -> tuple:
     shifted = [b - sum(a * l for a, l in zip(row, corner)) for row, b in zip(rows, c.tolist())]
     reach = max(sum(abs(a) * e for a, e in zip(row, extents)) for row in rows)
     mu = np.indices(extents, dtype=np.int64).reshape(P.dim, -1).T
-    frame = (W, A, np.array(shifted, dtype=np.int64), mu, reach)
-    P._scan_cache["orbit"] = frame
-    return frame
+    P._orbit_frame = (W, A, np.array(shifted, dtype=np.int64), mu, reach)
+    return P._orbit_frame
 
 
 def _orbit_face_ids(P: Polytope, x: RationalVector) -> np.ndarray:

@@ -223,6 +223,17 @@ def test_thread_env_override(capsys, monkeypatch):
     assert "POLYGAUSS_THREADS" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_classify_refuses_fewer_than_one_worker(capsys, monkeypatch, workers):
+    code, out, err = run(capsys, "classify", "--bound", "1", "--workers", workers)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "workers must be >= 1" in err
+
+    monkeypatch.setenv("POLYGAUSS_THREADS", workers)
+    code, _, err = run(capsys, "classify", "--bound", "1")
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_json_output_deterministic(capsys):
     argv = ("classify", "--bound", "1", "--json")
     _, first, _ = run(capsys, *argv)

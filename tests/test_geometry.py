@@ -13,6 +13,7 @@ from polygauss.geometry import (
     RationalVector,
     build_polytope,
     classify_point,
+    cycle_order,
     dilate,
     lattice_points,
     line_points,
@@ -247,7 +248,6 @@ def test_scan_lattice_chunks_match_grid_oracle(monkeypatch, fund_tet, unit_cube)
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
     for P in (fund_tet, unit_cube):
         Q = dilate(P, 9)
-        Q._scan_cache.clear()
         got, want = scan_lattice(Q), grid_scan_lattice(Q)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -265,3 +265,11 @@ def test_line_points_fill_each_interval_in_order():
     heads = np.array([[0, 5], [1, 5], [2, 7]])
     rows = line_points(heads, np.array([3, 0, -1]), np.array([2, 0, 3]))
     assert rows.tolist() == [[0, 5, 3], [0, 5, 4], [2, 7, -1], [2, 7, 0], [2, 7, 1]]
+
+
+def test_cycle_order_walks_from_the_least_node_to_its_first_neighbour():
+    assert cycle_order([3, 1, 2, 0], [(0, 2), (1, 2), (1, 3), (0, 3)]) == [0, 2, 1, 3]
+    with pytest.raises(AssertionError, match="misses vertices"):
+        cycle_order(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(AssertionError, match="neighbours"):
+        cycle_order(range(3), [(0, 1), (1, 2)])

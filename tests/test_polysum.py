@@ -1,11 +1,14 @@
 import cmath
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from polygauss import polysum
 from polygauss.errors import (
     DegenerateInput,
     DegenerateTetrahedron,
@@ -13,7 +16,7 @@ from polygauss.errors import (
     VolumeNotMinimal,
 )
 from polygauss.gauss import gauss_sum_closed
-from polygauss.geometry import RationalVector, build_polytope, translate
+from polygauss.geometry import RationalVector, build_polytope, dilate, translate
 from polygauss.polysum import (
     closed_form_residual,
     closed_form_value,
@@ -266,3 +269,23 @@ def test_compositions():
 def test_kappa_refuses_requests_over_the_budget():
     with pytest.raises(MalformedInput, match="kappa terms exceed the budget"):
         kappa(FUND_TET, 1000)
+
+
+@pytest.mark.parametrize(
+    "route", [polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded]
+)
+def test_dilate_is_not_retained_after_the_sum(monkeypatch, route):
+    # evaluating many n on one polytope holds one dilate (and its scan) at a time
+    P = make(FUND_TET)
+    refs = []
+
+    def tracked(Q, n):
+        D = dilate(Q, n)
+        refs.append(weakref.ref(D))
+        return D
+
+    monkeypatch.setattr(polysum, "dilate", tracked)
+    report = route(P, 5)
+    del report
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
