@@ -22,14 +22,11 @@ from .errors import (
 )
 from .geometry import (
     Face,
-    FaceLocation,
-    LocationKind,
     Polytope,
     RationalVector,
     build_polytope,
     classify_point,
     dilate,
-    lattice_points,
     polytope_from_dict,
     polytope_to_dict,
     rvec,
@@ -56,12 +53,9 @@ __all__ = [
     "rvec",
     "Polytope",
     "Face",
-    "FaceLocation",
-    "LocationKind",
     "build_polytope",
     "dilate",
     "classify_point",
-    "lattice_points",
     "volume",
     "translate",
     "polytope_to_dict",

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .geometry import (
     Face,
-    LocationKind,
     Polytope,
     Rational,
     RationalVector,
@@ -105,12 +104,6 @@ def _planar_angle(u: RationalVector, w: RationalVector) -> float:
     return math.atan2(abs(float(cross)), float(u.dot(w))) / TWO_PI
 
 
-def _face_by_ref(P: Polytope, face: Face | int) -> tuple[int, Face]:
-    if isinstance(face, Face):
-        return P.faces.index(face), face
-    return face, P.faces[face]
-
-
 def dihedral_angle(P: Polytope, edge: Face | int) -> float:
     """Interior dihedral angle along an edge of a 3-polytope, as a fraction
     of the full circle.  Computed from the two facet normals n1, n2: the
@@ -118,14 +111,10 @@ def dihedral_angle(P: Polytope, edge: Face | int) -> float:
     outward normals, so w = 1/2 - atan2(|n1 x n2|, n1.n2) / 2 pi."""
     if P.dim != 3:
         raise UnsupportedDimension("dihedral angles need a 3-polytope")
-    _, face = _face_by_ref(P, edge)
+    face = edge if isinstance(edge, Face) else P.faces[edge]
     if face.dim != 1:
         raise NotAnEdge(f"face has dimension {face.dim}, expected 1")
-    touching = [
-        i
-        for i, vs in enumerate(P.facet_vertex_ids)
-        if set(face.vertex_ids) <= vs
-    ]
+    touching = [i for i in range(P.n_facets) if face.mask >> i & 1]
     if len(touching) != 2:
         raise AssertionError(f"edge lies on {len(touching)} facets")
     n1 = RationalVector(P.facet_normals[touching[0]])
@@ -207,12 +196,8 @@ def face_angle(P: Polytope, face_id: int) -> float:
 def solid_angle(P: Polytope, x: RationalVector) -> float:
     """Normalized solid angle of P at an arbitrary rational point: 0 outside,
     1 in the interior, and the face weight on the boundary."""
-    loc = classify_point(P, x)
-    if loc.kind is LocationKind.OUTSIDE:
-        return 0.0
-    if loc.kind is LocationKind.INTERIOR:
-        return 1.0
-    return face_angle(P, loc.face_id)
+    face_id = classify_point(P, x)
+    return 0.0 if face_id is None else face_angle(P, face_id)
 
 
 @dataclass(frozen=True)

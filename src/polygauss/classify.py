@@ -29,6 +29,7 @@ packed into one int64 key; the canonical key is the minimum over the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -305,8 +306,12 @@ def run_theorem2_experiment(
     """
     if workers < 1:
         raise MalformedInput(f"workers must be >= 1, got {workers}")
-    scanned, orbits = _enumerate(B)
+    if not (math.isfinite(tol) and tol > 0):
+        raise MalformedInput(f"tolerance must be finite and positive, got {tol}")
     ns = tuple(ns)
+    if not ns:
+        raise MalformedInput("ns: expected at least one modulus")
+    scanned, orbits = _enumerate(B)
     jobs = [(rep, ns, tol, route) for _, rep in orbits]
     if workers > 1:
         import multiprocessing  # only a pool needs it; deferred to keep start-up short

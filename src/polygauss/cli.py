@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .angles import face_angle, tetrahedron_angles
@@ -37,16 +36,6 @@ from .polysum import (
 from .weyl import SAMPLE_DENOMINATOR, multitiling_check
 
 
-def _thread_count(args: argparse.Namespace) -> int:
-    env = os.environ.get("POLYGAUSS_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise MalformedInput(f"POLYGAUSS_THREADS: not an integer: {env!r}")
-    return getattr(args, "workers", 1)
-
-
 def _load_polytope(path: str) -> Polytope:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -59,7 +48,7 @@ def _load_polytope(path: str) -> Polytope:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
@@ -108,7 +97,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         tol=args.tol,
         ns=DEFAULT_NS,
         route=args.route,
-        workers=_thread_count(args),
+        workers=args.workers,
     )
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:

@@ -12,10 +12,12 @@ machine-speed int arithmetic through hulls, dilates, volumes and angles,
 and "is this coordinate integral" is ``type(c) is int``.  Divisions of
 exact values are written ``Fraction(a, b)``, never ``a / b``.
 
-The face lattice is explicit.  Every face carries the set of vertex indices
-lying on it, which is what the angle-weight cache keys on.  A point is
-located by the bitmask of facets it is tight on, and every lookup of a face
-from such a mask goes through one memo, Polytope.face_id_of_mask.
+The face lattice is explicit.  Every face carries the vertex indices lying
+on it and the bitmask of the facets containing it; a face is the
+intersection of those facets, so no two faces share a mask and the full
+face's is 0.  A point in P lies in the relative interior of the face whose
+mask is the set of facets the point is tight on, and one table built with
+the lattice, Polytope.mask_table, turns such masks into face ids.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -218,47 +219,28 @@ def _primitive(vec: Sequence[Rational]) -> tuple[int, ...]:
     return tuple(n // g for n in ints)
 
 
-class LocationKind(Enum):
-    OUTSIDE = "outside"
-    INTERIOR = "interior"
-    FACE = "face"
-
-
-@dataclass(frozen=True)
-class FaceLocation:
-    """Where a point sits relative to a polytope.
-
-    kind FACE means the point lies in the relative interior of the proper
-    face with index ``face_id``; INTERIOR and OUTSIDE carry no face.
-    """
-
-    kind: LocationKind
-    face_id: int | None = None
-    face_dim: int | None = None
-
-    @property
-    def inside(self) -> bool:
-        return self.kind is not LocationKind.OUTSIDE
-
-
 @dataclass(frozen=True)
 class Face:
-    """A face of the lattice: its dimension and the vertices on it."""
+    """A face of the lattice: its dimension, the vertices on it and the
+    bitmask of the facets containing it."""
 
     dim: int
     vertex_ids: tuple[int, ...]
+    mask: int
 
 
 @dataclass(eq=False)
 class Polytope:
     """Convex rational polytope, full-dimensional in its ambient space.
 
-    Treat instances as immutable.  A polytope holds its structure and a few
-    memos: faces by tight set and angle weights, which its dilates and
-    translates share (see _moved), and its volume and weyl's orbit frame,
-    which depend on its position and size and so are its own.  Results over
-    its lattice points, such as scans, are not kept, so evaluating many
-    dilates holds one dilate's scan at a time.
+    Treat instances as immutable.  A polytope holds its structure: vertices,
+    facets, faces and mask_table, the read-only (2, faces) array whose rows
+    are the face masks in increasing order and the ids of those faces.  Its
+    dilates and translates share that structure and the angle-weight memo
+    (see _moved); its volume and weyl's orbit frame depend on its position
+    and size and so are its own memos.  Results over its lattice points,
+    such as scans, are not kept, so evaluating many dilates holds one
+    dilate's scan at a time.
     """
 
     dim: int
@@ -267,9 +249,7 @@ class Polytope:
     facet_offsets: tuple[Rational, ...]
     facet_vertex_ids: tuple[frozenset[int], ...]
     faces: tuple[Face, ...]
-    _face_by_vertices: dict[frozenset[int], int] = field(repr=False, default_factory=dict)
-    _face_by_mask: dict[int, int] = field(repr=False, default_factory=dict)
-    _full_face_id: int = field(repr=False, default=-1)
+    mask_table: np.ndarray = field(repr=False)
     _angle_cache: dict[int, float] = field(repr=False, default_factory=dict)
     _volume: Fraction | None = field(repr=False, default=None)
     _orbit_frame: tuple | None = field(repr=False, default=None)
@@ -278,27 +258,10 @@ class Polytope:
     def n_facets(self) -> int:
         return len(self.facet_normals)
 
-    def face_id_from_tight(self, tight: frozenset[int]) -> int:
-        """Face whose relative interior a feasible point lies in, given the
-        set of facet indices the point is tight on."""
-        if not tight:
-            return self._full_face_id
-        common: frozenset[int] = self.facet_vertex_ids[min(tight)]
-        for i in tight:
-            common = common & self.facet_vertex_ids[i]
-        face_id = self._face_by_vertices.get(common)
-        if face_id is None:
-            raise AssertionError(f"tight set {sorted(tight)} resolves to no face")
-        return face_id
-
-    def face_id_of_mask(self, mask: int) -> int:
-        """face_id_from_tight for the tight set given as a bitmask of facet
-        indices; memoised, and shared with dilates and translates."""
-        face_id = self._face_by_mask.get(mask)
-        if face_id is None:
-            tight = frozenset(i for i in range(self.n_facets) if mask >> i & 1)
-            face_id = self._face_by_mask[mask] = self.face_id_from_tight(tight)
-        return face_id
+    @property
+    def full_face_id(self) -> int:
+        """Id of P itself as a face, the last in the lattice's order."""
+        return len(self.faces) - 1
 
     def bbox(self) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
         axes = list(zip(*(v.coords for v in self.vertices)))
@@ -358,7 +321,9 @@ def _build_face_lattice(
     dim: int,
     vertices: tuple[RationalVector, ...],
     facet_vertex_ids: tuple[frozenset[int], ...],
-) -> tuple[tuple[Face, ...], dict[frozenset[int], int], int]:
+) -> tuple[tuple[Face, ...], np.ndarray]:
+    """Faces in order of dimension, then vertex ids, so P itself comes last,
+    and the mask table over them (see Polytope)."""
     face_sets: dict[frozenset[int], int] = {}
     for i in range(len(vertices)):
         face_sets[frozenset([i])] = 0
@@ -377,7 +342,6 @@ def _build_face_lattice(
         return (fdim, tuple(sorted(vs)))
 
     faces: list[Face] = []
-    index: dict[frozenset[int], int] = {}
     for vs, fdim in sorted(face_sets.items(), key=sort_key):
         ids = tuple(sorted(vs))
         rank = affine_rank([vertices[i] for i in ids])
@@ -385,9 +349,18 @@ def _build_face_lattice(
             raise AssertionError(
                 f"face on vertices {ids} has affine rank {rank}, expected {fdim}"
             )
-        index[vs] = len(faces)
-        faces.append(Face(dim=fdim, vertex_ids=ids))
-    return tuple(faces), index, index[everything]
+        mask = sum(1 << k for k, fvs in enumerate(facet_vertex_ids) if vs <= fvs)
+        faces.append(Face(dim=fdim, vertex_ids=ids, mask=mask))
+    masks = [f.mask for f in faces]
+    if len(set(masks)) != len(faces):
+        raise AssertionError("two faces lie on the same facets")
+    order = sorted(range(len(faces)), key=masks.__getitem__)
+    # Masks of more facets overflow int64; such a polytope is only ever
+    # located one point at a time (classify_point), on Python ints.
+    wide = len(facet_vertex_ids) > _MAX_FACETS_FOR_BITMASK
+    table = np.array([[masks[i] for i in order], order], dtype=object if wide else np.int64)
+    table.flags.writeable = False
+    return tuple(faces), table
 
 
 def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) -> Polytope:
@@ -439,7 +412,7 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
         offsets.append(offset)
         facet_vertex_ids.append(on)
 
-    faces, index, full_id = _build_face_lattice(dim, vtuple, tuple(facet_vertex_ids))
+    faces, table = _build_face_lattice(dim, vtuple, tuple(facet_vertex_ids))
     return Polytope(
         dim=dim,
         vertices=vtuple,
@@ -447,8 +420,7 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
         facet_offsets=tuple(offsets),
         facet_vertex_ids=tuple(facet_vertex_ids),
         faces=faces,
-        _face_by_vertices=index,
-        _full_face_id=full_id,
+        mask_table=table,
     )
 
 
@@ -458,7 +430,7 @@ def _moved(
     """P with new vertices and facet offsets, after a dilation or translation.
 
     The copy shares everything such a move leaves alone: normals, facet
-    vertex ids, faces and their indices, and the angle weights.  Its volume
+    vertex ids, faces, the mask table and the angle weights.  Its volume
     and orbit frame start empty.
     """
     return Polytope(
@@ -468,9 +440,7 @@ def _moved(
         facet_offsets=offsets,
         facet_vertex_ids=P.facet_vertex_ids,
         faces=P.faces,
-        _face_by_vertices=P._face_by_vertices,
-        _face_by_mask=P._face_by_mask,
-        _full_face_id=P._full_face_id,
+        mask_table=P.mask_table,
         _angle_cache=P._angle_cache,
     )
 
@@ -486,21 +456,32 @@ def dilate(P: Polytope, n: int) -> Polytope:
     return _moved(P, vertices, tuple(b * n for b in P.facet_offsets))
 
 
-def classify_point(P: Polytope, x: RationalVector) -> FaceLocation:
-    """Exact location of a rational point relative to P."""
+def _face_ids_of_masks(P: Polytope, masks: np.ndarray) -> np.ndarray:
+    """Id of the face named by each tight-facet mask, by binary search in
+    P.mask_table; a mask that names no face raises AssertionError."""
+    known, ids = P.mask_table
+    pos = np.searchsorted(known, masks).clip(max=len(known) - 1)
+    unknown = known[pos] != masks
+    if unknown.any():
+        m = int(masks[unknown][0])
+        tight = [i for i in range(P.n_facets) if m >> i & 1]
+        raise AssertionError(f"tight set {tight} resolves to no face")
+    return ids[pos]
+
+
+def classify_point(P: Polytope, x: RationalVector) -> int | None:
+    """Id of the face of P whose relative interior holds the rational point
+    x, which is P.full_face_id for an interior point; None outside P."""
     if x.dim != P.dim:
         raise DimensionMismatch(f"point has dimension {x.dim}, polytope {P.dim}")
     mask = 0
     for i, (normal, offset) in enumerate(zip(P.facet_normals, P.facet_offsets)):
         s = sum(a * c for a, c in zip(normal, x.coords)) - offset
         if s > 0:
-            return FaceLocation(LocationKind.OUTSIDE)
+            return None
         if s == 0:
             mask |= 1 << i
-    if not mask:
-        return FaceLocation(LocationKind.INTERIOR)
-    face_id = P.face_id_of_mask(mask)
-    return FaceLocation(LocationKind.FACE, face_id, P.faces[face_id].dim)
+    return int(_face_ids_of_masks(P, np.array([mask], dtype=P.mask_table.dtype))[0])
 
 
 def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
@@ -539,21 +520,17 @@ def locate_points(P: Polytope, points: np.ndarray, A: np.ndarray, c: np.ndarray)
 
     A, c is P's integer facet system or a scaled or shifted copy of it, row
     for row.  The bitmask of the facets each point is tight on is computed
-    in chunks of points and resolved by Polytope.face_id_of_mask once per
-    distinct mask; only boundary masks are uniqued, so mostly interior
-    points pay for no sort.
+    in chunks of points; interior points (mask 0) get P.full_face_id and
+    only boundary masks are looked up in P.mask_table.
     """
     _require_bitmask_facets(P)
     bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
     masks = np.empty(len(points), dtype=np.int64)
     for s in range(0, len(points), _SCAN_CHUNK):
         masks[s : s + _SCAN_CHUNK] = (points[s : s + _SCAN_CHUNK] @ A.T == c) @ bit
-    face_ids = np.full(len(points), P._full_face_id, dtype=np.int64)
+    face_ids = np.full(len(points), P.full_face_id, dtype=np.int64)
     on_boundary = np.flatnonzero(masks)
-    boundary_masks = masks[on_boundary]
-    distinct = np.unique(boundary_masks)
-    resolved = np.array([P.face_id_of_mask(m) for m in distinct.tolist()], dtype=np.int64)
-    face_ids[on_boundary] = resolved[np.searchsorted(distinct, boundary_masks)]
+    face_ids[on_boundary] = _face_ids_of_masks(P, masks[on_boundary])
     return face_ids
 
 
@@ -623,20 +600,6 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     check_budget("lattice points", int(counts.sum()))
     pts = line_points(heads, lower, counts)
     return pts, locate_points(P, pts, A, c)
-
-
-def lattice_points(P: Polytope) -> list[tuple[RationalVector, FaceLocation]]:
-    """Lattice points of P in lexicographic order, each with its location."""
-    pts, face_ids = scan_lattice(P)
-    out = []
-    for row, fid in zip(pts.tolist(), face_ids.tolist()):
-        face = P.faces[fid]
-        if face.dim == P.dim:
-            loc = FaceLocation(LocationKind.INTERIOR)
-        else:
-            loc = FaceLocation(LocationKind.FACE, fid, face.dim)
-        out.append((RationalVector(row), loc))
-    return out
 
 
 def cycle_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -739,7 +702,7 @@ def polytope_from_dict(data: object) -> Polytope:
             raise MalformedInput(f"vertices[{i}]: expected a list of {dim} coordinates")
         coords = []
         for j, c in enumerate(row):
-            if not isinstance(c, (str, int)):
+            if not isinstance(c, (str, int)) or isinstance(c, bool):
                 raise MalformedInput(
                     f"vertices[{i}][{j}]: expected an integer or 'p/q' string"
                 )

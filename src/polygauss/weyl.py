@@ -217,7 +217,7 @@ def multitiling_check(
         x = _sample_fundamental_point(rng, d, SAMPLE_DENOMINATOR)
         ids = _orbit_face_ids(P, x)
         hits = len(ids)
-        if (ids != P._full_face_id).any():
+        if (ids != P.full_face_id).any():
             redraws += 1
             if redraws > 50:
                 witnesses.append(

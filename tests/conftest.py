@@ -22,6 +22,10 @@ STD_SIMPLEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 # the other orbit of minimal tetrahedra satisfying the closed form: it
 # multi-tiles with multiplicity 8 just like the reference one
 SECOND_TILE_TET = ((0, 0, 0), (1, 0, 0), (0, 0, -1), (1, 1, 1))
+# vertices on more than three facets: the pyramid's apex lies on four, and
+# so does every vertex of the octahedron conv{+-e_i}
+SQUARE_PYRAMID = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1))
+OCTAHEDRON = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
 def make(points) -> Polytope:

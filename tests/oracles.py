@@ -35,6 +35,15 @@ from polygauss.polysum import _face_weights, _residues_to_value
 from polygauss.weyl import weyl_elements
 
 
+def face_of_tight_facets(P, tight):
+    """Id of the face on the common vertices of the facets in `tight`, found
+    by intersecting their vertex sets; the full face when `tight` is empty."""
+    if not tight:
+        return next(i for i, f in enumerate(P.faces) if f.dim == P.dim)
+    common = frozenset.intersection(*(P.facet_vertex_ids[k] for k in tight))
+    return next(i for i, f in enumerate(P.faces) if set(f.vertex_ids) == common)
+
+
 def grid_scan_lattice(P):
     """scan_lattice by testing every point of the bounding box against the
     whole facet system."""
@@ -48,9 +57,7 @@ def grid_scan_lattice(P):
     slack = c[None, :] - grid @ A.T
     inside = (slack >= 0).all(axis=1)
     tight = slack[inside] == 0
-    face_ids = [
-        P.face_id_from_tight(frozenset(np.flatnonzero(row).tolist())) for row in tight
-    ]
+    face_ids = [face_of_tight_facets(P, np.flatnonzero(row).tolist()) for row in tight]
     return grid[inside], np.array(face_ids, dtype=np.int64)
 
 
@@ -174,12 +181,12 @@ def loop_orbit_weight_sum(
                 boundary = True
                 if not indicator:
                     # exact face lookup for the angle weight
-                    tight_ids = frozenset(
+                    tight_ids = [
                         i
                         for i, (row, bound) in enumerate(zip(A_rows, qb))
                         if bound == sum(r * zi for r, zi in zip(row, z))
-                    )
-                    fid = P.face_id_from_tight(tight_ids)
+                    ]
+                    fid = face_of_tight_facets(P, tight_ids)
                     total += face_angle(P, fid)
                 else:
                     total += 1.0

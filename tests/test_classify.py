@@ -218,3 +218,9 @@ def test_classification_restricted_ns_admits_more_orbits(report_b1):
 def test_classification_bad_bound():
     with pytest.raises(MalformedInput):
         run_theorem2_experiment(0)
+
+
+def test_classification_refuses_empty_ns():
+    # all() over no residuals would pass every orbit
+    with pytest.raises(MalformedInput, match="ns"):
+        run_theorem2_experiment(1, ns=())

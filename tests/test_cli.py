@@ -211,27 +211,37 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys)[0] == 2
 
 
-def test_thread_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("POLYGAUSS_THREADS", "2")
-    code, out, _ = run(capsys, "classify", "--bound", "1", "--json")
-    assert code == 0
-    assert json.loads(out)["distinct_orbits"] == 21
-
-    monkeypatch.setenv("POLYGAUSS_THREADS", "zero")
-    code, _, err = run(capsys, "classify", "--bound", "1", "--json")
-    assert code == 2
-    assert "POLYGAUSS_THREADS" in err
-
-
 @pytest.mark.parametrize("workers", ["0", "-1"])
-def test_classify_refuses_fewer_than_one_worker(capsys, monkeypatch, workers):
+def test_classify_refuses_fewer_than_one_worker(capsys, workers):
     code, out, err = run(capsys, "classify", "--bound", "1", "--workers", workers)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "workers must be >= 1" in err
 
-    monkeypatch.setenv("POLYGAUSS_THREADS", workers)
-    code, _, err = run(capsys, "classify", "--bound", "1")
-    assert code == 2 and err.startswith("error: ")
+
+def test_classify_refuses_nan_tolerance(capsys):
+    # json.dumps would print NaN, which is not JSON
+    code, out, err = run(capsys, "classify", "--bound", "1", "--tol", "nan", "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "tolerance" in err
+
+
+def test_classify_refuses_negative_tolerance(capsys):
+    # every residual would fail it and every orbit be rejected
+    code, out, err = run(capsys, "classify", "--bound", "1", "--tol", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "tolerance" in err
+
+
+def test_boolean_vertex_coordinate_is_refused(capsys, tmp_path):
+    # JSON true is not the integer 1
+    bad = tmp_path / "bool_vertex.json"
+    bad.write_text(
+        json.dumps({"dim": 3, "vertices": [[0, 0, 0], [True, 0, 0], [1, 1, 0], [1, 1, 1]]}),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "sum", "--polytope", str(bad), "--n", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "vertices[1][0]" in err
 
 
 def test_json_output_deterministic(capsys):
@@ -317,3 +327,10 @@ def test_large_direct_sum_memory():
     )
     assert code == 0
     assert peak_mb < 600
+
+
+def test_json_output_refuses_non_finite_floats():
+    from polygauss.cli import _emit_json
+
+    with pytest.raises(ValueError):
+        _emit_json({"tolerance": float("nan")})

@@ -9,14 +9,14 @@ from polygauss import geometry
 from polygauss.errors import DegenerateInput, MalformedInput, UnsupportedDimension
 from polygauss.geometry import (
     POINT_BUDGET,
-    LocationKind,
     RationalVector,
     build_polytope,
     classify_point,
     cycle_order,
     dilate,
-    lattice_points,
+    integer_facet_system,
     line_points,
+    locate_points,
     polytope_from_dict,
     polytope_to_dict,
     rvec,
@@ -24,7 +24,7 @@ from polygauss.geometry import (
     translate,
     volume,
 )
-from tests.conftest import make
+from tests.conftest import OCTAHEDRON, SQUARE_PYRAMID, make
 from tests.oracles import grid_scan_lattice
 
 
@@ -59,13 +59,12 @@ def test_face_lattice_counts(request, fixture, n_facets, by_dim):
 
 def test_classify_point_cases(unit_cube):
     mid = RationalVector(("1/2", "1/2", "1/2"))
-    assert classify_point(unit_cube, mid).kind is LocationKind.INTERIOR
+    assert classify_point(unit_cube, mid) == unit_cube.full_face_id
     on_facet = classify_point(unit_cube, RationalVector(("1/2", "1/2", "0")))
-    assert on_facet.kind is LocationKind.FACE and on_facet.face_dim == 2
+    assert unit_cube.faces[on_facet].dim == 2
     at_vertex = classify_point(unit_cube, RationalVector((0, 0, 0)))
-    assert at_vertex.kind is LocationKind.FACE and at_vertex.face_dim == 0
-    out = classify_point(unit_cube, RationalVector((2, 0, 0)))
-    assert out.kind is LocationKind.OUTSIDE and not out.inside
+    assert unit_cube.faces[at_vertex].vertex_ids == (0,)
+    assert classify_point(unit_cube, RationalVector((2, 0, 0))) is None
 
 
 def test_volumes(unit_cube, fund_tet, unit_triangle, unit_interval):
@@ -82,24 +81,65 @@ def test_dilate_scales_volume(fund_tet, unit_triangle):
 
 
 def test_lattice_point_counts(fund_tet, unit_cube, unit_interval):
-    assert len(lattice_points(fund_tet)) == 4
-    assert len(lattice_points(dilate(fund_tet, 2))) == 10
-    assert len(lattice_points(unit_cube)) == 8
-    assert len(lattice_points(dilate(unit_cube, 2))) == 27
-    assert len(lattice_points(dilate(unit_interval, 4))) == 5
+    assert len(scan_lattice(fund_tet)[0]) == 4
+    assert len(scan_lattice(dilate(fund_tet, 2))[0]) == 10
+    assert len(scan_lattice(unit_cube)[0]) == 8
+    assert len(scan_lattice(dilate(unit_cube, 2))[0]) == 27
+    assert len(scan_lattice(dilate(unit_interval, 4))[0]) == 5
 
 
 def test_lattice_point_locations(unit_cube):
-    pts = lattice_points(dilate(unit_cube, 2))
-    interior = [x for x, loc in pts if loc.kind is LocationKind.INTERIOR]
-    assert len(interior) == 1
-    assert tuple(int(c) for c in interior[0].coords) == (1, 1, 1)
+    Q = dilate(unit_cube, 2)
+    pts, face_ids = scan_lattice(Q)
+    interior = pts[face_ids == Q.full_face_id]
+    assert interior.tolist() == [[1, 1, 1]]
 
 
 def test_translate_preserves_shape(fund_tet):
     Q = translate(fund_tet, RationalVector((2, -1, 3)))
     assert volume(Q) == volume(fund_tet)
-    assert classify_point(Q, RationalVector((2, -1, 3))).face_dim == 0
+    assert Q.faces[classify_point(Q, RationalVector((2, -1, 3)))].dim == 0
+
+
+@pytest.mark.parametrize("points", [SQUARE_PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])
+def test_faces_of_vertices_on_four_facets(points):
+    P = make(points)
+    masks = [f.mask for f in P.faces]
+    assert len(set(masks)) == len(masks)
+    assert P.faces[P.full_face_id].mask == 0
+    assert max(bin(f.mask).count("1") for f in P.faces) == 4
+    for n in range(1, 5):
+        Q = dilate(P, n)
+        got, want = scan_lattice(Q), grid_scan_lattice(Q)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # a vertex, an edge midpoint, a facet centroid, the body's centroid
+        for fid, face in enumerate(Q.faces):
+            centroid = RationalVector(
+                sum(Fraction(Q.vertices[i][k]) for i in face.vertex_ids)
+                / len(face.vertex_ids)
+                for k in range(Q.dim)
+            )
+            assert classify_point(Q, centroid) == fid
+
+
+def test_mask_that_names_no_face_is_an_internal_error():
+    # (1, -1, 1) lies outside the octahedron on three of its facets, and
+    # no face lies on exactly three
+    P = make(OCTAHEDRON)
+    A, c = integer_facet_system(P)
+    with pytest.raises(AssertionError, match="resolves to no face"):
+        locate_points(P, np.array([[1, -1, 1], [0, 0, 0]]), A, c)
+
+
+def test_polygon_with_more_facets_than_a_bitmask_holds():
+    # 64 edges: masks overflow int64, so points are located one at a time
+    P = make([(k, k * k) for k in range(64)])
+    assert P.n_facets == 64
+    assert P.faces[classify_point(P, rvec(63, 63 * 63))].vertex_ids == (63,)
+    assert P.faces[classify_point(P, rvec("1/2", "1/2"))].vertex_ids == (0, 1)
+    assert classify_point(P, rvec(1, 2)) == P.full_face_id
+    with pytest.raises(UnsupportedDimension, match="bitmask"):
+        scan_lattice(P)
 
 
 def test_dict_round_trip(fund_tet, unit_triangle):
@@ -163,7 +203,7 @@ def test_membership_matches_facet_system(pts, num):
         sum(Fraction(a) * c for a, c in zip(normal, x.coords)) <= off
         for normal, off in zip(P.facet_normals, P.facet_offsets)
     )
-    assert classify_point(P, x).inside == by_planes
+    assert (classify_point(P, x) is not None) == by_planes
 
 
 @given(pts=st.lists(st.tuples(coord, coord), min_size=3, max_size=6), k=st.integers(1, 4))
@@ -175,7 +215,7 @@ def test_dilate_contains_scaled_vertices(pts, k):
     Q = dilate(P, k)
     assert volume(Q) == k ** P.dim * volume(P)
     for v in P.vertices:
-        assert classify_point(Q, v * k).inside
+        assert classify_point(Q, v * k) is not None
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polygauss.errors import MalformedInput
-from polygauss.geometry import RationalVector, polytope_from_dict, translate
+from polygauss.geometry import RationalVector, dilate, polytope_from_dict, translate
 from polygauss.weyl import (
     MultiTilingReport,
     WeylElement,
@@ -14,7 +14,15 @@ from polygauss.weyl import (
     multitiling_check,
     weyl_elements,
 )
-from tests.conftest import DATA, FUND_TET, SECOND_TILE_TET, load_bundled, make
+from tests.conftest import (
+    DATA,
+    FUND_TET,
+    OCTAHEDRON,
+    SECOND_TILE_TET,
+    SQUARE_PYRAMID,
+    load_bundled,
+    make,
+)
 from tests.oracles import loop_orbit_weight_sum
 
 FT_CANONICAL = ((-1, -1, -1), (-1, -1, 0), (-1, 0, 0), (0, 0, 0))
@@ -125,8 +133,24 @@ def test_orbit_count_matches_loop_oracle(far_cube):
             ids = _orbit_face_ids(P, x)
             angles, hits, boundary = loop_orbit_weight_sum(P, x, indicator=False)
             assert len(ids) == hits, (P, x)
-            assert bool((ids != P._full_face_id).any()) == boundary, (P, x)
+            assert bool((ids != P.full_face_id).any()) == boundary, (P, x)
             assert f_P(P, x) == pytest.approx(angles, abs=1e-12), (P, x)
+
+
+@pytest.mark.parametrize("points", [SQUARE_PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])
+def test_orbit_count_matches_loop_oracle_on_four_facet_vertices(points):
+    P = make(points)
+    rng = random.Random(43)
+    for i in range(30):
+        Q = dilate(P, 1 + i % 4)
+        # small denominators put many orbit points on vertices and edges
+        q = rng.choice([2, 3, 4, 10007])
+        x = RationalVector(Fraction(rng.randrange(-3 * q, 3 * q), q) for _ in range(3))
+        ids = _orbit_face_ids(Q, x)
+        angles, hits, boundary = loop_orbit_weight_sum(Q, x, indicator=False)
+        assert len(ids) == hits, (Q, x)
+        assert bool((ids != Q.full_face_id).any()) == boundary, (Q, x)
+        assert f_P(Q, x) == pytest.approx(angles, rel=1e-14, abs=1e-12), (Q, x)
 
 
 def test_multitiling_rejects_standard_simplex(std_simplex):
