@@ -109,10 +109,8 @@ def _image_table(B: int) -> np.ndarray:
     below (4B+1)^3, which int32 holds for every B up to _MAX_PACKED_BOUND."""
     rng = np.arange(-2 * B, 2 * B + 1, dtype=np.int64)
     vecs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    return np.stack(
-        [_vertex_codes(vecs[:, w.perm] * w.signs, B) for w in weyl_elements(3)],
-        axis=1,
-    ).astype(np.int32)
+    images = np.einsum("wij,vj->vwi", weyl_elements(3), vecs)  # [v, w] = w(vecs[v])
+    return _vertex_codes(images, B).astype(np.int32)
 
 
 def _canonical_keys(pts: np.ndarray, B: int) -> np.ndarray:
@@ -283,10 +281,8 @@ def _pure_weyl_equivalent(rep: Tetra, target: Tetra) -> bool:
         return {tuple(c - l for c, l in zip(v, low)) for v in t}
 
     a, b = normalized(rep), normalized(target)
-    for w in weyl_elements(3):
-        if {w.apply_ints(p) for p in a} == b:
-            return True
-    return False
+    images = np.array(list(a)) @ weyl_elements(3).transpose(0, 2, 1)  # [w, j] = w(a[j])
+    return any(set(map(tuple, img)) == b for img in images.tolist())
 
 
 def run_theorem2_experiment(
@@ -338,15 +334,13 @@ def run_theorem2_experiment(
             if min_reject is None or worst < min_reject:
                 min_reject = worst
     passing = [o for o in outcomes if o.passed]
-    confirmed = bool(passing) and all(
-        canonical_form(o.canonical) == reference for o in passing
-    )
+    # Each canonical is a decoded packed key, which is canonical_form's
+    # minimum taken over the same tuples in the same order.
+    matching = [o for o in passing if o.canonical == reference]
+    confirmed = bool(passing) and len(matching) == len(passing)
     # Reported for the orbits that match the reference: does a signed
     # permutation alone (after lexmin translation) already carry the
     # representative onto the reference tetrahedron?
-    matching = [
-        o for o in passing if canonical_form(o.canonical) == reference
-    ]
     pure_weyl = (
         all(
             _pure_weyl_equivalent(o.representative, FUNDAMENTAL_TETRAHEDRON)

@@ -16,6 +16,7 @@ shortest round-trip precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -91,16 +92,27 @@ def _cmd_check_tiling(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_csv(path: str | None):
+    """The --csv file, opened before the search so that a path that cannot
+    be written fails at once; a null context without one."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInput(f"{path}: {exc.strerror or exc}")
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
-    report = run_theorem2_experiment(
-        args.bound,
-        tol=args.tol,
-        ns=DEFAULT_NS,
-        route=args.route,
-        workers=args.workers,
-    )
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+    with _open_csv(args.csv) as fh:
+        report = run_theorem2_experiment(
+            args.bound,
+            tol=args.tol,
+            ns=DEFAULT_NS,
+            route=args.route,
+            workers=args.workers,
+        )
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["canonical_vertices", "n", "abs_residual", "pass"])
             for o in report.orbit_outcomes:
@@ -109,8 +121,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                     writer.writerow(
                         [label, n, repr(o.residuals[n]), o.passed]
                     )
-        print(f"wrote {len(report.orbit_outcomes) * len(report.ns)} rows to"
-              f" {args.csv}", file=sys.stderr)
+            print(f"wrote {len(report.orbit_outcomes) * len(report.ns)} rows to"
+                  f" {args.csv}", file=sys.stderr)
     if args.json:
         _emit_json(report.to_dict())
     elif not args.csv:

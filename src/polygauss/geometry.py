@@ -237,10 +237,9 @@ class Polytope:
     facets, faces and mask_table, the read-only (2, faces) array whose rows
     are the face masks in increasing order and the ids of those faces.  Its
     dilates and translates share that structure and the angle-weight memo
-    (see _moved); its volume and weyl's orbit frame depend on its position
-    and size and so are its own memos.  Results over its lattice points,
-    such as scans, are not kept, so evaluating many dilates holds one
-    dilate's scan at a time.
+    (see _moved); its volume depends on its size and so is its own memo.
+    Results over its lattice points, such as scans and orbit counts, are
+    not kept, so evaluating many dilates holds one dilate's scan at a time.
     """
 
     dim: int
@@ -252,7 +251,6 @@ class Polytope:
     mask_table: np.ndarray = field(repr=False)
     _angle_cache: dict[int, float] = field(repr=False, default_factory=dict)
     _volume: Fraction | None = field(repr=False, default=None)
-    _orbit_frame: tuple | None = field(repr=False, default=None)
 
     @property
     def n_facets(self) -> int:
@@ -431,7 +429,7 @@ def _moved(
 
     The copy shares everything such a move leaves alone: normals, facet
     vertex ids, faces, the mask table and the angle weights.  Its volume
-    and orbit frame start empty.
+    starts empty.
     """
     return Polytope(
         dim=P.dim,
@@ -448,7 +446,7 @@ def _moved(
 def dilate(P: Polytope, n: int) -> Polytope:
     """The dilate nP for a positive integer n, a new polytope on every call
     that shares P's structure and angle weights."""
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise MalformedInput(f"dilation factor must be a positive integer, got {n}")
     if n == 1:
         return P

@@ -23,6 +23,7 @@ summation over the n residue classes, so results are deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -85,6 +86,15 @@ class GaussSumReport:
         }
 
 
+def _check_n(n: int, what: str) -> None:
+    """Raise MalformedInput unless n is an integer >= 1; numpy integers
+    count, bools do not."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise MalformedInput(f"{what} must be an integer, got {n}")
+    if n < 1:
+        raise MalformedInput(f"{what} must be >= 1, got {n}")
+
+
 def _residues_to_value(acc: Sequence[float], n: int) -> complex:
     table = phase_table(n)
     re = math.fsum(acc[k] * table[k].real for k in range(n))
@@ -119,8 +129,7 @@ def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     residue phases are combined last under compensated summation.
     """
     integer_points(P.vertices, _NOT_LATTICE)
-    if n < 1:
-        raise MalformedInput(f"dilation factor must be >= 1, got {n}")
+    _check_n(n, "dilation factor")
     Q = dilate(P, n)
     pts, fids = scan_lattice(Q)
     weights = _face_weights(Q)[fids]
@@ -149,8 +158,7 @@ def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
     lattice.  The point count reported is the number of representatives.
     """
     integer_points(P.vertices, _NOT_LATTICE)
-    if n < 1:
-        raise MalformedInput(f"dilation factor must be >= 1, got {n}")
+    _check_n(n, "dilation factor")
     d = P.dim
     Q = dilate(P, n)
     pts, fids = scan_lattice(Q)
@@ -223,8 +231,7 @@ def kappa(points: Sequence, n: int) -> complex:
     minimal-volume property, so volume 1/6 is enforced.  Every term's
     residue comes from one integer matrix product over all compositions,
     and each of the four sums is one math.fsum over its terms."""
-    if n < 1:
-        raise MalformedInput(f"modulus must be >= 1, got {n}")
+    _check_n(n, "modulus")
     pts = _minimal_tetrahedron(points)
     if n < 3:  # no composition of n into three positive parts
         return complex(0.0, 0.0)
@@ -252,8 +259,7 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
 
     with w_ij the dihedral angles, n_ij the squared edge lengths, and G the
     quadratic Gauss sum in closed form."""
-    if n < 1:
-        raise MalformedInput(f"dilation factor must be >= 1, got {n}")
+    _check_n(n, "dilation factor")
     pts = _minimal_tetrahedron(points)
     ta = tetrahedron_angles([RationalVector(p) for p in pts])
     value = complex(-1.0, 0.0)

@@ -3,8 +3,11 @@ G of signed permutations combined with integer translations, orbit sums,
 multi-tiling verification, and canonicalization of lattice simplices up to
 G-equivalence.
 
-The action convention is y = w(x) with y[i] = signs[i] * x[perm[i]]; this
-preserves the integer lattice and the Euclidean norm.
+W has one form, weyl_elements(d): a read-only stack of the 2^d d! signed
+permutation matrices.  An element w acts on column vectors, w(x) = w @ x,
+so a point set stored as rows maps by points @ w.T; every w is orthogonal
+with integer entries, so it preserves the integer lattice and the
+Euclidean norm, and its inverse is its transpose.
 
 Orbit sums are one vectorised integer query.  For x = a/q the G-orbit is
 the set of points (u + q lam)/q with u = w a mod q over w in W and lam
@@ -41,87 +44,45 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """One signed permutation: y[i] = signs[i] * x[perm[i]]."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.perm)
-
-    def apply(self, x: RationalVector) -> RationalVector:
-        return RationalVector(s * x[p] for p, s in zip(self.perm, self.signs))
-
-    def apply_ints(self, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple(s * x[p] for p, s in zip(self.perm, self.signs))
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i, (p, s) in enumerate(zip(self.perm, self.signs)):
-            m[i, p] = s
-        return m
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        perm = tuple(other.perm[p] for p in self.perm)
-        signs = tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs))
-        return WeylElement(perm, signs)
-
-    def inverse(self) -> "WeylElement":
-        inv = [0] * self.dim
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return WeylElement(
-            tuple(inv), tuple(self.signs[inv[j]] for j in range(self.dim))
-        )
-
-    @staticmethod
-    def identity(d: int) -> "WeylElement":
-        return WeylElement(tuple(range(d)), (1,) * d)
-
-
 @lru_cache(maxsize=8)
-def weyl_elements(d: int) -> tuple[WeylElement, ...]:
-    """All 2^d d! signed permutations of d coordinates, in a fixed order."""
+def weyl_elements(d: int) -> np.ndarray:
+    """W as one read-only (2^d d!, d, d) int64 stack of signed permutation
+    matrices: the permutations p in lexicographic order, and for each the
+    sign patterns s in the order of itertools.product((1, -1), repeat=d).
+    Row i of the matrix for (p, s) has s[i] in column p[i]."""
     if not 1 <= d <= 3:
         raise UnsupportedDimension(f"dimension {d} not in 1..3")
-    out = []
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((1, -1), repeat=d):
-            out.append(WeylElement(perm, signs))
-    return tuple(out)
+    unsigned = np.eye(d, dtype=np.int64)[list(itertools.permutations(range(d)))]
+    flips = np.array(list(itertools.product((1, -1), repeat=d)), dtype=np.int64)
+    W = (unsigned[:, None] * flips[None, :, :, None]).reshape(-1, d, d)
+    W.setflags(write=False)  # cached and shared by every caller
+    return W
 
 
 def _orbit_frame(P: Polytope) -> tuple:
-    """The x-independent part of the orbit count, cached on P: the stacked
-    matrices of W, P - floor(lo) as the integer facet system A y <= c, the
-    translations mu in 0 .. floor(hi) - floor(lo) per axis, and the largest
-    bound sum_i |A_ki| E_i over the facets, with E the extents of mu."""
-    if P._orbit_frame is not None:
-        return P._orbit_frame
-    W = np.stack([w.matrix() for w in weyl_elements(P.dim)])
+    """The x-independent part of the orbit count: P - floor(lo) as the
+    integer facet system A y <= c, the translations mu in
+    0 .. floor(hi) - floor(lo) per axis, and the largest bound
+    sum_i |A_ki| E_i over the facets, with E the extents of mu."""
     lo, hi = P.bbox()
     corner = [math.floor(v) for v in lo]
     extents = [math.floor(h) - l + 1 for l, h in zip(corner, hi)]
     A, c = integer_facet_system(P)
     check_budget(
         "orbit candidate-facet pairs",
-        len(W) * math.prod(extents) * len(A),
+        len(weyl_elements(P.dim)) * math.prod(extents) * len(A),
         "use a smaller polytope",
     )
     rows = A.tolist()
     shifted = [b - sum(a * l for a, l in zip(row, corner)) for row, b in zip(rows, c.tolist())]
     reach = max(sum(abs(a) * e for a, e in zip(row, extents)) for row in rows)
     mu = np.indices(extents, dtype=np.int64).reshape(P.dim, -1).T
-    P._orbit_frame = (W, A, np.array(shifted, dtype=np.int64), mu, reach)
-    return P._orbit_frame
+    return A, np.array(shifted, dtype=np.int64), mu, reach
 
 
-def _orbit_face_ids(P: Polytope, x: RationalVector) -> np.ndarray:
-    """Face id of P at each distinct point of the G-orbit of x inside P.
+def _orbit_face_ids(P: Polytope, frame: tuple, x: RationalVector) -> np.ndarray:
+    """Face id of P at each distinct point of the G-orbit of x inside P,
+    with frame = _orbit_frame(P).
 
     With x = a/q, reduced mod q (the orbit is the same), the images
     u = w a mod q over w in W are deduplicated by a lexicographic sort,
@@ -131,7 +92,7 @@ def _orbit_face_ids(P: Polytope, x: RationalVector) -> np.ndarray:
     lam = floor(lo) + mu the candidates are z = u + q mu, tested against
     A z <= q c on P - floor(lo).
     """
-    W, A, c, mu, reach = _orbit_frame(P)
+    A, c, mu, reach = frame
     q = math.lcm(*(v.denominator for v in x.coords))
     # 0 <= z_i < q E_i and |c_k| <= sum_i |A_ki| E_i because facet k is
     # tight on P - floor(lo), which lies in [0, E); so every slack
@@ -139,7 +100,7 @@ def _orbit_face_ids(P: Polytope, x: RationalVector) -> np.ndarray:
     if 2 * q * reach >= 1 << 63:
         raise MalformedInput(f"orbit of a point with denominator {q} overflows int64")
     a = np.array([int(v * q) % q for v in x.coords], dtype=np.int64)
-    u = W @ a % q
+    u = weyl_elements(P.dim) @ a % q
     u = u[np.lexsort(u.T)]
     u = u[np.r_[True, (u[1:] != u[:-1]).any(axis=1)]]
     z = (u[:, None, :] + q * mu).reshape(-1, P.dim)
@@ -153,7 +114,8 @@ def f_P(P: Polytope, x: RationalVector) -> float:
     where G combines signed permutations with integer translations.  Only
     finitely many terms are nonzero since P is bounded; they are summed by
     math.fsum, so the value does not depend on their order."""
-    return math.fsum(face_angle(P, f) for f in _orbit_face_ids(P, x).tolist())
+    ids = _orbit_face_ids(P, _orbit_frame(P), x)
+    return math.fsum(face_angle(P, f) for f in ids.tolist())
 
 
 SAMPLE_DENOMINATOR = 10007  # prime; boundary strata of lattice polytopes
@@ -207,6 +169,7 @@ def multitiling_check(
     if sample_count < 1:
         raise MalformedInput(f"sample_count must be >= 1, got {sample_count}")
     d = P.dim
+    frame = _orbit_frame(P)
     expected_frac = len(weyl_elements(d)) * volume(P)
     expected = int(expected_frac) if expected_frac.denominator == 1 else None
     rng = random.Random(seed)
@@ -215,7 +178,7 @@ def multitiling_check(
     redraws = 0
     while checked < sample_count:
         x = _sample_fundamental_point(rng, d, SAMPLE_DENOMINATOR)
-        ids = _orbit_face_ids(P, x)
+        ids = _orbit_face_ids(P, frame, x)
         hits = len(ids)
         if (ids != P.full_face_id).any():
             redraws += 1
@@ -249,18 +212,13 @@ def canonical_form(points: Sequence) -> tuple[tuple[int, ...], ...]:
     simplices are equivalent under the full group iff their canonical forms
     coincide.
     """
-    pts = integer_points(
-        points, "canonical form is defined for integer vertices only"
+    pts = np.array(
+        integer_points(points, "canonical form is defined for integer vertices only"),
+        dtype=object,  # Python ints: exact at any size
     )
-    d = len(pts[0])
-    best = None
-    for w in weyl_elements(d):
-        images = [w.apply_ints(p) for p in pts]
-        for origin in images:
-            shifted = sorted(
-                tuple(c - o for c, o in zip(img, origin)) for img in images
-            )
-            cand = tuple(shifted)
-            if best is None or cand < best:
-                best = cand
-    return best
+    images = pts @ weyl_elements(pts.shape[1]).transpose(0, 2, 1)  # [w, j] = w(pts[j])
+    # [w, k, j]: image j translated by image k to the origin
+    shifted = images[:, None] - images[:, :, None]
+    return min(
+        tuple(sorted(map(tuple, s))) for s in shifted.reshape(-1, *pts.shape).tolist()
+    )

@@ -108,7 +108,7 @@ def unfolded_sum(P, n):
         for i in range(d)
     ]
     offsets = np.stack(np.meshgrid(*shifts, indexing="ij"), axis=-1).reshape(-1, d)
-    wmats = np.stack([w.matrix() for w in weyl_elements(d)])
+    wmats = weyl_elements(d)
     acc = [0.0] * n
     for z in itertools.combinations_with_replacement(range(half + 1), d):
         images = np.unique(wmats @ np.array(z, dtype=np.int64), axis=0)
@@ -153,8 +153,7 @@ def loop_orbit_weight_sum(
     hits = 0
     boundary = False
     seen: set[tuple[int, ...]] = set()
-    for w in weyl_elements(d):
-        u = w.apply_ints(a)
+    for u in (weyl_elements(d) @ np.array(a, dtype=object)).tolist():
         ranges = []
         for i in range(d):
             lo_i = math.ceil(lo_f[i] - Fraction(u[i], q))

@@ -11,6 +11,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from polygauss.angles import simplicial_cone_solid_angle, tetrahedron_angles
@@ -297,9 +298,7 @@ def test_criterion_10_invariance_suite():
         for _ in range(20):
             w = rng.choice(elems)
             lam = tuple(rng.randint(-3, 3) for _ in range(3))
-            moved = make(
-                [tuple(c + s for c, s in zip(w.apply_ints(p), lam)) for p in pts]
-            )
+            moved = make((np.array(pts) @ w.T + lam).tolist())
             for n, want in base.items():
                 got = polyhedral_gauss_sum_direct(moved, n).value
                 worst = max(worst, abs(got - want))
@@ -310,7 +309,7 @@ def test_criterion_10_invariance_suite():
     for _ in range(20):
         w = rng.choice(elems2)
         lam = tuple(rng.randint(-3, 3) for _ in range(2))
-        moved = make([tuple(c + s for c, s in zip(w.apply_ints(p), lam)) for p in tri])
+        moved = make((np.array(tri) @ w.T + lam).tolist())
         for n, want in base2.items():
             worst = max(worst, abs(polyhedral_gauss_sum_direct(moved, n).value - want))
     report(

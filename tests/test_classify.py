@@ -104,6 +104,13 @@ def test_canonical_key_round_trips_at_largest_bound():
     _assert_keys_match_oracle(tetra, 9)
 
 
+@pytest.mark.parametrize("route", ["direct", "tetra"])
+@pytest.mark.parametrize("n", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+def test_search_rejects_non_integer_modulus(route, n):
+    with pytest.raises(MalformedInput, match="integer"):
+        run_theorem2_experiment(1, ns=(n,), route=route)
+
+
 def test_enumeration_bound_validation():
     with pytest.raises(MalformedInput):
         _enumerate(0)

@@ -119,6 +119,18 @@ def test_classify_csv(capsys, tmp_path):
         float(r["abs_residual"])  # parses back
 
 
+def test_classify_csv_unwritable_path_fails_before_the_search(capsys, tmp_path, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("polygauss.cli.run_theorem2_experiment", search)
+    target = tmp_path / "missing" / "orbits.csv"
+    code, out, err = run(capsys, "classify", "--bound", "1", "--csv", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {target}: No such file or directory\n"
+
+
 def test_classify_human(capsys):
     code, out, _ = run(capsys, "classify", "--bound", "1")
     assert code == 0

@@ -4,6 +4,7 @@ import math
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
@@ -164,13 +165,33 @@ def test_rejects_non_lattice_polytope():
 
 
 def test_rejects_bad_dilation(fund_tet):
-    for n in (0, -2):
-        with pytest.raises(MalformedInput):
-            polyhedral_gauss_sum_direct(fund_tet, n)
-        with pytest.raises(MalformedInput):
-            polyhedral_gauss_sum_folded(fund_tet, n)
-        with pytest.raises(MalformedInput):
-            tetra_gauss_sum_formula(FUND_TET, n)
+    for n in (0, -2, 2.5, 2.0, True):
+        for call in (
+            lambda: dilate(fund_tet, n),
+            lambda: polyhedral_gauss_sum_direct(fund_tet, n),
+            lambda: polyhedral_gauss_sum_folded(fund_tet, n),
+            lambda: tetra_gauss_sum_formula(FUND_TET, n),
+            lambda: kappa(FUND_TET, n),
+        ):
+            with pytest.raises(MalformedInput):
+                call()
+
+
+def test_dilation_messages_and_numpy_integers(fund_tet):
+    below_one = {
+        "dilation factor must be a positive integer, got 0": lambda: dilate(fund_tet, 0),
+        "dilation factor must be >= 1, got 0": lambda: polyhedral_gauss_sum_folded(fund_tet, 0),
+        "modulus must be >= 1, got 0": lambda: kappa(FUND_TET, 0),
+    }
+    for message, call in below_one.items():
+        with pytest.raises(MalformedInput) as exc:
+            call()
+        assert str(exc.value) == message
+    for n in (np.int64(3), np.int32(3)):
+        assert dilate(fund_tet, n).vertices == dilate(fund_tet, 3).vertices
+        for route in (polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded):
+            assert route(fund_tet, n).value == route(fund_tet, 3).value
+        assert tetra_gauss_sum_formula(FUND_TET, n).value == tetra_gauss_sum_formula(FUND_TET, 3).value
 
 
 def test_formula_route_input_errors():
@@ -189,7 +210,7 @@ def test_formula_route_input_errors():
 def test_invariance_under_lattice_symmetries(fund_tet):
     # the sum is unchanged by signed permutations and integer translations
     w = weyl_elements(3)[17]
-    moved = make([w.apply(v) for v in fund_tet.vertices])
+    moved = make((np.array(FUND_TET) @ w.T).tolist())
     shifted = translate(fund_tet, RationalVector((2, -3, 1)))
     for n in (1, 2, 3, 4):
         base = polyhedral_gauss_sum_direct(fund_tet, n).value

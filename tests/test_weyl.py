@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polygauss.errors import MalformedInput
 from polygauss.geometry import RationalVector, dilate, polytope_from_dict, translate
 from polygauss.weyl import (
     MultiTilingReport,
-    WeylElement,
     _orbit_face_ids,
+    _orbit_frame,
     canonical_form,
     f_P,
     multitiling_check,
@@ -29,43 +30,48 @@ FT_CANONICAL = ((-1, -1, -1), (-1, -1, 0), (-1, 0, 0), (0, 0, 0))
 SECOND_CANONICAL = ((-2, -1, -1), (-1, -1, -1), (-1, -1, 0), (0, 0, 0))
 
 
+def _signed_permutation(m: np.ndarray) -> bool:
+    """Each row and each column holds one entry +-1 and zeros elsewhere."""
+    return bool(
+        np.isin(m, (-1, 0, 1)).all()
+        and (np.abs(m).sum(axis=0) == 1).all()
+        and (np.abs(m).sum(axis=1) == 1).all()
+    )
+
+
+def _keys(mats: np.ndarray) -> set[bytes]:
+    return {m.tobytes() for m in mats}
+
+
 @pytest.mark.parametrize("d,order", [(1, 2), (2, 8), (3, 48)])
 def test_group_order(d, order):
-    elems = weyl_elements(d)
-    assert len(elems) == order
-    assert len(set(elems)) == order
+    W = weyl_elements(d)
+    assert W.shape == (order, d, d) and W.dtype == np.int64
+    assert not W.flags.writeable
+    assert all(_signed_permutation(m) for m in W)
+    assert len(_keys(W)) == order
+    assert np.eye(d, dtype=np.int64).tobytes() in _keys(W)
 
 
 def test_group_axioms_dimension_two():
-    elems = weyl_elements(2)
-    table = set(elems)
-    ident = WeylElement.identity(2)
-    assert ident in table
-    for g in elems:
-        assert g.compose(g.inverse()) == ident
-        for h in elems:
-            assert g.compose(h) in table
+    W = weyl_elements(2)
+    table = _keys(W)
+    assert np.eye(2, dtype=np.int64).tobytes() in table
+    for g in W:
+        assert (g @ g.T == np.eye(2)).all()  # the inverse is the transpose
+        assert g.T.tobytes() in table
+        assert _keys(g @ W) <= table
 
 
 def test_group_closure_spot_checks_dimension_three():
-    elems = weyl_elements(3)
-    table = set(elems)
+    W = weyl_elements(3)
+    table = _keys(W)
     rng = random.Random(3)
-    ident = WeylElement.identity(3)
     for _ in range(200):
-        g, h = rng.choice(elems), rng.choice(elems)
-        assert g.compose(h) in table
-        assert g.compose(g.inverse()) == ident
-
-
-def test_apply_matches_matrix():
-    x = RationalVector((2, -3, 5))
-    for w in weyl_elements(3)[:10]:
-        via_matrix = tuple(
-            int(sum(w.matrix()[i, j] * int(x[j]) for j in range(3))) for i in range(3)
-        )
-        assert tuple(int(c) for c in w.apply(x).coords) == via_matrix
-        assert w.apply_ints((2, -3, 5)) == via_matrix
+        g, h = W[rng.randrange(len(W))], W[rng.randrange(len(W))]
+        assert (g @ h).tobytes() in table
+        assert (g @ g.T == np.eye(3)).all()  # the inverse is the transpose
+        assert g.T.tobytes() in table
 
 
 def test_orbit_count_generic_points(unit_cube, fund_tet, second_tile_tet):
@@ -130,7 +136,7 @@ def test_orbit_count_matches_loop_oracle(far_cube):
             x = RationalVector(
                 Fraction(rng.randrange(-3 * q, 3 * q), q) for _ in range(P.dim)
             )
-            ids = _orbit_face_ids(P, x)
+            ids = _orbit_face_ids(P, _orbit_frame(P), x)
             angles, hits, boundary = loop_orbit_weight_sum(P, x, indicator=False)
             assert len(ids) == hits, (P, x)
             assert bool((ids != P.full_face_id).any()) == boundary, (P, x)
@@ -146,7 +152,7 @@ def test_orbit_count_matches_loop_oracle_on_four_facet_vertices(points):
         # small denominators put many orbit points on vertices and edges
         q = rng.choice([2, 3, 4, 10007])
         x = RationalVector(Fraction(rng.randrange(-3 * q, 3 * q), q) for _ in range(3))
-        ids = _orbit_face_ids(Q, x)
+        ids = _orbit_face_ids(Q, _orbit_frame(Q), x)
         angles, hits, boundary = loop_orbit_weight_sum(Q, x, indicator=False)
         assert len(ids) == hits, (Q, x)
         assert bool((ids != Q.full_face_id).any()) == boundary, (Q, x)
@@ -234,6 +240,13 @@ def test_canonical_form_pins():
     assert FT_CANONICAL != SECOND_CANONICAL
 
 
+def test_canonical_form_exact_far_from_the_origin():
+    # coordinates beyond int64: the form must come from exact Python ints
+    shift = (2**70, -(2**70), 3)
+    far = [tuple(c + s for c, s in zip(p, shift)) for p in FUND_TET]
+    assert canonical_form(far) == FT_CANONICAL
+
+
 def test_canonical_form_idempotent():
     for pts in (FUND_TET, SECOND_TILE_TET):
         c = canonical_form(pts)
@@ -248,9 +261,7 @@ def test_canonical_form_invariant_under_group():
         for _ in range(25):
             w = rng.choice(elems)
             lam = tuple(rng.randint(-4, 4) for _ in range(3))
-            moved = [
-                tuple(c + s for c, s in zip(w.apply_ints(p), lam)) for p in pts
-            ]
+            moved = (np.array(pts) @ w.T + lam).tolist()
             rng.shuffle(moved)
             assert canonical_form(moved) == base
 
