@@ -37,11 +37,7 @@ import numpy as np
 
 from .errors import MalformedInput
 from .geometry import RationalVector, build_polytope, check_budget
-from .polysum import (
-    polyhedral_gauss_sum_direct,
-    polyhedral_gauss_sum_folded,
-    tetra_gauss_sum_formula,
-)
+from .polysum import polyhedral_gauss_sum_direct, tetra_gauss_sum_formula
 from .weyl import canonical_form, weyl_elements
 
 FUNDAMENTAL_TETRAHEDRON = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
@@ -206,10 +202,7 @@ def gauss_relation_test(
     fall below the tolerance.
 
     route 'direct' enumerates dilates of the actual polytope; 'tetra' uses
-    the dihedral-angle formula (volume-1/6 only).  Over the 330 orbits of
-    the B = 2 search with the default ns, the median test took 0.95 ms on
-    the tetra route and 2.6-2.8 ms on the direct route (two traced
-    benchmark runs, 2-CPU Xeon VM, Python 3.11, numpy 2.4)."""
+    the dihedral-angle formula (volume-1/6 only)."""
     if route == "direct":
         P = build_polytope([RationalVector(p) for p in tetra])
         residuals = {
@@ -361,16 +354,3 @@ def run_theorem2_experiment(
         pure_weyl_match=pure_weyl,
         orbit_outcomes=tuple(outcomes),
     )
-
-
-def routes_agree(rep: Tetra, ns: Sequence[int] = DEFAULT_NS, tol: float = 1e-8) -> bool:
-    """Cross-check that direct, folded, and formula evaluations coincide on
-    one tetrahedron for every n."""
-    P = build_polytope([RationalVector(p) for p in rep])
-    for n in ns:
-        d = polyhedral_gauss_sum_direct(P, n).value
-        f = polyhedral_gauss_sum_folded(P, n).value
-        t = tetra_gauss_sum_formula(rep, n).value
-        if abs(d - f) > tol or abs(d - t) > tol:
-            return False
-    return True

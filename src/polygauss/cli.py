@@ -5,7 +5,7 @@ Subcommands:
     check-tiling sample-based multi-tiling verification
     classify     the finite search over volume-1/6 tetrahedra
     angles       solid / dihedral angle report for a polytope
-    gauss-table  table of the classical Gauss sum G(n)
+    gauss-table  table of the classical Gauss sum G(n) = G(1, n)
 
 Exit codes: 0 success, 2 malformed input (bad JSON, bad dimension, bad
 flags), 1 internal invariant violation.  Reports go to stdout, diagnostics
@@ -24,8 +24,8 @@ import sys
 from .angles import face_angle, tetrahedron_angles
 from .classify import DEFAULT_NS, DEFAULT_TOL, run_theorem2_experiment
 from .errors import MalformedInput, PolyGaussError
-from .gauss import gauss_sum_closed, gauss_sum_direct
-from .geometry import Polytope, polytope_from_dict, volume
+from .gauss import quad_gauss_closed, quad_gauss_direct
+from .geometry import Polytope, check_budget, polytope_from_dict, volume
 from .polysum import (
     ROUTE_DIRECT,
     ROUTE_FOLDED,
@@ -189,10 +189,14 @@ _BRANCHES = {0: "(1+i)*sqrt(n)", 1: "sqrt(n)", 2: "0", 3: "i*sqrt(n)"}
 def _cmd_gauss_table(args: argparse.Namespace) -> int:
     if args.max < 1:
         raise MalformedInput(f"--max must be >= 1, got {args.max}")
+    if args.direct:  # the literal sums G(1, n) for n <= max have max(max+1)/2 terms
+        terms = args.max * (args.max + 1) // 2
+        check_budget("literal Gauss-sum terms", terms, "use a smaller --max")
+    gauss = quad_gauss_direct if args.direct else quad_gauss_closed
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "re", "im", "branch"])
     for n in range(1, args.max + 1):
-        g = gauss_sum_closed(n) if not args.direct else gauss_sum_direct(n)
+        g = gauss(1, n)
         writer.writerow([n, repr(g.real), repr(g.imag), _BRANCHES[n % 4]])
     return 0
 

@@ -1,16 +1,18 @@
-"""Classical and quadratic Gauss sums, Jacobi symbol, epsilon factor.
+"""Quadratic Gauss sums G(a, b), the Jacobi symbol and the epsilon factor.
 
-Every sum has a brute-force evaluation next to its closed form so the two
-can be cross-checked; the closed forms are what the fast paths use.  Direct
-sums reduce each term's argument a*k^2 mod b in exact integer arithmetic
-before any trigonometry, which keeps the error at O(b) ulps instead of
-O(b^3).
+The classical Gauss sum is the case a = 1: G(n) = G(1, n), so the paper's
+closed form vol(P) G(n)^d reads quad_gauss_closed(1, n).  Each sum has a
+literal evaluation next to its closed form so the two can be cross-checked;
+the closed form is what the fast paths use.  The literal sum reduces each
+term's argument a*k^2 mod b in exact integer arithmetic before any
+trigonometry, which keeps the error at O(b) ulps instead of O(b^3).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import lru_cache
 
 from .errors import EvenInput, EvenModulus, UndefinedCase
@@ -49,36 +51,23 @@ def epsilon(m: int) -> ComplexValue:
     return 1 + 0j if m % 4 == 1 else 1j
 
 
-def gauss_sum_direct(n: int) -> ComplexValue:
-    """G(n) = sum over k mod n of e(k^2/n), summed literally."""
-    if n < 1:
-        raise UndefinedCase(f"modulus must be positive, got {n}")
-    table = phase_table(n)
-    re = math.fsum(table[(k * k) % n].real for k in range(n))
-    im = math.fsum(table[(k * k) % n].imag for k in range(n))
-    return complex(re, im)
-
-
-def gauss_sum_closed(n: int) -> ComplexValue:
-    """The classical closed form: (1+i)sqrt(n), sqrt(n), 0, i sqrt(n) for
-    n = 0, 1, 2, 3 mod 4."""
-    if n < 1:
-        raise UndefinedCase(f"modulus must be positive, got {n}")
-    root = math.sqrt(n)
-    r = n % 4
-    if r == 0:
-        return complex(root, root)
-    if r == 1:
-        return complex(root, 0.0)
-    if r == 2:
-        return 0j
-    return complex(0.0, root)
+def _arguments(a: int, b: int) -> tuple[int, int]:
+    """(a, b) as built-in ints with b >= 1, else UndefinedCase; numpy
+    integers count, bools and other numbers do not."""
+    try:
+        if isinstance(a, bool) or isinstance(b, bool):
+            raise TypeError
+        a, b = operator.index(a), operator.index(b)
+    except TypeError:
+        raise UndefinedCase(f"G(a, b) needs integers, got a={a!r}, b={b!r}") from None
+    if b < 1:
+        raise UndefinedCase(f"modulus must be positive, got {b}")
+    return a, b
 
 
 def quad_gauss_direct(a: int, b: int) -> ComplexValue:
     """G(a,b) = sum over k mod b of e(a k^2 / b), summed literally."""
-    if b < 1:
-        raise UndefinedCase(f"modulus must be positive, got {b}")
+    a, b = _arguments(a, b)
     table = phase_table(b)
     re = math.fsum(table[(a * k * k) % b].real for k in range(b))
     im = math.fsum(table[(a * k * k) % b].imag for k in range(b))
@@ -94,8 +83,7 @@ def quad_gauss_closed(a: int, b: int) -> ComplexValue:
     (1+i) eps_a^{-1} sqrt(b) (b/a), with eps odd-only and (./.) the Jacobi
     symbol.  eps^{-1} is the conjugate since eps is 1 or i.
     """
-    if b < 1:
-        raise UndefinedCase(f"modulus must be positive, got {b}")
+    a, b = _arguments(a, b)
     a %= b
     if a == 0:
         return complex(b, 0.0)

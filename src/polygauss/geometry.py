@@ -482,6 +482,17 @@ def classify_point(P: Polytope, x: RationalVector) -> int | None:
     return int(_face_ids_of_masks(P, np.array([mask], dtype=P.mask_table.dtype))[0])
 
 
+def int64_array(values, what: str) -> np.ndarray:
+    """Exact integers as an int64 array; MalformedInput when one does not
+    fit, as on a polytope far from the origin."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise MalformedInput(
+            f"{what} exceed int64; move the polytope nearer the origin"
+        ) from None
+
+
 def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Facet system cleared of denominators: rows A, bounds c with the body
     equal to {x : A x <= c} and tightness preserved row by row."""
@@ -491,7 +502,7 @@ def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
         den = offset.denominator
         rows.append([a * den for a in normal])
         bounds.append(offset.numerator)
-    return np.array(rows, dtype=np.int64), np.array(bounds, dtype=np.int64)
+    return int64_array(rows, "facet normals"), int64_array(bounds, "facet bounds")
 
 
 def line_points(heads: np.ndarray, lower: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -580,7 +591,8 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     lines) instead of O(bounding box x facets).  A request of more than
     POINT_BUDGET (line, facet) pairs raises MalformedInput before anything
     is allocated, and one of more than POINT_BUDGET points before its
-    points are.
+    points are; so does a polytope whose bounding box or facet system does
+    not fit int64.
     """
     _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()
@@ -591,8 +603,9 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     extents = [h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]
     lines = math.prod(extents)
     check_budget("lattice line-facet pairs", lines * P.n_facets)
+    box = int64_array([lo, hi], "bounding-box coordinates")  # both corners bound the lines
     heads = np.indices(extents, dtype=np.int64).reshape(P.dim - 1, lines).T
-    heads += np.array(lo[:-1], dtype=np.int64)
+    heads += box[0, :-1]
     A, c = integer_facet_system(P)
     lower, counts = _line_intervals(heads, A, c, lo[-1], hi[-1])
     check_budget("lattice points", int(counts.sum()))

@@ -16,8 +16,10 @@ sum collapses to dihedral angles times quadratic Gauss sums plus a small
 correction kappa(n) supported on face-interior and interior points.
 
 All phases are computed from exact integer residues mod n before any
-trigonometry, and every route reduces through fixed-order compensated
-summation over the n residue classes, so results are deterministic.
+trigonometry, and every sum is taken in a fixed order, so results are
+deterministic: the direct and folded routes combine the n residue classes
+under compensated summation (math.fsum), the tetra route sums kappa's
+terms with math.fsum and adds the six dihedral terms in a plain loop.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .angles import face_angle, tetrahedron_angles
 from .errors import DegenerateTetrahedron, MalformedInput, VolumeNotMinimal
-from .gauss import gauss_sum_closed, phase_table, quad_gauss_closed
+from .gauss import phase_table, quad_gauss_closed
 from .geometry import (
     Polytope,
     RationalVector,
@@ -66,14 +68,6 @@ class GaussSumReport:
     point_count: int
     residual: complex
 
-    @property
-    def re(self) -> float:
-        return self.value.real
-
-    @property
-    def im(self) -> float:
-        return self.value.imag
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -102,13 +96,20 @@ def _residues_to_value(acc: Sequence[float], n: int) -> complex:
     return complex(re, im)
 
 
-def _face_weights(Q: Polytope) -> np.ndarray:
-    return np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
+def _weighted_scan(P: Polytope, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice points of nP for a lattice polytope P, in scan order, and
+    the solid angle of nP at each."""
+    integer_points(P.vertices, _NOT_LATTICE)
+    _check_n(n, "dilation factor")
+    Q = dilate(P, n)
+    pts, fids = scan_lattice(Q)
+    weights = np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
+    return pts, weights[fids]
 
 
 def closed_form_value(P: Polytope, n: int) -> complex:
     """vol(P) G(n)^d, the value the sum takes on multi-tiling polytopes."""
-    return float(volume(P)) * gauss_sum_closed(n) ** P.dim
+    return float(volume(P)) * quad_gauss_closed(1, n) ** P.dim
 
 
 def _report(P: Polytope, n: int, value: complex, route: str, count: int) -> GaussSumReport:
@@ -128,16 +129,12 @@ def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     weights are accumulated per residue class of |x|^2 mod n and the n
     residue phases are combined last under compensated summation.
     """
-    integer_points(P.vertices, _NOT_LATTICE)
-    _check_n(n, "dilation factor")
-    Q = dilate(P, n)
-    pts, fids = scan_lattice(Q)
-    weights = _face_weights(Q)[fids]
-    lo, hi = Q.bbox()
-    if P.dim * max(map(abs, lo + hi)) ** 2 >= 1 << 63:
-        # |x|^2 mod n is unchanged by a shift in n Z^d, such as the corner n lo
-        # of nP's box, after which every coordinate is at most the box's extent
-        pts = pts - np.array(lo, dtype=np.int64)
+    pts, weights = _weighted_scan(P, n)
+    lo, hi = P.bbox()
+    if P.dim * (n * max(map(abs, lo + hi))) ** 2 >= 1 << 63:
+        # |x|^2 mod n depends only on x mod n, and reduced coordinates are
+        # below n, so their squared norms stay far inside int64
+        pts = pts % n
     residues = np.einsum("ij,ij->i", pts, pts) % n
     acc = np.bincount(residues, weights=weights, minlength=n)
     value = _residues_to_value(acc.tolist(), n)
@@ -157,17 +154,14 @@ def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
     well defined on the orbit because the group preserves norms mod the
     lattice.  The point count reported is the number of representatives.
     """
-    integer_points(P.vertices, _NOT_LATTICE)
-    _check_n(n, "dilation factor")
     d = P.dim
-    Q = dilate(P, n)
-    pts, fids = scan_lattice(Q)
+    pts, weights = _weighted_scan(P, n)
     z = pts % n
     np.minimum(z, n - z, out=z)
     z.sort(axis=1)
     key = z @ (n // 2 + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
     order = np.argsort(key, kind="stable")
-    weights = _face_weights(Q)[fids[order]]
+    weights = weights[order]
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     ends = np.append(starts[1:], len(order))
     sums = [float(weights[s:e].sum()) for s, e in zip(starts.tolist(), ends.tolist())]
@@ -267,7 +261,7 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
         value += w * quad_gauss_closed(int(ta.sq_lengths[(i, j)]), n)
     value += kappa(points, n)
     count = math.comb(n + 3, 3)
-    residual = value - gauss_sum_closed(n) ** 3 / 6
+    residual = value - quad_gauss_closed(1, n) ** 3 / 6
     return GaussSumReport(
         n=n,
         value=value,
@@ -275,8 +269,3 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
         point_count=count,
         residual=residual,
     )
-
-
-def closed_form_residual(P: Polytope, n: int) -> complex:
-    """Difference between the direct-route sum and vol(P) G(n)^d."""
-    return polyhedral_gauss_sum_direct(P, n).residual

@@ -17,6 +17,9 @@ the candidates inside P are located on their faces by
 geometry.locate_points, the lookup scan_lattice uses.  A polytope with more
 than geometry.POINT_BUDGET (candidate, facet) pairs, |W| x (bounding-box
 extents) x facets, raises MalformedInput before any candidate exists.
+Points enter as integer numerators a over a denominator q: multitiling_check
+draws them so over the prime SAMPLE_DENOMINATOR, and f_P converts its
+rational x once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -80,11 +82,12 @@ def _orbit_frame(P: Polytope) -> tuple:
     return A, np.array(shifted, dtype=np.int64), mu, reach
 
 
-def _orbit_face_ids(P: Polytope, frame: tuple, x: RationalVector) -> np.ndarray:
-    """Face id of P at each distinct point of the G-orbit of x inside P,
-    with frame = _orbit_frame(P).
+def _orbit_face_ids(P: Polytope, frame: tuple, a: Sequence[int], q: int) -> np.ndarray:
+    """Face id of P at each distinct point of the G-orbit of x = a/q inside
+    P, for integer numerators a and denominator q >= 1, with
+    frame = _orbit_frame(P).
 
-    With x = a/q, reduced mod q (the orbit is the same), the images
+    With a reduced mod q (the orbit is the same), the images
     u = w a mod q over w in W are deduplicated by a lexicographic sort,
     exact for any q: images distinct mod q give disjoint point sets.  An
     orbit point z/q = u/q + lam lies in the bounding box only for
@@ -93,14 +96,12 @@ def _orbit_face_ids(P: Polytope, frame: tuple, x: RationalVector) -> np.ndarray:
     A z <= q c on P - floor(lo).
     """
     A, c, mu, reach = frame
-    q = math.lcm(*(v.denominator for v in x.coords))
     # 0 <= z_i < q E_i and |c_k| <= sum_i |A_ki| E_i because facet k is
     # tight on P - floor(lo), which lies in [0, E); so every slack
     # q c_k - A_k z is below 2 q reach in magnitude, whatever P's position.
     if 2 * q * reach >= 1 << 63:
         raise MalformedInput(f"orbit of a point with denominator {q} overflows int64")
-    a = np.array([int(v * q) % q for v in x.coords], dtype=np.int64)
-    u = weyl_elements(P.dim) @ a % q
+    u = weyl_elements(P.dim) @ np.array([v % q for v in a], dtype=np.int64) % q
     u = u[np.lexsort(u.T)]
     u = u[np.r_[True, (u[1:] != u[:-1]).any(axis=1)]]
     z = (u[:, None, :] + q * mu).reshape(-1, P.dim)
@@ -114,7 +115,9 @@ def f_P(P: Polytope, x: RationalVector) -> float:
     where G combines signed permutations with integer translations.  Only
     finitely many terms are nonzero since P is bounded; they are summed by
     math.fsum, so the value does not depend on their order."""
-    ids = _orbit_face_ids(P, _orbit_frame(P), x)
+    q = math.lcm(*(v.denominator for v in x.coords))
+    a = [v.numerator * (q // v.denominator) for v in x.coords]
+    ids = _orbit_face_ids(P, _orbit_frame(P), a, q)
     return math.fsum(face_angle(P, f) for f in ids.tolist())
 
 
@@ -143,13 +146,13 @@ class MultiTilingReport:
         }
 
 
-def _sample_fundamental_point(rng: random.Random, d: int, q: int) -> RationalVector:
-    """A random rational point strictly inside 0 < x_1 < ... < x_d < 1/2,
-    with denominator q."""
+def _sample_fundamental_point(rng: random.Random, d: int, q: int) -> list[int]:
+    """The numerators a of a random point a/q strictly inside
+    0 < x_1 < ... < x_d < 1/2."""
     top = (q - 1) // 2
     nums = rng.sample(range(1, top + 1), d)
     nums.sort()
-    return RationalVector(Fraction(n, q) for n in nums)
+    return nums
 
 
 def multitiling_check(
@@ -173,24 +176,25 @@ def multitiling_check(
     expected_frac = len(weyl_elements(d)) * volume(P)
     expected = int(expected_frac) if expected_frac.denominator == 1 else None
     rng = random.Random(seed)
+    q = SAMPLE_DENOMINATOR
     witnesses: list[tuple[tuple[str, ...], int]] = []
     checked = 0
     redraws = 0
     while checked < sample_count:
-        x = _sample_fundamental_point(rng, d, SAMPLE_DENOMINATOR)
-        ids = _orbit_face_ids(P, frame, x)
+        a = _sample_fundamental_point(rng, d, q)
+        ids = _orbit_face_ids(P, frame, a, q)
         hits = len(ids)
+        # a/q is in lowest terms: q is prime and 1 <= a < q/2
+        point = tuple(f"{v}/{q}" for v in a)
         if (ids != P.full_face_id).any():
             redraws += 1
             if redraws > 50:
-                witnesses.append(
-                    (tuple(str(c) for c in x.coords), hits)
-                )
+                witnesses.append((point, hits))
                 break
             continue
         checked += 1
         if expected is None or hits != expected:
-            witnesses.append((tuple(str(c) for c in x.coords), hits))
+            witnesses.append((point, hits))
             if len(witnesses) >= 5:
                 break
     ok = not witnesses and expected is not None

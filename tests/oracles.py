@@ -31,7 +31,7 @@ from polygauss.geometry import (
     dilate,
     integer_facet_system,
 )
-from polygauss.polysum import _face_weights, _residues_to_value
+from polygauss.polysum import _residues_to_value
 from polygauss.weyl import weyl_elements
 
 
@@ -97,7 +97,7 @@ def unfolded_sum(P, n):
     d = P.dim
     Q = dilate(P, n)
     pts, fids = grid_scan_lattice(Q)
-    weights = _face_weights(Q)[fids]
+    weights = np.array([face_angle(Q, f) for f in range(len(Q.faces))])[fids]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     dims = tuple((hi - lo + 1).tolist())

@@ -21,12 +21,7 @@ from polygauss.classify import (
     run_theorem2_experiment,
 )
 from polygauss.errors import DegenerateInput, DegenerateTetrahedron
-from polygauss.gauss import (
-    gauss_sum_closed,
-    gauss_sum_direct,
-    quad_gauss_closed,
-    quad_gauss_direct,
-)
+from polygauss.gauss import quad_gauss_closed, quad_gauss_direct
 from polygauss.geometry import RationalVector, build_polytope, translate, volume
 from polygauss.polysum import (
     polyhedral_gauss_sum_direct,
@@ -48,7 +43,7 @@ def test_criterion_1_classical_gauss_sum():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(1, 501):
-        err = abs(gauss_sum_direct(n) - gauss_sum_closed(n)) / math.sqrt(n)
+        err = abs(quad_gauss_direct(1, n) - quad_gauss_closed(1, n)) / math.sqrt(n)
         worst = max(worst, err)
     dt = time.perf_counter() - t0
     report(

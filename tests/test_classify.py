@@ -10,10 +10,15 @@ from polygauss.classify import (
     _enumerate,
     enumerate_minimal_tetrahedra,
     gauss_relation_test,
-    routes_agree,
     run_theorem2_experiment,
 )
 from polygauss.errors import MalformedInput, VolumeNotMinimal
+from polygauss.geometry import build_polytope
+from polygauss.polysum import (
+    polyhedral_gauss_sum_direct,
+    polyhedral_gauss_sum_folded,
+    tetra_gauss_sum_formula,
+)
 from polygauss.weyl import canonical_form
 from tests.conftest import SECOND_TILE_TET, STD_SIMPLEX
 from tests.oracles import index_triple_candidates
@@ -159,8 +164,15 @@ def test_relation_test_input_validation():
 
 
 def test_routes_agree_on_all_orbits_bound_one():
-    for rep in enumerate_minimal_tetrahedra(1):
-        assert routes_agree(rep)
+    reps = list(enumerate_minimal_tetrahedra(1))
+    assert len(reps) == 21
+    for rep in reps:
+        P = build_polytope(rep)
+        for n in DEFAULT_NS:
+            d = polyhedral_gauss_sum_direct(P, n).value
+            f = polyhedral_gauss_sum_folded(P, n).value
+            t = tetra_gauss_sum_formula(rep, n).value
+            assert abs(d - f) <= 1e-8 and abs(d - t) <= 1e-8, (rep, n)
 
 
 def test_classification_bound_one(report_b1):

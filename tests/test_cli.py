@@ -10,8 +10,9 @@ import tempfile
 
 import pytest
 
+from polygauss import geometry
 from polygauss.cli import main
-from polygauss.gauss import gauss_sum_closed
+from polygauss.gauss import quad_gauss_closed
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "polytopes"
 FUND = str(DATA / "fund_tet.json")
@@ -170,7 +171,7 @@ def test_gauss_table(capsys):
     assert len(rows) == 12
     for row in rows:
         n = int(row["n"])
-        want = gauss_sum_closed(n)
+        want = quad_gauss_closed(1, n)
         assert float(row["re"]) == pytest.approx(want.real, abs=1e-12)
         assert float(row["im"]) == pytest.approx(want.imag, abs=1e-12)
     assert rows[1]["branch"] == "0"
@@ -346,3 +347,41 @@ def test_json_output_refuses_non_finite_floats():
 
     with pytest.raises(ValueError):
         _emit_json({"tolerance": float("nan")})
+
+
+def test_lattice_polytope_far_from_the_origin(capsys, tmp_path):
+    # coordinates near 2^70 do not fit the int64 scans; the tetra route and
+    # the angles work on exact ints and still answer
+    s = 2**70
+    far = tmp_path / "far_simplex.json"
+    corners = [[s, s, s], [s + 1, s, s], [s, s + 1, s], [s, s, s + 1]]
+    far.write_text(json.dumps({"dim": 3, "vertices": corners}))
+    path = str(far)
+    for argv in (
+        ["sum", "--polytope", path, "--n", "3"],
+        ["sum", "--polytope", path, "--n", "3", "--route", "folded"],
+        ["check-tiling", "--polytope", path],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "exceed int64" in err, argv
+    tetra = ("sum", "--n", "3", "--route", "tetra", "--json", "--polytope")
+    code, out, _ = run(capsys, *tetra, path)
+    assert code == 0
+    assert out == run(capsys, *tetra, SIMPLEX)[1]
+    code, out, _ = run(capsys, "angles", "--polytope", path, "--json")
+    assert code == 0 and json.loads(out)["solid"]
+
+
+def test_gauss_table_direct_is_under_the_budget(capsys, monkeypatch):
+    # --max 5792 has 16,776,528 literal terms, 5793 has 16,782,321 > 2^24
+    code, out, err = run(capsys, "gauss-table", "--direct", "--max", "5793")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "literal Gauss-sum terms exceed the budget" in err
+    monkeypatch.setattr(geometry, "POINT_BUDGET", 10)
+    assert run(capsys, "gauss-table", "--direct", "--max", "4")[0] == 0
+    assert run(capsys, "gauss-table", "--direct", "--max", "5")[0] == 2
+    # the closed form takes one term per n and has no budget
+    code, out, _ = run(capsys, "gauss-table", "--max", "6000")
+    assert code == 0
+    assert len(out.splitlines()) == 6001

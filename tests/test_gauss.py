@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 from polygauss.errors import EvenInput, EvenModulus, UndefinedCase
 from polygauss.gauss import (
     epsilon,
-    gauss_sum_closed,
-    gauss_sum_direct,
     jacobi_symbol,
     phase_table,
     quad_gauss_closed,
@@ -42,12 +41,12 @@ def test_phase_table():
     ],
 )
 def test_classical_branch_values(n, value):
-    assert gauss_sum_closed(n) == pytest.approx(value, abs=1e-12)
+    assert quad_gauss_closed(1, n) == pytest.approx(value, abs=1e-12)
 
 
 def test_classical_direct_matches_closed():
     for n in range(1, 101):
-        assert abs(gauss_sum_direct(n) - gauss_sum_closed(n)) < 1e-9
+        assert abs(quad_gauss_direct(1, n) - quad_gauss_closed(1, n)) < 1e-9
 
 
 def test_quadratic_direct_matches_closed():
@@ -68,7 +67,7 @@ def test_quadratic_gcd_pull_out():
     # G(2,6) = 2 G(1,3)
     assert quad_gauss_closed(2, 6) == pytest.approx(2j * math.sqrt(3), abs=1e-12)
     assert quad_gauss_closed(3, 12) == pytest.approx(
-        3 * gauss_sum_closed(4), abs=1e-12
+        3 * quad_gauss_closed(1, 4), abs=1e-12
     )
 
 
@@ -103,7 +102,7 @@ def test_jacobi_multiplicative_in_denominator(a, b1, b2):
 
 @given(n=st.integers(1, 300))
 def test_classical_magnitude(n):
-    got = gauss_sum_closed(n)
+    got = quad_gauss_closed(1, n)
     if n % 4 == 2:
         assert got == 0
     elif n % 4 == 0:
@@ -128,11 +127,9 @@ def test_error_types():
     with pytest.raises(EvenModulus):
         jacobi_symbol(3, -5)
     with pytest.raises(UndefinedCase):
-        gauss_sum_direct(0)
-    with pytest.raises(UndefinedCase):
-        gauss_sum_closed(-1)
-    with pytest.raises(UndefinedCase):
         quad_gauss_direct(1, 0)
+    with pytest.raises(UndefinedCase):
+        quad_gauss_closed(1, -1)
     with pytest.raises(UndefinedCase):
         quad_gauss_closed(2, -4)
 
@@ -152,3 +149,13 @@ def test_reference_identity_for_odd_modulus():
                 continue
             want = jacobi_symbol(a, b) * epsilon(b) * math.sqrt(b)
             assert quad_gauss_closed(a, b) == pytest.approx(want, abs=1e-12)
+
+
+def test_arguments_must_be_integers():
+    for f in (quad_gauss_closed, quad_gauss_direct):
+        for a, b in [(1, 2.5), (1, 3.0), (1, True), (True, 5), (1.5, 5), (1, "3")]:
+            with pytest.raises(UndefinedCase):
+                f(a, b)
+        # numpy integers count and still give a built-in complex
+        got = f(np.int32(3), np.int64(8))
+        assert type(got) is complex and got == f(3, 8)

@@ -16,10 +16,9 @@ from polygauss.errors import (
     MalformedInput,
     VolumeNotMinimal,
 )
-from polygauss.gauss import gauss_sum_closed
+from polygauss.gauss import quad_gauss_closed
 from polygauss.geometry import RationalVector, build_polytope, dilate, translate
 from polygauss.polysum import (
-    closed_form_residual,
     closed_form_value,
     compositions,
     kappa,
@@ -38,7 +37,7 @@ def test_interval_recovers_classical_sum(unit_interval):
     # [0,1] multi-tiles with multiplicity 2, volume 1: G_P(n) = G(n)
     for n in range(1, 13):
         rep = polyhedral_gauss_sum_direct(unit_interval, n)
-        assert abs(rep.value - gauss_sum_closed(n)) < 1e-12
+        assert abs(rep.value - quad_gauss_closed(1, n)) < 1e-12
         assert abs(rep.residual) < 1e-12
         assert rep.point_count == n + 1
 
@@ -61,7 +60,7 @@ def test_unit_cube_closed_form(unit_cube, unit_square):
     for P, d in ((unit_cube, 3), (unit_square, 2)):
         for n in range(1, 7):
             rep = polyhedral_gauss_sum_direct(P, n)
-            assert abs(rep.value - gauss_sum_closed(n) ** d) < 1e-12
+            assert abs(rep.value - quad_gauss_closed(1, n) ** d) < 1e-12
 
 
 def test_point_counts(fund_tet, unit_cube):
@@ -84,7 +83,7 @@ def test_standard_simplex_fails_closed_form(std_simplex):
         assert cmath.isclose(rep.value, value, abs_tol=1e-12)
         assert abs(rep.residual) == pytest.approx(res, abs=1e-12)
     # the n=4 residual is exactly 1/6 + 5i/6
-    r4 = closed_form_residual(std_simplex, 4)
+    r4 = polyhedral_gauss_sum_direct(std_simplex, 4).residual
     assert cmath.isclose(r4, complex(1 / 6, 5 / 6), abs_tol=1e-12)
     failing = {
         n
@@ -145,7 +144,7 @@ def test_report_to_dict(fund_tet):
         "residual_im",
     }
     assert d["n"] == 3
-    assert d["re"] == rep.re and d["im"] == rep.im
+    assert d["re"] == rep.value.real and d["im"] == rep.value.imag
     assert d["point_count"] == rep.point_count
 
 
@@ -310,3 +309,22 @@ def test_dilate_is_not_retained_after_the_sum(monkeypatch, route):
     del report
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
+
+
+@pytest.mark.parametrize("K", [2**31, 2**32 + 3, 2**40 + 1])
+def test_direct_route_long_extent(K):
+    # n K squared overflows int64 although the box corner is the origin
+    P = make([(0, 0, 0), (1, 0, K), (0, 1, 0), (0, 0, 1)])
+    for n in (3, 5):
+        direct = polyhedral_gauss_sum_direct(P, n).value
+        assert abs(direct - polyhedral_gauss_sum_folded(P, n).value) < 1e-6, n
+
+
+def test_dilate_beyond_int64_is_malformed_input():
+    # only the far end of the axis the scan walks along, 2 (2^62 + 1), is
+    # outside int64
+    P = make([(0, 0, 0), (1, 0, 2**62 + 1), (0, 1, 0), (0, 0, 1)])
+    assert polyhedral_gauss_sum_direct(P, 1).point_count == 4
+    for route in (polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded):
+        with pytest.raises(MalformedInput, match="exceed int64"):
+            route(P, 2)

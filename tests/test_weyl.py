@@ -133,10 +133,9 @@ def test_orbit_count_matches_loop_oracle(far_cube):
             q = rng.choice([7, 12, 30, 10007])
             # numerators in [-3q, 3q): points outside the fundamental region,
             # not reduced mod q, and often on the boundary for small q
-            x = RationalVector(
-                Fraction(rng.randrange(-3 * q, 3 * q), q) for _ in range(P.dim)
-            )
-            ids = _orbit_face_ids(P, _orbit_frame(P), x)
+            a = [rng.randrange(-3 * q, 3 * q) for _ in range(P.dim)]
+            x = RationalVector(Fraction(v, q) for v in a)
+            ids = _orbit_face_ids(P, _orbit_frame(P), a, q)
             angles, hits, boundary = loop_orbit_weight_sum(P, x, indicator=False)
             assert len(ids) == hits, (P, x)
             assert bool((ids != P.full_face_id).any()) == boundary, (P, x)
@@ -151,8 +150,9 @@ def test_orbit_count_matches_loop_oracle_on_four_facet_vertices(points):
         Q = dilate(P, 1 + i % 4)
         # small denominators put many orbit points on vertices and edges
         q = rng.choice([2, 3, 4, 10007])
-        x = RationalVector(Fraction(rng.randrange(-3 * q, 3 * q), q) for _ in range(3))
-        ids = _orbit_face_ids(Q, _orbit_frame(Q), x)
+        a = [rng.randrange(-3 * q, 3 * q) for _ in range(3)]
+        x = RationalVector(Fraction(v, q) for v in a)
+        ids = _orbit_face_ids(Q, _orbit_frame(Q), a, q)
         angles, hits, boundary = loop_orbit_weight_sum(Q, x, indicator=False)
         assert len(ids) == hits, (Q, x)
         assert bool((ids != Q.full_face_id).any()) == boundary, (Q, x)
