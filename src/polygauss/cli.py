@@ -152,10 +152,6 @@ def _cmd_angles(args: argparse.Namespace) -> int:
                 f"{i}{j}": (int(l) if l == int(l) else float(l))
                 for (i, j), l in sorted(data.sq_lengths.items())
             },
-            "gram_residuals": data.gram_residuals(),
-            "external_residuals": {
-                f"{i}{j}": r for (i, j), r in sorted(data.external_residuals().items())
-            },
         }
         if args.json:
             _emit_json(payload)
@@ -165,10 +161,6 @@ def _cmd_angles(args: argparse.Namespace) -> int:
             for (i, j), w in sorted(data.dihedral.items()):
                 print(f"dihedral at edge {i}{j}: {w:.12f}"
                       f"  (sq length {data.sq_lengths[(i, j)]})")
-            gram = data.gram_residuals()
-            print(f"max Gram residual: {max(gram):.3g}")
-            ext = data.external_residuals()
-            print(f"max external-angle residual: {max(ext.values()):.3g}")
     else:
         faces = [
             {"face": fid, "dim": f.dim, "angle": face_angle(P, fid)}

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from polygauss.angles import simplicial_cone_solid_angle, tetrahedron_angles
+from polygauss.angles import tetrahedron_angles
 from polygauss.classify import (
     FUNDAMENTAL_TETRAHEDRON,
     gauss_relation_test,
@@ -30,6 +30,7 @@ from polygauss.polysum import (
 )
 from polygauss.weyl import canonical_form, multitiling_check, weyl_elements
 from tests.conftest import FUND_TET, SECOND_TILE_TET, STD_SIMPLEX, make
+from tests.oracles import vector_tetrahedron_angles
 
 ORIGIN3 = RationalVector((0, 0, 0))
 
@@ -244,8 +245,8 @@ def test_criterion_8_intermediate_identities():
     v1 = RationalVector(FUND_TET[1])
     v2 = RationalVector(FUND_TET[2])
     v3 = RationalVector(FUND_TET[3])
-    omega_1 = simplicial_cone_solid_angle(ORIGIN3, [v3, v3 - v2, v1])
-    omega_2 = simplicial_cone_solid_angle(ORIGIN3, [v3 - v2, v1 - v2, v1])
+    omega_1 = tetrahedron_angles([ORIGIN3, v3, v3 - v2, v1]).solid[0]
+    omega_2 = tetrahedron_angles([ORIGIN3, v3 - v2, v1 - v2, v1]).solid[0]
     checks = {
         "sum solid": (sum(ta.solid), 1 / 6),
         "sum dihedral": (sum(ta.dihedral.values()), 7 / 6),
@@ -273,13 +274,15 @@ def test_criterion_9_angle_identity_suite():
         except DegenerateTetrahedron:
             continue
         checked += 1
-        worst = max(worst, max(ta.gram_residuals()))
-        worst = max(worst, max(ta.external_residuals().values()))
-    octant = simplicial_cone_solid_angle(ORIGIN3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        ref = vector_tetrahedron_angles(pts)
+        worst = max(worst, *(abs(a - b) for a, b in zip(ta.solid, ref.solid)))
+        worst = max(worst, *(abs(ta.external[k] - ref.external[k]) for k in ref.external))
+    octant = tetrahedron_angles([ORIGIN3, (1, 0, 0), (0, 1, 0), (0, 0, 1)]).solid[0]
     report(
         9,
-        worst < 1e-9 and octant == 0.125,
-        f"Gram and external relations on 100 tetrahedra: worst {worst:.2e}; "
+        worst < 1e-12 and octant == 0.125,
+        f"Gram-relation solid and external angles against the arctan cone "
+        f"formula on 100 tetrahedra: worst {worst:.2e}; "
         f"octant = {octant}",
     )
 

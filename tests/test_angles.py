@@ -6,38 +6,35 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polygauss.angles import (
-    _cone_angle,
-    dihedral_angle,
-    external_solid_angle,
-    face_angle,
-    simplicial_cone_solid_angle,
-    solid_angle,
-    tetrahedron_angles,
-)
+from polygauss.angles import dihedral_angle, face_angle, tetrahedron_angles
 from polygauss.errors import (
-    DegenerateCone,
     DegenerateTetrahedron,
     NotAnEdge,
     UnsupportedDimension,
 )
-from polygauss.geometry import RationalVector
+from polygauss.geometry import RationalVector, classify_point
 from polygauss.classify import enumerate_minimal_tetrahedra
-from tests.conftest import FUND_TET, SECOND_TILE_TET
+from tests.conftest import FUND_TET, OCTAHEDRON, SECOND_TILE_TET, SQUARE_PYRAMID, make
 from tests.oracles import vector_cone_angle, vector_tetrahedron_angles
 
 ORIGIN = RationalVector((0, 0, 0))
 
 
+def cone_angle(apex, generators) -> float:
+    """Solid angle at `apex` of the cone through three points, read off the
+    tetrahedron they span with it."""
+    return tetrahedron_angles([apex, *generators]).solid[0]
+
+
 def test_octant_is_exactly_one_eighth():
-    got = simplicial_cone_solid_angle(ORIGIN, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    got = cone_angle(ORIGIN, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert got == 0.125
 
 
 def test_obtuse_wedge():
     # 135 degree wedge in the xz-plane crossed with the ray y >= 0:
     # (3/8) * (1/2) of the sphere
-    got = simplicial_cone_solid_angle(ORIGIN, [(1, 0, 0), (-1, 0, 1), (0, 1, 0)])
+    got = cone_angle(ORIGIN, [(1, 0, 0), (-1, 0, 1), (0, 1, 0)])
     assert got == pytest.approx(3 / 16, abs=1e-15)
 
 
@@ -63,7 +60,7 @@ def _monte_carlo_cone(generators, n_samples=200_000, seed=7):
     ],
 )
 def test_cone_angle_against_monte_carlo(gens):
-    exact = simplicial_cone_solid_angle(ORIGIN, gens)
+    exact = cone_angle(ORIGIN, gens)
     est, se = _monte_carlo_cone(gens)
     assert abs(est - exact) < 3 * se + 1e-4
 
@@ -71,19 +68,19 @@ def test_cone_angle_against_monte_carlo(gens):
 def test_cone_angle_translation_invariant():
     apex = RationalVector((3, -2, 5))
     shifted = [RationalVector(g) + apex for g in ((1, 0, 0), (1, 1, 0), (1, 1, 1))]
-    assert simplicial_cone_solid_angle(apex, shifted) == pytest.approx(
-        simplicial_cone_solid_angle(ORIGIN, [(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
+    assert cone_angle(apex, shifted) == pytest.approx(
+        cone_angle(ORIGIN, [(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
         abs=1e-15,
     )
 
 
 def test_cone_errors():
-    with pytest.raises(DegenerateCone):
-        simplicial_cone_solid_angle(ORIGIN, [(1, 0, 0), (0, 1, 0)])
-    with pytest.raises(DegenerateCone):
-        simplicial_cone_solid_angle(ORIGIN, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    with pytest.raises(DegenerateTetrahedron):
+        cone_angle(ORIGIN, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(DegenerateTetrahedron):
+        cone_angle(ORIGIN, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
     with pytest.raises(UnsupportedDimension):
-        simplicial_cone_solid_angle(RationalVector((0, 0)), [(1, 0), (0, 1), (1, 1)])
+        cone_angle(RationalVector((0, 0)), [(1, 0), (0, 1), (1, 1)])
 
 
 def test_reference_tetrahedron_angle_table():
@@ -125,8 +122,9 @@ def test_second_tiler_angle_table():
 
 
 def test_angle_sum_identity_random_tetrahedra():
-    # sum of dihedrals = 1 + sum of solids, and the per-vertex relation
-    # w_i = (1/2) sum_j w_ij - 1/4, checked on seeded integer tetrahedra
+    # sum of dihedrals = 1 + sum of solids, and the solid and external
+    # angles from the dihedrals agree with the arctan cone formula, checked
+    # on seeded integer tetrahedra
     rng = random.Random(11)
     checked = 0
     while checked < 100:
@@ -136,19 +134,21 @@ def test_angle_sum_identity_random_tetrahedra():
         except DegenerateTetrahedron:
             continue
         checked += 1
-        assert max(T.gram_residuals()) < 1e-9
-        assert max(T.external_residuals().values()) < 1e-9
+        assert _cone_fields_close(T, vector_tetrahedron_angles(pts), 1e-12)
         assert sum(T.dihedral.values()) == pytest.approx(
             1 + sum(T.solid), abs=1e-9
         )
 
 
 def test_external_angle_matches_table():
+    # phi_ij is the cone at v_i on v_i - v_j and the two other edges
     T = tetrahedron_angles(FUND_TET)
+    pts = [RationalVector(p) for p in FUND_TET]
+    assert len(T.external) == 12
     for (i, j), val in T.external.items():
-        assert external_solid_angle(FUND_TET, i, j) == pytest.approx(val, abs=1e-15)
-    with pytest.raises(DegenerateCone):
-        external_solid_angle(FUND_TET, 2, 2)
+        k, l = (m for m in range(4) if m not in (i, j))
+        want = vector_cone_angle(pts[i] - pts[j], pts[k] - pts[i], pts[l] - pts[i])
+        assert val == pytest.approx(want, abs=1e-15)
 
 
 def test_degenerate_tetrahedron_rejected():
@@ -192,24 +192,87 @@ def test_dihedral_angle_requires_edge(unit_cube):
 
 
 def test_solid_angle_of_point(fund_tet):
-    assert solid_angle(fund_tet, RationalVector(("1/2", "1/4", "1/8"))) == 1.0
-    assert solid_angle(fund_tet, RationalVector((5, 5, 5))) == 0.0
-    at_apex = solid_angle(fund_tet, RationalVector((0, 0, 0)))
-    assert at_apex == pytest.approx(1 / 48, abs=1e-12)
+    def at(x):
+        face_id = classify_point(fund_tet, RationalVector(x))
+        return 0.0 if face_id is None else face_angle(fund_tet, face_id)
+
+    assert at(("1/2", "1/4", "1/8")) == 1.0
+    assert at((5, 5, 5)) == 0.0
+    assert at((0, 0, 0)) == pytest.approx(1 / 48, abs=1e-12)
+
+
+def _vertex_angles(P) -> dict[tuple, float]:
+    return {
+        tuple(P.vertices[f.vertex_ids[0]]): face_angle(P, i)
+        for i, f in enumerate(P.faces)
+        if f.dim == 0
+    }
+
+
+def _fan(apex, ring) -> float:
+    """The arctan oracle summed over a fan of the cone at `apex` whose
+    extreme rays run through the points of `ring`, in cyclic order."""
+    a = RationalVector(apex)
+    dirs = [RationalVector(p) - a for p in ring]
+    return sum(
+        vector_cone_angle(dirs[0], dirs[j], dirs[j + 1]) for j in range(1, len(dirs) - 1)
+    )
+
+
+def test_octahedron_vertices_on_four_facets():
+    got = _vertex_angles(make(OCTAHEDRON))
+    assert len(got) == 6
+    for v, w in got.items():
+        assert w == pytest.approx(math.asin(1 / 3) / math.pi, abs=1e-15)
+        a = next(i for i in range(3) if v[i])
+        b, c = (i for i in range(3) if i != a)
+        ring = [
+            tuple(s * (i == axis) for i in range(3))
+            for axis, s in ((b, 1), (c, 1), (b, -1), (c, -1))
+        ]
+        assert w == pytest.approx(_fan(v, ring), abs=1e-15)
+
+
+def test_square_pyramid_apex_and_base_corners():
+    got = _vertex_angles(make(SQUARE_PYRAMID))
+    base = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
+    apex = (1, 1, 1)
+    assert got[apex] == pytest.approx(1 / 6, abs=1e-15)
+    assert got[apex] == pytest.approx(_fan(apex, base), abs=1e-15)
+    for n, corner in enumerate(base):
+        assert got[corner] == pytest.approx(1 / 24, abs=1e-15)
+        ring = [base[n - 1], base[(n + 1) % 4], apex]
+        assert got[corner] == pytest.approx(_fan(corner, ring), abs=1e-15)
+
+
+CONE_FIELDS = ("solid", "external")
 
 
 def _same_fields(got, want):
+    """Every field but the cone angles is repr-identical to the oracle's."""
     return all(
         repr(getattr(got, f.name)) == repr(getattr(want, f.name))
         for f in dataclasses.fields(want)
+        if f.name not in CONE_FIELDS
     )
+
+
+def _cone_fields_close(got, want, tol):
+    """The solid and external angles, from the dihedrals by the Gram
+    relation, agree with the arctan cone formula of the oracle within tol."""
+    assert got.external.keys() == want.external.keys()
+    pairs = list(zip(got.solid, want.solid))
+    pairs += [(got.external[k], want.external[k]) for k in want.external]
+    return max(abs(a - b) for a, b in pairs) < tol
 
 
 def test_tetrahedron_angles_match_vector_oracle_on_bound_two_orbits():
     reps = list(enumerate_minimal_tetrahedra(2))
     assert len(reps) == 330
     for rep in reps:
-        assert _same_fields(tetrahedron_angles(rep), vector_tetrahedron_angles(rep))
+        got, want = tetrahedron_angles(rep), vector_tetrahedron_angles(rep)
+        assert _same_fields(got, want)
+        assert _cone_fields_close(got, want, 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -222,16 +285,6 @@ def test_tetrahedron_angles_match_vector_oracle_on_bound_two_orbits():
 )
 def test_tetrahedron_angles_match_vector_oracle_on_fractions(points):
     pts = [RationalVector(p) for p in points]
-    assert _same_fields(tetrahedron_angles(pts), vector_tetrahedron_angles(pts))
-
-
-def test_cone_angle_takes_vectors_and_tuples():
-    gens = [(2, 1, 0), (0, 3, 1), (1, -1, 4)]
-    want = vector_cone_angle(*(RationalVector(g) for g in gens))
-    assert _cone_angle(*(RationalVector(g) for g in gens)) == want
-    assert _cone_angle(*gens) == want
-    halves = [(Fraction(1, 2), 0, 0), (0, Fraction(3, 2), 1), (1, 1, Fraction(-5, 3))]
-    want = vector_cone_angle(*(RationalVector(g) for g in halves))
-    assert _cone_angle(*halves) == want
-    with pytest.raises(DegenerateCone):
-        _cone_angle((1, 0, 0), (0, 1, 0), (1, 1, 0))
+    got, want = tetrahedron_angles(pts), vector_tetrahedron_angles(pts)
+    assert _same_fields(got, want)
+    assert _cone_fields_close(got, want, 1e-12)

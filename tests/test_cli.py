@@ -13,6 +13,8 @@ import pytest
 from polygauss import geometry
 from polygauss.cli import main
 from polygauss.gauss import quad_gauss_closed
+from tests.conftest import FUND_TET
+from tests.oracles import vector_tetrahedron_angles
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "polytopes"
 FUND = str(DATA / "fund_tet.json")
@@ -148,8 +150,12 @@ def test_angles_tetra_json(capsys):
     assert payload["sq_lengths"] == {
         "01": 1, "02": 2, "03": 3, "12": 1, "13": 2, "23": 1
     }
-    assert max(payload["gram_residuals"]) < 1e-9
-    assert max(payload["external_residuals"].values()) < 1e-9
+    ref = vector_tetrahedron_angles(FUND_TET)
+    assert payload["solid"] == pytest.approx(list(ref.solid), abs=1e-12)
+    assert payload["external"] == pytest.approx(
+        {f"{i}{j}": w for (i, j), w in ref.external.items()}, abs=1e-12
+    )
+    assert "gram_residuals" not in payload and "external_residuals" not in payload
     assert sum(payload["solid"]) == pytest.approx(1 / 6, abs=1e-9)
 
 
