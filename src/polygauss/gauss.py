@@ -21,9 +21,17 @@ ComplexValue = complex
 
 
 @lru_cache(maxsize=256)
-def phase_table(n: int) -> tuple[complex, ...]:
-    """e(k/n) = exp(2 pi i k / n) for k = 0..n-1."""
+def _kept_phases(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
+
+
+def phase_table(n: int) -> tuple[complex, ...]:
+    """e(k/n) = exp(2 pi i k / n) for k = 0..n-1.  A table holds about
+    40 n bytes, so only those for n <= 2^10 are kept (at most 10 MB)."""
+    return _kept_phases(n) if n <= 1 << 10 else _kept_phases.__wrapped__(n)
+
+
+phase_table.cache_info, phase_table.cache_clear = _kept_phases.cache_info, _kept_phases.cache_clear
 
 
 def jacobi_symbol(a: int, b: int) -> int:

@@ -45,14 +45,14 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # Most lattice points, (lattice line, facet) pairs, kappa terms or search
 # candidates one request may materialise; larger requests raise
 # MalformedInput.  A search candidate takes 6 bytes while it is enumerated
-# and then 20 (int8 vertices and an int64 key).  At its peak a
-# request holds about 60 bytes per scanned point on the direct route, 100 on
-# the folded route (coordinates, face ids, tight bits, weights, residues,
-# sort keys; all 8-byte) and 110 per kappa term, so the budget caps one
-# request near 1.8 GB.  Before its points exist a scan holds 8 bytes per line
-# and coordinate plus 16 for the line's interval, at most 32 bytes per line;
-# a d-polytope has at least d + 1 facets, so that stage stays under 140 MB.
-# fund_tet at n = 256 has 2,862,209 points on 65,536 lines.
+# and then 20 (int8 vertices and an int64 key).  Measured over the
+# interpreter's 30 MB, a G_P(n) request peaks at 32 bytes per scanned point
+# on the direct and folded routes (coordinates and face ids; residues are
+# counted in chunks) and 69 per kappa term (its composition table), so the
+# budget caps one near 1.2 GB.  A scan also holds at most 32 bytes per line,
+# and 48 more per non-empty line once its points exist; a d-polytope has at
+# least d + 1 facets, so in 3-d that is under 140 + 200 MB.  fund_tet at
+# n = 256 has 2,862,209 points on 65,536 lines.
 POINT_BUDGET = 1 << 24
 _SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
 
@@ -322,9 +322,7 @@ def _build_face_lattice(
 ) -> tuple[tuple[Face, ...], np.ndarray]:
     """Faces in order of dimension, then vertex ids, so P itself comes last,
     and the mask table over them (see Polytope)."""
-    face_sets: dict[frozenset[int], int] = {}
-    for i in range(len(vertices)):
-        face_sets[frozenset([i])] = 0
+    face_sets = {frozenset([i]): 0 for i in range(len(vertices))}
     for vs in facet_vertex_ids:
         face_sets.setdefault(vs, dim - 1)
     if dim == 3:
@@ -334,13 +332,8 @@ def _build_face_lattice(
                 face_sets.setdefault(shared, 1)
     everything = frozenset(range(len(vertices)))
     face_sets[everything] = dim
-
-    def sort_key(item: tuple[frozenset[int], int]):
-        vs, fdim = item
-        return (fdim, tuple(sorted(vs)))
-
     faces: list[Face] = []
-    for vs, fdim in sorted(face_sets.items(), key=sort_key):
+    for vs, fdim in sorted(face_sets.items(), key=lambda item: (item[1], sorted(item[0]))):
         ids = tuple(sorted(vs))
         rank = affine_rank([vertices[i] for i in ids])
         if rank != fdim:
@@ -458,7 +451,7 @@ def _face_ids_of_masks(P: Polytope, masks: np.ndarray) -> np.ndarray:
     """Id of the face named by each tight-facet mask, by binary search in
     P.mask_table; a mask that names no face raises AssertionError."""
     known, ids = P.mask_table
-    pos = np.searchsorted(known, masks).clip(max=len(known) - 1)
+    pos = np.minimum(known.searchsorted(masks), len(known) - 1)
     unknown = known[pos] != masks
     if unknown.any():
         m = int(masks[unknown][0])
@@ -508,11 +501,13 @@ def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
 def line_points(heads: np.ndarray, lower: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Rows (h, t) for every row h of `heads` and t = lower .. lower + count - 1,
     head by head, so lexicographically ordered heads give lexicographically
-    ordered rows."""
+    ordered rows.  Columns are filled one at a time."""
     total = int(counts.sum())
     out = np.empty((total, heads.shape[1] + 1), dtype=np.int64)
-    out[:, :-1] = np.repeat(heads, counts, axis=0)
-    out[:, -1] = np.arange(total) - np.repeat(np.cumsum(counts) - counts - lower, counts)
+    for k in range(heads.shape[1]):
+        out[:, k] = heads[:, k].repeat(counts)
+    out[:, -1] = np.arange(total)
+    out[:, -1] -= (counts.cumsum() - counts - lower).repeat(counts)
     return out
 
 
@@ -529,18 +524,14 @@ def locate_points(P: Polytope, points: np.ndarray, A: np.ndarray, c: np.ndarray)
 
     A, c is P's integer facet system or a scaled or shifted copy of it, row
     for row.  The bitmask of the facets each point is tight on is computed
-    in chunks of points; interior points (mask 0) get P.full_face_id and
-    only boundary masks are looked up in P.mask_table.
+    in chunks of points and looked up in P.mask_table.
     """
     _require_bitmask_facets(P)
     bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
     masks = np.empty(len(points), dtype=np.int64)
     for s in range(0, len(points), _SCAN_CHUNK):
         masks[s : s + _SCAN_CHUNK] = (points[s : s + _SCAN_CHUNK] @ A.T == c) @ bit
-    face_ids = np.full(len(points), P.full_face_id, dtype=np.int64)
-    on_boundary = np.flatnonzero(masks)
-    face_ids[on_boundary] = _face_ids_of_masks(P, masks[on_boundary])
-    return face_ids
+    return _face_ids_of_masks(P, masks)
 
 
 def check_budget(what: str, count: int, remedy: str = "use a smaller n") -> None:
@@ -558,15 +549,15 @@ def _line_intervals(
     """First last coordinate and point count of the lattice line through each
     head inside A x <= c and lo <= x_last <= hi, in chunks of heads."""
     a = A[:, -1]
-    step = np.where(a == 0, 1, np.abs(a))
+    step = np.maximum(np.abs(a), 1)
     lower = np.empty(len(heads), dtype=np.int64)
     counts = np.empty(len(heads), dtype=np.int64)
     for s in range(0, len(heads), _SCAN_CHUNK):
         room = c - heads[s : s + _SCAN_CHUNK] @ A[:, :-1].T  # (chunk, facets)
         t = room // step
-        upper = t[:, a > 0].min(axis=1, initial=hi)
-        first = -t[:, a < 0].min(axis=1, initial=-lo)
-        upper[(room[:, a == 0] < 0).any(axis=1)] = lo - 1
+        upper = np.minimum.reduce(t[:, a > 0], axis=1, initial=hi)
+        first = -np.minimum.reduce(t[:, a < 0], axis=1, initial=-lo)
+        upper[np.logical_or.reduce(room[:, a == 0] < 0, axis=1)] = lo - 1
         lower[s : s + _SCAN_CHUNK] = first
         counts[s : s + _SCAN_CHUNK] = np.maximum(upper - first + 1, 0)
     return lower, counts
@@ -586,13 +577,15 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     bounds x_last above by floor(s_k / a_k), a_k < 0 bounds it below by
     ceil(s_k / a_k) = -floor(s_k / |a_k|), and a_k = 0 empties the line
     when s_k < 0.  int64 floor division makes every interval exact.  Only
-    the lattice points inside are materialised.  Intervals, slacks and
-    tight bits are computed in fixed-size chunks, so memory is O(points +
-    lines) instead of O(bounding box x facets).  A request of more than
-    POINT_BUDGET (line, facet) pairs raises MalformedInput before anything
-    is allocated, and one of more than POINT_BUDGET points before its
-    points are; so does a polytope whose bounding box or facet system does
-    not fit int64.
+    the lattice points inside are materialised.  Faces are located per
+    line: a facet with a_k != 0 meets the line at most once, so only the
+    endpoints can be tight on it, and the points between lie on the face of
+    the facets tight at both ends.  Intervals and endpoint masks are
+    computed in fixed-size chunks, so memory is O(points + lines) instead of
+    O(bounding box x facets).  A request of more than POINT_BUDGET (line,
+    facet) pairs raises MalformedInput before anything is allocated, and one
+    of more than POINT_BUDGET points before its points are; so does a
+    polytope whose bounding box or facet system does not fit int64.
     """
     _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()
@@ -610,7 +603,19 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     lower, counts = _line_intervals(heads, A, c, lo[-1], hi[-1])
     check_budget("lattice points", int(counts.sum()))
     pts = line_points(heads, lower, counts)
-    return pts, locate_points(P, pts, A, c)
+    counts = counts[counts > 0]  # an empty line has no endpoints
+    last = counts.cumsum() - 1
+    first = last - counts + 1
+    ids = np.empty((3, len(counts)), dtype=np.int64)  # first, last, between
+    for s in range(0, len(counts), _SCAN_CHUNK):
+        ends = np.concatenate([first[s : s + _SCAN_CHUNK], last[s : s + _SCAN_CHUNK]])
+        m = (pts[ends] @ A.T == c) @ (1 << np.arange(P.n_facets, dtype=np.int64))
+        m = np.concatenate([m, m[: len(ends) // 2] & m[len(ends) // 2 :]])
+        ids[:, s : s + _SCAN_CHUNK] = _face_ids_of_masks(P, m).reshape(3, -1)
+    face_ids = ids[2].repeat(counts)
+    face_ids[last] = ids[1]
+    face_ids[first] = ids[0]  # a one-point line's two ends agree
+    return pts, face_ids
 
 
 def cycle_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[int]:

@@ -1,15 +1,15 @@
 """The weighted exponential sum G_P(n) over the n-th dilate of a lattice
 polytope, by three independent routes.
 
-Direct: enumerate the lattice points of nP, weight each by the solid angle
-of nP there, and attach the phase e(|x|^2 / n).
+Direct: count the lattice points of nP per face and residue of |x|^2 mod
+n, as an integer table C[f, r]; then G_P(n) = sum_r (sum_f w_f C[f, r])
+e(r / n), with w_f the solid angle of nP on face f.
 
 Folded: fold every lattice point of nP to its representative z/n in the
 wedge 0 <= x_1 <= ... <= x_d <= 1/2 (one per orbit of the
-signed-permutation-plus-translation group), sum the solid-angle weights per
-representative, and attach one phase per representative; phases depend
-only on the representative because the group preserves |x|^2 mod 1 after
-scaling.
+signed-permutation-plus-translation group) and count it at the residue of
+|z|^2; phases depend only on the representative because the group
+preserves |x|^2 mod 1 after scaling.
 
 Tetrahedron formula: for minimal (volume 1/6) lattice tetrahedra the whole
 sum collapses to dihedral angles times quadratic Gauss sums plus a small
@@ -17,15 +17,18 @@ correction kappa(n) supported on face-interior and interior points.
 
 All phases are computed from exact integer residues mod n before any
 trigonometry, and every sum is taken in a fixed order, so results are
-deterministic: the direct and folded routes combine the n residue classes
-under compensated summation (math.fsum), the tetra route sums kappa's
-terms with math.fsum and adds the six dihedral terms in a plain loop.
+deterministic: the direct and folded routes sum the weighted counts over
+faces in order and the n residue classes under compensated summation
+(math.fsum); the tetra route counts kappa's terms per residue, sums them
+exactly, rounding once as math.fsum does, and adds the six dihedral terms
+in a plain loop.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -89,22 +92,41 @@ def _check_n(n: int, what: str) -> None:
         raise MalformedInput(f"{what} must be >= 1, got {n}")
 
 
-def _residues_to_value(acc: Sequence[float], n: int) -> complex:
-    table = phase_table(n)
-    re = math.fsum(acc[k] * table[k].real for k in range(n))
-    im = math.fsum(acc[k] * table[k].imag for k in range(n))
-    return complex(re, im)
+# Points whose residues are held at once while counting; a chunk is never
+# shorter than the table it is counted into, so counting stays O(points).
+_COUNT_CHUNK = 1 << 16
 
 
-def _weighted_scan(P: Polytope, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice points of nP for a lattice polytope P, in scan order, and
-    the solid angle of nP at each."""
-    integer_points(P.vertices, _NOT_LATTICE)
+def _counted_sum(P: Polytope, n: int, fold: bool) -> tuple[complex, np.ndarray, int]:
+    """G_P(n) for a lattice polytope P, the int64 table C[f, r] of the
+    lattice points x of nP on face f with |x|^2 = r mod n, and their number;
+    with fold, r is |z|^2 mod n for z = min(x mod n, n - x mod n) instead.
+    The value sums w_f C[f, r] over the faces f in order, w_f the solid
+    angle, then the residue classes' phases by math.fsum."""
+    verts = integer_points(P.vertices, _NOT_LATTICE)
     _check_n(n, "dilation factor")
     Q = dilate(P, n)
     pts, fids = scan_lattice(Q)
+    # |x|^2 mod n depends only on x mod n, and reduced coordinates are below
+    # n, so their squared norms stay far inside int64
+    reduce = fold or P.dim * (n * max(abs(c) for v in verts for c in v)) ** 2 >= 1 << 63
+    size = len(Q.faces) * n
+    chunk = max(_COUNT_CHUNK, size)
+    counts = None  # the first chunk's table is kept, not copied
+    for s in range(0, len(pts), chunk):
+        x = pts[s : s + chunk] % n if reduce else pts[s : s + chunk]
+        if fold:
+            np.minimum(x, n - x, out=x)
+        keys = fids[s : s + chunk] * n + np.einsum("ij,ij->i", x, x) % n
+        part = np.bincount(keys, minlength=size)
+        counts = part if counts is None else counts + part
+    counts = counts.reshape(-1, n)
     weights = np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
-    return pts, weights[fids]
+    acc = np.einsum("f,fr->r", weights, counts).tolist()  # no BLAS, no (faces, n) copy
+    table = phase_table(n)
+    re = math.fsum(acc[k] * table[k].real for k in range(n))
+    im = math.fsum(acc[k] * table[k].imag for k in range(n))
+    return complex(re, im), counts, len(pts)
 
 
 def closed_form_value(P: Polytope, n: int) -> complex:
@@ -112,33 +134,11 @@ def closed_form_value(P: Polytope, n: int) -> complex:
     return float(volume(P)) * quad_gauss_closed(1, n) ** P.dim
 
 
-def _report(P: Polytope, n: int, value: complex, route: str, count: int) -> GaussSumReport:
-    return GaussSumReport(
-        n=n,
-        value=value,
-        route=route,
-        point_count=count,
-        residual=value - closed_form_value(P, n),
-    )
-
-
 def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
-    """G_P(n) by enumerating the lattice points of the dilate nP.
-
-    Points arrive in lexicographic order from the scan; their solid-angle
-    weights are accumulated per residue class of |x|^2 mod n and the n
-    residue phases are combined last under compensated summation.
-    """
-    pts, weights = _weighted_scan(P, n)
-    lo, hi = P.bbox()
-    if P.dim * (n * max(map(abs, lo + hi))) ** 2 >= 1 << 63:
-        # |x|^2 mod n depends only on x mod n, and reduced coordinates are
-        # below n, so their squared norms stay far inside int64
-        pts = pts % n
-    residues = np.einsum("ij,ij->i", pts, pts) % n
-    acc = np.bincount(residues, weights=weights, minlength=n)
-    value = _residues_to_value(acc.tolist(), n)
-    return _report(P, n, value, ROUTE_DIRECT, len(pts))
+    """G_P(n) by enumerating the lattice points of the dilate nP, counted
+    per face and residue class of |x|^2 mod n."""
+    value, _, points = _counted_sum(P, n, fold=False)
+    return GaussSumReport(n, value, ROUTE_DIRECT, points, value - closed_form_value(P, n))
 
 
 def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
@@ -148,27 +148,14 @@ def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
     0 <= z_1 <= ... <= z_d <= n/2: each orbit of the signed-permutation and
     integer-translation group meets the closed wedge exactly once.  Every
     scanned point x of nP folds to its representative by z = x mod n,
-    z = min(z, n - z) and sorting.  A stable sort groups the points by
-    representative in scan order, each group's solid-angle weights are
-    summed, and the group sum is attached to the phase e(|z|^2 mod n / n),
-    well defined on the orbit because the group preserves norms mod the
-    lattice.  The point count reported is the number of representatives.
+    z = min(z, n - z) and sorting, which leaves |z|^2 alone, and is counted
+    at the phase e(|z|^2 mod n / n), well defined on the orbit because the
+    group preserves norms mod the lattice.  The point count reported is the
+    number of representatives.
     """
-    d = P.dim
-    pts, weights = _weighted_scan(P, n)
-    z = pts % n
-    np.minimum(z, n - z, out=z)
-    z.sort(axis=1)
-    key = z @ (n // 2 + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    order = np.argsort(key, kind="stable")
-    weights = weights[order]
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    ends = np.append(starts[1:], len(order))
-    sums = [float(weights[s:e].sum()) for s, e in zip(starts.tolist(), ends.tolist())]
-    reps = z[order[starts]]
-    acc = np.bincount(np.einsum("ij,ij->i", reps, reps) % n, weights=sums, minlength=n)
-    value = _residues_to_value(acc.tolist(), n)
-    return _report(P, n, value, ROUTE_FOLDED, math.comb(n // 2 + d, d))
+    value = _counted_sum(P, n, fold=True)[0]
+    count = math.comb(n // 2 + P.dim, P.dim)
+    return GaussSumReport(n, value, ROUTE_FOLDED, count, value - closed_form_value(P, n))
 
 
 def _minimal_tetrahedron(points: Sequence) -> list[tuple[int, ...]]:
@@ -223,26 +210,33 @@ def kappa(points: Sequence, n: int) -> complex:
 
     That these terms exhaust the non-edge points of nT is exactly the
     minimal-volume property, so volume 1/6 is enforced.  Every term's
-    residue comes from one integer matrix product over all compositions,
-    and each of the four sums is one math.fsum over its terms."""
+    residue comes from one integer matrix product over all compositions.
+    The terms are counted per residue, and each of the four sums is their
+    exact sum rounded once, the value math.fsum of the terms gives."""
     _check_n(n, "modulus")
     pts = _minimal_tetrahedron(points)
     if n < 3:  # no composition of n into three positive parts
         return complex(0.0, 0.0)
     check_budget("kappa terms", 4 * math.comb(n - 1, 2) + math.comb(n - 1, 3))
-    if n <= _CACHED_KAPPA_N:
-        weights, face_rows = _cached_kappa_weights(n)
-    else:
-        weights, face_rows = _build_kappa_weights(n)
+    build = _cached_kappa_weights if n <= _CACHED_KAPPA_N else _build_kappa_weights
+    weights, face_rows = build(n)
     # |x|^2 mod n depends only on x mod n, and reduced vertices keep every
     # product below 3 n^4, far inside int64 for any n under the budget.
     verts = np.array([c % n for p in pts for c in p], dtype=np.int64).reshape(4, 3)
     x = weights @ verts
-    terms = np.array(phase_table(n))[(x * x).sum(axis=1) % n]
-    face, inner = terms[:face_rows], terms[face_rows:]
-    re = 0.5 * math.fsum(face.real.tolist()) + math.fsum(inner.real.tolist())
-    im = 0.5 * math.fsum(face.imag.tolist()) + math.fsum(inner.imag.tolist())
-    return complex(re, im)
+    residues = np.einsum("ij,ij->i", x, x) % n
+    residues[face_rows:] += n  # interior terms count in the second half
+    counts = np.bincount(residues, minlength=2 * n).tolist()
+    table = phase_table(n)
+    sums = []
+    for values in ([z.real for z in table], [z.imag for z in table]):
+        # exact integers over the largest power-of-two denominator; int / int rounds once
+        ratios = [v.as_integer_ratio() for v in values]
+        den = max(q for _, q in ratios)
+        nums = [p * (den // q) for p, q in ratios]
+        sums += [sum(map(operator.mul, half, nums)) / den for half in (counts[:n], counts[n:])]
+    face_re, inner_re, face_im, inner_im = sums
+    return complex(0.5 * face_re + inner_re, 0.5 * face_im + inner_im)
 
 
 def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
@@ -260,12 +254,5 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
     for (i, j), w in sorted(ta.dihedral.items()):
         value += w * quad_gauss_closed(int(ta.sq_lengths[(i, j)]), n)
     value += kappa(points, n)
-    count = math.comb(n + 3, 3)
     residual = value - quad_gauss_closed(1, n) ** 3 / 6
-    return GaussSumReport(
-        n=n,
-        value=value,
-        route=ROUTE_TETRA,
-        point_count=count,
-        residual=residual,
-    )
+    return GaussSumReport(n, value, ROUTE_TETRA, math.comb(n + 3, 3), residual)

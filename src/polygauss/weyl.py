@@ -14,7 +14,7 @@ the set of points (u + q lam)/q with u = w a mod q over w in W and lam
 integral.  The distinct images u, the translations lam that can reach P's
 bounding box and the facet slacks of every candidate are int64 arrays, and
 the candidates inside P are located on their faces by
-geometry.locate_points, the lookup scan_lattice uses.  A polytope with more
+geometry.locate_points, point by point.  A polytope with more
 than geometry.POINT_BUDGET (candidate, facet) pairs, |W| x (bounding-box
 extents) x facets, raises MalformedInput before any candidate exists.
 Points enter as integer numerators a over a denominator q: multitiling_check

@@ -1,14 +1,15 @@
 """Literal reference implementations of the vectorised layers.
 
 Each is the straightforward (and slow) form of a library function: the
-bounding-box lattice scan, the triple-loop kappa, the folded route that
-unfolds every orbit representative into the bounding box, the G-orbit
-count that walks every translation box point by point, the search's
-candidates from every index triple, and the tetrahedron angles computed on
-RationalVector arithmetic.  Tests compare the library against the first
-three and the last two for exact equality, so every float they produce is
-computed in the same order as the library's; the orbit count's angle sum is
-summed in loop order and compared to within rounding.
+bounding-box lattice scan, the triple-loop kappa, the folded route's
+(face, residue) counts from unfolding every orbit representative into the
+bounding box, the G-orbit count that walks every translation box point by
+point, the search's candidates from every index triple, and the
+tetrahedron angles computed on RationalVector arithmetic.  Tests compare
+the library against the first three and the last two for exact equality:
+scans and counts are integers, and every float the others produce is
+computed in the same order as the library's; the orbit count's angle sum
+is summed in loop order and compared to within rounding.
 """
 
 import itertools
@@ -31,7 +32,6 @@ from polygauss.geometry import (
     dilate,
     integer_facet_system,
 )
-from polygauss.polysum import _residues_to_value
 from polygauss.weyl import weyl_elements
 
 
@@ -90,14 +90,14 @@ def loop_kappa(pts, n):
     return complex(re, im)
 
 
-def unfolded_sum(P, n):
-    """The folded route's value by unfolding each wedge representative z
-    into the bounding box of nP and summing the weights of its orbit points
-    in scan order."""
+def unfolded_counts(P, n):
+    """The folded route's (face, residue) counts C[f, r] by unfolding each
+    wedge representative z into the bounding box of nP: every point x of
+    its orbit in nP, located by the grid scan, counts on its face at
+    r = |z|^2 mod n."""
     d = P.dim
     Q = dilate(P, n)
     pts, fids = grid_scan_lattice(Q)
-    weights = np.array([face_angle(Q, f) for f in range(len(Q.faces))])[fids]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     dims = tuple((hi - lo + 1).tolist())
@@ -109,16 +109,15 @@ def unfolded_sum(P, n):
     ]
     offsets = np.stack(np.meshgrid(*shifts, indexing="ij"), axis=-1).reshape(-1, d)
     wmats = weyl_elements(d)
-    acc = [0.0] * n
+    counts = np.zeros((len(Q.faces), n), dtype=np.int64)
     for z in itertools.combinations_with_replacement(range(half + 1), d):
         images = np.unique(wmats @ np.array(z, dtype=np.int64), axis=0)
         cand = (images[:, None, :] + offsets[None, :, :]).reshape(-1, d)
         cand = cand[((cand >= lo) & (cand <= hi)).all(axis=1)]
         enc = np.unique(np.ravel_multi_index((cand - lo).T, dims))
-        g = float(weights[np.isin(enc_pts, enc)].sum())
-        if g:
-            acc[sum(c * c for c in z) % n] += g
-    return _residues_to_value(acc, n)
+        hit = np.isin(enc_pts, enc)
+        counts[:, sum(c * c for c in z) % n] += np.bincount(fids[hit], minlength=len(Q.faces))
+    return counts
 
 
 def _common_denominator(x: RationalVector) -> tuple[tuple[int, ...], int]:

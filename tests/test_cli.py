@@ -6,7 +6,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tempfile
 
 import pytest
 
@@ -273,20 +272,32 @@ def test_json_output_deterministic(capsys):
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == first
 
 
+# Starts the command in argv[1:] and prints its exit code and ru_maxrss.
+# The kernel carries the high-water RSS of the process that execs a child
+# into the child's ru_maxrss, so the CLI is started from this small
+# interpreter and not from the test process, which may be larger.
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def _run_measured(*argv):
     """Run the CLI in a fresh interpreter; returns (exit code, stderr, peak
     RSS in MB) of that process alone."""
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "polygauss.cli", *argv], stdout=out, stderr=err, env=env
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
-        return proc.returncode, err.read().decode(), usage.ru_maxrss / 1024
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "polygauss.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    code, peak_kib = map(int, done.stdout.split())
+    return code, done.stderr, peak_kib / 1024
 
 
 needs_linux_rusage = pytest.mark.skipif(
@@ -340,12 +351,24 @@ def test_oversized_classify_bound_fails_within_memory():
 
 @needs_linux_rusage
 def test_large_direct_sum_memory():
-    # 2,862,209 lattice points; the bounding-box scan peaked near 1.5 GB on it
+    # 2,862,209 lattice points; the bounding-box scan peaked near 1.5 GB on
+    # it, and a float weight per point at 162 MB
     code, _, peak_mb = _run_measured(
         "sum", "--polytope", FUND, "--n", "256", "--route", "direct", "--json"
     )
     assert code == 0
-    assert peak_mb < 600
+    assert peak_mb < 140
+
+
+@needs_linux_rusage
+def test_large_folded_sum_memory():
+    # the same scan; sorting the folded points by representative peaked at
+    # 293 MB
+    code, _, peak_mb = _run_measured(
+        "sum", "--polytope", FUND, "--n", "256", "--route", "folded", "--json"
+    )
+    assert code == 0
+    assert peak_mb < 140
 
 
 def test_json_output_refuses_non_finite_floats():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from polygauss.gauss import (
     quad_gauss_closed,
     quad_gauss_direct,
 )
+from polygauss.polysum import polyhedral_gauss_sum_direct
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -24,6 +26,24 @@ def test_phase_table():
     assert table[0] == 1
     assert table[3] == pytest.approx(1j, abs=1e-15)
     assert all(abs(abs(z) - 1) < 1e-15 for z in table)
+
+
+def test_phase_table_keeps_no_large_table(unit_interval):
+    # a table of n ~ 5e4 phases holds about 2 MB, and the direct route on
+    # the unit segment asks for one per n
+    phase_table.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in (50_021, 50_023, 50_033):
+            assert polyhedral_gauss_sum_direct(unit_interval, n).point_count == n + 1
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+    assert phase_table.cache_info().currsize == 0
+    assert phase_table(12) is phase_table(12)
+    assert phase_table.cache_info().hits == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -290,6 +291,68 @@ def test_scan_lattice_chunks_match_grid_oracle(monkeypatch, fund_tet, unit_cube)
         Q = dilate(P, 9)
         got, want = scan_lattice(Q), grid_scan_lattice(Q)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# a triangular prism under the roof z <= 3 - x - y/2: its three side
+# facets are parallel to the lines the scan walks
+SLANTED_PRISM = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 3), (2, 0, 1), (0, 2, 2))
+UNIT_CUBE = tuple(itertools.product((0, 1), repeat=3))
+
+
+def _line_shapes(Q):
+    """Which of the cases that face location by line endpoints must get
+    right occur in the dilate Q."""
+    pts, _ = grid_scan_lattice(Q)
+    A, c = integer_facet_system(Q)
+    _, first, counts = np.unique(pts[:, :-1], axis=0, return_index=True, return_counts=True)
+    tight = pts @ A.T == c
+    shared = (tight[first] & tight[first + counts - 1]).any(axis=1)
+    shapes = set()
+    if (counts == 1).any():
+        shapes.add("one-point line")
+    if (A[:, -1] == 0).any():
+        shapes.add("facet along the lines")
+    if (shared & (counts > 1)).any():
+        shapes.add("both ends on one facet")
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "points, shapes",
+    [
+        (SQUARE_PYRAMID, {"one-point line"}),
+        (OCTAHEDRON, {"one-point line"}),
+        (SLANTED_PRISM, {"facet along the lines", "both ends on one facet"}),
+        (UNIT_CUBE, {"facet along the lines", "both ends on one facet"}),
+    ],
+    ids=["pyramid", "octahedron", "slanted-prism", "cube"],
+)
+def test_scan_locates_faces_from_line_endpoints(points, shapes):
+    P = make(points)
+    seen = set()
+    for n in range(1, 6):
+        Q = dilate(P, n)
+        got, want = scan_lattice(Q), grid_scan_lattice(Q)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        seen |= _line_shapes(Q)
+    assert shapes <= seen
+
+
+def test_scan_locates_faces_on_a_needle():
+    # conv{0, (1,0,K), (0,1,0), (0,0,1)} spans 2^32 along the scan axis, too
+    # long for the grid oracle.  It is unimodular, so the lattice points of
+    # nT are the sums of a_i v_i with integers a_i >= 0 adding up to n, each
+    # in the relative interior of the face on the v_i with a_i > 0.
+    P = make([(0, 0, 0), (1, 0, 2**32 + 3), (0, 1, 0), (0, 0, 1)])
+    V = np.array([v.coords for v in P.vertices], dtype=np.int64)
+    face_of = {f.vertex_ids: fid for fid, f in enumerate(P.faces)}
+    for n in (1, 2, 3, 5):
+        a = np.array([w for w in itertools.product(range(n + 1), repeat=4) if sum(w) == n])
+        pts = a @ V
+        fids = np.array([face_of[tuple(np.flatnonzero(w).tolist())] for w in a])
+        order = np.lexsort(pts.T[::-1])
+        got = scan_lattice(dilate(P, n))
+        assert np.array_equal(got[0], pts[order]) and np.array_equal(got[1], fids[order])
 
 
 def test_scan_lattice_refuses_requests_over_the_budget(unit_cube, unit_interval):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from polygauss import polysum
+from polygauss import geometry, polysum
 from polygauss.errors import (
     DegenerateInput,
     DegenerateTetrahedron,
@@ -28,7 +28,7 @@ from polygauss.polysum import (
 )
 from polygauss.weyl import weyl_elements
 from tests.conftest import FUND_TET, SECOND_TILE_TET, STD_SIMPLEX, make
-from tests.oracles import loop_kappa, unfolded_sum
+from tests.oracles import loop_kappa, unfolded_counts
 
 SQ3 = math.sqrt(3)
 
@@ -264,9 +264,29 @@ def test_kappa_equals_loop_oracle(pts):
     "name", ["fund_tet", "std_simplex", "unit_cube", "unit_triangle", "unit_interval"]
 )
 def test_folded_route_equals_unfolding_oracle(request, name):
+    # the (face, residue) counts of both routes equal, as integer arrays,
+    # those of unfolding every wedge representative over the grid scan:
+    # an independent check of point location and of fold invariance
     P = request.getfixturevalue(name)
     for n in (1, 2, 3, 4, 7, 10):
-        assert polyhedral_gauss_sum_folded(P, n).value == unfolded_sum(P, n), n
+        want = unfolded_counts(P, n)
+        for fold in (True, False):
+            counts = polysum._counted_sum(P, n, fold)[1]
+            assert counts.dtype == np.int64 and np.array_equal(counts, want), (n, fold)
+        folded = polyhedral_gauss_sum_folded(P, n).value
+        assert folded == polyhedral_gauss_sum_direct(P, n).value, n
+
+
+def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, fund_tet, unit_cube):
+    cases = [(P, n, fold) for P in (fund_tet, unit_cube) for n in (9, 10) for fold in (False, True)]
+    want = [polysum._counted_sum(P, n, fold)[1] for P, n, fold in cases]
+    monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
+    monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
+    for (P, n, fold), counts in zip(cases, want):
+        # more points than table cells: a chunk is never shorter than the
+        # table, so these are counted in several chunks
+        assert counts.sum() > counts.size
+        assert np.array_equal(polysum._counted_sum(P, n, fold)[1], counts)
 
 
 def test_folded_point_count_is_representatives(fund_tet, unit_square):
