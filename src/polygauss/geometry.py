@@ -322,7 +322,9 @@ def _build_face_lattice(
 ) -> tuple[tuple[Face, ...], np.ndarray]:
     """Faces in order of dimension, then vertex ids, so P itself comes last,
     and the mask table over them (see Polytope)."""
-    face_sets = {frozenset([i]): 0 for i in range(len(vertices))}
+    face_sets: dict[frozenset[int], int] = {}
+    for i in range(len(vertices)):
+        face_sets[frozenset([i])] = 0
     for vs in facet_vertex_ids:
         face_sets.setdefault(vs, dim - 1)
     if dim == 3:
@@ -332,8 +334,13 @@ def _build_face_lattice(
                 face_sets.setdefault(shared, 1)
     everything = frozenset(range(len(vertices)))
     face_sets[everything] = dim
+
+    def sort_key(item: tuple[frozenset[int], int]):
+        vs, fdim = item
+        return (fdim, tuple(sorted(vs)))
+
     faces: list[Face] = []
-    for vs, fdim in sorted(face_sets.items(), key=lambda item: (item[1], sorted(item[0]))):
+    for vs, fdim in sorted(face_sets.items(), key=sort_key):
         ids = tuple(sorted(vs))
         rank = affine_rank([vertices[i] for i in ids])
         if rank != fdim:

@@ -1,5 +1,5 @@
 """The weighted exponential sum G_P(n) over the n-th dilate of a lattice
-polytope, by three independent routes.
+polytope, by three routes.
 
 Direct: count the lattice points of nP per face and residue of |x|^2 mod
 n, as an integer table C[f, r]; then G_P(n) = sum_r (sum_f w_f C[f, r])
@@ -7,9 +7,10 @@ e(r / n), with w_f the solid angle of nP on face f.
 
 Folded: fold every lattice point of nP to its representative z/n in the
 wedge 0 <= x_1 <= ... <= x_d <= 1/2 (one per orbit of the
-signed-permutation-plus-translation group) and count it at the residue of
-|z|^2; phases depend only on the representative because the group
-preserves |x|^2 mod 1 after scaling.
+signed-permutation-plus-translation group); phases depend only on the
+representative because the group preserves |x|^2 mod 1 after scaling, so
+the direct route's table C[f, r] already counts every point at its
+representative's phase, and the two routes share it and its value.
 
 Tetrahedron formula: for minimal (volume 1/6) lattice tetrahedra the whole
 sum collapses to dihedral angles times quadratic Gauss sums plus a small
@@ -97,10 +98,9 @@ def _check_n(n: int, what: str) -> None:
 _COUNT_CHUNK = 1 << 16
 
 
-def _counted_sum(P: Polytope, n: int, fold: bool) -> tuple[complex, np.ndarray, int]:
+def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     """G_P(n) for a lattice polytope P, the int64 table C[f, r] of the
-    lattice points x of nP on face f with |x|^2 = r mod n, and their number;
-    with fold, r is |z|^2 mod n for z = min(x mod n, n - x mod n) instead.
+    lattice points x of nP on face f with |x|^2 = r mod n, and their number.
     The value sums w_f C[f, r] over the faces f in order, w_f the solid
     angle, then the residue classes' phases by math.fsum."""
     verts = integer_points(P.vertices, _NOT_LATTICE)
@@ -109,14 +109,12 @@ def _counted_sum(P: Polytope, n: int, fold: bool) -> tuple[complex, np.ndarray, 
     pts, fids = scan_lattice(Q)
     # |x|^2 mod n depends only on x mod n, and reduced coordinates are below
     # n, so their squared norms stay far inside int64
-    reduce = fold or P.dim * (n * max(abs(c) for v in verts for c in v)) ** 2 >= 1 << 63
+    reduce = P.dim * (n * max(abs(c) for v in verts for c in v)) ** 2 >= 1 << 63
     size = len(Q.faces) * n
     chunk = max(_COUNT_CHUNK, size)
     counts = None  # the first chunk's table is kept, not copied
     for s in range(0, len(pts), chunk):
         x = pts[s : s + chunk] % n if reduce else pts[s : s + chunk]
-        if fold:
-            np.minimum(x, n - x, out=x)
         keys = fids[s : s + chunk] * n + np.einsum("ij,ij->i", x, x) % n
         part = np.bincount(keys, minlength=size)
         counts = part if counts is None else counts + part
@@ -137,7 +135,7 @@ def closed_form_value(P: Polytope, n: int) -> complex:
 def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     """G_P(n) by enumerating the lattice points of the dilate nP, counted
     per face and residue class of |x|^2 mod n."""
-    value, _, points = _counted_sum(P, n, fold=False)
+    value, _, points = _counted_sum(P, n)
     return GaussSumReport(n, value, ROUTE_DIRECT, points, value - closed_form_value(P, n))
 
 
@@ -148,12 +146,13 @@ def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
     0 <= z_1 <= ... <= z_d <= n/2: each orbit of the signed-permutation and
     integer-translation group meets the closed wedge exactly once.  Every
     scanned point x of nP folds to its representative by z = x mod n,
-    z = min(z, n - z) and sorting, which leaves |z|^2 alone, and is counted
-    at the phase e(|z|^2 mod n / n), well defined on the orbit because the
-    group preserves norms mod the lattice.  The point count reported is the
+    z = min(z, n - z) and sorting, none of which moves |x|^2 mod n; so the
+    phase e(|z|^2 / n), well defined on the orbit because the group
+    preserves norms mod the lattice, is x's own, and the value is the
+    direct route's count table summed.  The point count reported is the
     number of representatives.
     """
-    value = _counted_sum(P, n, fold=True)[0]
+    value = _counted_sum(P, n)[0]
     count = math.comb(n // 2 + P.dim, P.dim)
     return GaussSumReport(n, value, ROUTE_FOLDED, count, value - closed_form_value(P, n))
 
@@ -218,8 +217,10 @@ def kappa(points: Sequence, n: int) -> complex:
     if n < 3:  # no composition of n into three positive parts
         return complex(0.0, 0.0)
     check_budget("kappa terms", 4 * math.comb(n - 1, 2) + math.comb(n - 1, 3))
-    build = _cached_kappa_weights if n <= _CACHED_KAPPA_N else _build_kappa_weights
-    weights, face_rows = build(n)
+    if n <= _CACHED_KAPPA_N:
+        weights, face_rows = _cached_kappa_weights(n)
+    else:
+        weights, face_rows = _build_kappa_weights(n)
     # |x|^2 mod n depends only on x mod n, and reduced vertices keep every
     # product below 3 n^4, far inside int64 for any n under the budget.
     verts = np.array([c % n for p in pts for c in p], dtype=np.int64).reshape(4, 3)
@@ -254,5 +255,12 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
     for (i, j), w in sorted(ta.dihedral.items()):
         value += w * quad_gauss_closed(int(ta.sq_lengths[(i, j)]), n)
     value += kappa(points, n)
+    count = math.comb(n + 3, 3)
     residual = value - quad_gauss_closed(1, n) ** 3 / 6
-    return GaussSumReport(n, value, ROUTE_TETRA, math.comb(n + 3, 3), residual)
+    return GaussSumReport(
+        n=n,
+        value=value,
+        route=ROUTE_TETRA,
+        point_count=count,
+        residual=residual,
+    )

@@ -264,29 +264,27 @@ def test_kappa_equals_loop_oracle(pts):
     "name", ["fund_tet", "std_simplex", "unit_cube", "unit_triangle", "unit_interval"]
 )
 def test_folded_route_equals_unfolding_oracle(request, name):
-    # the (face, residue) counts of both routes equal, as integer arrays,
+    # the (face, residue) counts both routes share equal, as integer arrays,
     # those of unfolding every wedge representative over the grid scan:
     # an independent check of point location and of fold invariance
     P = request.getfixturevalue(name)
     for n in (1, 2, 3, 4, 7, 10):
-        want = unfolded_counts(P, n)
-        for fold in (True, False):
-            counts = polysum._counted_sum(P, n, fold)[1]
-            assert counts.dtype == np.int64 and np.array_equal(counts, want), (n, fold)
+        counts = polysum._counted_sum(P, n)[1]
+        assert counts.dtype == np.int64 and np.array_equal(counts, unfolded_counts(P, n)), n
         folded = polyhedral_gauss_sum_folded(P, n).value
         assert folded == polyhedral_gauss_sum_direct(P, n).value, n
 
 
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, fund_tet, unit_cube):
-    cases = [(P, n, fold) for P in (fund_tet, unit_cube) for n in (9, 10) for fold in (False, True)]
-    want = [polysum._counted_sum(P, n, fold)[1] for P, n, fold in cases]
+    cases = [(P, n) for P in (fund_tet, unit_cube) for n in (9, 10)]
+    want = [polysum._counted_sum(P, n)[1] for P, n in cases]
     monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
-    for (P, n, fold), counts in zip(cases, want):
+    for (P, n), counts in zip(cases, want):
         # more points than table cells: a chunk is never shorter than the
         # table, so these are counted in several chunks
         assert counts.sum() > counts.size
-        assert np.array_equal(polysum._counted_sum(P, n, fold)[1], counts)
+        assert np.array_equal(polysum._counted_sum(P, n)[1], counts)
 
 
 def test_folded_point_count_is_representatives(fund_tet, unit_square):
