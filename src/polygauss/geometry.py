@@ -43,16 +43,15 @@ Rational = int | Fraction
 _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 
 # Most lattice points, (lattice line, facet) pairs, kappa terms or search
-# candidates one request may materialise; larger requests raise
+# candidates one request may enumerate; larger requests raise
 # MalformedInput.  A search candidate takes 6 bytes while it is enumerated
-# and then 20 (int8 vertices and an int64 key).  Measured over the
-# interpreter's 30 MB, a G_P(n) request peaks at 32 bytes per scanned point
-# on the direct and folded routes (coordinates and face ids; residues are
-# counted in chunks) and 69 per kappa term (its composition table), so the
-# budget caps one near 1.2 GB.  A scan also holds at most 32 bytes per line,
-# and 48 more per non-empty line once its points exist; a d-polytope has at
-# least d + 1 facets, so in 3-d that is under 140 + 200 MB.  fund_tet at
-# n = 256 has 2,862,209 points on 65,536 lines.
+# and then 20 (int8 vertices and an int64 key).  A G_P(n) request holds its
+# lattice lines and one run of about polysum._COUNT_CHUNK points or kappa
+# terms at a time, so the point and term budgets bound its time, not its
+# memory.  The line stage holds 32 bytes per line of the bounding box and
+# 32 more per non-empty line; a d-polytope has at least d + 1 facets, so in
+# 3-d that is under 270 MB.  fund_tet at n = 256 has 2,862,209 points on
+# 65,536 lines.
 POINT_BUDGET = 1 << 24
 _SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
 
@@ -237,9 +236,10 @@ class Polytope:
     facets, faces and mask_table, the read-only (2, faces) array whose rows
     are the face masks in increasing order and the ids of those faces.  Its
     dilates and translates share that structure and the angle-weight memo
-    (see _moved); its volume depends on its size and so is its own memo.
-    Results over its lattice points, such as scans and orbit counts, are
-    not kept, so evaluating many dilates holds one dilate's scan at a time.
+    (see _moved); its volume and integer facet system depend on its size
+    and so are its own memos.  Results over its lattice points, such as
+    scans and orbit counts, are not kept: a G_P(n) evaluation scans its
+    dilate in runs of lattice lines and keeps only their counts.
     """
 
     dim: int
@@ -251,6 +251,7 @@ class Polytope:
     mask_table: np.ndarray = field(repr=False)
     _angle_cache: dict[int, float] = field(repr=False, default_factory=dict)
     _volume: Fraction | None = field(repr=False, default=None)
+    _facet_system: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 
     @property
     def n_facets(self) -> int:
@@ -495,14 +496,20 @@ def int64_array(values, what: str) -> np.ndarray:
 
 def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Facet system cleared of denominators: rows A, bounds c with the body
-    equal to {x : A x <= c} and tightness preserved row by row."""
+    equal to {x : A x <= c} and tightness preserved row by row.  The arrays
+    are read-only and kept on P."""
+    if P._facet_system is not None:
+        return P._facet_system
     rows = []
     bounds = []
     for normal, offset in zip(P.facet_normals, P.facet_offsets):
         den = offset.denominator
         rows.append([a * den for a in normal])
         bounds.append(offset.numerator)
-    return int64_array(rows, "facet normals"), int64_array(bounds, "facet bounds")
+    A, c = int64_array(rows, "facet normals"), int64_array(bounds, "facet bounds")
+    A.flags.writeable = c.flags.writeable = False
+    P._facet_system = A, c
+    return A, c
 
 
 def line_points(heads: np.ndarray, lower: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -570,36 +577,32 @@ def _line_intervals(
     return lower, counts
 
 
-def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """All lattice points of P with their face classification, vectorized.
+def lattice_lines(P: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-empty lattice lines of P parallel to the last axis, in
+    lexicographic order of their heads: (heads, lower, counts), each line's
+    head (its points' other coordinates), first last coordinate and number
+    of lattice points.
 
-    Returns (points, face_ids): an (N, dim) int64 array in lexicographic
-    order and a parallel int array; interior points get the id of the full
-    face.  Nothing is kept on the polytope: each call scans afresh.
-
-    The scan walks the lattice lines parallel to the last axis, one per
-    lattice point ("head") of the bounding box with its last coordinate
-    dropped.  On the line through head h, facet k of the integer system
-    A x <= c leaves room s_k = c_k - A_k[:-1] . h for a_k x_last, so a_k > 0
-    bounds x_last above by floor(s_k / a_k), a_k < 0 bounds it below by
-    ceil(s_k / a_k) = -floor(s_k / |a_k|), and a_k = 0 empties the line
-    when s_k < 0.  int64 floor division makes every interval exact.  Only
-    the lattice points inside are materialised.  Faces are located per
-    line: a facet with a_k != 0 meets the line at most once, so only the
-    endpoints can be tight on it, and the points between lie on the face of
-    the facets tight at both ends.  Intervals and endpoint masks are
-    computed in fixed-size chunks, so memory is O(points + lines) instead of
-    O(bounding box x facets).  A request of more than POINT_BUDGET (line,
-    facet) pairs raises MalformedInput before anything is allocated, and one
-    of more than POINT_BUDGET points before its points are; so does a
-    polytope whose bounding box or facet system does not fit int64.
+    There is one candidate line per lattice point ("head") of the bounding
+    box with its last coordinate dropped.  On the line through head h, facet
+    k of the integer system A x <= c leaves room s_k = c_k - A_k[:-1] . h
+    for a_k x_last, so a_k > 0 bounds x_last above by floor(s_k / a_k),
+    a_k < 0 bounds it below by ceil(s_k / a_k) = -floor(s_k / |a_k|), and
+    a_k = 0 empties the line when s_k < 0.  int64 floor division makes every
+    interval exact, and intervals are computed in fixed-size chunks of
+    heads, so memory is O(lines), not O(bounding box x facets).  A request
+    of more than POINT_BUDGET (line, facet) pairs raises MalformedInput
+    before anything is allocated, and one of more than POINT_BUDGET lattice
+    points before any point is; so does a polytope whose bounding box or
+    facet system does not fit int64.
     """
     _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()
     lo = [math.ceil(c) for c in lo_f]
     hi = [math.floor(c) for c in hi_f]
     if any(h < l for l, h in zip(lo, hi)):
-        return np.zeros((0, P.dim), np.int64), np.zeros(0, np.int64)
+        empty = np.zeros(0, np.int64)
+        return np.zeros((0, P.dim - 1), np.int64), empty, empty
     extents = [h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]
     lines = math.prod(extents)
     check_budget("lattice line-facet pairs", lines * P.n_facets)
@@ -609,8 +612,33 @@ def scan_lattice(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     A, c = integer_facet_system(P)
     lower, counts = _line_intervals(heads, A, c, lo[-1], hi[-1])
     check_budget("lattice points", int(counts.sum()))
+    full = counts.nonzero()[0]
+    return heads[full], lower[full], counts[full]
+
+
+def scan_lattice(
+    P: Polytope, lines: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice points of P on the given lines, by default all of them,
+    with their face classification.
+
+    `lines` is lattice_lines(P) or a run of consecutive lines sliced from
+    each of its arrays.  Returns (points, face_ids): an (N, dim) int64
+    array in lexicographic order and a parallel int array; interior points
+    get the id of the full face.  Nothing is kept on the polytope: each call
+    scans afresh, and a caller that scans P in runs of lines holds one run's
+    points at a time.
+
+    Faces are located per line: a facet with a_k != 0 meets the line at
+    most once (see lattice_lines), so only the endpoints can be tight on it,
+    and the points between lie on the face of the facets tight at both
+    ends.  Endpoint masks are computed in fixed-size chunks of lines.
+    """
+    heads, lower, counts = lattice_lines(P) if lines is None else lines
     pts = line_points(heads, lower, counts)
-    counts = counts[counts > 0]  # an empty line has no endpoints
+    if not len(pts):
+        return pts, np.zeros(0, np.int64)
+    A, c = integer_facet_system(P)
     last = counts.cumsum() - 1
     first = last - counts + 1
     ids = np.empty((3, len(counts)), dtype=np.int64)  # first, last, between

@@ -16,6 +16,13 @@ Tetrahedron formula: for minimal (volume 1/6) lattice tetrahedra the whole
 sum collapses to dihedral angles times quadratic Gauss sums plus a small
 correction kappa(n) supported on face-interior and interior points.
 
+No route holds all its lattice points or kappa terms at once: the direct
+and folded routes scan nP in runs of lattice lines and kappa generates its
+terms in runs of first barycentric parts, each run about _COUNT_CHUNK long,
+and every run is counted into the route's integer table at once.  Memory
+is O(chunk + lines + faces * n), and the counts, hence the values, do not
+depend on where the runs fall.
+
 All phases are computed from exact integer residues mod n before any
 trigonometry, and every sum is taken in a fixed order, so results are
 deterministic: the direct and folded routes sum the weighted counts over
@@ -27,6 +34,7 @@ in a plain loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -46,6 +54,7 @@ from .geometry import (
     det3,
     dilate,
     integer_points,
+    lattice_lines,
     line_points,
     scan_lattice,
     volume,
@@ -93,38 +102,56 @@ def _check_n(n: int, what: str) -> None:
         raise MalformedInput(f"{what} must be >= 1, got {n}")
 
 
-# Points whose residues are held at once while counting; a chunk is never
-# shorter than the table it is counted into, so counting stays O(points).
+# Points or kappa terms whose residues are held at once while counting.
+# Runs of them are cut at multiples of a chunk never shorter than the table
+# they are counted into, so there are at most points / table + 1 runs and
+# counting stays O(points + table) however the runs fall.
 _COUNT_CHUNK = 1 << 16
+
+
+def _runs(sizes: np.ndarray, cells: int) -> list[tuple[int, int]]:
+    """Consecutive index ranges [start, stop) covering the items of the given
+    sizes, at least one: the k-th closes at the first item where the running
+    total reaches k chunks of max(_COUNT_CHUNK, cells), so a run holds less
+    than a chunk before its last item."""
+    chunk = max(_COUNT_CHUNK, cells)
+    total = sizes.cumsum()
+    if not len(sizes) or total[-1] <= chunk:
+        return [(0, len(sizes))]
+    ends = total.searchsorted(np.arange(chunk, total[-1], chunk)) + 1
+    return list(itertools.pairwise(np.unique([0, *ends, len(sizes)]).tolist()))
 
 
 def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     """G_P(n) for a lattice polytope P, the int64 table C[f, r] of the
     lattice points x of nP on face f with |x|^2 = r mod n, and their number.
-    The value sums w_f C[f, r] over the faces f in order, w_f the solid
-    angle, then the residue classes' phases by math.fsum."""
+    nP is scanned in runs of lattice lines holding about _COUNT_CHUNK points
+    each, so memory is O(chunk + lines + faces * n).  The value sums
+    w_f C[f, r] over the faces f in order, w_f the solid angle, then the
+    residue classes' phases by math.fsum."""
     verts = integer_points(P.vertices, _NOT_LATTICE)
     _check_n(n, "dilation factor")
     Q = dilate(P, n)
-    pts, fids = scan_lattice(Q)
+    lines = lattice_lines(Q)
     # |x|^2 mod n depends only on x mod n, and reduced coordinates are below
     # n, so their squared norms stay far inside int64
     reduce = P.dim * (n * max(abs(c) for v in verts for c in v)) ** 2 >= 1 << 63
     size = len(Q.faces) * n
-    chunk = max(_COUNT_CHUNK, size)
-    counts = None  # the first chunk's table is kept, not copied
-    for s in range(0, len(pts), chunk):
-        x = pts[s : s + chunk] % n if reduce else pts[s : s + chunk]
-        keys = fids[s : s + chunk] * n + np.einsum("ij,ij->i", x, x) % n
-        part = np.bincount(keys, minlength=size)
+    counts = None  # the first run's table is kept, not copied
+    points = 0
+    for s, e in _runs(lines[2], size):
+        pts, fids = scan_lattice(Q, tuple(a[s:e] for a in lines))
+        x = pts % n if reduce else pts
+        part = np.bincount(fids * n + np.einsum("ij,ij->i", x, x) % n, minlength=size)
         counts = part if counts is None else counts + part
+        points += len(pts)
     counts = counts.reshape(-1, n)
     weights = np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
     acc = np.einsum("f,fr->r", weights, counts).tolist()  # no BLAS, no (faces, n) copy
     table = phase_table(n)
     re = math.fsum(acc[k] * table[k].real for k in range(n))
     im = math.fsum(acc[k] * table[k].imag for k in range(n))
-    return complex(re, im), counts, len(pts)
+    return complex(re, im), counts, points
 
 
 def closed_form_value(P: Polytope, n: int) -> complex:
@@ -172,31 +199,47 @@ def _minimal_tetrahedron(points: Sequence) -> list[tuple[int, ...]]:
     return pts
 
 
-def compositions(n: int, parts: int) -> np.ndarray:
+def compositions(n: int, parts: int, first: range | None = None) -> np.ndarray:
     """The compositions of n into `parts` positive parts, one per row of an
-    int64 array, in lexicographic order."""
+    int64 array, in lexicographic order; with `first`, only those whose
+    first part lies in that range."""
     rows = np.zeros((1, 0), dtype=np.int64)
     for later in range(parts - 1, 0, -1):  # parts still to come after this one
         room = np.maximum(n - rows.sum(axis=1) - later, 0)
         rows = line_points(rows, np.ones(len(rows), dtype=np.int64), room)
+        if first is not None and later == parts - 1:
+            rows = rows[first.start - 1 : first.stop - 1]  # row i starts with i + 1
     return np.column_stack([rows, n - rows.sum(axis=1)])
 
 
-def _build_kappa_weights(n: int) -> tuple[np.ndarray, int]:
-    """Barycentric weights over the four vertices of every term of kappa(n):
-    the compositions of n into three parts on each face (zero on the vertex
-    off the face), then those into four parts; and the number of face rows."""
-    tri = compositions(n, 3)
-    faces = [np.insert(tri, off, 0, axis=1) for off in (3, 2, 1, 0)]
-    weights = np.concatenate(faces + [compositions(n, 4)])
-    weights.setflags(write=False)  # cached tables are shared between calls
-    return weights, 4 * len(tri)
+def _kappa_parts(n: int, first: range) -> tuple[np.ndarray, int]:
+    """The terms of kappa(n) whose first positive barycentric part lies in
+    `first`, as rows of their parts on v_0, v_1, v_2 (the part on v_3 is n
+    minus the row's sum): those on the four faces, then the interior ones;
+    and the number of face rows."""
+    tri = compositions(n, 3, first)[:, :2]
+    quad = compositions(n, 4, first)[:, :3]
+    m = len(tri)
+    parts = np.zeros((4 * m + len(quad), 3), dtype=np.int64)
+    parts[:m, :2] = tri  # the face off v_3, (a, b, c, 0)
+    parts[:m, 2] = n - tri.sum(axis=1)
+    parts[m : 2 * m, :2] = tri  # off v_2, (a, b, 0, c)
+    parts[2 * m : 3 * m, ::2] = tri  # off v_1, (a, 0, b, c)
+    parts[3 * m : 4 * m, 1:] = tri  # off v_0, (0, a, b, c)
+    parts[4 * m :] = quad
+    parts.setflags(write=False)  # cached tables are shared between calls
+    return parts, 4 * m
 
 
 # kappa is called once per (tetrahedron, n) and the search repeats n = 1..4
-# for every orbit, so the tables for n <= 32 (at most 0.2 MB each) are kept.
+# for every orbit, so the tables for n <= 32 (at most 0.15 MB each, one run
+# of terms) are kept.
 _CACHED_KAPPA_N = 32
-_cached_kappa_weights = lru_cache(maxsize=_CACHED_KAPPA_N)(_build_kappa_weights)
+
+
+@lru_cache(maxsize=_CACHED_KAPPA_N)
+def _cached_kappa_parts(n: int) -> tuple[np.ndarray, int]:
+    return _kappa_parts(n, range(1, n - 1))
 
 
 def kappa(points: Sequence, n: int) -> complex:
@@ -208,26 +251,36 @@ def kappa(points: Sequence, n: int) -> complex:
                  + sum_{a+b+c+d=n, >0} e(|a v_0 + b v_1 + c v_2 + d v_3|^2 / n).
 
     That these terms exhaust the non-edge points of nT is exactly the
-    minimal-volume property, so volume 1/6 is enforced.  Every term's
-    residue comes from one integer matrix product over all compositions.
-    The terms are counted per residue, and each of the four sums is their
-    exact sum rounded once, the value math.fsum of the terms gives."""
+    minimal-volume property, so volume 1/6 is enforced.  A term's weights
+    sum to n, so its point is a v_0 + b v_1 + c v_2 + d v_3 =
+    a u_0 + b u_1 + c u_2 + n v_3 with u_i = v_i - v_3, and its residue
+    mod n needs only the first three parts.  Terms are generated in runs of
+    first parts holding about _COUNT_CHUNK terms each, and every run's
+    residues come from one integer matrix product and are counted per
+    residue.  Each of the four sums is the exact sum of its counted terms
+    rounded once, the value math.fsum of the terms gives."""
     _check_n(n, "modulus")
     pts = _minimal_tetrahedron(points)
     if n < 3:  # no composition of n into three positive parts
         return complex(0.0, 0.0)
     check_budget("kappa terms", 4 * math.comb(n - 1, 2) + math.comb(n - 1, 3))
     if n <= _CACHED_KAPPA_N:
-        weights, face_rows = _cached_kappa_weights(n)
+        tables = [_cached_kappa_parts(n)]
     else:
-        weights, face_rows = _build_kappa_weights(n)
-    # |x|^2 mod n depends only on x mod n, and reduced vertices keep every
-    # product below 3 n^4, far inside int64 for any n under the budget.
-    verts = np.array([c % n for p in pts for c in p], dtype=np.int64).reshape(4, 3)
-    x = weights @ verts
-    residues = np.einsum("ij,ij->i", x, x) % n
-    residues[face_rows:] += n  # interior terms count in the second half
-    counts = np.bincount(residues, minlength=2 * n).tolist()
+        k = n - 1 - np.arange(1, n - 1)  # n - a - 1 for each first part a
+        runs = _runs(k * (k + 7) // 2, 2 * n)  # 4 (n - a - 1) + C(n - a - 1, 2) terms
+        tables = (_kappa_parts(n, range(s + 1, e + 1)) for s, e in runs)
+    # |x|^2 mod n depends only on x mod n, and reduced edge vectors keep
+    # every product below 3 n^4, far inside int64 for any n under the budget.
+    u = np.array([[(c - d) % n for c, d in zip(p, pts[3])] for p in pts[:3]], dtype=np.int64)
+    counts = None  # the first run's table is kept, not copied
+    for parts, face_rows in tables:
+        x = parts @ u
+        residues = np.einsum("ij,ij->i", x, x) % n
+        residues[face_rows:] += n  # interior terms count in the second half
+        part = np.bincount(residues, minlength=2 * n)
+        counts = part if counts is None else counts + part
+    counts = counts.tolist()
     table = phase_table(n)
     sums = []
     for values in ([z.real for z in table], [z.imag for z in table]):

@@ -351,13 +351,14 @@ def test_oversized_classify_bound_fails_within_memory():
 
 @needs_linux_rusage
 def test_large_direct_sum_memory():
-    # 2,862,209 lattice points; the bounding-box scan peaked near 1.5 GB on
-    # it, and a float weight per point at 162 MB
+    # 2,862,209 lattice points, scanned in runs of lines; the bounding-box
+    # scan peaked near 1.5 GB on it, a float weight per point at 162 MB and
+    # all the points at once at 121 MB
     code, _, peak_mb = _run_measured(
         "sum", "--polytope", FUND, "--n", "256", "--route", "direct", "--json"
     )
     assert code == 0
-    assert peak_mb < 140
+    assert peak_mb < 60
 
 
 @needs_linux_rusage
@@ -368,7 +369,18 @@ def test_large_folded_sum_memory():
         "sum", "--polytope", FUND, "--n", "256", "--route", "folded", "--json"
     )
     assert code == 0
-    assert peak_mb < 140
+    assert peak_mb < 60
+
+
+@needs_linux_rusage
+def test_large_tetra_sum_memory():
+    # 2,860,675 kappa terms, generated in runs; the whole composition table
+    # peaked at 227 MB
+    code, _, peak_mb = _run_measured(
+        "sum", "--polytope", FUND, "--n", "256", "--route", "tetra", "--json"
+    )
+    assert code == 0
+    assert peak_mb < 60
 
 
 def test_json_output_refuses_non_finite_floats():

@@ -276,15 +276,55 @@ def test_folded_route_equals_unfolding_oracle(request, name):
 
 
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, fund_tet, unit_cube):
-    cases = [(P, n) for P in (fund_tet, unit_cube) for n in (9, 10)]
+    # a box whose scan lines, of 40 n + 1 points, outrun the patched chunk
+    box = make([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 40)])
+    cases = [(P, n) for P in (fund_tet, unit_cube) for n in (9, 10)] + [(box, 3)]
     want = [polysum._counted_sum(P, n)[1] for P, n in cases]
     monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
+    runs = []  # per case, the point counts of the lines of each scanned run
+
+    def scan(Q, lines):
+        runs[-1].append(lines[2])
+        return geometry.scan_lattice(Q, lines)
+
+    monkeypatch.setattr(polysum, "scan_lattice", scan)
     for (P, n), counts in zip(cases, want):
-        # more points than table cells: a chunk is never shorter than the
-        # table, so these are counted in several chunks
-        assert counts.sum() > counts.size
+        runs.append([])
         assert np.array_equal(polysum._counted_sum(P, n)[1], counts)
+        # the chunk is the table's size here: whole lines, split mid-polytope
+        # into runs of less than a chunk before their last line
+        assert len(runs[-1]) > 1
+        assert all(run.sum() - run[-1] < counts.size for run in runs[-1])
+    box_table = want[-1].size
+    assert all(len(run) == 1 and run[0] > box_table for run in runs[-1])
+
+
+@pytest.mark.parametrize("pts", [FUND_TET, PARITY_TET] + FAR_TETS)
+def test_kappa_in_runs_equals_loop_oracle(monkeypatch, pts):
+    # past the cache, then with the cache off and runs of a few terms, so
+    # runs end among the first parts of both the face and interior terms
+    ns = (3, 4, 5, 12, 33, 40)
+    want = {n: loop_kappa(pts, n) for n in ns}
+    for n in (33, 40):
+        assert kappa(pts, n) == want[n], n
+    monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
+    monkeypatch.setattr(polysum, "_CACHED_KAPPA_N", 0)
+    build = polysum._kappa_parts
+    firsts = []
+
+    def parts(n, first):
+        firsts.append(first)
+        return build(n, first)
+
+    monkeypatch.setattr(polysum, "_kappa_parts", parts)
+    for n in ns:
+        firsts.clear()
+        assert kappa(pts, n) == want[n], n
+        # consecutive runs of first parts covering 1 .. n - 2
+        assert [r.start for r in firsts] == [1] + [r.stop for r in firsts[:-1]]
+        assert firsts[-1].stop == n - 1
+        assert len(firsts) > 1 or n < 5, n
 
 
 def test_folded_point_count_is_representatives(fund_tet, unit_square):
