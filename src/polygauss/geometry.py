@@ -468,6 +468,17 @@ def _face_ids_of_masks(P: Polytope, masks: np.ndarray) -> np.ndarray:
     return ids[pos]
 
 
+def face_joins(P: Polytope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Id of the least face of P containing both face a[i] and face b[i],
+    for parallel arrays of face ids: the face named by the AND of their
+    tight-facet masks.  The points strictly between a point of a's relative
+    interior and one of b's lie in its relative interior."""
+    known, ids = P.mask_table
+    masks = np.empty_like(known)
+    masks[ids] = known
+    return _face_ids_of_masks(P, masks[a] & masks[b])
+
+
 def classify_point(P: Polytope, x: RationalVector) -> int | None:
     """Id of the face of P whose relative interior holds the rational point
     x, which is P.full_face_id for an interior point; None outside P."""
@@ -512,12 +523,16 @@ def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return A, c
 
 
-def line_points(heads: np.ndarray, lower: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def line_points(
+    heads: np.ndarray, lower: np.ndarray, counts: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Rows (h, t) for every row h of `heads` and t = lower .. lower + count - 1,
     head by head, so lexicographically ordered heads give lexicographically
-    ordered rows.  Columns are filled one at a time."""
+    ordered rows.  Columns are filled one at a time, into `out` when given
+    (an int64 array of the rows' shape)."""
     total = int(counts.sum())
-    out = np.empty((total, heads.shape[1] + 1), dtype=np.int64)
+    if out is None:
+        out = np.empty((total, heads.shape[1] + 1), dtype=np.int64)
     for k in range(heads.shape[1]):
         out[:, k] = heads[:, k].repeat(counts)
     out[:, -1] = np.arange(total)
@@ -622,12 +637,16 @@ def scan_lattice(
     """The lattice points of P on the given lines, by default all of them,
     with their face classification.
 
-    `lines` is lattice_lines(P) or a run of consecutive lines sliced from
-    each of its arrays.  Returns (points, face_ids): an (N, dim) int64
-    array in lexicographic order and a parallel int array; interior points
-    get the id of the full face.  Nothing is kept on the polytope: each call
-    scans afresh, and a caller that scans P in runs of lines holds one run's
-    points at a time.
+    `lines` is lattice_lines(P), a run of consecutive lines sliced from
+    each of its arrays, or any lattice lines of P in that form (heads,
+    first last coordinates, point counts), one-point lines included: a
+    caller locates just the two ends of each line by passing
+    (heads, lower, 1) and (heads, lower + counts - 1, 1).  Returns
+    (points, face_ids): an (N, dim) int64 array, line by line, so in
+    lexicographic order for lines in lattice_lines' order, and a parallel
+    int array; interior points get the id of the full face.  Nothing is
+    kept on the polytope: each call scans afresh, and a caller that scans P
+    in runs of lines holds one run's points at a time.
 
     Faces are located per line: a facet with a_k != 0 meets the line at
     most once (see lattice_lines), so only the endpoints can be tight on it,

@@ -61,6 +61,13 @@ def grid_scan_lattice(P):
     return grid[inside], np.array(face_ids, dtype=np.int64)
 
 
+def compositions(n, parts):
+    """The compositions of n into `parts` positive parts, one per row of an
+    int64 array, in lexicographic order."""
+    rows = [c for c in itertools.product(range(1, n + 1), repeat=parts) if sum(c) == n]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), parts)
+
+
 def loop_kappa(pts, n):
     """kappa(n) term by term over the compositions of n into 3 and 4 parts."""
     table = phase_table(n)

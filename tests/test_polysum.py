@@ -10,6 +10,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from polygauss import geometry, polysum
+from polygauss.classify import _enumerate
 from polygauss.errors import (
     DegenerateInput,
     DegenerateTetrahedron,
@@ -20,7 +21,6 @@ from polygauss.gauss import quad_gauss_closed
 from polygauss.geometry import RationalVector, build_polytope, dilate, translate
 from polygauss.polysum import (
     closed_form_value,
-    compositions,
     kappa,
     polyhedral_gauss_sum_direct,
     polyhedral_gauss_sum_folded,
@@ -28,7 +28,7 @@ from polygauss.polysum import (
 )
 from polygauss.weyl import weyl_elements
 from tests.conftest import FUND_TET, SECOND_TILE_TET, STD_SIMPLEX, make
-from tests.oracles import loop_kappa, unfolded_counts
+from tests.oracles import compositions, loop_kappa, unfolded_counts
 
 SQ3 = math.sqrt(3)
 
@@ -206,6 +206,23 @@ def test_formula_route_input_errors():
         )
 
 
+def test_tetra_route_checks_the_tetrahedron_once(monkeypatch):
+    # kappa takes the vertices the formula checked; called alone it checks
+    calls = []
+
+    def det(*rows):
+        calls.append(rows)
+        return geometry.det3(*rows)
+
+    monkeypatch.setattr(polysum, "det3", det)
+    tetra_gauss_sum_formula(FUND_TET, 5)
+    assert len(calls) == 1
+    kappa(FUND_TET, 5)
+    assert len(calls) == 2
+    with pytest.raises(VolumeNotMinimal):
+        kappa([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], 5)
+
+
 def test_invariance_under_lattice_symmetries(fund_tet):
     # the sum is unchanged by signed permutations and integer translations
     w = weyl_elements(3)[17]
@@ -269,8 +286,10 @@ def test_folded_route_equals_unfolding_oracle(request, name):
     # an independent check of point location and of fold invariance
     P = request.getfixturevalue(name)
     for n in (1, 2, 3, 4, 7, 10):
-        counts = polysum._counted_sum(P, n)[1]
-        assert counts.dtype == np.int64 and np.array_equal(counts, unfolded_counts(P, n)), n
+        want = unfolded_counts(P, n)
+        for by_lines in (None, False, True):  # the chosen path, then each one
+            counts = polysum._counted_sum(P, n, by_lines)[1]
+            assert counts.dtype == np.int64 and np.array_equal(counts, want), (n, by_lines)
         folded = polyhedral_gauss_sum_folded(P, n).value
         assert folded == polyhedral_gauss_sum_direct(P, n).value, n
 
@@ -291,13 +310,129 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, fund_tet, unit_cube
     monkeypatch.setattr(polysum, "scan_lattice", scan)
     for (P, n), counts in zip(cases, want):
         runs.append([])
-        assert np.array_equal(polysum._counted_sum(P, n)[1], counts)
+        assert np.array_equal(polysum._counted_sum(P, n, by_lines=False)[1], counts)
         # the chunk is the table's size here: whole lines, split mid-polytope
         # into runs of less than a chunk before their last line
         assert len(runs[-1]) > 1
         assert all(run.sum() - run[-1] < counts.size for run in runs[-1])
     box_table = want[-1].size
     assert all(len(run) == 1 and run[0] > box_table for run in runs[-1])
+
+
+def same_counts_on_both_paths(P, n):
+    """The point and line paths give equal int64 tables, values and point
+    counts; returns the table."""
+    (va, ca, pa), (vb, cb, pb) = (polysum._counted_sum(P, n, by_lines) for by_lines in (False, True))
+    assert ca.dtype == cb.dtype == np.int64 and np.array_equal(ca, cb), n
+    assert va == vb and pa == pb, n
+    return ca
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fund_tet", "second_tile_tet", "std_simplex", "unit_cube", "unit_square", "unit_triangle", "unit_interval"],
+)
+def test_line_path_equals_point_path(request, name):
+    # every fixture, near the origin and far from it, where |x|^2 itself
+    # overflows int64; the cube's lines along its facets count their
+    # interior points on the facet
+    P = request.getfixturevalue(name)
+    far = translate(P, RationalVector((3 * 10**9 + 7,) * P.dim))
+    for n in (1, 2, 3, 4, 5, 7, 12, 33):
+        assert np.array_equal(same_counts_on_both_paths(far, n), same_counts_on_both_paths(P, n))
+    for n in (64, 100) + ((300,) if P.dim < 3 else ()):
+        same_counts_on_both_paths(P, n)
+
+
+def line_shapes(P, n):
+    """Which kinds of line the line path meets on nP."""
+    _, lower, counts = geometry.lattice_lines(dilate(P, n))
+    inner = counts - 2
+    shapes = {f"{k} points" for k in set(counts.tolist()) & {1, 2, 3}}
+    if (inner >= n).any():
+        shapes.add("whole periods")
+    if ((lower + 1) % n + inner % n > n)[inner > 0].any():
+        shapes.add("wrap-around")
+    return shapes
+
+
+def test_line_path_on_every_line_shape(second_tile_tet):
+    # B = 2 orbits of last-axis extent 2 or more give lines of 1, 2 and 3
+    # points and interiors that wrap around mod n.  A unimodular tetrahedron
+    # has no chord longer than 1 along a lattice direction, so its lines
+    # hold at most n + 1 points; whole periods need longer polytopes.
+    reps = [rep for _, rep in _enumerate(2)[1] if np.ptp(np.array(rep)[:, 2]) >= 2]
+    long = [
+        make([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 5)]),
+        make([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (-3, 40)]),
+        make([(0, 0), (1, 0), (2, 7)]),
+    ]
+    shapes = set()
+    for P in [second_tile_tet] + [make(rep) for rep in reps[::10]]:
+        for n in (1, 2, 3, 4, 9, 17):
+            same_counts_on_both_paths(P, n)
+            shapes |= line_shapes(P, n)
+    assert shapes == {"1 points", "2 points", "3 points", "wrap-around"}
+    for P in long:
+        for n in (1, 2, 3, 4, 9, 17):
+            same_counts_on_both_paths(P, n)
+            shapes |= line_shapes(P, n)
+    assert "whole periods" in shapes
+
+
+def test_line_path_in_runs_and_row_chunks(monkeypatch, fund_tet, unit_cube, second_tile_tet):
+    # with the chunk patched to 7, a run holds less than a chunk of faces * n
+    # ends and interiors before its last line, the ends are located as
+    # one-point lines, and every chunk of rows holds one row
+    box = make([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 40)])
+    cases = [(fund_tet, 30), (unit_cube, 20), (second_tile_tet, 30), (box, 3)]
+    want = [polysum._counted_sum(P, n, by_lines=False)[1] for P, n in cases]
+    monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
+    monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
+    scans, rows = [], []
+
+    def scan(Q, lines):
+        scans[-1].append(lines[2])
+        return geometry.scan_lattice(Q, lines)
+
+    count_interiors = polysum._count_interiors
+
+    def interiors(table, faces, heads, lower, counts, n):
+        rows[-1].append(len(set(zip(faces.tolist(), (heads**2).sum(axis=1) % n))))
+        count_interiors(table, faces, heads, lower, counts, n)
+
+    monkeypatch.setattr(polysum, "scan_lattice", scan)
+    monkeypatch.setattr(polysum, "_count_interiors", interiors)
+    for (P, n), counts in zip(cases, want):
+        scans.append([])
+        rows.append([])
+        assert np.array_equal(polysum._counted_sum(P, n, by_lines=True)[1], counts)
+        assert all((run == 1).all() for run in scans[-1])
+        assert len(scans[-1]) == 2 * len(rows[-1])  # first and last ends per run
+        assert max(rows[-1]) > 1
+    assert [len(r) > 1 for r in rows] == [True, True, True, False]
+
+
+def test_path_choice(monkeypatch, fund_tet, unit_cube):
+    # the line path pays only on long lines: never on the search's small
+    # dilates, always on the benchmark's largest ones
+    chosen = []
+    for name in ("_table_by_points", "_table_by_lines"):
+        table = getattr(polysum, name)
+
+        def spy(*args, name=name, table=table):
+            chosen.append(name == "_table_by_lines")
+            return table(*args)
+
+        monkeypatch.setattr(polysum, name, spy)
+    for _, rep in _enumerate(1)[1]:
+        for n in (1, 2, 3, 4):
+            polyhedral_gauss_sum_direct(make(rep), n)
+    assert len(chosen) == 21 * 4 and not any(chosen)
+    chosen.clear()
+    for P, n in ((fund_tet, 64), (fund_tet, 128), (fund_tet, 256), (unit_cube, 128)):
+        polysum._counted_sum(P, n)
+    assert chosen == [False, True, True, True]
 
 
 @pytest.mark.parametrize("pts", [FUND_TET, PARITY_TET] + FAR_TETS)
@@ -332,6 +467,22 @@ def test_folded_point_count_is_representatives(fund_tet, unit_square):
         for n in (1, 6, 9):
             rep = polyhedral_gauss_sum_folded(P, n)
             assert rep.point_count == math.comb(n // 2 + P.dim, P.dim)
+
+
+def test_kappa_parts_are_the_compositions():
+    # the terms of a run are the rows of compositions into 3 and 4 parts
+    # whose first part lies in the run, the face terms placed on each face
+    for n in (3, 4, 7, 12):
+        for first in (range(1, n - 1), range(1, 2), range(2, n - 1)):
+            parts, face_rows = polysum._kappa_parts(n, first)
+            tri = compositions(n, 3)
+            tri = tri[(tri[:, 0] >= first.start) & (tri[:, 0] < first.stop)]
+            quad = compositions(n, 4)[:, :3]
+            quad = quad[(quad[:, 0] >= first.start) & (quad[:, 0] < first.stop)]
+            zero = np.zeros((len(tri), 1), dtype=np.int64)
+            faces = [tri, np.hstack([tri[:, :2], zero]), np.insert(tri[:, :2], 1, 0, axis=1), np.hstack([zero, tri[:, :2]])]
+            assert face_rows == 4 * len(tri)
+            assert np.array_equal(parts, np.vstack(faces + [quad])), (n, first)
 
 
 def test_compositions():
