@@ -46,12 +46,12 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # candidates one request may enumerate; larger requests raise
 # MalformedInput.  A search candidate takes 6 bytes while it is enumerated
 # and then 20 (int8 vertices and an int64 key).  A G_P(n) request holds its
-# lattice lines and one run of about polysum._COUNT_CHUNK points or kappa
-# terms at a time, so the point and term budgets bound its time, not its
-# memory.  The line stage holds 32 bytes per line of the bounding box and
-# 32 more per non-empty line; a d-polytope has at least d + 1 facets, so in
-# 3-d that is under 270 MB.  fund_tet at n = 256 has 2,862,209 points on
-# 65,536 lines.
+# lattice lines and at most polysum._LINE_PATH_POINTS points, or one run of
+# about polysum._COUNT_CHUNK line ends or kappa terms, at a time, so the
+# point and term budgets bound its time, not its memory.  The line stage
+# holds 32 bytes per line of the bounding box and 32 more per non-empty
+# line; a d-polytope has at least d + 1 facets, so in 3-d that is under
+# 270 MB.  fund_tet at n = 256 has 2,862,209 points on 65,536 lines.
 POINT_BUDGET = 1 << 24
 _SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
 
@@ -553,7 +553,9 @@ def locate_points(P: Polytope, points: np.ndarray, A: np.ndarray, c: np.ndarray)
 
     A, c is P's integer facet system or a scaled or shifted copy of it, row
     for row.  The bitmask of the facets each point is tight on is computed
-    in chunks of points and looked up in P.mask_table.
+    in chunks of points and looked up in P.mask_table.  weyl locates its
+    sample points this way, and polysum's line path the two ends of each
+    lattice line, once each.
     """
     _require_bitmask_facets(P)
     bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
@@ -639,14 +641,12 @@ def scan_lattice(
 
     `lines` is lattice_lines(P), a run of consecutive lines sliced from
     each of its arrays, or any lattice lines of P in that form (heads,
-    first last coordinates, point counts), one-point lines included: a
-    caller locates just the two ends of each line by passing
-    (heads, lower, 1) and (heads, lower + counts - 1, 1).  Returns
-    (points, face_ids): an (N, dim) int64 array, line by line, so in
-    lexicographic order for lines in lattice_lines' order, and a parallel
-    int array; interior points get the id of the full face.  Nothing is
-    kept on the polytope: each call scans afresh, and a caller that scans P
-    in runs of lines holds one run's points at a time.
+    first last coordinates, point counts).  Returns (points, face_ids): an
+    (N, dim) int64 array, line by line, so in lexicographic order for lines
+    in lattice_lines' order, and a parallel int array; interior points get
+    the id of the full face.  Nothing is kept on the polytope: each call
+    scans afresh, and a caller that scans P in runs of lines holds one
+    run's points at a time.
 
     Faces are located per line: a facet with a_k != 0 meets the line at
     most once (see lattice_lines), so only the endpoints can be tight on it,

@@ -17,20 +17,21 @@ sum collapses to dihedral angles times quadratic Gauss sums plus a small
 correction kappa(n) supported on face-interior and interior points.
 
 The direct and folded routes build C[f, r] by one of two exact paths over
-the lattice lines of nP, parallel to the last axis.  The point path
-materialises every point of a line and counts it.  The line path locates
-only the two ends of each line and counts its interior points per residue
-class: on the line through head h, |x|^2 = |h|^2 + t^2, so the interior
-points of a line, all on one face, fall into whole periods of t mod n plus
-one cyclic interval.  Its work is O(lines + rows * n) for the rows
-(face, |h|^2 mod n) the lines meet, instead of O(points).  The line path
-is taken when a dilate's interior points outnumber the cells of those rows
-(_lines_pay), which holds on large dilates such as fund_tet at n >= 128
-and never on the search's dilates at n <= 4.
+the lattice lines of nP, parallel to the last axis, chosen by one size
+rule.  A dilate of at most _LINE_PATH_POINTS = 2^13 lattice points, such
+as every dilate of the search (n <= 4), takes the point path: one
+scan_lattice call materialises and locates every point, and one bincount
+counts them.  A larger dilate takes the line path, which locates only the
+two ends of each line and counts its interior points per residue class:
+on the line through head h, |x|^2 = |h|^2 + t^2, so the interior points of
+a line, all on one face, are counted per rho = t mod n from the prefix
+counts of t.  Its work is O(lines + rows * n) for the rows
+(face, |h|^2 mod n) the lines meet, instead of O(points).  The threshold
+is the measured crossover of the two paths (see _LINE_PATH_POINTS).
 
 No route holds all its lattice points or kappa terms at once: the point
-path scans nP in runs of lines of about _COUNT_CHUNK points, the line path
-in runs of about _COUNT_CHUNK line ends with its rows in chunks of about
+path holds at most 2^13 points, the line path takes its lines in runs of
+about _COUNT_CHUNK line ends with its rows in chunks of about
 _COUNT_CHUNK cells, and kappa generates its terms in runs of first
 barycentric parts of about _COUNT_CHUNK terms; every run is counted into
 the route's integer table at once.  Memory is O(chunk + lines + faces * n)
@@ -68,9 +69,11 @@ from .geometry import (
     det3,
     dilate,
     face_joins,
+    integer_facet_system,
     integer_points,
     lattice_lines,
     line_points,
+    locate_points,
     scan_lattice,
     volume,
 )
@@ -117,7 +120,7 @@ def _check_n(n: int, what: str) -> None:
         raise MalformedInput(f"{what} must be >= 1, got {n}")
 
 
-# Points or kappa terms whose residues are held at once while counting.
+# Line ends or kappa terms whose residues are held at once while counting.
 # Runs of them are cut at multiples of a chunk never shorter than the table
 # they are counted into, so there are at most points / table + 1 runs and
 # counting stays O(points + table) however the runs fall.
@@ -137,68 +140,42 @@ def _runs(sizes: np.ndarray, cells: int) -> list[tuple[int, int]]:
     return list(itertools.pairwise(np.unique([0, *ends, len(sizes)]).tolist()))
 
 
-def _point_table(pts: np.ndarray, fids: np.ndarray, n: int, size: int, reduce: bool) -> np.ndarray:
-    """The flat table C[f, r] of the given points with their face ids."""
-    x = pts % n if reduce else pts
+def _point_table(pts: np.ndarray, fids: np.ndarray, n: int, size: int) -> np.ndarray:
+    """The flat table C[f, r] of the given points with their face ids; the
+    points are reduced mod n in place."""
+    x = np.remainder(pts, n, out=pts)  # |x|^2 mod n needs only x mod n; its squares fit int64
     return np.bincount(fids * n + np.einsum("ij,ij->i", x, x) % n, minlength=size)
 
 
-def _lines_pay(counts: np.ndarray, faces: int, n: int) -> bool:
-    """Whether the line path pays on lines of the given point counts: the
-    interior points it skips outnumber the cells it fills, n for each row
-    (face, |h|^2 mod n), of which there are at most one per line of three
-    or more points and at most faces * n."""
-    inner = np.maximum(counts - 2, 0)
-    return int(inner.sum()) > min(np.count_nonzero(inner), faces * n) * n
-
-
-def _table_by_points(Q: Polytope, lines, n: int, reduce: bool) -> np.ndarray:
-    """C[f, r] of nP = Q, flat, from its points, scanned in runs of lines
-    holding about a chunk of points each."""
-    size = len(Q.faces) * n
-    table = None  # the first run's table is kept, not copied
-    for s, e in _runs(lines[2], size):
-        part = _point_table(*scan_lattice(Q, tuple(a[s:e] for a in lines)), n, size, reduce)
-        table = part if table is None else table + part
-    return table
-
-
-def _table_by_lines(Q: Polytope, lines, n: int, reduce: bool) -> np.ndarray:
+def _table_by_lines(Q: Polytope, lines, n: int) -> np.ndarray:
     """C[f, r] of nP = Q, flat, from its lines, without their interior points.
 
     On the line through head h the points x = (h, t) have |x|^2 = |h|^2 +
     t^2, so a point's residue depends only on sigma = |h|^2 mod n and
     rho = t mod n.  The lines are taken in runs holding about a chunk of
     ends and interiors, three for a line of three or more points.  In each
-    run both ends of every line are located and counted as points, by
-    scan_lattice on one-point lines; the points between lie on the face
-    joining the ends' faces (see scan_lattice), and _count_interiors counts
-    them per line.
+    run the first point of every line and the last of every line of two or
+    more are located by one locate_points call and counted as points; the
+    points between lie on the face joining the ends' faces (see
+    scan_lattice), and _count_interiors counts them per line.
     """
     heads, lower, counts = lines
     size = len(Q.faces) * n
+    A, c = integer_facet_system(Q)
     table = np.zeros(size, dtype=np.int64)
     for s, e in _runs(np.minimum(counts, 3), size):
         h, a, k = heads[s:e], lower[s:e], counts[s:e]
-        two = k > 1  # a one-point line has no last point of its own
-        part, first = _located(Q, h, a, n, size, reduce)
-        table += part
-        part, last = _located(Q, h[two], (a + k - 1)[two], n, size, reduce)
-        table += part
+        two = (k > 1).nonzero()[0]  # a one-point line has no last point of its own
+        last = (a + k - 1)[two]
+        ends = np.concatenate([np.column_stack([h, a]), np.column_stack([h[two], last])])
+        fids = locate_points(Q, ends, A, c)
+        table += _point_table(ends, fids, n, size)
+        del ends  # not held while the interiors are counted
         long = k[two] > 2
-        inner = two.nonzero()[0][long]
-        faces = face_joins(Q, first[inner], last[long])
+        inner = two[long]
+        faces = face_joins(Q, fids[inner], fids[len(h) :][long])
         _count_interiors(table, faces, h[inner] % n, a[inner] + 1, k[inner] - 2, n)
     return table
-
-
-def _located(
-    Q: Polytope, heads: np.ndarray, t: np.ndarray, n: int, size: int, reduce: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The flat table C[f, r] of the lattice points (h, t) of Q, one per row
-    h of `heads`, and their faces."""
-    pts, fids = scan_lattice(Q, (heads, t, np.ones(len(t), dtype=np.int64)))
-    return _point_table(pts, fids, n, size, reduce), fids
 
 
 def _count_interiors(
@@ -208,78 +185,83 @@ def _count_interiors(
     lower + count - 1, of each line, all on the line's face; `heads` are
     reduced mod n.
 
-    A line's points have rho = t mod n in count // n whole periods plus a
-    cyclic interval of count % n classes.  Each line adds them to the row
-    (face, sigma) of a difference table over rho, which a cumulative sum
-    turns into counts per rho, and each row folds onto its residues
-    r = sigma + rho^2 mod n.  Rows are built in chunks of at most
-    max(1, _COUNT_CHUNK // (n + 1)), only those some line meets.  Counts
-    stay below the point budget, 2^24, so bincount's float sums are exact.
+    For integers lo <= hi, #{t in [lo, hi) : t = rho mod n} is
+    (hi // n - lo // n) + [rho < hi % n] - [rho < lo % n], so each row
+    (face, sigma) counts its lines per rho as the sum of their whole
+    periods less a cumulative sum over rho of the histogram of hi % n
+    minus that of lo % n; each row folds onto its residues r = sigma +
+    rho^2 mod n.  Rows are built in chunks of at most max(1, _COUNT_CHUNK
+    // n), only those some line meets.  Counts stay below the point
+    budget, 2^24, so bincount's float sums are exact.
     """
     key = faces * n + np.einsum("ij,ij->i", heads, heads) % n
     order = key.argsort()
-    key = key[order]
-    new = np.ones(len(key), dtype=bool)  # the first line of each row in key order
-    new[1:] = key[1:] != key[:-1]
-    rows, row = key[new], new.cumsum() - 1
-    start = lower[order] % n
-    periods, rest = np.divmod(counts[order], n)
+    rows, row = np.unique(key[order], return_inverse=True)  # row ids ascend in key order
+    lo = lower[order]
+    hi = lo + counts[order]
+    periods = hi // n - lo // n
+    lo %= n
+    hi %= n
     squares = np.arange(n, dtype=np.int64) ** 2 % n
-    step = max(1, _COUNT_CHUNK // (n + 1))
+    step = max(1, _COUNT_CHUNK // n)
     for r0 in range(0, len(rows), step):
         r1 = min(r0 + step, len(rows))
         s, e = row.searchsorted([r0, r1])
         local = row[s:e] - r0
-        base = local * (n + 1)
-        stop = start[s:e] + rest[s:e]
-        wrap = stop > n
-        cells = (r1 - r0) * (n + 1)
-        diff = np.bincount(base + start[s:e], minlength=cells)  # [start, stop) within 0 .. n
-        diff -= np.bincount(base + np.minimum(stop, n), minlength=cells)
-        diff += np.bincount(base[wrap], minlength=cells)  # [0, stop - n) past the wrap
-        diff -= np.bincount(base[wrap] + stop[wrap] - n, minlength=cells)
-        per_rho = diff.reshape(r1 - r0, n + 1)[:, :n].cumsum(axis=1)
-        per_rho += np.bincount(local, weights=periods[s:e], minlength=r1 - r0).astype(np.int64)[:, None]
+        cells = (r1 - r0) * n
+        partial = np.bincount(local * n + hi[s:e], minlength=cells)
+        partial -= np.bincount(local * n + lo[s:e], minlength=cells)
+        whole = np.bincount(local, weights=periods[s:e], minlength=r1 - r0).astype(np.int64)
+        per_rho = whole[:, None] - partial.reshape(r1 - r0, n).cumsum(axis=1)
         sigma = rows[r0:r1] % n
         residue = (sigma[:, None] + squares) % n + (rows[r0:r1] - sigma)[:, None]
         table += np.bincount(residue.ravel(), weights=per_rho.ravel(), minlength=len(table)).astype(np.int64)
 
 
-def _counted_sum(
-    P: Polytope, n: int, by_lines: bool | None = None
-) -> tuple[complex, np.ndarray, int]:
+# The most lattice points a dilate may have for the direct and folded
+# routes to take the point path: one scan_lattice call over all its lines
+# and one bincount.  Larger dilates take the line path.  This is the
+# measured crossover; direct calls, ms, point path / line path, medians of
+# 41 on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): fund_tet at n = 24
+# (2,925 points) 0.49 / 0.53, n = 32 (6,545) 0.70 / 0.65, n = 40 (12,341)
+# 1.54 / 0.86; the unit cube at n = 16 (4,913) 0.55 / 0.58, n = 20 (9,261)
+# 0.80 / 0.65; the unit square at n = 64 (4,225) 0.36 / 0.39, n = 90
+# (8,281) 0.51 / 0.43, n = 128 (16,641) 1.22 / 0.46.  Below _COUNT_CHUNK,
+# so the point path needs no runs.
+_LINE_PATH_POINTS = 1 << 13
+
+
+def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     """G_P(n) for a lattice polytope P, the int64 table C[f, r] of the
     lattice points x of nP on face f with |x|^2 = r mod n, and their number.
 
     The table comes from one of two exact paths over the lattice lines of
-    nP, which give equal tables.  The point path (_table_by_points) scans
-    runs of lines holding about _COUNT_CHUNK points each and counts every
-    point.  The line path (_table_by_lines) locates only the two ends of
-    each line and counts its interior points per residue class of the last
-    coordinate, in O(lines + rows * n) work.  The line path is taken when
-    the interior points outnumber the cells of the rows it fills
-    (_lines_pay): on large dilates, whose many lines share a few rows, not
-    on the search's dilates at n <= 4.  `by_lines` forces a path.  Either
-    way memory is O(chunk + lines + faces * n).  The value sums w_f C[f, r]
-    over the faces f in order, w_f the solid angle, then the residue
-    classes' phases by math.fsum."""
-    verts = integer_points(P.vertices, _NOT_LATTICE)
+    nP, which give equal tables.  A dilate of at most _LINE_PATH_POINTS
+    points, such as every dilate of the search (n <= 4), takes the point
+    path: one scan_lattice call materialises and locates all its points
+    and one bincount counts them.  A larger one, such as fund_tet at
+    n >= 35, takes the line path (_table_by_lines), which locates only the
+    two ends of each line and counts its interior points per residue class
+    of the last coordinate, in O(lines + rows * n) work.  Either way memory
+    is O(chunk + lines + faces * n).  The value sums w_f C[f, r] over the
+    faces f in order, w_f the solid angle, then the residue classes'
+    phases by math.fsum."""
+    integer_points(P.vertices, _NOT_LATTICE)
     _check_n(n, "dilation factor")
     Q = dilate(P, n)
     lines = lattice_lines(Q)
-    # |x|^2 mod n depends only on x mod n, and reduced coordinates are below
-    # n, so their squared norms stay far inside int64
-    reduce = P.dim * (n * max(abs(c) for v in verts for c in v)) ** 2 >= 1 << 63
-    if by_lines is None:
-        by_lines = _lines_pay(lines[2], len(Q.faces), n)
-    count = _table_by_lines if by_lines else _table_by_points
-    counts = count(Q, lines, n, reduce).reshape(-1, n)
+    points = int(lines[2].sum())
+    if points <= _LINE_PATH_POINTS:
+        counts = _point_table(*scan_lattice(Q, lines), n, len(Q.faces) * n)
+    else:
+        counts = _table_by_lines(Q, lines, n)
+    counts = counts.reshape(-1, n)
     weights = np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
     acc = np.einsum("f,fr->r", weights, counts).tolist()  # no BLAS, no (faces, n) copy
     table = phase_table(n)
     re = math.fsum(acc[k] * table[k].real for k in range(n))
     im = math.fsum(acc[k] * table[k].imag for k in range(n))
-    return complex(re, im), counts, int(lines[2].sum())
+    return complex(re, im), counts, points
 
 
 def closed_form_value(P: Polytope, n: int) -> complex:

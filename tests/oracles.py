@@ -57,8 +57,9 @@ def grid_scan_lattice(P):
     slack = c[None, :] - grid @ A.T
     inside = (slack >= 0).all(axis=1)
     tight = slack[inside] == 0
-    face_ids = [face_of_tight_facets(P, np.flatnonzero(row).tolist()) for row in tight]
-    return grid[inside], np.array(face_ids, dtype=np.int64)
+    kinds, which = np.unique(tight, axis=0, return_inverse=True)  # one lookup per tight set
+    face_ids = [face_of_tight_facets(P, np.flatnonzero(row).tolist()) for row in kinds]
+    return grid[inside], np.array(face_ids, dtype=np.int64)[which.reshape(-1)]
 
 
 def compositions(n, parts):

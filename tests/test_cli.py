@@ -351,9 +351,9 @@ def test_oversized_classify_bound_fails_within_memory():
 
 @needs_linux_rusage
 def test_large_direct_sum_memory():
-    # 2,862,209 lattice points, scanned in runs of lines; the bounding-box
-    # scan peaked near 1.5 GB on it, a float weight per point at 162 MB and
-    # all the points at once at 121 MB
+    # 2,862,209 lattice points on 33,153 lines, counted per line from its two
+    # ends; the bounding-box scan peaked near 1.5 GB on it, a float weight
+    # per point at 162 MB and all the points at once at 121 MB
     code, _, peak_mb = _run_measured(
         "sum", "--polytope", FUND, "--n", "256", "--route", "direct", "--json"
     )
@@ -363,8 +363,8 @@ def test_large_direct_sum_memory():
 
 @needs_linux_rusage
 def test_large_folded_sum_memory():
-    # the same scan; sorting the folded points by representative peaked at
-    # 293 MB
+    # the direct route's line count, whose table the folded route shares;
+    # sorting the folded points by representative peaked at 293 MB
     code, _, peak_mb = _run_measured(
         "sum", "--polytope", FUND, "--n", "256", "--route", "folded", "--json"
     )

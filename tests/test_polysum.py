@@ -28,7 +28,7 @@ from polygauss.polysum import (
 )
 from polygauss.weyl import weyl_elements
 from tests.conftest import FUND_TET, SECOND_TILE_TET, STD_SIMPLEX, make
-from tests.oracles import compositions, loop_kappa, unfolded_counts
+from tests.oracles import compositions, grid_scan_lattice, loop_kappa, unfolded_counts
 
 SQ3 = math.sqrt(3)
 
@@ -277,6 +277,15 @@ def test_kappa_equals_loop_oracle(pts):
         assert kappa(pts, n) == loop_kappa(pts, n), n
 
 
+def counted_sum(P, n, by_lines=None):
+    """polysum._counted_sum on the path its size rule picks, or forced onto
+    the line path (True) or the point path (False)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if by_lines is not None:
+            mp.setattr(polysum, "_LINE_PATH_POINTS", 0 if by_lines else geometry.POINT_BUDGET)
+        return polysum._counted_sum(P, n)
+
+
 @pytest.mark.parametrize(
     "name", ["fund_tet", "std_simplex", "unit_cube", "unit_triangle", "unit_interval"]
 )
@@ -288,41 +297,28 @@ def test_folded_route_equals_unfolding_oracle(request, name):
     for n in (1, 2, 3, 4, 7, 10):
         want = unfolded_counts(P, n)
         for by_lines in (None, False, True):  # the chosen path, then each one
-            counts = polysum._counted_sum(P, n, by_lines)[1]
+            counts = counted_sum(P, n, by_lines)[1]
             assert counts.dtype == np.int64 and np.array_equal(counts, want), (n, by_lines)
         folded = polyhedral_gauss_sum_folded(P, n).value
         assert folded == polyhedral_gauss_sum_direct(P, n).value, n
 
 
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, fund_tet, unit_cube):
-    # a box whose scan lines, of 40 n + 1 points, outrun the patched chunk
+    # a box whose lines, of 40 n + 1 points, outrun the patched chunk
     box = make([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 40)])
     cases = [(P, n) for P in (fund_tet, unit_cube) for n in (9, 10)] + [(box, 3)]
     want = [polysum._counted_sum(P, n)[1] for P, n in cases]
     monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
-    runs = []  # per case, the point counts of the lines of each scanned run
-
-    def scan(Q, lines):
-        runs[-1].append(lines[2])
-        return geometry.scan_lattice(Q, lines)
-
-    monkeypatch.setattr(polysum, "scan_lattice", scan)
     for (P, n), counts in zip(cases, want):
-        runs.append([])
-        assert np.array_equal(polysum._counted_sum(P, n, by_lines=False)[1], counts)
-        # the chunk is the table's size here: whole lines, split mid-polytope
-        # into runs of less than a chunk before their last line
-        assert len(runs[-1]) > 1
-        assert all(run.sum() - run[-1] < counts.size for run in runs[-1])
-    box_table = want[-1].size
-    assert all(len(run) == 1 and run[0] > box_table for run in runs[-1])
+        for by_lines in (False, True):
+            assert np.array_equal(counted_sum(P, n, by_lines)[1], counts), (n, by_lines)
 
 
 def same_counts_on_both_paths(P, n):
     """The point and line paths give equal int64 tables, values and point
     counts; returns the table."""
-    (va, ca, pa), (vb, cb, pb) = (polysum._counted_sum(P, n, by_lines) for by_lines in (False, True))
+    (va, ca, pa), (vb, cb, pb) = (counted_sum(P, n, by_lines) for by_lines in (False, True))
     assert ca.dtype == cb.dtype == np.int64 and np.array_equal(ca, cb), n
     assert va == vb and pa == pb, n
     return ca
@@ -380,20 +376,50 @@ def test_line_path_on_every_line_shape(second_tile_tet):
     assert "whole periods" in shapes
 
 
+@st.composite
+def hulls(draw):
+    """The hull of 4 to 8 integer points in [-3, 3]^d, d = 2 or 3 (simplices,
+    polygons and non-simplicial polytopes), and a dilation n <= 24 whose
+    bounding box holds at most 2^18 points, for the grid scan's sake."""
+    d = draw(st.integers(2, 3))
+    coord = st.integers(-3, 3)
+    try:
+        P = build_polytope(draw(st.lists(st.tuples(*[coord] * d), min_size=4, max_size=8)))
+    except DegenerateInput:
+        assume(False)
+    extents = [int(hi - lo) for lo, hi in zip(*P.bbox())]
+    top = next(n for n in range(24, 0, -1) if math.prod(e * n + 1 for e in extents) <= 1 << 18)
+    return P, draw(st.integers(1, top))
+
+
+@seed(20151016)
+@settings(max_examples=100, deadline=None)
+@given(case=hulls())
+def test_both_paths_equal_the_grid_scan_property(case):
+    # C[f, r] on either path is the bincount of the grid scan's points of nP
+    P, n = case
+    pts, fids = grid_scan_lattice(dilate(P, n))
+    x = pts % n
+    want = np.bincount(fids * n + (x * x).sum(axis=1) % n, minlength=len(P.faces) * n)
+    for by_lines in (False, True):
+        _, counts, points = counted_sum(P, n, by_lines)
+        assert np.array_equal(counts.ravel(), want) and points == len(pts), by_lines
+
+
 def test_line_path_in_runs_and_row_chunks(monkeypatch, fund_tet, unit_cube, second_tile_tet):
     # with the chunk patched to 7, a run holds less than a chunk of faces * n
-    # ends and interiors before its last line, the ends are located as
-    # one-point lines, and every chunk of rows holds one row
+    # ends and interiors before its last line, its line ends are located by
+    # one call, each end once, and every chunk of rows holds one row
     box = make([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 40)])
     cases = [(fund_tet, 30), (unit_cube, 20), (second_tile_tet, 30), (box, 3)]
-    want = [polysum._counted_sum(P, n, by_lines=False)[1] for P, n in cases]
+    want = [counted_sum(P, n, by_lines=False)[1] for P, n in cases]
     monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
-    scans, rows = [], []
+    located, rows = [], []
 
-    def scan(Q, lines):
-        scans[-1].append(lines[2])
-        return geometry.scan_lattice(Q, lines)
+    def locate(Q, points, A, c):
+        located[-1].append(len(points))
+        return geometry.locate_points(Q, points, A, c)
 
     count_interiors = polysum._count_interiors
 
@@ -401,38 +427,45 @@ def test_line_path_in_runs_and_row_chunks(monkeypatch, fund_tet, unit_cube, seco
         rows[-1].append(len(set(zip(faces.tolist(), (heads**2).sum(axis=1) % n))))
         count_interiors(table, faces, heads, lower, counts, n)
 
-    monkeypatch.setattr(polysum, "scan_lattice", scan)
+    monkeypatch.setattr(polysum, "locate_points", locate)
     monkeypatch.setattr(polysum, "_count_interiors", interiors)
     for (P, n), counts in zip(cases, want):
-        scans.append([])
+        located.append([])
         rows.append([])
-        assert np.array_equal(polysum._counted_sum(P, n, by_lines=True)[1], counts)
-        assert all((run == 1).all() for run in scans[-1])
-        assert len(scans[-1]) == 2 * len(rows[-1])  # first and last ends per run
+        assert np.array_equal(counted_sum(P, n, by_lines=True)[1], counts)
+        k = geometry.lattice_lines(dilate(P, n))[2]
+        assert len(located[-1]) == len(rows[-1])  # one locate per run
+        assert sum(located[-1]) == len(k) + np.count_nonzero(k > 1)  # first and last ends
         assert max(rows[-1]) > 1
     assert [len(r) > 1 for r in rows] == [True, True, True, False]
 
 
-def test_path_choice(monkeypatch, fund_tet, unit_cube):
-    # the line path pays only on long lines: never on the search's small
-    # dilates, always on the benchmark's largest ones
+def test_path_choice(monkeypatch, fund_tet, unit_cube, unit_interval):
+    # one size rule: dilates of at most 2^13 points, such as the search's,
+    # take the point path (one scan), larger ones the line path (one locate
+    # per run of lines)
+    assert polysum._LINE_PATH_POINTS == 1 << 13
     chosen = []
-    for name in ("_table_by_points", "_table_by_lines"):
-        table = getattr(polysum, name)
+    for name, by_lines in (("scan_lattice", False), ("locate_points", True)):
+        original = getattr(polysum, name)
 
-        def spy(*args, name=name, table=table):
-            chosen.append(name == "_table_by_lines")
-            return table(*args)
+        def spy(*args, by_lines=by_lines, original=original):
+            chosen.append(by_lines)
+            return original(*args)
 
         monkeypatch.setattr(polysum, name, spy)
     for _, rep in _enumerate(1)[1]:
         for n in (1, 2, 3, 4):
             polyhedral_gauss_sum_direct(make(rep), n)
-    assert len(chosen) == 21 * 4 and not any(chosen)
-    chosen.clear()
+    assert chosen == [False] * 21 * 4
     for P, n in ((fund_tet, 64), (fund_tet, 128), (fund_tet, 256), (unit_cube, 128)):
+        chosen.clear()
         polysum._counted_sum(P, n)
-    assert chosen == [False, True, True, True]
+        assert chosen and all(chosen), n
+    for n, by_lines in ((8191, False), (8192, True)):  # n + 1 points
+        chosen.clear()
+        assert polysum._counted_sum(unit_interval, n)[2] == n + 1
+        assert chosen == [by_lines], n
 
 
 @pytest.mark.parametrize("pts", [FUND_TET, PARITY_TET] + FAR_TETS)
