@@ -42,6 +42,13 @@ CASES = (
         for route in ROUTES
         if (name, route) != ("unit_cube_3d", "tetra")  # not a tetrahedron
     ]
+    + [
+        (
+            f"tiling_{path.stem}",
+            ["check-tiling", "--polytope", str(path), "--samples", "200", "--seed", "7"],
+        )
+        for path in sorted(DATA.glob("*.json"))
+    ]
 )
 
 
