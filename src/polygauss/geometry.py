@@ -553,9 +553,9 @@ def locate_points(P: Polytope, points: np.ndarray, A: np.ndarray, c: np.ndarray)
 
     A, c is P's integer facet system or a scaled or shifted copy of it, row
     for row.  The bitmask of the facets each point is tight on is computed
-    in chunks of points and looked up in P.mask_table.  weyl locates its
-    sample points this way, and polysum's line path the two ends of each
-    lattice line, once each.
+    in chunks of points and looked up in P.mask_table.  weyl locates the
+    orbit points inside P of a whole batch of samples this way, and
+    polysum's line path the two ends of each lattice line, once each.
     """
     _require_bitmask_facets(P)
     bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)

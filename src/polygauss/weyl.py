@@ -9,17 +9,19 @@ so a point set stored as rows maps by points @ w.T; every w is orthogonal
 with integer entries, so it preserves the integer lattice and the
 Euclidean norm, and its inverse is its transpose.
 
-Orbit sums are one vectorised integer query.  For x = a/q the G-orbit is
-the set of points (u + q lam)/q with u = w a mod q over w in W and lam
-integral.  The distinct images u, the translations lam that can reach P's
-bounding box and the facet slacks of every candidate are int64 arrays, and
-the candidates inside P are located on their faces by
-geometry.locate_points, point by point.  A polytope with more
-than geometry.POINT_BUDGET (candidate, facet) pairs, |W| x (bounding-box
-extents) x facets, raises MalformedInput before any candidate exists.
-Points enter as integer numerators a over a denominator q: multitiling_check
-draws them so over the prime SAMPLE_DENOMINATOR, and f_P converts its
-rational x once.
+Orbit counts are one vectorised integer query over a batch of points.
+For x = a/q the G-orbit is the set of points (u + q lam)/q with
+u = w a mod q over w in W and lam integral.  The distinct images u of
+every point of the batch, the translations lam that can reach P's bounding
+box and the facet slacks, split into a part per image and a part per
+translation, are int64 arrays; only the candidates inside P are formed,
+and they are located on their faces by geometry.locate_points.  A
+polytope with more than geometry.POINT_BUDGET (candidate, facet) pairs
+per point, |W| x (bounding-box extents) x facets, raises MalformedInput
+before any candidate exists.  Points enter as integer numerators a over a denominator
+q: multitiling_check draws them so over the prime SAMPLE_DENOMINATOR, in
+batches of about _ORBIT_BATCH_CELLS (image, translation, facet) tests, and
+f_P converts its rational x once and queries it alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .angles import face_angle
-from .errors import MalformedInput, UnsupportedDimension
+from .errors import DimensionMismatch, MalformedInput, UnsupportedDimension
 from .geometry import (
     Polytope,
     RationalVector,
@@ -82,32 +84,49 @@ def _orbit_frame(P: Polytope) -> tuple:
     return A, np.array(shifted, dtype=np.int64), mu, reach
 
 
-def _orbit_face_ids(P: Polytope, frame: tuple, a: Sequence[int], q: int) -> np.ndarray:
-    """Face id of P at each distinct point of the G-orbit of x = a/q inside
-    P, for integer numerators a and denominator q >= 1, with
+def _orbit_face_ids(
+    P: Polytope, frame: tuple, a: Sequence[Sequence[int]], q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sample, face id) for every distinct point of P in the G-orbit of
+    each sample x_s = a[s]/q, in sample order, for an (S, d) array of
+    integer numerators a and a denominator q >= 1, with
     frame = _orbit_frame(P).
 
     With a reduced mod q (the orbit is the same), the images
-    u = w a mod q over w in W are deduplicated by a lexicographic sort,
-    exact for any q: images distinct mod q give disjoint point sets.  An
-    orbit point z/q = u/q + lam lies in the bounding box only for
+    u = w a mod q over w in W of all samples are deduplicated by one
+    lexicographic sort keyed on (sample, u), exact for any q: images
+    distinct mod q give disjoint point sets.  An orbit point
+    z/q = u/q + lam lies in the bounding box only for
     floor(lo) <= lam <= floor(hi), as 0 <= u/q < 1, so with
     lam = floor(lo) + mu the candidates are z = u + q mu, tested against
-    A z <= q c on P - floor(lo).
+    A z <= q c on P - floor(lo) through their slacks (q c - A u) - q (A mu).
+    Only the candidates inside P are built and located on their faces.
     """
     A, c, mu, reach = frame
     # 0 <= z_i < q E_i and |c_k| <= sum_i |A_ki| E_i because facet k is
     # tight on P - floor(lo), which lies in [0, E); so every slack
-    # q c_k - A_k z is below 2 q reach in magnitude, whatever P's position.
+    # q c_k - A_k z, and each of its two parts, is below 2 q reach in
+    # magnitude, whatever P's position.
     if 2 * q * reach >= 1 << 63:
         raise MalformedInput(f"orbit of a point with denominator {q} overflows int64")
-    u = weyl_elements(P.dim) @ np.array([v % q for v in a], dtype=np.int64) % q
-    u = u[np.lexsort(u.T)]
-    u = u[np.r_[True, (u[1:] != u[:-1]).any(axis=1)]]
-    z = (u[:, None, :] + q * mu).reshape(-1, P.dim)
+    a = np.array([[v % q for v in row] for row in a], dtype=np.int64)
+    W = weyl_elements(P.dim)
+    u = (a @ W.reshape(-1, P.dim).T).reshape(-1, P.dim) % q  # [s |W| + w] = w a_s
+    owner = np.repeat(np.arange(len(a)), len(W))
+    order = np.lexsort((*u.T, owner))
+    u, owner = u[order], owner[order]
+    new = np.r_[True, (owner[1:] != owner[:-1]) | (u[1:] != u[:-1]).any(axis=1)]
+    u, owner = u[new], owner[new]
+    # facet k's slack at u + q mu is (q c - A u)_k - q (A mu)_k: the test
+    # compares the two parts, one bool per (facet, image, translation), and
+    # forms no int64 array over the candidates
     qc = q * c
-    z = z[(z @ A.T <= qc).all(axis=1)]
-    return locate_points(P, z, A, qc)
+    inside = np.logical_and.reduce(
+        (qc[:, None] - A @ u.T)[:, :, None] >= q * (A @ mu.T)[:, None, :], axis=0
+    )
+    image, shift = np.nonzero(inside)
+    z = u[image] + q * mu[shift]
+    return owner[image], locate_points(P, z, A, qc)
 
 
 def f_P(P: Polytope, x: RationalVector) -> float:
@@ -115,15 +134,19 @@ def f_P(P: Polytope, x: RationalVector) -> float:
     where G combines signed permutations with integer translations.  Only
     finitely many terms are nonzero since P is bounded; they are summed by
     math.fsum, so the value does not depend on their order."""
+    if x.dim != P.dim:
+        raise DimensionMismatch(f"point has dimension {x.dim}, polytope {P.dim}")
     q = math.lcm(*(v.denominator for v in x.coords))
     a = [v.numerator * (q // v.denominator) for v in x.coords]
-    ids = _orbit_face_ids(P, _orbit_frame(P), a, q)
+    _, ids = _orbit_face_ids(P, _orbit_frame(P), [a], q)
     return math.fsum(face_angle(P, f) for f in ids.tolist())
 
 
 SAMPLE_DENOMINATOR = 10007  # prime; boundary strata of lattice polytopes
                             # under G have denominators dividing small
                             # integers, so a/10007 never lands on them
+_ORBIT_BATCH_CELLS = 1 << 15  # (image, translation, facet) tests per
+                              # orbit query of multitiling_check
 
 
 @dataclass(frozen=True)
@@ -161,18 +184,27 @@ def multitiling_check(
     """Sampled multi-tiling verification.
 
     Draws generic rational points in the open fundamental region and counts
-    the G-orbit points falling in P, each count one vectorised int64 query
-    (_orbit_face_ids); a sample whose orbit touches the boundary of P is
-    redrawn.  Accepts only if every count equals the same integer m and
-    m = |W| vol(P) exactly; any deviating sample is returned as a witness.
-    Rejections are certificates; acceptance is probabilistic in the
-    samples.  A polytope whose |W| x (bounding-box extents) orbit
-    candidates exceed geometry.POINT_BUDGET raises MalformedInput.
+    the G-orbit points falling in P; a sample whose orbit touches the
+    boundary of P is redrawn.  Accepts only if every count equals the same
+    integer m and m = |W| vol(P) exactly; any deviating sample is returned
+    as a witness.  Rejections are certificates; acceptance is probabilistic
+    in the samples.
+
+    Samples are drawn in batches, and each batch's orbits are counted by
+    one vectorised int64 query (_orbit_face_ids) of at most
+    _ORBIT_BATCH_CELLS (image, translation, facet) tests, or one sample's
+    worth if that is more; the results are then read in draw order, so the
+    report does not depend on the batch size.  Memory is thus
+    O(_ORBIT_BATCH_CELLS) beyond what one sample needs.  A polytope whose
+    |W| x (bounding-box extents) x facets tests for one sample exceed
+    geometry.POINT_BUDGET raises MalformedInput.
     """
     if sample_count < 1:
         raise MalformedInput(f"sample_count must be >= 1, got {sample_count}")
     d = P.dim
     frame = _orbit_frame(P)
+    A, _, mu, _ = frame
+    batch = max(1, _ORBIT_BATCH_CELLS // (len(weyl_elements(d)) * len(mu) * len(A)))
     expected_frac = len(weyl_elements(d)) * volume(P)
     expected = int(expected_frac) if expected_frac.denominator == 1 else None
     rng = random.Random(seed)
@@ -180,22 +212,27 @@ def multitiling_check(
     witnesses: list[tuple[tuple[str, ...], int]] = []
     checked = 0
     redraws = 0
-    while checked < sample_count:
-        a = _sample_fundamental_point(rng, d, q)
-        ids = _orbit_face_ids(P, frame, a, q)
-        hits = len(ids)
-        # a/q is in lowest terms: q is prime and 1 <= a < q/2
-        point = tuple(f"{v}/{q}" for v in a)
-        if (ids != P.full_face_id).any():
-            redraws += 1
-            if redraws > 50:
-                witnesses.append((point, hits))
-                break
-            continue
-        checked += 1
-        if expected is None or hits != expected:
-            witnesses.append((point, hits))
-            if len(witnesses) >= 5:
+    while checked < sample_count and redraws <= 50 and len(witnesses) < 5:
+        draws = [
+            _sample_fundamental_point(rng, d, q)
+            for _ in range(min(batch, sample_count - checked))
+        ]
+        owner, ids = _orbit_face_ids(P, frame, draws, q)
+        counts = np.bincount(owner, minlength=len(draws)).tolist()
+        touches = np.zeros(len(draws), dtype=bool)
+        touches[owner[ids != P.full_face_id]] = True
+        for a, hits, touch in zip(draws, counts, touches.tolist()):
+            if touch:
+                redraws += 1
+                if redraws <= 50:
+                    continue
+            else:
+                checked += 1
+                if expected is not None and hits == expected:
+                    continue
+            # a/q is in lowest terms: q is prime and 1 <= a < q/2
+            witnesses.append((tuple(f"{v}/{q}" for v in a), hits))
+            if redraws > 50 or len(witnesses) >= 5:
                 break
     ok = not witnesses and expected is not None
     return MultiTilingReport(

@@ -4,16 +4,18 @@ Each is the straightforward (and slow) form of a library function: the
 bounding-box lattice scan, the triple-loop kappa, the folded route's
 (face, residue) counts from unfolding every orbit representative into the
 bounding box, the G-orbit count that walks every translation box point by
-point, the search's candidates from every index triple, and the
-tetrahedron angles computed on RationalVector arithmetic.  Tests compare
-the library against the first three and the last two for exact equality:
-scans and counts are integers, and every float the others produce is
+point, the multi-tiling check with one orbit query per sample, the
+search's candidates from every index triple, and the tetrahedron angles
+computed on RationalVector arithmetic.  Tests compare the library against
+every one but the G-orbit count for exact equality: scans, counts and
+reports hold integers and strings, and every float the others produce is
 computed in the same order as the library's; the orbit count's angle sum
 is summed in loop order and compared to within rounding.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +33,10 @@ from polygauss.geometry import (
     det3,
     dilate,
     integer_facet_system,
+    volume,
 )
-from polygauss.weyl import weyl_elements
+from polygauss import weyl
+from polygauss.weyl import MultiTilingReport, weyl_elements
 
 
 def face_of_tight_facets(P, tight):
@@ -199,6 +203,47 @@ def loop_orbit_weight_sum(
             else:
                 total += 1.0
     return total, hits, boundary
+
+
+def loop_multitiling_check(
+    P: Polytope, sample_count: int = 200, seed: int = 0
+) -> MultiTilingReport:
+    """weyl.multitiling_check with one orbit query per sample: each sample
+    is drawn, counted by a one-row weyl._orbit_face_ids call and judged
+    before the next is drawn."""
+    d = P.dim
+    frame = weyl._orbit_frame(P)
+    expected_frac = len(weyl_elements(d)) * volume(P)
+    expected = int(expected_frac) if expected_frac.denominator == 1 else None
+    rng = random.Random(seed)
+    q = weyl.SAMPLE_DENOMINATOR
+    witnesses = []
+    checked = 0
+    redraws = 0
+    while checked < sample_count:
+        a = weyl._sample_fundamental_point(rng, d, q)
+        _, ids = weyl._orbit_face_ids(P, frame, [a], q)
+        hits = len(ids)
+        point = tuple(f"{v}/{q}" for v in a)
+        if (ids != P.full_face_id).any():
+            redraws += 1
+            if redraws > 50:
+                witnesses.append((point, hits))
+                break
+            continue
+        checked += 1
+        if expected is None or hits != expected:
+            witnesses.append((point, hits))
+            if len(witnesses) >= 5:
+                break
+    ok = not witnesses and expected is not None
+    return MultiTilingReport(
+        is_multitiling=ok,
+        multiplicity=expected if ok else None,
+        samples_checked=checked,
+        witnesses=tuple(witnesses),
+        expected=expected,
+    )
 
 
 def index_triple_candidates(B: int) -> np.ndarray:

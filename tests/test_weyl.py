@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polygauss.errors import MalformedInput
+from polygauss import weyl
+from polygauss.angles import face_angle
+from polygauss.errors import DimensionMismatch, MalformedInput
 from polygauss.geometry import RationalVector, dilate, polytope_from_dict, translate
 from polygauss.weyl import (
     MultiTilingReport,
@@ -24,7 +27,7 @@ from tests.conftest import (
     load_bundled,
     make,
 )
-from tests.oracles import loop_orbit_weight_sum
+from tests.oracles import loop_multitiling_check, loop_orbit_weight_sum
 
 FT_CANONICAL = ((-1, -1, -1), (-1, -1, 0), (-1, 0, 0), (0, 0, 0))
 SECOND_CANONICAL = ((-2, -1, -1), (-1, -1, -1), (-1, -1, 0), (0, 0, 0))
@@ -124,22 +127,36 @@ ORACLE_SHAPES = [
 ]
 
 
-def test_orbit_count_matches_loop_oracle(far_cube):
+@pytest.fixture(scope="module")
+def oracle_polytopes(far_cube):
     shapes = [polytope_from_dict(load_bundled(p.stem)) for p in sorted(DATA.glob("*.json"))]
-    shapes += [make(pts) for pts in ORACLE_SHAPES] + [far_cube]
+    return shapes + [make(pts) for pts in ORACLE_SHAPES] + [far_cube]
+
+
+def test_orbit_count_matches_loop_oracle(oracle_polytopes):
     rng = random.Random(41)
-    for P in shapes:
-        for _ in range(30):
-            q = rng.choice([7, 12, 30, 10007])
-            # numerators in [-3q, 3q): points outside the fundamental region,
-            # not reduced mod q, and often on the boundary for small q
-            a = [rng.randrange(-3 * q, 3 * q) for _ in range(P.dim)]
+    for i, P in enumerate(oracle_polytopes):
+        q = (7, 12, 30, 10007)[i % 4]
+        # numerators in [-3q, 3q): points outside the fundamental region,
+        # not reduced mod q, and often on the boundary for small q
+        rows = [[rng.randrange(-3 * q, 3 * q) for _ in range(P.dim)] for _ in range(30)]
+        # adjacent samples with the same orbit: a duplicate row, a row equal
+        # mod q, and the origin's one-image orbit twice, whose images only
+        # the sample index tells apart
+        rows[4] = rows[3]
+        rows[6] = [v + q * rng.randrange(-2, 3) for v in rows[5]]
+        rows[20], rows[21] = [0] * P.dim, [q * rng.randrange(-2, 3) for _ in range(P.dim)]
+        owner, ids = _orbit_face_ids(P, _orbit_frame(P), rows, q)
+        assert (np.diff(owner) >= 0).all()  # sample order
+        for s, a in enumerate(rows):
             x = RationalVector(Fraction(v, q) for v in a)
-            ids = _orbit_face_ids(P, _orbit_frame(P), a, q)
+            mine = ids[owner == s]
             angles, hits, boundary = loop_orbit_weight_sum(P, x, indicator=False)
-            assert len(ids) == hits, (P, x)
-            assert bool((ids != P.full_face_id).any()) == boundary, (P, x)
-            assert f_P(P, x) == pytest.approx(angles, abs=1e-12), (P, x)
+            assert len(mine) == hits, (P, x)
+            assert bool((mine != P.full_face_id).any()) == boundary, (P, x)
+            batched = math.fsum(face_angle(P, f) for f in mine.tolist())
+            assert batched == pytest.approx(angles, abs=1e-12), (P, x)
+            assert f_P(P, x) == batched, (P, x)
 
 
 @pytest.mark.parametrize("points", [SQUARE_PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])
@@ -152,11 +169,47 @@ def test_orbit_count_matches_loop_oracle_on_four_facet_vertices(points):
         q = rng.choice([2, 3, 4, 10007])
         a = [rng.randrange(-3 * q, 3 * q) for _ in range(3)]
         x = RationalVector(Fraction(v, q) for v in a)
-        ids = _orbit_face_ids(Q, _orbit_frame(Q), a, q)
+        owner, ids = _orbit_face_ids(Q, _orbit_frame(Q), [a], q)
         angles, hits, boundary = loop_orbit_weight_sum(Q, x, indicator=False)
-        assert len(ids) == hits, (Q, x)
+        assert len(ids) == hits and not owner.any(), (Q, x)
         assert bool((ids != Q.full_face_id).any()) == boundary, (Q, x)
         assert f_P(Q, x) == pytest.approx(angles, rel=1e-14, abs=1e-12), (Q, x)
+
+
+def test_orbit_sum_rejects_a_point_of_another_dimension(unit_triangle):
+    for coords in ((Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)), (Fraction(1, 3),)):
+        with pytest.raises(DimensionMismatch):
+            f_P(unit_triangle, RationalVector(coords))
+
+
+def _reports_match_oracle(polytopes, seeds, sample_counts) -> list[tuple[MultiTilingReport, int]]:
+    reports = []
+    for P in polytopes:
+        for seed in seeds:
+            for n in sample_counts:
+                rep = multitiling_check(P, sample_count=n, seed=seed)
+                assert rep == loop_multitiling_check(P, sample_count=n, seed=seed), (P, seed, n)
+                reports.append((rep, n))
+    return reports
+
+
+def test_multitiling_check_matches_per_sample_oracle(oracle_polytopes):
+    _reports_match_oracle(oracle_polytopes, range(3), (1, 5, 40, 200))
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_multitiling_check_matches_oracle_through_redraws(monkeypatch, oracle_polytopes, q):
+    # so small a denominator puts many orbits on the boundary of P
+    monkeypatch.setattr(weyl, "SAMPLE_DENOMINATOR", q)
+    reports = _reports_match_oracle(oracle_polytopes, range(3), (1, 5, 40, 200))
+    # stopped by more than 50 redraws: neither all samples nor 5 witnesses
+    assert any(r.samples_checked < n and len(r.witnesses) < 5 for r, n in reports)
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 24], ids=["one-sample", "all-samples"])
+def test_multitiling_check_does_not_depend_on_the_batch(monkeypatch, oracle_polytopes, cells):
+    monkeypatch.setattr(weyl, "_ORBIT_BATCH_CELLS", cells)
+    _reports_match_oracle(oracle_polytopes, (0, 7), (1, 5, 40, 200))
 
 
 def test_multitiling_rejects_standard_simplex(std_simplex):
