@@ -193,8 +193,9 @@ def multitiling_check(
     Samples are drawn in batches, and each batch's orbits are counted by
     one vectorised int64 query (_orbit_face_ids) of at most
     _ORBIT_BATCH_CELLS (image, translation, facet) tests, or one sample's
-    worth if that is more; the results are then read in draw order, so the
-    report does not depend on the batch size.  Memory is thus
+    worth if that is more, and the first batch holds at most the five
+    samples that can reject P; the results are then read in draw order, so
+    the report does not depend on the batch size.  Memory is thus
     O(_ORBIT_BATCH_CELLS) beyond what one sample needs.  A polytope whose
     |W| x (bounding-box extents) x facets tests for one sample exceed
     geometry.POINT_BUDGET raises MalformedInput.
@@ -212,11 +213,14 @@ def multitiling_check(
     witnesses: list[tuple[tuple[str, ...], int]] = []
     checked = 0
     redraws = 0
+    size = min(5, batch)  # five witnesses end the check, so a polytope
+                          # rejected by its first samples draws no more
     while checked < sample_count and redraws <= 50 and len(witnesses) < 5:
         draws = [
             _sample_fundamental_point(rng, d, q)
-            for _ in range(min(batch, sample_count - checked))
+            for _ in range(min(size, sample_count - checked))
         ]
+        size = batch
         owner, ids = _orbit_face_ids(P, frame, draws, q)
         counts = np.bincount(owner, minlength=len(draws)).tolist()
         touches = np.zeros(len(draws), dtype=bool)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -135,8 +136,7 @@ def oracle_polytopes(far_cube):
 
 def test_orbit_count_matches_loop_oracle(oracle_polytopes):
     rng = random.Random(41)
-    for i, P in enumerate(oracle_polytopes):
-        q = (7, 12, 30, 10007)[i % 4]
+    for P, q in itertools.product(oracle_polytopes, (7, 12, 30, 10007)):
         # numerators in [-3q, 3q): points outside the fundamental region,
         # not reduced mod q, and often on the boundary for small q
         rows = [[rng.randrange(-3 * q, 3 * q) for _ in range(P.dim)] for _ in range(30)]
@@ -222,6 +222,19 @@ def test_multitiling_rejects_standard_simplex(std_simplex):
         assert count != 8
         assert len(pt) == 3
         assert all(Fraction(c).denominator == 10007 for c in pt)
+
+
+def test_multitiling_rejection_by_the_first_samples_takes_one_small_query(monkeypatch, std_simplex):
+    sizes = []
+
+    def counted(P, frame, a, q):
+        sizes.append(len(a))
+        return _orbit_face_ids(P, frame, a, q)
+
+    monkeypatch.setattr(weyl, "_orbit_face_ids", counted)
+    rep = multitiling_check(std_simplex, sample_count=200, seed=5)
+    assert len(rep.witnesses) == 5 and rep.samples_checked == 5
+    assert sizes == [5]
 
 
 def test_lattice_triangles_always_tile():
