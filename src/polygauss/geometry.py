@@ -47,11 +47,12 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # MalformedInput.  A search candidate takes 6 bytes while it is enumerated
 # and then 20 (int8 vertices and an int64 key).  A G_P(n) request holds its
 # lattice lines and at most polysum._LINE_PATH_POINTS points, or one run of
-# about polysum._COUNT_CHUNK line ends or kappa terms, at a time, so the
-# point and term budgets bound its time, not its memory.  The line stage
-# holds 32 bytes per line of the bounding box and 32 more per non-empty
-# line; a d-polytope has at least d + 1 facets, so in 3-d that is under
-# 270 MB.  fund_tet at n = 256 has 2,862,209 points on 65,536 lines.
+# about polysum._COUNT_CHUNK line ends, at a time, and kappa holds one
+# triangle of C(n - 1, 2) parts, so the point and term budgets bound its
+# time, not its memory.  The line stage holds 32 bytes per line of the
+# bounding box and 32 more per non-empty line; a d-polytope has at least
+# d + 1 facets, so in 3-d that is under 270 MB.  fund_tet at n = 256 has
+# 2,862,209 points on 65,536 lines.
 POINT_BUDGET = 1 << 24
 _SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
 
@@ -523,16 +524,12 @@ def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return A, c
 
 
-def line_points(
-    heads: np.ndarray, lower: np.ndarray, counts: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def line_points(heads: np.ndarray, lower: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Rows (h, t) for every row h of `heads` and t = lower .. lower + count - 1,
     head by head, so lexicographically ordered heads give lexicographically
-    ordered rows.  Columns are filled one at a time, into `out` when given
-    (an int64 array of the rows' shape)."""
+    ordered rows.  Columns are filled one at a time."""
     total = int(counts.sum())
-    if out is None:
-        out = np.empty((total, heads.shape[1] + 1), dtype=np.int64)
+    out = np.empty((total, heads.shape[1] + 1), dtype=np.int64)
     for k in range(heads.shape[1]):
         out[:, k] = heads[:, k].repeat(counts)
     out[:, -1] = np.arange(total)

@@ -14,7 +14,10 @@ representative's phase, and the two routes share it and its value.
 
 Tetrahedron formula: for minimal (volume 1/6) lattice tetrahedra the whole
 sum collapses to dihedral angles times quadratic Gauss sums plus a small
-correction kappa(n) supported on face-interior and interior points.
+correction kappa(n) supported on face-interior and interior points, whose
+terms are counted from the Gram form of the edge vectors over one triangle
+of barycentric parts (a, b) ordered by a + b: the interior terms with
+third part c are a prefix of it, one pass per c.
 
 The direct and folded routes build C[f, r] by one of two exact paths over
 the lattice lines of nP, parallel to the last axis, chosen by one size
@@ -32,11 +35,10 @@ is the measured crossover of the two paths (see _LINE_PATH_POINTS).
 No route holds all its lattice points or kappa terms at once: the point
 path holds at most 2^13 points, the line path takes its lines in runs of
 about _COUNT_CHUNK line ends with its rows in chunks of about
-_COUNT_CHUNK cells, and kappa generates its terms in runs of first
-barycentric parts of about _COUNT_CHUNK terms; every run is counted into
-the route's integer table at once.  Memory is O(chunk + lines + faces * n)
-on either path, and the counts, hence the values, do not depend on the
-path or on where the runs fall.
+_COUNT_CHUNK cells, each counted into the route's integer table at once,
+and kappa holds one triangle of parts.  Memory is O(chunk + lines +
+faces * n) on either path and O(n^2) for kappa; the counts, hence the
+values, do not depend on the path or on where the runs fall.
 
 All phases are computed from exact integer residues mod n before any
 trigonometry, and every sum is taken in a fixed order, so results are
@@ -120,7 +122,7 @@ def _check_n(n: int, what: str) -> None:
         raise MalformedInput(f"{what} must be >= 1, got {n}")
 
 
-# Line ends or kappa terms whose residues are held at once while counting.
+# Line ends whose residues are held at once while counting.
 # Runs of them are cut at multiples of a chunk never shorter than the table
 # they are counted into, so there are at most points / table + 1 runs and
 # counting stays O(points + table) however the runs fall.
@@ -316,37 +318,18 @@ def _minimal_tetrahedron(points: Sequence) -> _MinimalVertices:
     return _MinimalVertices(pts)
 
 
-def _kappa_parts(n: int, first: range) -> tuple[np.ndarray, int]:
-    """The terms of kappa(n) whose first positive barycentric part a lies in
-    `first`, a range inside 1 .. n - 2, as rows of their parts on v_0, v_1,
-    v_2 (the part on v_3 is n minus the row's sum): those on the four faces,
-    then the interior ones; and the number of face rows.  Rows are written
-    into the table in place, (a, b) and (a, b, c) in lexicographic order."""
-    a = np.arange(first.start, first.stop, dtype=np.int64)
-    ones = np.ones(len(a), dtype=np.int64)
-    pairs = line_points(a[:, None], ones, n - 2 - a)  # (a, b) leaving c, d >= 1
-    room = n - 1 - pairs.sum(axis=1)  # c = 1 .. n - a - b - 1
-    m = int((n - 1 - a).sum())  # b = 1 .. n - a - 1 on a face
-    parts = np.zeros((4 * m + int(room.sum()), 3), dtype=np.int64)
-    tri = line_points(a[:, None], ones, n - 1 - a, out=parts[:m, :2])
-    parts[:m, 2] = n - tri.sum(axis=1)  # the face off v_3, (a, b, c, 0)
-    parts[m : 2 * m, :2] = tri  # off v_2, (a, b, 0, c)
-    parts[2 * m : 3 * m, ::2] = tri  # off v_1, (a, 0, b, c)
-    parts[3 * m : 4 * m, 1:] = tri  # off v_0, (0, a, b, c)
-    line_points(pairs, np.ones(len(pairs), dtype=np.int64), room, out=parts[4 * m :])
-    parts.setflags(write=False)  # cached tables are shared between calls
-    return parts, 4 * m
-
-
-# kappa is called once per (tetrahedron, n) and the search repeats n = 1..4
-# for every orbit, so the tables for n <= 32 (at most 0.15 MB each, one run
-# of terms) are kept.
-_CACHED_KAPPA_N = 32
-
-
-@lru_cache(maxsize=_CACHED_KAPPA_N)
-def _cached_kappa_parts(n: int) -> tuple[np.ndarray, int]:
-    return _kappa_parts(n, range(1, n - 1))
+@lru_cache(maxsize=4)
+def _triangle(n: int) -> np.ndarray:
+    """The monomials a^2, ab, b^2, a, b, 1 mod n, one row each, over the
+    triangle a, b >= 1, a + b <= n - 1 ordered by a + b, then a, so the
+    (a, b) with a + b <= m are its first C(m, 2) columns.  Kept, since the
+    search calls kappa at n = 3 and 4 for every orbit."""
+    s = np.arange(2, n, dtype=np.int64)
+    sa = line_points(s[:, None], np.ones(len(s), dtype=np.int64), s - 1)  # rows (a + b, a)
+    a, b = sa[:, 1], sa[:, 0] - sa[:, 1]
+    mono = np.stack([a * a, a * b, b * b, a, b, np.ones_like(a)]) % n
+    mono.setflags(write=False)  # shared between calls
+    return mono
 
 
 def kappa(points: Sequence, n: int) -> complex:
@@ -359,35 +342,55 @@ def kappa(points: Sequence, n: int) -> complex:
 
     That these terms exhaust the non-edge points of nT is exactly the
     minimal-volume property, so volume 1/6 is enforced.  A term's weights
-    sum to n, so its point is a v_0 + b v_1 + c v_2 + d v_3 =
-    a u_0 + b u_1 + c u_2 + n v_3 with u_i = v_i - v_3, and its residue
-    mod n needs only the first three parts.  Terms are generated in runs of
-    first parts holding about _COUNT_CHUNK terms each, and every run's
-    residues come from one integer matrix product and are counted per
-    residue.  Each of the four sums is the exact sum of its counted terms
-    rounded once, the value math.fsum of the terms gives."""
+    sum to n, so its point is a u_0 + b u_1 + c u_2 + n v_3 with
+    u_i = v_i - v_3, and its residue mod n is p^T g p for its first three
+    parts p = (a, b, c) and g = U U^T mod n.  Over the triangle a, b >= 1,
+    a + b <= n - 1 the faces' parts are (a, b, -a-b), (a, b, 0), (a, 0, b)
+    and (0, a, b); the interior terms with third part c are its C(n-1-c, 2)
+    points with a + b <= n - 1 - c, a prefix when it is ordered by a + b,
+    at residues S + c L + g_22 c^2, S the (a, b, 0) form and
+    L = 2 (g_02 a + g_12 b).  One matrix product over the triangle's
+    monomials gives the faces' residues, the interior's at c = 1 and their
+    step L + 3 g_22 to c = 2; each further c is one pass over its prefix
+    adding the step, which grows by 2 g_22 per pass, so memory is O(n^2).
+    Each of the four sums is the exact sum of its terms counted per
+    residue, rounded once, the value math.fsum of the terms gives."""
     _check_n(n, "modulus")
     pts = _minimal_tetrahedron(points)
     if n < 3:  # no composition of n into three positive parts
         return complex(0.0, 0.0)
     check_budget("kappa terms", 4 * math.comb(n - 1, 2) + math.comb(n - 1, 3))
-    if n <= _CACHED_KAPPA_N:
-        tables = [_cached_kappa_parts(n)]
-    else:
-        k = n - 1 - np.arange(1, n - 1)  # n - a - 1 for each first part a
-        runs = _runs(k * (k + 7) // 2, 2 * n)  # 4 (n - a - 1) + C(n - a - 1, 2) terms
-        tables = (_kappa_parts(n, range(s + 1, e + 1)) for s, e in runs)
-    # |x|^2 mod n depends only on x mod n, and reduced edge vectors keep
-    # every product below 3 n^4, far inside int64 for any n under the budget.
-    u = np.array([[(c - d) % n for c, d in zip(p, pts[3])] for p in pts[:3]], dtype=np.int64)
-    counts = None  # the first run's table is kept, not copied
-    for parts, face_rows in tables:
-        x = parts @ u
-        residues = np.einsum("ij,ij->i", x, x) % n
-        residues[face_rows:] += n  # interior terms count in the second half
-        part = np.bincount(residues, minlength=2 * n)
-        counts = part if counts is None else counts + part
-    counts = counts.tolist()
+    # Gram entries of the edge vectors reduced mod n, below 3 n^2: residues
+    # are formed below 40 n^3, far inside int64 for any n under the budget.
+    u = [[(x - y) % n for x, y in zip(p, pts[3])] for p in pts[:3]]
+    g00, g01, g02, g11, g12, g22 = [
+        p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+        for p, q in itertools.combinations_with_replacement(u, 2)
+    ]
+    forms = np.array(
+        [
+            g00 - 2 * g02 + g22, 2 * (g01 - g02 - g12 + g22), g11 - 2 * g12 + g22, 0, 0, 0,
+            g00, 2 * g01, g11, 0, 0, 0,
+            g00, 2 * g02, g22, 0, 0, 0,
+            g11, 2 * g12, g22, 0, 0, 0,
+            g00, 2 * g01, g11, 2 * g02, 2 * g12, g22,  # S + L + g_22, the interior at c = 1
+            0, 0, 0, 2 * g02, 2 * g12, 3 * g22,  # its step L + (2c + 1) g_22 to c + 1
+        ],
+        dtype=np.int64,
+    ).reshape(6, 6)  # one flat list builds faster than nested rows
+    residues = forms @ _triangle(n)
+    residues %= n
+    face = np.bincount(residues[:4].ravel(), minlength=n)
+    interior, step = residues[4], residues[5]  # advanced in place, pass by pass
+    inner = np.bincount(interior[: math.comb(n - 2, 2)], minlength=n)
+    for c in range(2, n - 2):
+        k = math.comb(n - 1 - c, 2)
+        x, dx = interior[:k], step[:k]
+        x += dx
+        x %= n
+        inner += np.bincount(x, minlength=n)
+        dx += 2 * g22 % n
+    halves = face.tolist(), inner.tolist()
     table = phase_table(n)
     sums = []
     for values in ([z.real for z in table], [z.imag for z in table]):
@@ -395,7 +398,7 @@ def kappa(points: Sequence, n: int) -> complex:
         ratios = [v.as_integer_ratio() for v in values]
         den = max(q for _, q in ratios)
         nums = [p * (den // q) for p, q in ratios]
-        sums += [sum(map(operator.mul, half, nums)) / den for half in (counts[:n], counts[n:])]
+        sums += [sum(map(operator.mul, half, nums)) / den for half in halves]
     face_re, inner_re, face_im, inner_im = sums
     return complex(0.5 * face_re + inner_re, 0.5 * face_im + inner_im)
 

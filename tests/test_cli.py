@@ -374,10 +374,36 @@ def test_large_folded_sum_memory():
 
 @needs_linux_rusage
 def test_large_tetra_sum_memory():
-    # 2,860,675 kappa terms, generated in runs; the whole composition table
-    # peaked at 227 MB
+    # 2,860,675 kappa terms counted in passes over a triangle of 32,385
+    # parts; the whole composition table peaked at 227 MB, runs of about
+    # 2^16 terms at 39 MB
     code, _, peak_mb = _run_measured(
         "sum", "--polytope", FUND, "--n", "256", "--route", "tetra", "--json"
+    )
+    assert code == 0
+    assert peak_mb < 60
+
+
+@pytest.mark.parametrize("name", ["fund_tet", "second_tile_tet"])
+def test_tetra_sum_at_the_kappa_budget_edge(capsys, name):
+    # n = 463 has 16,754,584 kappa terms, the most the 2^24 budget allows;
+    # n = 464 has 16,862,923 and is refused before anything is allocated
+    argv = ("sum", "--polytope", str(DATA / f"{name}.json"), "--route", "tetra", "--json", "--n")
+    code, out, _ = run(capsys, *argv, "463")
+    report = json.loads(out)
+    assert code == 0 and report["point_count"] == math.comb(466, 3)
+    assert abs(complex(report["residual_re"], report["residual_im"])) < 1e-8
+    code, out, err = run(capsys, *argv, "464")
+    assert code == 2 and out == ""
+    assert "16862923 kappa terms exceed the budget" in err
+
+
+@needs_linux_rusage
+@pytest.mark.parametrize("name", ["fund_tet", "second_tile_tet"])
+def test_tetra_sum_at_the_kappa_budget_edge_memory(name):
+    # kappa holds a triangle of 106,491 parts and their residues, not its terms
+    code, _, peak_mb = _run_measured(
+        "sum", "--polytope", str(DATA / f"{name}.json"), "--n", "463", "--route", "tetra", "--json"
     )
     assert code == 0
     assert peak_mb < 60

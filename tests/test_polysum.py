@@ -470,29 +470,36 @@ def test_path_choice(monkeypatch, fund_tet, unit_cube, unit_interval):
 
 @pytest.mark.parametrize("pts", [FUND_TET, PARITY_TET] + FAR_TETS)
 def test_kappa_in_runs_equals_loop_oracle(monkeypatch, pts):
-    # past the cache, then with the cache off and runs of a few terms, so
-    # runs end among the first parts of both the face and interior terms
-    ns = (3, 4, 5, 12, 33, 40)
-    want = {n: loop_kappa(pts, n) for n in ns}
-    for n in (33, 40):
-        assert kappa(pts, n) == want[n], n
+    # every n up to 40 and two past it, with the triangle built afresh on
+    # every call and the scan paths' chunk patched small: kappa depends on
+    # neither the cache nor the chunk
     monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
-    monkeypatch.setattr(polysum, "_CACHED_KAPPA_N", 0)
-    build = polysum._kappa_parts
-    firsts = []
+    monkeypatch.setattr(polysum, "_triangle", polysum._triangle.__wrapped__)
+    for n in [*range(1, 41), 64, 100]:
+        assert kappa(pts, n) == loop_kappa(pts, n), n
 
-    def parts(n, first):
-        firsts.append(first)
-        return build(n, first)
 
-    monkeypatch.setattr(polysum, "_kappa_parts", parts)
-    for n in ns:
-        firsts.clear()
-        assert kappa(pts, n) == want[n], n
-        # consecutive runs of first parts covering 1 .. n - 2
-        assert [r.start for r in firsts] == [1] + [r.stop for r in firsts[:-1]]
-        assert firsts[-1].stop == n - 1
-        assert len(firsts) > 1 or n < 5, n
+@st.composite
+def unimodular_tetrahedra(draw):
+    """The vertices t, t + m_0, t + m_1, t + m_2 in a random order, for a
+    random translate t and the rows m_i of a random unimodular matrix, a
+    product of elementary row operations and a sign."""
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    steps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+    for i, j, k in draw(st.lists(steps, max_size=8)):
+        if i != j:
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        m[0] = [-x for x in m[0]]
+    t = draw(st.tuples(*[st.integers(-(10**12), 10**12)] * 3))
+    return draw(st.permutations([t] + [tuple(map(sum, zip(t, row))) for row in m]))
+
+
+@seed(20151118)
+@settings(max_examples=40, deadline=None)
+@given(pts=unimodular_tetrahedra(), n=st.integers(1, 48))
+def test_kappa_equals_loop_oracle_property(pts, n):
+    assert kappa(pts, n) == loop_kappa(pts, n)
 
 
 def test_folded_point_count_is_representatives(fund_tet, unit_square):
@@ -502,20 +509,25 @@ def test_folded_point_count_is_representatives(fund_tet, unit_square):
             assert rep.point_count == math.comb(n // 2 + P.dim, P.dim)
 
 
-def test_kappa_parts_are_the_compositions():
-    # the terms of a run are the rows of compositions into 3 and 4 parts
-    # whose first part lies in the run, the face terms placed on each face
-    for n in (3, 4, 7, 12):
-        for first in (range(1, n - 1), range(1, 2), range(2, n - 1)):
-            parts, face_rows = polysum._kappa_parts(n, first)
-            tri = compositions(n, 3)
-            tri = tri[(tri[:, 0] >= first.start) & (tri[:, 0] < first.stop)]
-            quad = compositions(n, 4)[:, :3]
-            quad = quad[(quad[:, 0] >= first.start) & (quad[:, 0] < first.stop)]
-            zero = np.zeros((len(tri), 1), dtype=np.int64)
-            faces = [tri, np.hstack([tri[:, :2], zero]), np.insert(tri[:, :2], 1, 0, axis=1), np.hstack([zero, tri[:, :2]])]
-            assert face_rows == 4 * len(tri)
-            assert np.array_equal(parts, np.vstack(faces + [quad])), (n, first)
+def test_kappa_prefixes_are_the_compositions():
+    # the triangle holds each (a, b) with a, b >= 1, a + b <= n - 1 once,
+    # ordered by a + b, with its monomials mod n; the prefix kappa passes
+    # over at third part c holds the compositions of n into four parts with
+    # that c, and the passes cover all C(n - 1, 3) of them, each once
+    for n in (3, 4, 5, 7, 12, 33):
+        mono = polysum._triangle(n)
+        a, b = mono[3], mono[4]  # below n, so their own residues
+        assert mono.shape == (6, math.comb(n - 1, 2))
+        assert np.array_equal(mono[:3], np.stack([a * a, a * b, b * b]) % n) and (mono[5] == 1).all()
+        assert sorted(np.column_stack([a, b]).tolist()) == compositions(n, 3)[:, :2].tolist()
+        assert (np.diff(a + b) >= 0).all()
+        terms = [
+            [x, y, c]
+            for c in range(1, n - 2)
+            for x, y in zip(a[: math.comb(n - 1 - c, 2)].tolist(), b.tolist())
+        ]
+        assert len(terms) == math.comb(n - 1, 3)
+        assert sorted(terms) == compositions(n, 4)[:, :3].tolist(), n
 
 
 def test_compositions():
