@@ -42,6 +42,18 @@ CASES = (
         for route in ROUTES
         if (name, route) != ("unit_cube_3d", "tetra")  # not a tetrahedron
     ]
+    + [  # dilates of more than 2^13 points, counted by the line path
+        (
+            f"sum_n{n}_{name}_{route}",
+            ["sum", "--polytope", str(DATA / f"{name}.json"), "--n", str(n), "--route", route],
+        )
+        for name, n, routes in (
+            ("fund_tet", 64, ("direct", "folded")),
+            ("second_tile_tet", 64, ("direct", "folded")),
+            ("unit_cube_3d", 32, ("direct",)),
+        )
+        for route in routes
+    ]
     + [
         (
             f"tiling_{path.stem}",
