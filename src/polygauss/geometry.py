@@ -49,10 +49,12 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # lattice lines and at most polysum._LINE_PATH_POINTS points, or one run of
 # about polysum._COUNT_CHUNK line ends, at a time, and kappa holds one
 # triangle of C(n - 1, 2) parts, so the point and term budgets bound its
-# time, not its memory.  The line stage holds 32 bytes per line of the
-# bounding box and 32 more per non-empty line; a d-polytope has at least
-# d + 1 facets, so in 3-d that is under 270 MB.  fund_tet at n = 256 has
-# 2,862,209 points on 65,536 lines.
+# time, not its memory.  The line stage holds 16 bytes per line of the
+# bounding box and, while it joins its chunks, 120 per non-empty line: the
+# head, first coordinate, count and three faces (56) in the chunks and
+# joined, and each chunk's last coordinates (8).  A d-polytope has at least
+# d + 1 facets, so in 3-d that is under 580 MB.  fund_tet at n = 256 has
+# 2,862,209 points on 33,153 lines.
 POINT_BUDGET = 1 << 24
 _SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
 
@@ -469,17 +471,6 @@ def _face_ids_of_masks(P: Polytope, masks: np.ndarray) -> np.ndarray:
     return ids[pos]
 
 
-def face_joins(P: Polytope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Id of the least face of P containing both face a[i] and face b[i],
-    for parallel arrays of face ids: the face named by the AND of their
-    tight-facet masks.  The points strictly between a point of a's relative
-    interior and one of b's lie in its relative interior."""
-    known, ids = P.mask_table
-    masks = np.empty_like(known)
-    masks[ids] = known
-    return _face_ids_of_masks(P, masks[a] & masks[b])
-
-
 def classify_point(P: Polytope, x: RationalVector) -> int | None:
     """Id of the face of P whose relative interior holds the rational point
     x, which is P.full_face_id for an interior point; None outside P."""
@@ -551,8 +542,9 @@ def locate_points(P: Polytope, points: np.ndarray, A: np.ndarray, c: np.ndarray)
     A, c is P's integer facet system or a scaled or shifted copy of it, row
     for row.  The bitmask of the facets each point is tight on is computed
     in chunks of points and looked up in P.mask_table.  weyl locates the
-    orbit points inside P of a whole batch of samples this way, and
-    polysum's line path the two ends of each lattice line, once each.
+    orbit points inside P of a whole batch of samples this way; the points
+    of lattice lines need no locating, since lattice_lines gives their
+    faces.
     """
     _require_bitmask_facets(P)
     bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
@@ -571,31 +563,12 @@ def check_budget(what: str, count: int, remedy: str = "use a smaller n") -> None
         )
 
 
-def _line_intervals(
-    heads: np.ndarray, A: np.ndarray, c: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """First last coordinate and point count of the lattice line through each
-    head inside A x <= c and lo <= x_last <= hi, in chunks of heads."""
-    a = A[:, -1]
-    step = np.maximum(np.abs(a), 1)
-    lower = np.empty(len(heads), dtype=np.int64)
-    counts = np.empty(len(heads), dtype=np.int64)
-    for s in range(0, len(heads), _SCAN_CHUNK):
-        room = c - heads[s : s + _SCAN_CHUNK] @ A[:, :-1].T  # (chunk, facets)
-        t = room // step
-        upper = np.minimum.reduce(t[:, a > 0], axis=1, initial=hi)
-        first = -np.minimum.reduce(t[:, a < 0], axis=1, initial=-lo)
-        upper[np.logical_or.reduce(room[:, a == 0] < 0, axis=1)] = lo - 1
-        lower[s : s + _SCAN_CHUNK] = first
-        counts[s : s + _SCAN_CHUNK] = np.maximum(upper - first + 1, 0)
-    return lower, counts
-
-
-def lattice_lines(P: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     """The non-empty lattice lines of P parallel to the last axis, in
-    lexicographic order of their heads: (heads, lower, counts), each line's
-    head (its points' other coordinates), first last coordinate and number
-    of lattice points.
+    lexicographic order of their heads: (heads, lower, counts, faces), each
+    line's head (its points' other coordinates), first last coordinate and
+    number of lattice points, and the (3, lines) ids of the faces holding
+    its first point, its last point and the points between.
 
     There is one candidate line per lattice point ("head") of the bounding
     box with its last coordinate dropped.  On the line through head h, facet
@@ -603,12 +576,17 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a_k x_last, so a_k > 0 bounds x_last above by floor(s_k / a_k),
     a_k < 0 bounds it below by ceil(s_k / a_k) = -floor(s_k / |a_k|), and
     a_k = 0 empties the line when s_k < 0.  int64 floor division makes every
-    interval exact, and intervals are computed in fixed-size chunks of
-    heads, so memory is O(lines), not O(bounding box x facets).  A request
-    of more than POINT_BUDGET (line, facet) pairs raises MalformedInput
-    before anything is allocated, and one of more than POINT_BUDGET lattice
-    points before any point is; so does a polytope whose bounding box or
-    facet system does not fit int64.
+    interval exact.  The point (h, t) is tight on facet k iff s_k = a_k t,
+    so the rooms also give the faces of the line's ends.  A facet with
+    a_k != 0 meets the line at most once, so the points between lie on the
+    face of the facets tight at both ends.
+
+    Lines are taken in fixed-size chunks of heads, so memory is O(lines),
+    not O(bounding box x facets).  A request of more than POINT_BUDGET
+    (line, facet) pairs raises MalformedInput before anything is allocated,
+    and one of more than POINT_BUDGET lattice points before any point is,
+    with faces formed only for the lines within that budget; so does a
+    polytope whose bounding box or facet system does not fit int64.
     """
     _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()
@@ -616,7 +594,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hi = [math.floor(c) for c in hi_f]
     if any(h < l for l, h in zip(lo, hi)):
         empty = np.zeros(0, np.int64)
-        return np.zeros((0, P.dim - 1), np.int64), empty, empty
+        return np.zeros((0, P.dim - 1), np.int64), empty, empty, np.zeros((3, 0), np.int64)
     extents = [h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]
     lines = math.prod(extents)
     check_budget("lattice line-facet pairs", lines * P.n_facets)
@@ -624,49 +602,53 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     heads = np.indices(extents, dtype=np.int64).reshape(P.dim - 1, lines).T
     heads += box[0, :-1]
     A, c = integer_facet_system(P)
-    lower, counts = _line_intervals(heads, A, c, lo[-1], hi[-1])
-    check_budget("lattice points", int(counts.sum()))
-    full = counts.nonzero()[0]
-    return heads[full], lower[full], counts[full]
+    a = A[:, -1]
+    step = np.maximum(np.abs(a), 1)
+    bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
+    kept, total = [], 0
+    for s in range(0, lines, _SCAN_CHUNK):
+        h = heads[s : s + _SCAN_CHUNK]
+        room = c - h @ A[:, :-1].T  # (chunk, facets)
+        t = room // step
+        ends = np.empty((2, len(h)), dtype=np.int64)  # first and last coordinate
+        np.negative(np.minimum.reduce(t[:, a < 0], axis=1, initial=-lo[-1]), out=ends[0])
+        np.minimum.reduce(t[:, a > 0], axis=1, initial=hi[-1], out=ends[1])
+        ends[1, np.logical_or.reduce(room[:, a == 0] < 0, axis=1)] = lo[-1] - 1
+        full = (ends[1] >= ends[0]).nonzero()[0]
+        ends = ends[:, full]
+        counts = ends[1] - ends[0] + 1
+        total += int(counts.sum())
+        if total > POINT_BUDGET:
+            continue  # past the budget only the total is kept, for the message
+        masks = np.empty((3, len(full)), dtype=np.int64)  # tight at the first, last point, both
+        np.matmul(room[full] == a * ends[:, :, None], bit, out=masks[:2])
+        np.bitwise_and(masks[0], masks[1], out=masks[2])
+        kept.append((h[full], ends[0], counts, _face_ids_of_masks(P, masks)))
+    check_budget("lattice points", total)
+    if len(kept) == 1:
+        return kept[0]
+    h, lower, counts, faces = zip(*kept)
+    return np.concatenate(h), np.concatenate(lower), np.concatenate(counts), np.hstack(faces)
 
 
-def scan_lattice(
-    P: Polytope, lines: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def scan_lattice(P: Polytope, lines: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The lattice points of P on the given lines, by default all of them,
     with their face classification.
 
-    `lines` is lattice_lines(P), a run of consecutive lines sliced from
-    each of its arrays, or any lattice lines of P in that form (heads,
-    first last coordinates, point counts).  Returns (points, face_ids): an
-    (N, dim) int64 array, line by line, so in lexicographic order for lines
-    in lattice_lines' order, and a parallel int array; interior points get
-    the id of the full face.  Nothing is kept on the polytope: each call
-    scans afresh, and a caller that scans P in runs of lines holds one
-    run's points at a time.
-
-    Faces are located per line: a facet with a_k != 0 meets the line at
-    most once (see lattice_lines), so only the endpoints can be tight on it,
-    and the points between lie on the face of the facets tight at both
-    ends.  Endpoint masks are computed in fixed-size chunks of lines.
+    `lines` is lattice_lines(P) or a run of consecutive lines sliced from
+    each of its arrays (the faces along their last axis).  Returns (points,
+    face_ids): an (N, dim) int64 array, line by line, so in lexicographic
+    order, and a parallel int array; interior points get the id of the full
+    face.  Each point takes the face lattice_lines gives its line for it,
+    first, last or between, so nothing is located here.  Nothing is kept on
+    the polytope: each call scans afresh.
     """
-    heads, lower, counts = lattice_lines(P) if lines is None else lines
-    pts = line_points(heads, lower, counts)
-    if not len(pts):
-        return pts, np.zeros(0, np.int64)
-    A, c = integer_facet_system(P)
+    heads, lower, counts, faces = lattice_lines(P) if lines is None else lines
+    face_ids = faces[2].repeat(counts)
     last = counts.cumsum() - 1
-    first = last - counts + 1
-    ids = np.empty((3, len(counts)), dtype=np.int64)  # first, last, between
-    for s in range(0, len(counts), _SCAN_CHUNK):
-        ends = np.concatenate([first[s : s + _SCAN_CHUNK], last[s : s + _SCAN_CHUNK]])
-        m = (pts[ends] @ A.T == c) @ (1 << np.arange(P.n_facets, dtype=np.int64))
-        m = np.concatenate([m, m[: len(ends) // 2] & m[len(ends) // 2 :]])
-        ids[:, s : s + _SCAN_CHUNK] = _face_ids_of_masks(P, m).reshape(3, -1)
-    face_ids = ids[2].repeat(counts)
-    face_ids[last] = ids[1]
-    face_ids[first] = ids[0]  # a one-point line's two ends agree
-    return pts, face_ids
+    face_ids[last] = faces[1]
+    face_ids[last - counts + 1] = faces[0]  # a one-point line's two ends agree
+    return line_points(heads, lower, counts), face_ids
 
 
 def cycle_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[int]:

@@ -21,16 +21,19 @@ third part c are a prefix of it, one pass per c.
 
 The direct and folded routes build C[f, r] by one of two exact paths over
 the lattice lines of nP, parallel to the last axis, chosen by one size
-rule.  A dilate of at most _LINE_PATH_POINTS = 2^13 lattice points, such
+rule.  geometry.lattice_lines gives each line with the faces of its first
+point, its last point and the points between, so neither path locates a
+point.  A dilate of at most _LINE_PATH_POINTS = 2^13 lattice points, such
 as every dilate of the search (n <= 4), takes the point path: one
-scan_lattice call materialises and locates every point, and one bincount
-counts them.  A larger dilate takes the line path, which locates only the
-two ends of each line and counts its interior points per residue class:
-on the line through head h, |x|^2 = |h|^2 + t^2, so the interior points of
-a line, all on one face, are counted per rho = t mod n from the prefix
-counts of t.  Its work is O(lines + rows * n) for the rows
-(face, |h|^2 mod n) the lines meet, instead of O(points).  The threshold
-is the measured crossover of the two paths (see _LINE_PATH_POINTS).
+scan_lattice call materialises every point with its face, and one
+bincount counts them.  A larger dilate takes the line path, which counts
+the two ends of each line from their coordinates and its interior points
+per residue class: on the line through head h, |x|^2 = |h|^2 + t^2, so
+the interior points of a line, all on one face, are counted per
+rho = t mod n from the prefix counts of t.  Its work is
+O(lines + rows * n) for the rows (face, |h|^2 mod n) the lines meet,
+instead of O(points).  The threshold is the measured crossover of the two
+paths (see _LINE_PATH_POINTS).
 
 No route holds all its lattice points or kappa terms at once: the point
 path holds at most 2^13 points, the line path takes its lines in runs of
@@ -70,12 +73,9 @@ from .geometry import (
     check_budget,
     det3,
     dilate,
-    face_joins,
-    integer_facet_system,
     integer_points,
     lattice_lines,
     line_points,
-    locate_points,
     scan_lattice,
     volume,
 )
@@ -142,13 +142,6 @@ def _runs(sizes: np.ndarray, cells: int) -> list[tuple[int, int]]:
     return list(itertools.pairwise(np.unique([0, *ends, len(sizes)]).tolist()))
 
 
-def _point_table(pts: np.ndarray, fids: np.ndarray, n: int, size: int) -> np.ndarray:
-    """The flat table C[f, r] of the given points with their face ids; the
-    points are reduced mod n in place."""
-    x = np.remainder(pts, n, out=pts)  # |x|^2 mod n needs only x mod n; its squares fit int64
-    return np.bincount(fids * n + np.einsum("ij,ij->i", x, x) % n, minlength=size)
-
-
 def _table_by_lines(Q: Polytope, lines, n: int) -> np.ndarray:
     """C[f, r] of nP = Q, flat, from its lines, without their interior points.
 
@@ -157,35 +150,28 @@ def _table_by_lines(Q: Polytope, lines, n: int) -> np.ndarray:
     rho = t mod n.  The lines are taken in runs holding about a chunk of
     ends and interiors, three for a line of three or more points.  In each
     run the first point of every line and the last of every line of two or
-    more are located by one locate_points call and counted as points; the
-    points between lie on the face joining the ends' faces (see
-    scan_lattice), and _count_interiors counts them per line.
+    more are counted from their (h, t) on the faces lattice_lines gives
+    them, and _count_interiors counts the points between on theirs.
     """
-    heads, lower, counts = lines
+    heads, lower, counts, faces = lines
     size = len(Q.faces) * n
-    A, c = integer_facet_system(Q)
     table = np.zeros(size, dtype=np.int64)
     for s, e in _runs(np.minimum(counts, 3), size):
-        h, a, k = heads[s:e], lower[s:e], counts[s:e]
-        two = (k > 1).nonzero()[0]  # a one-point line has no last point of its own
-        last = (a + k - 1)[two]
-        ends = np.concatenate([np.column_stack([h, a]), np.column_stack([h[two], last])])
-        fids = locate_points(Q, ends, A, c)
-        table += _point_table(ends, fids, n, size)
-        del ends  # not held while the interiors are counted
-        long = k[two] > 2
-        inner = two[long]
-        faces = face_joins(Q, fids[inner], fids[len(h) :][long])
-        _count_interiors(table, faces, h[inner] % n, a[inner] + 1, k[inner] - 2, n)
+        h, a, k, f = heads[s:e] % n, lower[s:e], counts[s:e], faces[:, s:e]
+        sigma = np.einsum("ij,ij->i", h, h) % n
+        t = np.stack([a, a + k - 1]) % n  # of the first and the last point
+        ends = f[:2] * n + (sigma + t * t) % n
+        # a one-point line has no last point of its own
+        table += np.bincount(np.append(ends[0], ends[1][k > 1]), minlength=size)
+        inner = k > 2
+        _count_interiors(table, (f[2] * n + sigma)[inner], a[inner] + 1, k[inner] - 2, n)
     return table
 
 
-def _count_interiors(
-    table: np.ndarray, faces: np.ndarray, heads: np.ndarray, lower: np.ndarray, counts: np.ndarray, n: int
-) -> None:
+def _count_interiors(table: np.ndarray, key: np.ndarray, lower: np.ndarray, counts: np.ndarray, n: int) -> None:
     """Add to the flat table C[f, r] the points (h, t), t = lower ..
-    lower + count - 1, of each line, all on the line's face; `heads` are
-    reduced mod n.
+    lower + count - 1, of each line, all on one face f; a line's key is
+    f * n + sigma with sigma = |h|^2 mod n.
 
     For integers lo <= hi, #{t in [lo, hi) : t = rho mod n} is
     (hi // n - lo // n) + [rho < hi % n] - [rho < lo % n], so each row
@@ -196,7 +182,6 @@ def _count_interiors(
     // n), only those some line meets.  Counts stay below the point
     budget, 2^24, so bincount's float sums are exact.
     """
-    key = faces * n + np.einsum("ij,ij->i", heads, heads) % n
     order = key.argsort()
     rows, row = np.unique(key[order], return_inverse=True)  # row ids ascend in key order
     lo = lower[order]
@@ -240,12 +225,12 @@ def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     The table comes from one of two exact paths over the lattice lines of
     nP, which give equal tables.  A dilate of at most _LINE_PATH_POINTS
     points, such as every dilate of the search (n <= 4), takes the point
-    path: one scan_lattice call materialises and locates all its points
-    and one bincount counts them.  A larger one, such as fund_tet at
-    n >= 35, takes the line path (_table_by_lines), which locates only the
-    two ends of each line and counts its interior points per residue class
-    of the last coordinate, in O(lines + rows * n) work.  Either way memory
-    is O(chunk + lines + faces * n).  The value sums w_f C[f, r] over the
+    path: one scan_lattice call materialises all its points with their
+    faces and one bincount counts them.  A larger one, such as fund_tet at
+    n >= 35, takes the line path (_table_by_lines), which counts the two
+    ends of each line on their faces and its interior points per residue
+    class of the last coordinate, in O(lines + rows * n) work.  Either way
+    memory is O(chunk + lines + faces * n).  The value sums w_f C[f, r] over the
     faces f in order, w_f the solid angle, then the residue classes'
     phases by math.fsum."""
     integer_points(P.vertices, _NOT_LATTICE)
@@ -254,7 +239,9 @@ def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     lines = lattice_lines(Q)
     points = int(lines[2].sum())
     if points <= _LINE_PATH_POINTS:
-        counts = _point_table(*scan_lattice(Q, lines), n, len(Q.faces) * n)
+        pts, fids = scan_lattice(Q, lines)
+        x = np.remainder(pts, n, out=pts)  # |x|^2 mod n needs only x mod n; its squares fit int64
+        counts = np.bincount(fids * n + np.einsum("ij,ij->i", x, x) % n, minlength=len(Q.faces) * n)
     else:
         counts = _table_by_lines(Q, lines, n)
     counts = counts.reshape(-1, n)
@@ -319,17 +306,24 @@ def _minimal_tetrahedron(points: Sequence) -> _MinimalVertices:
 
 
 @lru_cache(maxsize=4)
-def _triangle(n: int) -> np.ndarray:
+def _triangle(n: int) -> tuple[np.ndarray, list[tuple[list[int], int]]]:
     """The monomials a^2, ab, b^2, a, b, 1 mod n, one row each, over the
     triangle a, b >= 1, a + b <= n - 1 ordered by a + b, then a, so the
-    (a, b) with a + b <= m are its first C(m, 2) columns.  Kept, since the
-    search calls kappa at n = 3 and 4 for every orbit."""
+    (a, b) with a + b <= m are its first C(m, 2) columns; and the real and
+    the imaginary parts of the phases e(k / n), each as exact integer
+    numerators over their largest power-of-two denominator.  Kept, since
+    the search calls kappa at n = 3 and 4 for every orbit."""
     s = np.arange(2, n, dtype=np.int64)
     sa = line_points(s[:, None], np.ones(len(s), dtype=np.int64), s - 1)  # rows (a + b, a)
     a, b = sa[:, 1], sa[:, 0] - sa[:, 1]
     mono = np.stack([a * a, a * b, b * b, a, b, np.ones_like(a)]) % n
     mono.setflags(write=False)  # shared between calls
-    return mono
+    table, phases = phase_table(n), []
+    for values in ([z.real for z in table], [z.imag for z in table]):
+        ratios = [v.as_integer_ratio() for v in values]
+        den = max(q for _, q in ratios)
+        phases.append(([p * (den // q) for p, q in ratios], den))
+    return mono, phases
 
 
 def kappa(points: Sequence, n: int) -> complex:
@@ -378,7 +372,8 @@ def kappa(points: Sequence, n: int) -> complex:
         ],
         dtype=np.int64,
     ).reshape(6, 6)  # one flat list builds faster than nested rows
-    residues = forms @ _triangle(n)
+    mono, phases = _triangle(n)
+    residues = forms @ mono
     residues %= n
     face = np.bincount(residues[:4].ravel(), minlength=n)
     interior, step = residues[4], residues[5]  # advanced in place, pass by pass
@@ -391,15 +386,10 @@ def kappa(points: Sequence, n: int) -> complex:
         inner += np.bincount(x, minlength=n)
         dx += 2 * g22 % n
     halves = face.tolist(), inner.tolist()
-    table = phase_table(n)
-    sums = []
-    for values in ([z.real for z in table], [z.imag for z in table]):
-        # exact integers over the largest power-of-two denominator; int / int rounds once
-        ratios = [v.as_integer_ratio() for v in values]
-        den = max(q for _, q in ratios)
-        nums = [p * (den // q) for p, q in ratios]
-        sums += [sum(map(operator.mul, half, nums)) / den for half in halves]
-    face_re, inner_re, face_im, inner_im = sums
+    # exact integers over a power-of-two denominator; int / int rounds once
+    face_re, inner_re, face_im, inner_im = [
+        sum(map(operator.mul, half, nums)) / den for nums, den in phases for half in halves
+    ]
     return complex(0.5 * face_re + inner_re, 0.5 * face_im + inner_im)
 
 

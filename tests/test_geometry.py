@@ -16,6 +16,7 @@ from polygauss.geometry import (
     cycle_order,
     dilate,
     integer_facet_system,
+    lattice_lines,
     line_points,
     locate_points,
     polytope_from_dict,
@@ -336,6 +337,34 @@ def test_scan_locates_faces_from_line_endpoints(points, shapes):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         seen |= _line_shapes(Q)
     assert shapes <= seen
+
+
+# a tetrahedron with p/q vertices, so its facet offsets are not integers
+PQ_TETRAHEDRON = (("1/2", 0, 0), (3, "1/3", 0), (0, "5/2", 1), (1, 1, "7/3"))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [SQUARE_PYRAMID, OCTAHEDRON, SLANTED_PRISM, UNIT_CUBE, PQ_TETRAHEDRON],
+    ids=["pyramid", "octahedron", "slanted-prism", "cube", "p/q"],
+)
+def test_lattice_lines_give_each_line_its_faces(points):
+    # the faces of each line's first point, last point and a point between
+    # are those the grid scan finds, near the origin and 3 * 10^9 away
+    P = make(points)
+    for Q in (P, translate(P, RationalVector((3 * 10**9,) * 3))):
+        for n in range(1, 6):
+            heads, lower, counts, faces = lattice_lines(dilate(Q, n))
+            pts, fids = grid_scan_lattice(dilate(Q, n))
+            _, first, sizes = np.unique(pts[:, :-1], axis=0, return_index=True, return_counts=True)
+            assert np.array_equal(heads, pts[first, :-1]) and np.array_equal(counts, sizes)
+            assert np.array_equal(lower, pts[first, -1])
+            assert faces.dtype == np.int64 and faces.shape == (3, len(counts))
+            assert np.array_equal(faces[0], fids[first])
+            assert np.array_equal(faces[1], fids[first + sizes - 1])
+            between = sizes > 2
+            assert between.any() or n == 1
+            assert np.array_equal(faces[2][between], fids[first + sizes // 2][between])
 
 
 def test_scan_locates_faces_on_a_needle():

@@ -342,7 +342,7 @@ def test_line_path_equals_point_path(request, name):
 
 def line_shapes(P, n):
     """Which kinds of line the line path meets on nP."""
-    _, lower, counts = geometry.lattice_lines(dilate(P, n))
+    _, lower, counts, _ = geometry.lattice_lines(dilate(P, n))
     inner = counts - 2
     shapes = {f"{k} points" for k in set(counts.tolist()) & {1, 2, 3}}
     if (inner >= n).any():
@@ -408,45 +408,54 @@ def test_both_paths_equal_the_grid_scan_property(case):
 
 def test_line_path_in_runs_and_row_chunks(monkeypatch, fund_tet, unit_cube, second_tile_tet):
     # with the chunk patched to 7, a run holds less than a chunk of faces * n
-    # ends and interiors before its last line, its line ends are located by
-    # one call, each end once, and every chunk of rows holds one row
+    # ends and interiors before its last line, the runs cover every line
+    # once, each run counts its lines' ends and then their interiors in one
+    # pass, each end once, and every chunk of rows holds one row
     box = make([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 40)])
     cases = [(fund_tet, 30), (unit_cube, 20), (second_tile_tet, 30), (box, 3)]
     want = [counted_sum(P, n, by_lines=False)[1] for P, n in cases]
     monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
-    located, rows = [], []
+    runs, sums, rows = [], [], []
+    cut, count_interiors = polysum._runs, polysum._count_interiors
 
-    def locate(Q, points, A, c):
-        located[-1].append(len(points))
-        return geometry.locate_points(Q, points, A, c)
+    def split(sizes, cells):
+        got = cut(sizes, cells)
+        runs[-1].extend(got)
+        return got
 
-    count_interiors = polysum._count_interiors
+    def interiors(table, key, lower, counts, n):
+        rows[-1].append(len(set(key.tolist())))
+        sums[-1].append(int(table.sum()))  # ends counted so far, interiors of earlier runs
+        count_interiors(table, key, lower, counts, n)
+        sums[-1].append(int(table.sum()))
 
-    def interiors(table, faces, heads, lower, counts, n):
-        rows[-1].append(len(set(zip(faces.tolist(), (heads**2).sum(axis=1) % n))))
-        count_interiors(table, faces, heads, lower, counts, n)
-
-    monkeypatch.setattr(polysum, "locate_points", locate)
+    monkeypatch.setattr(polysum, "_runs", split)
     monkeypatch.setattr(polysum, "_count_interiors", interiors)
     for (P, n), counts in zip(cases, want):
-        located.append([])
+        runs.append([])
+        sums.append([])
         rows.append([])
         assert np.array_equal(counted_sum(P, n, by_lines=True)[1], counts)
         k = geometry.lattice_lines(dilate(P, n))[2]
-        assert len(located[-1]) == len(rows[-1])  # one locate per run
-        assert sum(located[-1]) == len(k) + np.count_nonzero(k > 1)  # first and last ends
+        assert [s for s, _ in runs[-1]] == [0] + [e for _, e in runs[-1][:-1]]
+        assert runs[-1][-1][1] == len(k)  # consecutive runs covering every line once
+        assert len(sums[-1]) == 2 * len(runs[-1])  # one pass per run
+        ends, inner = np.diff([0] + sums[-1]).reshape(-1, 2).T  # counted by each run
+        assert ends.tolist() == [e - s + np.count_nonzero(k[s:e] > 1) for s, e in runs[-1]]
+        assert sum(ends) == len(k) + np.count_nonzero(k > 1)  # first and last ends
+        assert sum(inner) == np.maximum(k - 2, 0).sum()
         assert max(rows[-1]) > 1
     assert [len(r) > 1 for r in rows] == [True, True, True, False]
 
 
 def test_path_choice(monkeypatch, fund_tet, unit_cube, unit_interval):
     # one size rule: dilates of at most 2^13 points, such as the search's,
-    # take the point path (one scan), larger ones the line path (one locate
-    # per run of lines)
+    # take the point path (one scan), larger ones the line path (the ends
+    # and interiors of its lines counted without a scan)
     assert polysum._LINE_PATH_POINTS == 1 << 13
     chosen = []
-    for name, by_lines in (("scan_lattice", False), ("locate_points", True)):
+    for name, by_lines in (("scan_lattice", False), ("_table_by_lines", True)):
         original = getattr(polysum, name)
 
         def spy(*args, by_lines=by_lines, original=original):
@@ -515,7 +524,7 @@ def test_kappa_prefixes_are_the_compositions():
     # over at third part c holds the compositions of n into four parts with
     # that c, and the passes cover all C(n - 1, 3) of them, each once
     for n in (3, 4, 5, 7, 12, 33):
-        mono = polysum._triangle(n)
+        mono = polysum._triangle(n)[0]
         a, b = mono[3], mono[4]  # below n, so their own residues
         assert mono.shape == (6, math.comb(n - 1, 2))
         assert np.array_equal(mono[:3], np.stack([a * a, a * b, b * b]) % n) and (mono[5] == 1).all()
