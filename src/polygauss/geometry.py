@@ -50,11 +50,11 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # about polysum._COUNT_CHUNK line ends, at a time, and kappa holds one
 # triangle of C(n - 1, 2) parts, so the point and term budgets bound its
 # time, not its memory.  The line stage holds 16 bytes per line of the
-# bounding box and, while it joins its chunks, 120 per non-empty line: the
-# head, first coordinate, count and three faces (56) in the chunks and
-# joined, and each chunk's last coordinates (8).  A d-polytope has at least
-# d + 1 facets, so in 3-d that is under 580 MB.  fund_tet at n = 256 has
-# 2,862,209 points on 33,153 lines.
+# bounding box and 64 per non-empty line while it reads the box in chunks
+# (head, first and last coordinates, count and three faces), then drops the
+# box and joins the chunks, 56 more per non-empty line.  A d-polytope has
+# at least d + 1 facets, so in 3-d that is under 510 MB.  fund_tet at
+# n = 256 has 2,862,209 points on 33,153 lines.
 POINT_BUDGET = 1 << 24
 _SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
 
@@ -616,6 +616,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         ends[1, np.logical_or.reduce(room[:, a == 0] < 0, axis=1)] = lo[-1] - 1
         full = (ends[1] >= ends[0]).nonzero()[0]
         ends = ends[:, full]
+        del t  # not held while the masks are formed
         counts = ends[1] - ends[0] + 1
         total += int(counts.sum())
         if total > POINT_BUDGET:
@@ -627,6 +628,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     check_budget("lattice points", total)
     if len(kept) == 1:
         return kept[0]
+    del heads, h  # the box's heads are not held while the chunks are joined
     h, lower, counts, faces = zip(*kept)
     return np.concatenate(h), np.concatenate(lower), np.concatenate(counts), np.hstack(faces)
 

@@ -163,6 +163,7 @@ def _table_by_lines(Q: Polytope, lines, n: int) -> np.ndarray:
         ends = f[:2] * n + (sigma + t * t) % n
         # a one-point line has no last point of its own
         table += np.bincount(np.append(ends[0], ends[1][k > 1]), minlength=size)
+        del h, t, ends  # not held while the interiors are counted
         inner = k > 2
         _count_interiors(table, (f[2] * n + sigma)[inner], a[inner] + 1, k[inner] - 2, n)
     return table
