@@ -49,6 +49,7 @@ CASES = (
         )
         for name, n, routes in (
             ("fund_tet", 64, ("direct", "folded")),
+            ("fund_tet", 256, ("direct",)),
             ("second_tile_tet", 64, ("direct", "folded")),
             ("unit_cube_3d", 32, ("direct",)),
         )
