@@ -49,12 +49,13 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # lattice lines and at most polysum._LINE_PATH_POINTS points, or one run of
 # about polysum._COUNT_CHUNK line ends, at a time, and kappa holds one
 # triangle of C(n - 1, 2) parts, so the point and term budgets bound its
-# time, not its memory.  The line stage holds 16 bytes per line of the
-# bounding box and 64 per non-empty line while it reads the box in chunks
-# (head, first and last coordinates, count and three faces), then drops the
-# box and joins the chunks, 56 more per non-empty line.  A d-polytope has
-# at least d + 1 facets, so in 3-d that is under 510 MB.  fund_tet at
-# n = 256 has 2,862,209 points on 33,153 lines.
+# time, not its memory.  The line stage holds, per head under P's shadow,
+# 4 bytes for its row and 8 (d + 4) for the line it may carry (head, first
+# coordinate, count and three faces), and one chunk's facet rooms.  There
+# are at most as many such heads as lines of the bounding box, so at most
+# POINT_BUDGET / facets, and a d-polytope has at least d + 1 facets: under
+# 255 MB in 3-d and 295 MB in 2-d.  fund_tet at n = 256 has 2,862,209
+# points on 33,153 lines, one per head under its shadow.
 POINT_BUDGET = 1 << 24
 _SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
 
@@ -231,16 +232,107 @@ class Face:
     mask: int
 
 
+@dataclass(slots=True)
+class _LinePlan:
+    """What lattice_lines reads off a polytope's facet normals N_k, which
+    its dilates and translates share.
+
+    The facets are taken in the order `order`: the up facets, whose normal
+    has a last coordinate a_k > 0, then the down facets (a_k < 0), then
+    those along the lines (a_k = 0); up and down end the first two groups.
+    The facets with |a_k| > 1 come last among the up facets and first
+    among the down ones, so the slice `divided` holds them all.
+
+    sides bound P's shadow on (x0, x1) in 3-d and are empty below: with
+    x2 eliminated, u N_k + v N_j for an up facet k and a down facet j
+    (u = -a_j, v = a_k), or N_k for a facet along the lines (u = 1, v = 0),
+    with k and j in that order; the side's bound is u c_k + v c_j.  A side
+    with no x1 term bounds x0 alone, as the box does, and is dropped.  The
+    sides bounding x1 from above, sides_up of them, come first, and each
+    side is (k, u, j, v, shift), shift being |x1 term| for those and 0 for
+    the rest.
+
+    The columns, read-only, hold: x0 the x0 terms of the sides and then of
+    the facets (0 below 3-d, where the shadow is one row), rise the sides'
+    |x1 term|, and for the facets inner their term along the shadow's rows
+    (0 in 1-d, which has none), a their a_k, bits their bits and divisor
+    the |a_k| of the divided ones.  reach is the largest |x0 term|.
+    """
+
+    order: tuple[int, ...]
+    up: int
+    down: int
+    divided: slice
+    sides: tuple[tuple[int, int, int, int, int], ...]
+    sides_up: int
+    reach: int
+    divide_sides: bool
+    x0: np.ndarray
+    rise: np.ndarray
+    inner: np.ndarray
+    a: np.ndarray
+    bits: np.ndarray
+    divisor: np.ndarray
+
+
+def _line_plan(normals: Sequence[tuple[int, ...]]) -> _LinePlan:
+    groups = ([], [], [], [], [])  # up with a_k = 1, up, down, down with a_k = -1, along
+    for k, n in enumerate(normals):
+        a = n[-1]
+        groups[(a != 1) if a > 0 else 2 + (a == -1) if a < 0 else 4].append(k)
+    order = tuple(itertools.chain(*groups))
+    N = [normals[k] for k in order]
+    d, up = len(N[0]), len(groups[0]) + len(groups[1])
+    down = up + len(groups[2]) + len(groups[3])
+    divided = slice(len(groups[0]), up + len(groups[2]))
+    sides = []  # (x1 term < 0, x0 term, x1 term, k, u, j, v)
+    if d == 3:
+        for k, j in itertools.product(range(up), range(up, down)):
+            u, v = -N[j][2], N[k][2]
+            if u * N[k][1] + v * N[j][1]:
+                sides.append((u * N[k][1] + v * N[j][1] < 0, u * N[k][0] + v * N[j][0], u * N[k][1] + v * N[j][1], k, u, j, v))
+        sides += [(n[1] < 0, n[0], n[1], k, 1, k, 0) for k, n in enumerate(N[down:], down) if n[1]]
+        sides.sort()
+    x0 = [side[1] for side in sides] + [n[0] if d == 3 else 0 for n in N]
+    rise = [abs(side[2]) for side in sides]
+    columns = (
+        x0,
+        rise,
+        [n[-2] if d > 1 else 0 for n in N],
+        [n[-1] for n in N],
+        [1 << k for k in order],
+        [abs(n[-1]) for n in N[divided]],
+    )
+    flat = np.array(list(itertools.chain(*columns)), dtype=np.int64)
+    flat.flags.writeable = False
+    ends = list(itertools.accumulate(map(len, columns), initial=0))
+    views = [flat[s:e, None] for s, e in zip(ends, ends[1:])]
+    return _LinePlan(
+        order,
+        up,
+        down,
+        divided,
+        tuple((k, u, j, v, max(r1, 0)) for _, _, r1, k, u, j, v in sides),
+        sum(1 for side in sides if not side[0]),
+        max(map(abs, x0)),
+        any(r > 1 for r in rise),
+        *views[:4],
+        views[4][:, 0],
+        views[5],
+    )
+
+
 @dataclass(eq=False)
 class Polytope:
     """Convex rational polytope, full-dimensional in its ambient space.
 
     Treat instances as immutable.  A polytope holds its structure: vertices,
-    facets, faces and mask_table, the read-only (2, faces) array whose rows
-    are the face masks in increasing order and the ids of those faces.  Its
-    dilates and translates share that structure and the angle-weight memo
-    (see _moved); its volume and integer facet system depend on its size
-    and so are its own memos.  Results over its lattice points, such as
+    facets, faces, mask_table, the read-only (2, faces) array whose rows are
+    the face masks in increasing order and the ids of those faces, and
+    line_plan, what lattice_lines reads off the facet normals (None past the
+    bitmask's facets).  Its dilates and translates share that structure and
+    the angle-weight memo (see _moved); its volume and integer facet system
+    depend on its size and so are its own memos.  Results over its lattice points, such as
     scans and orbit counts, are not kept: a G_P(n) evaluation scans its
     dilate in runs of lattice lines and keeps only their counts.
     """
@@ -252,6 +344,7 @@ class Polytope:
     facet_vertex_ids: tuple[frozenset[int], ...]
     faces: tuple[Face, ...]
     mask_table: np.ndarray = field(repr=False)
+    line_plan: _LinePlan | None = field(repr=False)
     _angle_cache: dict[int, float] = field(repr=False, default_factory=dict)
     _volume: Fraction | None = field(repr=False, default=None)
     _facet_system: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
@@ -266,8 +359,8 @@ class Polytope:
         return len(self.faces) - 1
 
     def bbox(self) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
-        axes = list(zip(*(v.coords for v in self.vertices)))
-        return tuple(map(min, axes)), tuple(map(max, axes))
+        coords = [v.coords for v in self.vertices]
+        return tuple(map(min, *coords)), tuple(map(max, *coords))
 
     def edges(self) -> list[Face]:
         return [f for f in self.faces if f.dim == 1]
@@ -423,6 +516,7 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
         facet_vertex_ids=tuple(facet_vertex_ids),
         faces=faces,
         mask_table=table,
+        line_plan=_line_plan(normals) if len(normals) <= _MAX_FACETS_FOR_BITMASK else None,
     )
 
 
@@ -443,6 +537,7 @@ def _moved(
         facet_vertex_ids=P.facet_vertex_ids,
         faces=P.faces,
         mask_table=P.mask_table,
+        line_plan=P.line_plan,
         _angle_cache=P._angle_cache,
     )
 
@@ -462,13 +557,13 @@ def _face_ids_of_masks(P: Polytope, masks: np.ndarray) -> np.ndarray:
     """Id of the face named by each tight-facet mask, by binary search in
     P.mask_table; a mask that names no face raises AssertionError."""
     known, ids = P.mask_table
-    pos = np.minimum(known.searchsorted(masks), len(known) - 1)
-    unknown = known[pos] != masks
+    pos = known.searchsorted(masks)
+    unknown = known.take(pos, mode="clip") != masks
     if unknown.any():
         m = int(masks[unknown][0])
         tight = [i for i in range(P.n_facets) if m >> i & 1]
         raise AssertionError(f"tight set {tight} resolves to no face")
-    return ids[pos]
+    return ids.take(pos)
 
 
 def classify_point(P: Polytope, x: RationalVector) -> int | None:
@@ -570,23 +665,30 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     number of lattice points, and the (3, lines) ids of the faces holding
     its first point, its last point and the points between.
 
-    There is one candidate line per lattice point ("head") of the bounding
-    box with its last coordinate dropped.  On the line through head h, facet
-    k of the integer system A x <= c leaves room s_k = c_k - A_k[:-1] . h
-    for a_k x_last, so a_k > 0 bounds x_last above by floor(s_k / a_k),
-    a_k < 0 bounds it below by ceil(s_k / a_k) = -floor(s_k / |a_k|), and
-    a_k = 0 empties the line when s_k < 0.  int64 floor division makes every
-    interval exact.  The point (h, t) is tight on facet k iff s_k = a_k t,
+    The lattice points of P are those of N x <= c, N the facet normals and
+    c their offsets floored.  Only the heads under P's shadow are visited:
+    in 3-d the shadow on (x0, x1) is cut out by the rows of P.line_plan,
+    x2 eliminated from pairs of facets, and each x0 in the box gets its
+    exact x1-interval from them by floor division; in 2-d and 1-d the
+    shadow is the box.  On the line through head h, facet k leaves room
+    s_k = c_k - N_k[:-1] . h for a_k x_last, so a_k > 0 bounds x_last above
+    by floor(s_k / a_k) and a_k < 0 below by ceil(s_k / a_k) =
+    -floor(s_k / |a_k|); a facet along the lines (a_k = 0) already holds
+    on every head under the shadow.  Only |a_k| > 1 divides.  The point
+    (h, t) is tight on facet k iff s_k = a_k t and the offset is integral,
     so the rooms also give the faces of the line's ends.  A facet with
     a_k != 0 meets the line at most once, so the points between lie on the
     face of the facets tight at both ends.
 
-    Lines are taken in fixed-size chunks of heads, so memory is O(lines),
-    not O(bounding box x facets).  A request of more than POINT_BUDGET
-    (line, facet) pairs raises MalformedInput before anything is allocated,
-    and one of more than POINT_BUDGET lattice points before any point is,
-    with faces formed only for the lines within that budget; so does a
-    polytope whose bounding box or facet system does not fit int64.
+    Heads are taken in chunks of _SCAN_CHUNK, their rooms formed facet
+    by facet and their tight masks one end at a time, and the lines are
+    written into arrays sized by the number of heads under the shadow, so
+    memory is O(lines + chunk x facets).  A request of more than
+    POINT_BUDGET (line, facet) pairs on the bounding box raises
+    MalformedInput before anything is allocated, and one of more than
+    POINT_BUDGET lattice points before any point is, with faces formed only
+    for the lines within that budget; so does a polytope whose bounding box
+    or facet bounds do not fit int64.
     """
     _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()
@@ -595,42 +697,77 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     if any(h < l for l, h in zip(lo, hi)):
         empty = np.zeros(0, np.int64)
         return np.zeros((0, P.dim - 1), np.int64), empty, empty, np.zeros((3, 0), np.int64)
-    extents = [h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]
-    lines = math.prod(extents)
-    check_budget("lattice line-facet pairs", lines * P.n_facets)
-    box = int64_array([lo, hi], "bounding-box coordinates")  # both corners bound the lines
-    heads = np.indices(extents, dtype=np.int64).reshape(P.dim - 1, lines).T
-    heads += box[0, :-1]
-    A, c = integer_facet_system(P)
-    a = A[:, -1]
-    step = np.maximum(np.abs(a), 1)
-    bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
-    kept, total = [], 0
-    for s in range(0, lines, _SCAN_CHUNK):
-        h = heads[s : s + _SCAN_CHUNK]
-        room = c - h @ A[:, :-1].T  # (chunk, facets)
-        t = room // step
-        ends = np.empty((2, len(h)), dtype=np.int64)  # first and last coordinate
-        np.negative(np.minimum.reduce(t[:, a < 0], axis=1, initial=-lo[-1]), out=ends[0])
-        np.minimum.reduce(t[:, a > 0], axis=1, initial=hi[-1], out=ends[1])
-        ends[1, np.logical_or.reduce(room[:, a == 0] < 0, axis=1)] = lo[-1] - 1
-        full = (ends[1] >= ends[0]).nonzero()[0]
-        ends = ends[:, full]
-        del t  # not held while the masks are formed
-        counts = ends[1] - ends[0] + 1
-        total += int(counts.sum())
+    check_budget("lattice line-facet pairs", math.prod([h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]) * P.n_facets)
+    int64_array([lo, hi], "bounding-box coordinates")  # both corners bound the lines
+    plan = P.line_plan
+    m = len(plan.sides)
+    c = [math.floor(P.facet_offsets[k]) for k in plan.order]
+    # the sides bounding x1 from above are raised by their x1 term, so
+    # their floor quotient is one past the last x1 they allow
+    bound = [u * c[k] + v * c[j] + shift for k, u, j, v, shift in plan.sides] + c
+    x0 = (lo[0], hi[0]) if P.dim == 3 else (0, 0)  # the shadow's rows, one per x0 in 3-d
+    # no room left on a row, bound - x0 term * x0, is larger in magnitude
+    reach = max(map(abs, bound)) + plan.reach * max(-x0[0], x0[1])
+    bound = int64_array(bound + [reach], "facet bounds")[:-1]
+    room = bound[:, None] - plan.x0 * np.arange(x0[0], x0[1] + 1)  # (sides, then facets) x rows
+    shadow, base = room[:m], room[m:]
+    if plan.divide_sides:
+        shadow //= plan.rise
+    span = (lo[-2], hi[-2]) if P.dim > 1 else (0, 0)  # the box along the rows
+    width = np.minimum.reduce(shadow[: plan.sides_up], axis=0, initial=span[1] + 1)
+    below = np.minimum.reduce(shadow[plan.sides_up :], axis=0, initial=-span[0])
+    width += below
+    np.maximum(width, 0, out=width)
+    offset = width - width.cumsum() - below  # head i of row r lies at i + offset[r] along it
+    # the heads under the shadow, row by row, by their row's index (fewer
+    # than the box's lines, so int32)
+    row_of = np.repeat(np.arange(len(width), dtype=np.int32), width)
+    # the lines, at most one per head: heads, lower, counts and faces
+    out = np.empty((P.dim + 4, len(row_of)), np.int64)
+    heads, lower, counts, faces = out[: P.dim - 1], out[P.dim - 1], out[P.dim], out[P.dim + 1 :]
+    up, down, divided = plan.up, plan.down, plan.divided
+    fractional = [k for k, b in enumerate(P.facet_offsets) if b.denominator > 1]
+    kept = total = 0
+    for s in range(0, len(row_of), _SCAN_CHUNK):
+        r = row_of[s : s + _SCAN_CHUNK]
+        x = offset.take(r)
+        x += np.arange(s, s + len(r))  # each head's coordinate along its row
+        room = base.take(r, axis=1)
+        scratch = plan.inner * x  # one (facets, heads) buffer for the products
+        room -= scratch
+        t = room
+        if divided.stop:
+            t = scratch
+            t[:] = room
+            t[divided] //= plan.divisor
+        last = np.minimum.reduce(t[:up], axis=0, initial=hi[-1])
+        first = np.minimum.reduce(t[up:down], axis=0, initial=-lo[-1])
+        np.negative(first, out=first)
+        k = last - first
+        full = (k >= 0).nonzero()[0]
+        n = kept + len(full)
+        count = np.add(k[full], 1, out=counts[kept:n])
+        total += int(count.sum())
         if total > POINT_BUDGET:
             continue  # past the budget only the total is kept, for the message
-        masks = np.empty((3, len(full)), dtype=np.int64)  # tight at the first, last point, both
-        np.matmul(room[full] == a * ends[:, :, None], bit, out=masks[:2])
+        lower[kept:n] = first[full]
+        for row, col in zip(heads, (r, x)[3 - P.dim :]):  # in 3-d, the row's index for x0
+            row[kept:n] = col[full]
+        del r, x, k  # not held while the masks are formed
+        masks = np.empty((3, len(last)), np.int64)  # tight at the first, last point, both
+        for end, mask in zip((first, last), masks):
+            np.multiply(plan.a, end, out=scratch)
+            np.equal(room, scratch, out=scratch)  # 1 where tight
+            np.matmul(plan.bits, scratch, out=mask)
+        del room, scratch, t
         np.bitwise_and(masks[0], masks[1], out=masks[2])
-        kept.append((h[full], ends[0], counts, _face_ids_of_masks(P, masks)))
+        if fractional:  # no lattice point is tight on a facet with a fractional offset
+            masks &= ~sum(1 << k for k in fractional)
+        faces[:, kept:n] = _face_ids_of_masks(P, masks.take(full, axis=1))
+        kept = n
     check_budget("lattice points", total)
-    if len(kept) == 1:
-        return kept[0]
-    del heads, h  # the box's heads are not held while the chunks are joined
-    h, lower, counts, faces = zip(*kept)
-    return np.concatenate(h), np.concatenate(lower), np.concatenate(counts), np.hstack(faces)
+    heads[: P.dim - 2, :kept] += lo[0]
+    return heads[:, :kept].T, lower[:kept], counts[:kept], faces[:, :kept]
 
 
 def scan_lattice(P: Polytope, lines: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
