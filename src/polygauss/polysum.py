@@ -377,7 +377,9 @@ def kappa(points: Sequence, n: int) -> complex:
     residues = forms @ mono
     residues %= n
     face = np.bincount(residues[:4].ravel(), minlength=n)
-    interior, step = residues[4], residues[5]  # advanced in place, pass by pass
+    # advanced in place, pass by pass; n < 470 under the budget, so the
+    # residues and the steps, below n^2, fit int32
+    interior, step = residues[4:].astype(np.int32)
     inner = np.bincount(interior[: math.comb(n - 2, 2)], minlength=n)
     for c in range(2, n - 2):
         k = math.comb(n - 1 - c, 2)
