@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -354,17 +356,105 @@ def test_lattice_lines_give_each_line_its_faces(points):
     P = make(points)
     for Q in (P, translate(P, RationalVector((3 * 10**9,) * 3))):
         for n in range(1, 6):
-            heads, lower, counts, faces = lattice_lines(dilate(Q, n))
-            pts, fids = grid_scan_lattice(dilate(Q, n))
-            _, first, sizes = np.unique(pts[:, :-1], axis=0, return_index=True, return_counts=True)
-            assert np.array_equal(heads, pts[first, :-1]) and np.array_equal(counts, sizes)
-            assert np.array_equal(lower, pts[first, -1])
-            assert faces.dtype == np.int64 and faces.shape == (3, len(counts))
-            assert np.array_equal(faces[0], fids[first])
-            assert np.array_equal(faces[1], fids[first + sizes - 1])
-            between = sizes > 2
-            assert between.any() or n == 1
-            assert np.array_equal(faces[2][between], fids[first + sizes // 2][between])
+            counts = lines_match_grid(dilate(Q, n))
+            assert (counts > 2).any() or n == 1
+
+
+def lines_match_grid(Q):
+    """Assert that lattice_lines(Q) gives the lines the grid scan finds:
+    each line's head, first last coordinate and count, and the faces of its
+    first point, its last point and a point between; returns the counts."""
+    heads, lower, counts, faces = lattice_lines(Q)
+    pts, fids = grid_scan_lattice(Q)
+    _, first, sizes = np.unique(pts[:, :-1], axis=0, return_index=True, return_counts=True)
+    assert np.array_equal(heads, pts[first, :-1]) and np.array_equal(counts, sizes)
+    assert np.array_equal(lower, pts[first, -1])
+    assert faces.dtype == np.int64 and faces.shape == (3, len(counts))
+    assert np.array_equal(faces[0], fids[first])
+    assert np.array_equal(faces[1], fids[first + sizes - 1])
+    between = sizes > 2
+    assert np.array_equal(faces[2][between], fids[first + sizes // 2][between])
+    return counts
+
+
+# a tetrahedron with facets of a_k = 2, -1, 0 and 1, for a_k the normal's
+# last coordinate
+STEEP_TETRAHEDRON = ((0, 0, 0), (3, 0, 0), (2, 0, 3), (-2, -3, 0))
+
+
+def _shadow_shapes(Q):
+    """Which of the cases that the scan of the heads under the shadow must
+    get right occur in the dilate Q."""
+    lo, hi = Q.bbox()
+    box = np.prod([math.floor(h) - math.ceil(l) + 1 for l, h in zip(lo[:-1], hi[:-1])])
+    shapes = set()
+    if Q.dim == 3 and len(lattice_lines(Q)[2]) < box:
+        shapes.add("shadow inside the box")
+    a = [n[-1] for n in Q.facet_normals]
+    if any(abs(x) > 1 for x in a):
+        shapes.add("|a_k| > 1")
+    if 0 in a:
+        shapes.add("a_k = 0")
+    if any(b.denominator > 1 for b in Q.facet_offsets):
+        shapes.add("fractional offset")
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "points, shapes, big",
+    [
+        (((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)), {"shadow inside the box"}, 37),
+        (OCTAHEDRON, {"shadow inside the box"}, 37),
+        (STEEP_TETRAHEDRON, {"shadow inside the box", "|a_k| > 1", "a_k = 0"}, 13),
+        (SLANTED_PRISM, {"shadow inside the box", "a_k = 0"}, 37),
+        (PQ_TETRAHEDRON, {"shadow inside the box", "|a_k| > 1"}, 37),
+        # PQ_TETRAHEDRON moved by (1/2, 0, 0), which leaves an offset fractional
+        (((1, 0, 0), ("7/2", "1/3", 0), ("1/2", "5/2", 1), ("3/2", 1, "7/3")), {"fractional offset"}, 37),
+        (((0, 0), (7, 2), (3, 5)), {"|a_k| > 1"}, 37),
+        ((("1/2", 0), (5, "1/3"), ("7/3", 4)), {"|a_k| > 1", "fractional offset"}, 37),
+        ((("1/3",), ("17/4",)), {"fractional offset"}, 37),
+    ],
+    ids=["fund-tet", "octahedron", "steep", "slanted-prism", "p/q", "p/q-moved", "triangle", "p/q-triangle", "interval"],
+)
+def test_lines_under_the_shadow_match_the_grid(points, shapes, big):
+    # the lines of the heads under P's shadow are the grid scan's, for
+    # n = 1..5 and one larger n (13 where the grid would be too large),
+    # near the origin and 3 * 10^9 away
+    P = make(points)
+    far = translate(P, RationalVector((3 * 10**9 + 7,) * P.dim))
+    seen = set()
+    for n in (1, 2, 3, 4, 5, big):
+        for Q in (dilate(P, n), dilate(far, n)):
+            lines_match_grid(Q)
+            seen |= _shadow_shapes(Q)
+    assert shapes <= seen
+
+
+def test_shadow_bounds_that_overflow_int64_raise():
+    # the shadow of STEEP_TETRAHEDRON has the side 3 N_0 + 2 N_3 (x2 eliminated
+    # from facets with a_k = -1 and 2), whose bound overflows int64 near
+    # x0 = 2^61 although every facet bound fits; 3 * 10^9 away it scans
+    P = make(STEEP_TETRAHEDRON)
+    lines_match_grid(dilate(translate(P, RationalVector((3 * 10**9, 0, 0))), 4))
+    far = translate(P, RationalVector((2**61, 0, 0)))
+    integer_facet_system(far)
+    with pytest.raises(MalformedInput, match="facet bounds exceed int64"):
+        lattice_lines(far)
+
+
+def test_line_stage_memory_on_the_cube():
+    # the unit cube at n = 128: 16,641 lines in two chunks of heads with
+    # six facets each.  Forming both ends' tight masks in one (2, chunk,
+    # facets) product peaked at 4.6 MB here, the rooms and masks of one
+    # chunk at a time in one reused buffer at 3.6 MB.
+    Q = dilate(make(UNIT_CUBE), 128)
+    tracemalloc.start()
+    try:
+        lattice_lines(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.1e6
 
 
 def test_scan_locates_faces_on_a_needle():
