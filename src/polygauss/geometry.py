@@ -667,28 +667,30 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
 
     The lattice points of P are those of N x <= c, N the facet normals and
     c their offsets floored.  Only the heads under P's shadow are visited:
-    in 3-d the shadow on (x0, x1) is cut out by the rows of P.line_plan,
-    x2 eliminated from pairs of facets, and each x0 in the box gets its
-    exact x1-interval from them by floor division; in 2-d and 1-d the
-    shadow is the box.  On the line through head h, facet k leaves room
+    in 3-d the sides of P.line_plan, x2 eliminated from pairs of facets,
+    bound the shadow on (x0, x1), and each x0 of the box gets its exact
+    x1-interval from them by floor division; in 2-d and 1-d the shadow is
+    the box.  On the line through head h, facet k leaves room
     s_k = c_k - N_k[:-1] . h for a_k x_last, so a_k > 0 bounds x_last above
     by floor(s_k / a_k) and a_k < 0 below by ceil(s_k / a_k) =
-    -floor(s_k / |a_k|); a facet along the lines (a_k = 0) already holds
-    on every head under the shadow.  Only |a_k| > 1 divides.  The point
-    (h, t) is tight on facet k iff s_k = a_k t and the offset is integral,
-    so the rooms also give the faces of the line's ends.  A facet with
-    a_k != 0 meets the line at most once, so the points between lie on the
-    face of the facets tight at both ends.
+    -floor(s_k / |a_k|), dividing only where |a_k| > 1; a facet along the
+    lines (a_k = 0) holds on every head under the shadow.  The point (h, t)
+    is tight on facet k iff s_k = a_k t and the offset is integral, so the
+    rooms also give the faces of the line's ends.  A facet with a_k != 0
+    meets the line at most once, so the points between lie on the face of
+    the facets tight at both ends.
 
-    Heads are taken in chunks of _SCAN_CHUNK, their rooms formed facet
-    by facet and their tight masks one end at a time, and the lines are
-    written into arrays sized by the number of heads under the shadow, so
-    memory is O(lines + chunk x facets).  A request of more than
-    POINT_BUDGET (line, facet) pairs on the bounding box raises
-    MalformedInput before anything is allocated, and one of more than
-    POINT_BUDGET lattice points before any point is, with faces formed only
-    for the lines within that budget; so does a polytope whose bounding box
-    or facet bounds do not fit int64.
+    Heads are taken in chunks of _SCAN_CHUNK: their rooms are formed
+    facet-major, c_k less the head's terms on row k, with no integer
+    matmul, and their tight masks one end at a time in one reused
+    (facets, chunk) buffer.  The lines are written into one array with a column per head
+    under the shadow, so memory is O(heads + chunk x facets) and the heads
+    are no more than the box's lines.  A request of more than POINT_BUDGET
+    (line, facet) pairs on the bounding box raises MalformedInput before
+    anything is allocated, and one of more than POINT_BUDGET lattice points
+    before any point is, with faces formed only for the lines within that
+    budget; so does a polytope whose bounding box or facet bounds, or the
+    shadow's bounds, do not fit int64.
     """
     _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()

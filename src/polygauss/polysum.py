@@ -21,9 +21,9 @@ third part c are a prefix of it, one pass per c.
 
 The direct and folded routes build C[f, r] by one of two exact paths over
 the lattice lines of nP, parallel to the last axis, chosen by one size
-rule.  geometry.lattice_lines gives each line with the faces of its first
-point, its last point and the points between, so neither path locates a
-point.  A dilate of at most _LINE_PATH_POINTS = 2^13 lattice points, such
+rule.  geometry.lattice_lines visits only the heads under nP's shadow and
+gives each line with the faces of its first point, its last point and the
+points between, so neither path locates a point.  A dilate of at most _LINE_PATH_POINTS = 2^13 lattice points, such
 as every dilate of the search (n <= 4), takes the point path: one
 scan_lattice call materialises every point with its face, and one
 bincount counts them.  A larger dilate takes the line path, which counts
@@ -209,13 +209,14 @@ def _count_interiors(table: np.ndarray, key: np.ndarray, lower: np.ndarray, coun
 # The most lattice points a dilate may have for the direct and folded
 # routes to take the point path: one scan_lattice call over all its lines
 # and one bincount.  Larger dilates take the line path.  This is the
-# measured crossover; direct calls, ms, point path / line path, medians of
-# 41 on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): fund_tet at n = 24
-# (2,925 points) 0.49 / 0.53, n = 32 (6,545) 0.70 / 0.65, n = 40 (12,341)
-# 1.54 / 0.86; the unit cube at n = 16 (4,913) 0.55 / 0.58, n = 20 (9,261)
-# 0.80 / 0.65; the unit square at n = 64 (4,225) 0.36 / 0.39, n = 90
-# (8,281) 0.51 / 0.43, n = 128 (16,641) 1.22 / 0.46.  Below _COUNT_CHUNK,
-# so the point path needs no runs.
+# measured crossover; direct calls, ms, point path / line path,
+# interleaved medians of 41 on a 2-CPU Xeon VM (Python 3.11, numpy 2.4):
+# fund_tet at n = 24 (2,925 points) 0.32 / 0.38, n = 32 (6,545)
+# 0.45 / 0.44, n = 40 (12,341) 0.58 / 0.43; the unit cube at n = 16
+# (4,913) 0.40 / 0.40, n = 20 (9,261) 0.52 / 0.43; the unit square at
+# n = 64 (4,225) 0.26 / 0.27, n = 90 (8,281) 0.37 / 0.31, n = 128
+# (16,641) 0.70 / 0.34.  Below _COUNT_CHUNK, so the point path needs no
+# runs.
 _LINE_PATH_POINTS = 1 << 13
 
 
