@@ -289,8 +289,9 @@ def _line_plan(normals: Sequence[tuple[int, ...]]) -> _LinePlan:
     if d == 3:
         for k, j in itertools.product(range(up), range(up, down)):
             u, v = -N[j][2], N[k][2]
-            if u * N[k][1] + v * N[j][1]:
-                sides.append((u * N[k][1] + v * N[j][1] < 0, u * N[k][0] + v * N[j][0], u * N[k][1] + v * N[j][1], k, u, j, v))
+            r0, r1 = u * N[k][0] + v * N[j][0], u * N[k][1] + v * N[j][1]
+            if r1:
+                sides.append((r1 < 0, r0, r1, k, u, j, v))
         sides += [(n[1] < 0, n[0], n[1], k, 1, k, 0) for k, n in enumerate(N[down:], down) if n[1]]
         sides.sort()
     x0 = [side[1] for side in sides] + [n[0] if d == 3 else 0 for n in N]
@@ -332,9 +333,10 @@ class Polytope:
     line_plan, what lattice_lines reads off the facet normals (None past the
     bitmask's facets).  Its dilates and translates share that structure and
     the angle-weight memo (see _moved); its volume and integer facet system
-    depend on its size and so are its own memos.  Results over its lattice points, such as
-    scans and orbit counts, are not kept: a G_P(n) evaluation scans its
-    dilate in runs of lattice lines and keeps only their counts.
+    depend on its size and so are its own memos.  Results over its lattice
+    points, such as scans and orbit counts, are not kept: a G_P(n)
+    evaluation scans its dilate in runs of lattice lines and keeps only
+    their counts.
     """
 
     dim: int
@@ -683,14 +685,14 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     Heads are taken in chunks of _SCAN_CHUNK: their rooms are formed
     facet-major, c_k less the head's terms on row k, with no integer
     matmul, and their tight masks one end at a time in one reused
-    (facets, chunk) buffer.  The lines are written into one array with a column per head
-    under the shadow, so memory is O(heads + chunk x facets) and the heads
-    are no more than the box's lines.  A request of more than POINT_BUDGET
-    (line, facet) pairs on the bounding box raises MalformedInput before
-    anything is allocated, and one of more than POINT_BUDGET lattice points
-    before any point is, with faces formed only for the lines within that
-    budget; so does a polytope whose bounding box or facet bounds, or the
-    shadow's bounds, do not fit int64.
+    (facets, chunk) buffer.  The lines are written into one array with a
+    column per head under the shadow, so memory is O(heads + chunk x
+    facets), and there are no more heads than lines of the box.  A request
+    of more than POINT_BUDGET (line, facet) pairs on the bounding box
+    raises MalformedInput before anything is allocated, and one of more
+    than POINT_BUDGET lattice points before any point is, with faces formed
+    only for the lines within that budget; so does a polytope whose
+    bounding box, facet bounds or shadow bounds do not fit int64.
     """
     _require_bitmask_facets(P)
     lo_f, hi_f = P.bbox()
@@ -699,7 +701,8 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     if any(h < l for l, h in zip(lo, hi)):
         empty = np.zeros(0, np.int64)
         return np.zeros((0, P.dim - 1), np.int64), empty, empty, np.zeros((3, 0), np.int64)
-    check_budget("lattice line-facet pairs", math.prod([h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]) * P.n_facets)
+    lines = math.prod([h - l + 1 for l, h in zip(lo[:-1], hi[:-1])])  # of the box
+    check_budget("lattice line-facet pairs", lines * P.n_facets)
     int64_array([lo, hi], "bounding-box coordinates")  # both corners bound the lines
     plan = P.line_plan
     m = len(plan.sides)
@@ -753,7 +756,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         if total > POINT_BUDGET:
             continue  # past the budget only the total is kept, for the message
         lower[kept:n] = first[full]
-        for row, col in zip(heads, (r, x)[3 - P.dim :]):  # in 3-d, the row's index for x0
+        for row, col in zip(heads, (r, x)[3 - P.dim :]):  # x0 is the row's index until the end
             row[kept:n] = col[full]
         del r, x, k  # not held while the masks are formed
         masks = np.empty((3, len(last)), np.int64)  # tight at the first, last point, both

@@ -23,15 +23,15 @@ The direct and folded routes build C[f, r] by one of two exact paths over
 the lattice lines of nP, parallel to the last axis, chosen by one size
 rule.  geometry.lattice_lines visits only the heads under nP's shadow and
 gives each line with the faces of its first point, its last point and the
-points between, so neither path locates a point.  A dilate of at most _LINE_PATH_POINTS = 2^13 lattice points, such
-as every dilate of the search (n <= 4), takes the point path: one
-scan_lattice call materialises every point with its face, and one
-bincount counts them.  A larger dilate takes the line path, which counts
-the two ends of each line from their coordinates and its interior points
-per residue class: on the line through head h, |x|^2 = |h|^2 + t^2, so
-the interior points of a line, all on one face, are counted per
-rho = t mod n from the prefix counts of t.  Its work is
-O(lines + rows * n) for the rows (face, |h|^2 mod n) the lines meet,
+points between, so neither path locates a point.  A dilate of at most
+_LINE_PATH_POINTS = 2^13 lattice points, such as every dilate of the
+search (n <= 4), takes the point path: one scan_lattice call materialises
+every point with its face, and one bincount counts them.  A larger dilate
+takes the line path, which counts the two ends of each line from their
+coordinates and its interior points per residue class: on the line through
+head h, |x|^2 = |h|^2 + t^2, so the interior points of a line, all on one
+face, are counted per rho = t mod n from the prefix counts of t.  Its work
+is O(lines + rows * n) for the rows (face, |h|^2 mod n) the lines meet,
 instead of O(points).  The threshold is the measured crossover of the two
 paths (see _LINE_PATH_POINTS).
 

@@ -409,12 +409,19 @@ def _shadow_shapes(Q):
         (SLANTED_PRISM, {"shadow inside the box", "a_k = 0"}, 37),
         (PQ_TETRAHEDRON, {"shadow inside the box", "|a_k| > 1"}, 37),
         # PQ_TETRAHEDRON moved by (1/2, 0, 0), which leaves an offset fractional
-        (((1, 0, 0), ("7/2", "1/3", 0), ("1/2", "5/2", 1), ("3/2", 1, "7/3")), {"fractional offset"}, 37),
+        (
+            ((1, 0, 0), ("7/2", "1/3", 0), ("1/2", "5/2", 1), ("3/2", 1, "7/3")),
+            {"fractional offset"},
+            37,
+        ),
         (((0, 0), (7, 2), (3, 5)), {"|a_k| > 1"}, 37),
         ((("1/2", 0), (5, "1/3"), ("7/3", 4)), {"|a_k| > 1", "fractional offset"}, 37),
         ((("1/3",), ("17/4",)), {"fractional offset"}, 37),
     ],
-    ids=["fund-tet", "octahedron", "steep", "slanted-prism", "p/q", "p/q-moved", "triangle", "p/q-triangle", "interval"],
+    ids=[
+        "fund-tet", "octahedron", "steep", "slanted-prism", "p/q", "p/q-moved",
+        "triangle", "p/q-triangle", "interval",
+    ],
 )
 def test_lines_under_the_shadow_match_the_grid(points, shapes, big):
     # the lines of the heads under P's shadow are the grid scan's, for
