@@ -305,7 +305,7 @@ def _line_plan(normals: Sequence[tuple[int, ...]]) -> _LinePlan:
         [abs(n[-1]) for n in N[divided]],
     )
     flat = np.array(list(itertools.chain(*columns)), dtype=np.int64)
-    flat.flags.writeable = False
+    flat.flags.writeable = False  # shared by P's dilates and translates
     ends = list(itertools.accumulate(map(len, columns), initial=0))
     views = [flat[s:e, None] for s, e in zip(ends, ends[1:])]
     return _LinePlan(
