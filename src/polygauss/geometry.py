@@ -252,11 +252,12 @@ class _LinePlan:
     side is (k, u, j, v, shift), shift being |x1 term| for those and 0 for
     the rest.
 
-    The columns, read-only, hold: x0 the x0 terms of the sides and then of
-    the facets (0 below 3-d, where the shadow is one row), rise the sides'
+    head holds the x0 terms of the sides and then of the facets (0 below
+    3-d, where the shadow is one row), and reach the largest in magnitude.
+    The columns, read-only, hold: x0 the same terms, rise the sides'
     |x1 term|, and for the facets inner their term along the shadow's rows
     (0 in 1-d, which has none), a their a_k, bits their bits and divisor
-    the |a_k| of the divided ones.  reach is the largest |x0 term|.
+    the |a_k| of the divided ones.
     """
 
     order: tuple[int, ...]
@@ -265,6 +266,7 @@ class _LinePlan:
     divided: slice
     sides: tuple[tuple[int, int, int, int, int], ...]
     sides_up: int
+    head: tuple[int, ...]
     reach: int
     divide_sides: bool
     x0: np.ndarray
@@ -315,6 +317,7 @@ def _line_plan(normals: Sequence[tuple[int, ...]]) -> _LinePlan:
         divided,
         tuple((k, u, j, v, max(r1, 0)) for _, _, r1, k, u, j, v in sides),
         sum(1 for side in sides if not side[0]),
+        tuple(x0),
         max(map(abs, x0)),
         any(r > 1 for r in rise),
         *views[:4],
@@ -711,8 +714,11 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     # their floor quotient is one past the last x1 they allow
     bound = [u * c[k] + v * c[j] + shift for k, u, j, v, shift in plan.sides] + c
     x0 = (lo[0], hi[0]) if P.dim == 3 else (0, 0)  # the shadow's rows, one per x0 in 3-d
-    # no room left on a row, bound - x0 term * x0, is larger in magnitude
+    # no room a row leaves, bound - x0 term * x0, is larger in magnitude;
+    # being linear in x0, it is largest on the first or the last row
     reach = max(map(abs, bound)) + plan.reach * max(-x0[0], x0[1])
+    if reach >> 63:
+        reach = max(abs(q - h * x) for q, h in zip(bound, plan.head) for x in x0)
     bound = int64_array(bound + [reach], "facet bounds")[:-1]
     room = bound[:, None] - plan.x0 * np.arange(x0[0], x0[1] + 1)  # (sides, then facets) x rows
     shadow, base = room[:m], room[m:]
@@ -724,8 +730,8 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     width += below
     np.maximum(width, 0, out=width)
     offset = width - width.cumsum() - below  # head i of row r lies at i + offset[r] along it
-    # the heads under the shadow, row by row, by their row's index (fewer
-    # than the box's lines, so int32)
+    # the heads under the shadow, row by row, by their row's index (below
+    # the box's lines, so int32)
     row_of = np.repeat(np.arange(len(width), dtype=np.int32), width)
     # the lines, at most one per head: heads, lower, counts and faces
     out = np.empty((P.dim + 4, len(row_of)), np.int64)

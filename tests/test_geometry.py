@@ -438,15 +438,29 @@ def test_lines_under_the_shadow_match_the_grid(points, shapes, big):
 
 
 def test_shadow_bounds_that_overflow_int64_raise():
-    # the shadow of STEEP_TETRAHEDRON has the side 3 N_0 + 2 N_3 (x2 eliminated
-    # from facets with a_k = -1 and 2), whose bound overflows int64 near
-    # x0 = 2^61 although every facet bound fits; 3 * 10^9 away it scans
-    P = make(STEEP_TETRAHEDRON)
-    lines_match_grid(dilate(translate(P, RationalVector((3 * 10**9, 0, 0))), 4))
-    far = translate(P, RationalVector((2**61, 0, 0)))
+    # x2 eliminated from the facets (-1, -3, 2) and (1, -3, -2), both with
+    # |a_k| = 2, gives the shadow's side 2 N_k + 2 N_j = (0, -12, 0), whose
+    # bound overflows int64 near x1 = 2^61 though every facet bound fits;
+    # 3 * 10^9 away the tetrahedron scans
+    P = make(((0, 0, 0), (2, 0, 1), (3, 1, 0), (0, 2, 3)))
+    lines_match_grid(dilate(translate(P, RationalVector((0, 3 * 10**9, 0))), 4))
+    far = translate(P, RationalVector((0, 2**61, 0)))
     integer_facet_system(far)
     with pytest.raises(MalformedInput, match="facet bounds exceed int64"):
         lattice_lines(far)
+
+
+def test_lines_near_2_to_61_are_the_lines_moved():
+    # on STEEP_TETRAHEDRON moved by 2^61 along x0 the rooms of the facet
+    # (-3, 2, 2) are c_k + 3 x0 with c_k near -3 * 2^61: small, although
+    # |c_k| + 3 |x0| exceeds int64, so the scan goes on and its lines are
+    # the unmoved ones, moved
+    Q = dilate(make(STEEP_TETRAHEDRON), 4)
+    heads, lower, counts, faces = lattice_lines(Q)
+    moved = lattice_lines(translate(Q, RationalVector((2**61, 0, 0))))
+    assert np.array_equal(moved[0], heads + [2**61, 0])
+    for got, want in zip(moved[1:], (lower, counts, faces)):
+        assert np.array_equal(got, want)
 
 
 def test_line_stage_memory_on_the_cube():
