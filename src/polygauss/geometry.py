@@ -744,11 +744,11 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         x = offset.take(r)
         x += np.arange(s, s + len(r))  # each head's coordinate along its row
         room = base.take(r, axis=1)
-        scratch = plan.inner * x  # one (facets, heads) buffer for the products
-        room -= scratch
+        work = plan.inner * x  # one (facets, heads) buffer for the products
+        room -= work
         t = room
         if divided.stop:
-            t = scratch
+            t = work
             t[:] = room
             t[divided] //= plan.divisor
         last = np.minimum.reduce(t[:up], axis=0, initial=hi[-1])
@@ -767,10 +767,10 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         del r, x, k  # not held while the masks are formed
         masks = np.empty((3, len(last)), np.int64)  # tight at the first, last point, both
         for end, mask in zip((first, last), masks):
-            np.multiply(plan.a, end, out=scratch)
-            np.equal(room, scratch, out=scratch)  # 1 where tight
-            np.matmul(plan.bits, scratch, out=mask)
-        del room, scratch, t
+            np.multiply(plan.a, end, out=work)
+            np.equal(room, work, out=work)  # 1 where tight
+            np.matmul(plan.bits, work, out=mask)
+        del room, work, t
         np.bitwise_and(masks[0], masks[1], out=masks[2])
         if fractional:  # no lattice point is tight on a facet with a fractional offset
             masks &= ~sum(1 << k for k in fractional)
