@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Survey the bundled polytopes: volume, multi-tiling status, and the
-residual of G_P(n) against the closed form vol(P) * G(n)^d.
+residual of G_P(n) against the closed form vol(P) * G(n)^d, for the
+lattice polytopes among them.
 
 A polytope that multi-tiles under signed permutations and integer
 translations must show vanishing residuals for every n; a polytope that
@@ -13,6 +14,7 @@ import sys
 
 sys.dont_write_bytecode = True
 
+from polygauss.errors import MalformedInput
 from polygauss.geometry import polytope_from_dict, volume
 from polygauss.polysum import polyhedral_gauss_sum_direct
 from polygauss.weyl import multitiling_check
@@ -32,14 +34,18 @@ def main() -> int:
         with open(path, encoding="utf-8") as fh:
             P = polytope_from_dict(json.load(fh))
         tiling = multitiling_check(P, sample_count=args.samples, seed=0)
-        worst = max(
-            abs(polyhedral_gauss_sum_direct(P, n).residual)
-            for n in range(1, args.max_n + 1)
-        )
+        try:
+            worst = max(
+                abs(polyhedral_gauss_sum_direct(P, n).residual)
+                for n in range(1, args.max_n + 1)
+            )
+            residual = f"worst residual n<={args.max_n}: {worst:.2e}"
+        except MalformedInput:  # G_P(n) needs integer vertices
+            residual = "not a lattice polytope"
         status = (f"multi-tiles m={tiling.multiplicity}"
                   if tiling.is_multitiling else "no tiling")
         print(f"{path.stem:18s} dim {P.dim}  vol {str(volume(P)):>5s}  "
-              f"{status:18s} worst residual n<={args.max_n}: {worst:.2e}")
+              f"{status:18s} {residual}")
     return 0
 
 
