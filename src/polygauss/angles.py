@@ -37,13 +37,6 @@ from .geometry import (
 TWO_PI = 2.0 * math.pi
 
 
-def _planar_angle(u: RationalVector, w: RationalVector) -> float:
-    cross = u[0] * w[1] - u[1] * w[0]
-    if cross == 0 and u.dot(w) <= 0:
-        raise DegenerateCone("planar cone generators are anti-parallel")
-    return math.atan2(abs(float(cross)), float(u.dot(w))) / TWO_PI
-
-
 def dihedral_angle(P: Polytope, edge: Face | int) -> float:
     """Interior dihedral angle along an edge of a 3-polytope, as a fraction
     of the full circle.  Computed from the two facet normals n1, n2: the
@@ -57,10 +50,10 @@ def dihedral_angle(P: Polytope, edge: Face | int) -> float:
     touching = [i for i in range(P.n_facets) if face.mask >> i & 1]
     if len(touching) != 2:
         raise AssertionError(f"edge lies on {len(touching)} facets")
-    n1 = RationalVector(P.facet_normals[touching[0]])
-    n2 = RationalVector(P.facet_normals[touching[1]])
-    cross = n1.cross(n2)
-    return 0.5 - math.atan2(math.sqrt(cross.norm_sq()), float(n1.dot(n2))) / TWO_PI
+    (a0, a1, a2), (b0, b1, b2) = (P.facet_normals[k] for k in touching)
+    cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    dot = a0 * b0 + a1 * b1 + a2 * b2
+    return 0.5 - math.atan2(math.sqrt(sum(c * c for c in cross)), float(dot)) / TWO_PI
 
 
 def _vertex_angle(P: Polytope, vid: int) -> float:
@@ -72,9 +65,14 @@ def _vertex_angle(P: Polytope, vid: int) -> float:
                 nbrs.append(other)
         if len(nbrs) != 2:
             raise AssertionError(f"vertex {vid} lies on {len(nbrs)} polygon edges")
-        u = P.vertices[nbrs[0]] - P.vertices[vid]
-        w = P.vertices[nbrs[1]] - P.vertices[vid]
-        return _planar_angle(u, w)
+        # numerators over q: both products are over q^2, and int true
+        # division rounds each quotient once, as float() of the ratio does
+        v = P.numerators[vid]
+        (u0, u1), (w0, w1) = ((a - v[0], b - v[1]) for a, b in (P.numerators[k] for k in nbrs))
+        cross, dot, q2 = u0 * w1 - u1 * w0, u0 * w0 + u1 * w1, P.denominator**2
+        if cross == 0 and dot <= 0:
+            raise DegenerateCone("planar cone generators are anti-parallel")
+        return math.atan2(abs(cross) / q2, dot / q2) / TWO_PI
     # Girard: a vertex cone with k facets, hence k edges, has angle
     # (1/2) sum_e w_e - (k - 2)/4 over the dihedral angles w_e of its edges.
     edges = [i for i, f in enumerate(P.faces) if f.dim == 1 and vid in f.vertex_ids]

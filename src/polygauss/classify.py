@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedInput
-from .geometry import RationalVector, build_polytope, check_budget
+from .geometry import build_polytope, check_budget
 from .polysum import polyhedral_gauss_sum_direct, tetra_gauss_sum_formula
 from .weyl import canonical_form, weyl_elements
 
@@ -204,7 +204,7 @@ def gauss_relation_test(
     route 'direct' enumerates dilates of the actual polytope; 'tetra' uses
     the dihedral-angle formula (volume-1/6 only)."""
     if route == "direct":
-        P = build_polytope([RationalVector(p) for p in tetra])
+        P = build_polytope(tetra)
         residuals = {
             n: abs(polyhedral_gauss_sum_direct(P, n).residual) for n in ns
         }

@@ -59,8 +59,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     elif args.route == ROUTE_FOLDED:
         report = polyhedral_gauss_sum_folded(P, args.n)
     else:
-        verts = tuple(tuple(c for c in v.coords) for v in P.vertices)
-        report = tetra_gauss_sum_formula(verts, args.n)
+        report = tetra_gauss_sum_formula([v.coords for v in P.vertices], args.n)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -143,7 +142,7 @@ def _cmd_angles(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     is_tetra = P.dim == 3 and len(P.vertices) == 4
     if is_tetra:
-        data = tetrahedron_angles([v for v in P.vertices])
+        data = tetrahedron_angles(P.vertices)
         payload = {
             "solid": list(data.solid),
             "dihedral": {f"{i}{j}": w for (i, j), w in sorted(data.dihedral.items())},

@@ -1,16 +1,18 @@
 """Exact geometry for rational convex polytopes in ambient dimension 1, 2, or 3.
 
 Polytopes are stored in both representations at once: an exact vertex list
-and a facet system of primitive integer normals with rational offsets.  All
-membership and face-classification queries are done in exact rational
-arithmetic; floating point only ever enters downstream (angles, phases).
+and a facet system of primitive integer normals with integer bounds.  All
+membership and face-classification queries are exact integer arithmetic;
+floating point only ever enters downstream (angles, phases).
 
-Exact values have one representation: an integral value is a built-in
-``int`` and only a non-integral one is a ``Fraction``.  RationalVector
-normalises its coordinates on construction, so lattice data stays in
-machine-speed int arithmetic through hulls, dilates, volumes and angles,
-and "is this coordinate integral" is ``type(c) is int``.  Divisions of
-exact values are written ``Fraction(a, b)``, never ``a / b``.
+Exact data has one representation: int vertex numerators over one positive
+denominator q, with gcd(q, every numerator) = 1, and facets N x <= b / q
+with int N and b.  build_polytope clears the input's denominators once, so
+hulls, dilates, translates, volumes and angles run on ints.  A lattice
+polytope has q = 1, and the lattice points of any P satisfy N x <= b // q.
+Fraction appears only at the boundary: in RationalVector, the exact point
+type callers pass in (an int when integral, else a Fraction), and in the
+vertices, bounding box and volume a polytope reports.
 
 The face lattice is explicit.  Every face carries the vertex indices lying
 on it and the bitmask of the facets containing it; a face is the
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -70,8 +73,9 @@ def _exact(c: Rational | str) -> Rational:
 
 
 class RationalVector:
-    """Immutable point or direction with exact rational coordinates, each an
-    int when integral and a Fraction otherwise."""
+    """Immutable point with exact rational coordinates, each an int when
+    integral and a Fraction otherwise: the point type of build_polytope,
+    translate, classify_point and weyl.f_P, and of Polytope.vertices."""
 
     __slots__ = ("coords",)
 
@@ -96,61 +100,11 @@ class RationalVector:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalVector) and self.coords == other.coords
 
-    def __lt__(self, other: "RationalVector") -> bool:
-        return self.coords < other.coords
-
-    def __le__(self, other: "RationalVector") -> bool:
-        return self.coords <= other.coords
-
     def __hash__(self) -> int:
         return hash(self.coords)
 
     def __repr__(self) -> str:
         return "rvec(" + ", ".join(str(c) for c in self.coords) + ")"
-
-    def _check_dim(self, other: "RationalVector") -> None:
-        if len(self.coords) != len(other.coords):
-            raise DimensionMismatch(
-                f"vectors have dimensions {len(self.coords)} and {len(other.coords)}"
-            )
-
-    def __add__(self, other: "RationalVector") -> "RationalVector":
-        self._check_dim(other)
-        return RationalVector(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other: "RationalVector") -> "RationalVector":
-        self._check_dim(other)
-        return RationalVector(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "RationalVector":
-        return RationalVector(-a for a in self.coords)
-
-    def __mul__(self, scalar: Rational) -> "RationalVector":
-        return RationalVector(a * scalar for a in self.coords)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "RationalVector") -> Rational:
-        self._check_dim(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords))
-
-    def cross(self, other: "RationalVector") -> "RationalVector":
-        if len(self.coords) != 3 or len(other.coords) != 3:
-            raise UnsupportedDimension("cross product needs dimension 3")
-        a, b = self.coords, other.coords
-        return RationalVector(
-            (
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            )
-        )
-
-    def norm_sq(self) -> Rational:
-        return sum(a * a for a in self.coords)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
 
 
 def rvec(*coords: Rational | str) -> RationalVector:
@@ -202,24 +156,35 @@ def integer_points(points: Sequence, error: str) -> list[tuple[int, ...]]:
     return pts
 
 
-def affine_rank(points: Sequence[RationalVector]) -> int:
-    """Dimension of the affine hull of a point set."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [tuple((p - base).coords) for p in points[1:]]
-    return len(independent_rows(diffs))
+def _sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    return tuple(x - y for x, y in zip(a, b))
 
 
-def _primitive(vec: Sequence[Rational]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector by a positive rational into primitive
-    integers."""
-    lcm = 1
-    for c in vec:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in vec]
-    g = math.gcd(*ints) if len(ints) > 1 else abs(ints[0])
-    return tuple(n // g for n in ints)
+def _dot(a: Sequence[Rational], b: Sequence[Rational]) -> Rational:
+    return sum(map(operator.mul, a, b))
+
+
+def affine_rank(points: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine hull of a non-empty set of integer points."""
+    return len(independent_rows([_sub(p, points[0]) for p in points[1:]]))
+
+
+def _cleared(rows: Sequence[Sequence[Rational]], q: int = 1) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of exact coordinates as int numerators over one denominator,
+    the least common multiple of q and the coordinates' denominators."""
+    q = math.lcm(q, *(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (q // c.denominator) for c in row) for row in rows], q
+
+
+def _lowest_terms(
+    numerators: Sequence[tuple[int, ...]], q: int, bounds: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """Vertex numerators, their denominator and the facet bounds, divided by
+    gcd(q, every numerator), which divides every bound: each facet holds a
+    vertex."""
+    g = math.gcd(q, *itertools.chain(*numerators))
+    V = tuple(tuple(c // g for c in v) for v in numerators)
+    return V, q // g, tuple(b // g for b in bounds)
 
 
 @dataclass(frozen=True)
@@ -330,29 +295,37 @@ def _line_plan(normals: Sequence[tuple[int, ...]]) -> _LinePlan:
 class Polytope:
     """Convex rational polytope, full-dimensional in its ambient space.
 
-    Treat instances as immutable.  A polytope holds its structure: vertices,
-    facets, faces, mask_table, the read-only (2, faces) array whose rows are
-    the face masks in increasing order and the ids of those faces, and
-    line_plan, what lattice_lines reads off the facet normals (None past the
-    bitmask's facets).  Its dilates and translates share that structure and
-    the angle-weight memo (see _moved); its volume and integer facet system
-    depend on its size and so are its own memos.  Results over its lattice
-    points, such as scans and orbit counts, are not kept: a G_P(n)
-    evaluation scans its dilate in runs of lattice lines and keeps only
-    their counts.
+    Treat instances as immutable.  Its exact data is ints: the vertex
+    numerators in lexicographic order over one denominator q (see the
+    module docstring), and the bound b of each primitive facet normal N, so
+    P = {x : N x <= b / q}; vertices and bbox() give them as rationals.  A
+    polytope also holds its structure: facets, faces, mask_table, the
+    read-only (2, faces) array whose rows are the face masks in increasing
+    order and the ids of those faces, and line_plan, what lattice_lines
+    reads off the facet normals (None past the bitmask's facets).  Its
+    dilates and translates share that structure and the angle-weight memo
+    (see _moved); its volume depends on its size and so is its own memo.
+    Results over its lattice points, such as scans and orbit counts, are
+    not kept: a G_P(n) evaluation scans its dilate in runs of lattice lines
+    and keeps only their counts.
     """
 
     dim: int
-    vertices: tuple[RationalVector, ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
     facet_normals: tuple[tuple[int, ...], ...]
-    facet_offsets: tuple[Rational, ...]
+    facet_bounds: tuple[int, ...]
     facet_vertex_ids: tuple[frozenset[int], ...]
     faces: tuple[Face, ...]
     mask_table: np.ndarray = field(repr=False)
     line_plan: _LinePlan | None = field(repr=False)
     _angle_cache: dict[int, float] = field(repr=False, default_factory=dict)
     _volume: Fraction | None = field(repr=False, default=None)
-    _facet_system: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
+
+    @property
+    def vertices(self) -> tuple[RationalVector, ...]:
+        q = self.denominator
+        return tuple(RationalVector(Fraction(c, q) for c in v) for v in self.numerators)
 
     @property
     def n_facets(self) -> int:
@@ -364,44 +337,44 @@ class Polytope:
         return len(self.faces) - 1
 
     def bbox(self) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
-        coords = [v.coords for v in self.vertices]
-        return tuple(map(min, *coords)), tuple(map(max, *coords))
+        q = self.denominator
+        return tuple(
+            RationalVector(Fraction(c, q) for c in map(f, *self.numerators)).coords
+            for f in (min, max)
+        )
 
     def edges(self) -> list[Face]:
         return [f for f in self.faces if f.dim == 1]
 
     def __repr__(self) -> str:
         return (
-            f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
+            f"Polytope(dim={self.dim}, vertices={len(self.numerators)}, "
             f"facets={self.n_facets})"
         )
 
 
-def _facet_planes(
-    dim: int, points: list[RationalVector]
-) -> list[tuple[tuple[int, ...], Rational]]:
-    """All supporting hyperplanes spanned by d-subsets of the points, oriented
-    so the polytope satisfies <normal, x> <= offset."""
-    planes: dict[tuple[tuple[int, ...], Rational], None] = {}
+def _facet_planes(dim: int, points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """All supporting hyperplanes N x = b spanned by d-subsets of the
+    integer points, N primitive and oriented so the points satisfy
+    N x <= b."""
+    planes: dict[tuple[tuple[int, ...], int], None] = {}
     for subset in itertools.combinations(points, dim):
+        u = [_sub(p, subset[0]) for p in subset[1:]]
         if dim == 1:
-            normal_frac = (1,)
+            normal = (1,)
         elif dim == 2:
-            d = subset[1] - subset[0]
-            if d.is_zero():
-                continue
-            normal_frac = (d[1], -d[0])
+            normal = (u[0][1], -u[0][0])
         else:
-            n = (subset[1] - subset[0]).cross(subset[2] - subset[0])
-            if n.is_zero():
-                continue
-            normal_frac = n.coords
-        normal = _primitive(normal_frac)
-        nvec = RationalVector(normal)
-        offset = _exact(nvec.dot(subset[0]))
+            (a0, a1, a2), (b0, b1, b2) = u
+            normal = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        g = math.gcd(*normal)
+        if not g:
+            continue
+        normal = tuple(a // g for a in normal)
+        offset = _dot(normal, subset[0])
         side_lo = side_hi = False
         for p in points:
-            s = nvec.dot(p) - offset
+            s = _dot(normal, p) - offset
             if s > 0:
                 side_hi = True
             elif s < 0:
@@ -419,7 +392,7 @@ def _facet_planes(
 
 def _build_face_lattice(
     dim: int,
-    vertices: tuple[RationalVector, ...],
+    vertices: Sequence[tuple[int, ...]],
     facet_vertex_ids: tuple[frozenset[int], ...],
 ) -> tuple[tuple[Face, ...], np.ndarray]:
     """Faces in order of dimension, then vertex ids, so P itself comes last,
@@ -437,12 +410,8 @@ def _build_face_lattice(
     everything = frozenset(range(len(vertices)))
     face_sets[everything] = dim
 
-    def sort_key(item: tuple[frozenset[int], int]):
-        vs, fdim = item
-        return (fdim, tuple(sorted(vs)))
-
     faces: list[Face] = []
-    for vs, fdim in sorted(face_sets.items(), key=sort_key):
+    for vs, fdim in sorted(face_sets.items(), key=lambda item: (item[1], sorted(item[0]))):
         ids = tuple(sorted(vs))
         rank = affine_rank([vertices[i] for i in ids])
         if rank != fdim:
@@ -466,58 +435,50 @@ def _build_face_lattice(
 def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) -> Polytope:
     """Convex hull of a rational point set, as an exact Polytope.
 
-    Facets are found by brute force over d-element subsets, which is entirely
-    adequate at these sizes and trivially correct.  Input points that are not
-    vertices of the hull are dropped.
+    The points' denominators are cleared once, and the hull is found on
+    their int numerators.  Facets are found by brute force over d-element
+    subsets, which is entirely adequate at these sizes and trivially
+    correct.  Input points that are not vertices of the hull are dropped.
     """
-    pts = [p if isinstance(p, RationalVector) else RationalVector(p) for p in points]
-    if not pts:
+    rows = [(p if isinstance(p, RationalVector) else RationalVector(p)).coords for p in points]
+    if not rows:
         raise DegenerateInput("empty point set")
-    dim = pts[0].dim
+    dim = len(rows[0])
     if not 1 <= dim <= 3:
         raise UnsupportedDimension(f"ambient dimension {dim} not in 1..3")
-    for p in pts:
-        if p.dim != dim:
-            raise DimensionMismatch("points of mixed dimensions")
-    uniq = sorted(set(pts))
+    if any(len(r) != dim for r in rows):
+        raise DimensionMismatch("points of mixed dimensions")
+    rows, q = _cleared(rows)
+    uniq = sorted(set(rows))
     if affine_rank(uniq) != dim:
         raise DegenerateInput(
             f"points span affine dimension {affine_rank(uniq)}, need {dim}"
         )
 
-    planes = _facet_planes(dim, uniq)
+    planes = sorted(_facet_planes(dim, uniq))
 
     # A hull vertex is a point whose tight facet normals span the full space.
-    vertices: list[RationalVector] = []
-    for p in uniq:
-        tight_normals = [
-            normal
-            for normal, offset in planes
-            if RationalVector(normal).dot(p) == offset
-        ]
-        if len(independent_rows(tight_normals)) == dim:
-            vertices.append(p)
-    vertices.sort()
-    vtuple = tuple(vertices)
-
+    vertices = [
+        p
+        for p in uniq
+        if len(independent_rows([N for N, b in planes if _dot(N, p) == b])) == dim
+    ]
     facet_vertex_ids = []
-    normals = []
-    offsets = []
-    for normal, offset in sorted(planes):
-        nvec = RationalVector(normal)
-        on = frozenset(i for i, v in enumerate(vtuple) if nvec.dot(v) == offset)
+    for normal, offset in planes:
+        on = frozenset(i for i, v in enumerate(vertices) if _dot(normal, v) == offset)
         if len(on) < dim:
             raise AssertionError(f"facet {normal} carries only {len(on)} vertices")
-        normals.append(normal)
-        offsets.append(offset)
         facet_vertex_ids.append(on)
+    normals = tuple(N for N, _ in planes)
+    numerators, q, bounds = _lowest_terms(vertices, q, [b for _, b in planes])
 
-    faces, table = _build_face_lattice(dim, vtuple, tuple(facet_vertex_ids))
+    faces, table = _build_face_lattice(dim, numerators, tuple(facet_vertex_ids))
     return Polytope(
         dim=dim,
-        vertices=vtuple,
-        facet_normals=tuple(normals),
-        facet_offsets=tuple(offsets),
+        numerators=numerators,
+        denominator=q,
+        facet_normals=normals,
+        facet_bounds=bounds,
         facet_vertex_ids=tuple(facet_vertex_ids),
         faces=faces,
         mask_table=table,
@@ -526,9 +487,10 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
 
 
 def _moved(
-    P: Polytope, vertices: tuple[RationalVector, ...], offsets: tuple[Rational, ...]
+    P: Polytope, numerators: tuple[tuple[int, ...], ...], q: int, bounds: tuple[int, ...]
 ) -> Polytope:
-    """P with new vertices and facet offsets, after a dilation or translation.
+    """P with new vertex numerators, denominator q and facet bounds, after a
+    dilation or translation.
 
     The copy shares everything such a move leaves alone: normals, facet
     vertex ids, faces, the mask table and the angle weights.  Its volume
@@ -536,9 +498,10 @@ def _moved(
     """
     return Polytope(
         dim=P.dim,
-        vertices=vertices,
+        numerators=numerators,
+        denominator=q,
         facet_normals=P.facet_normals,
-        facet_offsets=offsets,
+        facet_bounds=bounds,
         facet_vertex_ids=P.facet_vertex_ids,
         faces=P.faces,
         mask_table=P.mask_table,
@@ -549,13 +512,16 @@ def _moved(
 
 def dilate(P: Polytope, n: int) -> Polytope:
     """The dilate nP for a positive integer n, a new polytope on every call
-    that shares P's structure and angle weights."""
+    that shares P's structure and angle weights: with g = gcd(n, q), its
+    numerators are n/g times P's over the denominator q/g."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise MalformedInput(f"dilation factor must be a positive integer, got {n}")
     if n == 1:
         return P
-    vertices = tuple(RationalVector(tuple(c * n for c in v.coords)) for v in P.vertices)
-    return _moved(P, vertices, tuple(b * n for b in P.facet_offsets))
+    g = math.gcd(n, P.denominator)
+    m = operator.index(n) // g  # a built-in int, also for numpy integers
+    V = tuple(tuple(m * c for c in v) for v in P.numerators)
+    return _moved(P, V, P.denominator // g, tuple(m * b for b in P.facet_bounds))
 
 
 def _face_ids_of_masks(P: Polytope, masks: np.ndarray) -> np.ndarray:
@@ -576,9 +542,10 @@ def classify_point(P: Polytope, x: RationalVector) -> int | None:
     x, which is P.full_face_id for an interior point; None outside P."""
     if x.dim != P.dim:
         raise DimensionMismatch(f"point has dimension {x.dim}, polytope {P.dim}")
+    (a,), r = _cleared([x.coords])  # x = a / r, and facet k holds x iff q N_k a <= r b_k
     mask = 0
-    for i, (normal, offset) in enumerate(zip(P.facet_normals, P.facet_offsets)):
-        s = sum(a * c for a, c in zip(normal, x.coords)) - offset
+    for i, (normal, b) in enumerate(zip(P.facet_normals, P.facet_bounds)):
+        s = P.denominator * _dot(normal, a) - r * b
         if s > 0:
             return None
         if s == 0:
@@ -599,20 +566,13 @@ def int64_array(values, what: str) -> np.ndarray:
 
 def integer_facet_system(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Facet system cleared of denominators: rows A, bounds c with the body
-    equal to {x : A x <= c} and tightness preserved row by row.  The arrays
-    are read-only and kept on P."""
-    if P._facet_system is not None:
-        return P._facet_system
-    rows = []
-    bounds = []
-    for normal, offset in zip(P.facet_normals, P.facet_offsets):
-        den = offset.denominator
-        rows.append([a * den for a in normal])
-        bounds.append(offset.numerator)
-    A, c = int64_array(rows, "facet normals"), int64_array(bounds, "facet bounds")
-    A.flags.writeable = c.flags.writeable = False
-    P._facet_system = A, c
-    return A, c
+    equal to {x : A x <= c} and tightness preserved row by row.  Row k is
+    q/g N_k with bound b_k/g, for the denominator q and g = gcd(q, b_k)."""
+    q = P.denominator
+    g = [math.gcd(q, b) for b in P.facet_bounds]
+    A = [[a * (q // h) for a in N] for N, h in zip(P.facet_normals, g)]
+    c = [b // h for b, h in zip(P.facet_bounds, g)]
+    return int64_array(A, "facet normals"), int64_array(c, "facet bounds")
 
 
 def line_points(heads: np.ndarray, lower: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -671,7 +631,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     its first point, its last point and the points between.
 
     The lattice points of P are those of N x <= c, N the facet normals and
-    c their offsets floored.  Only the heads under P's shadow are visited:
+    c = b // q their bounds over the denominator, floored.  Only the heads under P's shadow are visited:
     in 3-d the sides of P.line_plan, x2 eliminated from pairs of facets,
     bound the shadow on (x0, x1), and each x0 of the box gets its exact
     x1-interval from them by floor division; in 2-d and 1-d the shadow is
@@ -680,7 +640,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     by floor(s_k / a_k) and a_k < 0 below by ceil(s_k / a_k) =
     -floor(s_k / |a_k|), dividing only where |a_k| > 1; a facet along the
     lines (a_k = 0) holds on every head under the shadow.  The point (h, t)
-    is tight on facet k iff s_k = a_k t and the offset is integral, so the
+    is tight on facet k iff s_k = a_k t and q divides b_k, so the
     rooms also give the faces of the line's ends.  A facet with a_k != 0
     meets the line at most once, so the points between lie on the face of
     the facets tight at both ends.
@@ -698,9 +658,9 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     bounding box, facet bounds or shadow bounds do not fit int64.
     """
     _require_bitmask_facets(P)
-    lo_f, hi_f = P.bbox()
-    lo = [math.ceil(c) for c in lo_f]
-    hi = [math.floor(c) for c in hi_f]
+    q = P.denominator
+    lo = [-(-c // q) for c in map(min, *P.numerators)]
+    hi = [c // q for c in map(max, *P.numerators)]
     if any(h < l for l, h in zip(lo, hi)):
         empty = np.zeros(0, np.int64)
         return np.zeros((0, P.dim - 1), np.int64), empty, empty, np.zeros((3, 0), np.int64)
@@ -709,7 +669,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     int64_array([lo, hi], "bounding-box coordinates")  # both corners bound the lines
     plan = P.line_plan
     m = len(plan.sides)
-    c = [math.floor(P.facet_offsets[k]) for k in plan.order]
+    c = [P.facet_bounds[k] // q for k in plan.order]
     # the sides bounding x1 from above are raised by their x1 term, so
     # their floor quotient is one past the last x1 they allow
     bound = [u * c[k] + v * c[j] + shift for k, u, j, v, shift in plan.sides] + c
@@ -737,7 +697,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     out = np.empty((P.dim + 4, len(row_of)), np.int64)
     heads, lower, counts, faces = out[: P.dim - 1], out[P.dim - 1], out[P.dim], out[P.dim + 1 :]
     up, down, divided = plan.up, plan.down, plan.divided
-    fractional = [k for k, b in enumerate(P.facet_offsets) if b.denominator > 1]
+    fractional = [k for k, b in enumerate(P.facet_bounds) if b % q]
     kept = total = 0
     for s in range(0, len(row_of), _SCAN_CHUNK):
         r = row_of[s : s + _SCAN_CHUNK]
@@ -747,7 +707,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         work = plan.inner * x  # one (facets, heads) buffer for the products
         room -= work
         t = room
-        if divided.stop:
+        if divided.start < divided.stop:
             t = work
             t[:] = room
             t[divided] //= plan.divisor
@@ -772,7 +732,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
             np.matmul(plan.bits, work, out=mask)
         del room, work, t
         np.bitwise_and(masks[0], masks[1], out=masks[2])
-        if fractional:  # no lattice point is tight on a facet with a fractional offset
+        if fractional:  # no lattice point is tight on a facet whose bound q does not divide
             masks &= ~sum(1 << k for k in fractional)
         faces[:, kept:n] = _face_ids_of_masks(P, masks.take(full, axis=1))
         kept = n
@@ -826,7 +786,8 @@ def cycle_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[
 
 
 def volume(P: Polytope) -> Fraction:
-    """Euclidean volume of P, exact.
+    """Euclidean volume of P, exact: a sum of simplex volumes over the
+    numerators, divided by d! q^d.
 
     Dimension 3 triangulates each facet polygon along its boundary cycle and
     cones the triangles over vertex 0; the resulting simplices are disjoint
@@ -835,42 +796,41 @@ def volume(P: Polytope) -> Fraction:
     """
     if P._volume is not None:
         return P._volume
+    V = P.numerators
     if P.dim == 1:
-        vol = Fraction(P.vertices[-1][0] - P.vertices[0][0])
+        vol = V[-1][0] - V[0][0]
     elif P.dim == 2:
         # The boundary of a polygon is a single cycle of its edges.
-        cycle = cycle_order(range(len(P.vertices)), map(sorted, P.facet_vertex_ids))
-        base = P.vertices[cycle[0]]
+        cycle = cycle_order(range(len(V)), map(sorted, P.facet_vertex_ids))
+        base = V[cycle[0]]
         vol = 0
         for a, b in zip(cycle[1:], cycle[2:]):
-            u = P.vertices[a] - base
-            w = P.vertices[b] - base
-            vol += abs(u[0] * w[1] - u[1] * w[0])
-        vol = Fraction(vol, 2)
+            (u0, u1), (w0, w1) = _sub(V[a], base), _sub(V[b], base)
+            vol += abs(u0 * w1 - u1 * w0)
     else:
-        apex = P.vertices[0]
+        apex = V[0]
         edges = [f.vertex_ids for f in P.faces if f.dim == 1]
         vol = 0
         for vs in P.facet_vertex_ids:
             cycle = cycle_order(vs, (e for e in edges if vs.issuperset(e)))
-            base = P.vertices[cycle[0]]
-            z = base - apex
+            base = V[cycle[0]]
+            z = _sub(base, apex)
             for a, b in zip(cycle[1:], cycle[2:]):
-                vol += abs(det3(P.vertices[a] - base, P.vertices[b] - base, z))
-        vol = Fraction(vol, 6)
-    P._volume = vol
-    return vol
+                vol += abs(det3(_sub(V[a], base), _sub(V[b], base), z))
+    P._volume = Fraction(vol, math.factorial(P.dim) * P.denominator**P.dim)
+    return P._volume
 
 
 def translate(P: Polytope, shift: RationalVector) -> Polytope:
-    """P + shift, sharing P's structure and angle weights."""
+    """P + shift, sharing P's structure and angle weights: over the least
+    common multiple of q and the shift's denominators, reduced again."""
     if shift.dim != P.dim:
         raise DimensionMismatch("shift dimension differs from polytope dimension")
-    offsets = tuple(
-        _exact(b + sum(a * s for a, s in zip(normal, shift.coords)))
-        for normal, b in zip(P.facet_normals, P.facet_offsets)
-    )
-    return _moved(P, tuple(v + shift for v in P.vertices), offsets)
+    (s,), q = _cleared([shift.coords], P.denominator)
+    k = q // P.denominator
+    V = [tuple(k * c + t for c, t in zip(v, s)) for v in P.numerators]
+    bounds = [k * b + _dot(N, s) for N, b in zip(P.facet_normals, P.facet_bounds)]
+    return _moved(P, *_lowest_terms(V, q, bounds))
 
 
 def polytope_to_dict(P: Polytope) -> dict:

@@ -69,7 +69,6 @@ from .errors import DegenerateTetrahedron, MalformedInput, VolumeNotMinimal
 from .gauss import phase_table, quad_gauss_closed
 from .geometry import (
     Polytope,
-    RationalVector,
     check_budget,
     det3,
     dilate,
@@ -235,7 +234,8 @@ def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     memory is O(chunk + lines + faces * n).  The value sums w_f C[f, r] over the
     faces f in order, w_f the solid angle, then the residue classes'
     phases by math.fsum."""
-    integer_points(P.vertices, _NOT_LATTICE)
+    if P.denominator != 1:
+        raise MalformedInput(_NOT_LATTICE)
     _check_n(n, "dilation factor")
     Q = dilate(P, n)
     lines = lattice_lines(Q)
@@ -407,7 +407,7 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
     quadratic Gauss sum in closed form."""
     _check_n(n, "dilation factor")
     pts = _minimal_tetrahedron(points)
-    ta = tetrahedron_angles([RationalVector(p) for p in pts])
+    ta = tetrahedron_angles(pts)
     value = complex(-1.0, 0.0)
     for (i, j), w in sorted(ta.dihedral.items()):
         value += w * quad_gauss_closed(int(ta.sq_lengths[(i, j)]), n)

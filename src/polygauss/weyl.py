@@ -68,9 +68,9 @@ def _orbit_frame(P: Polytope) -> tuple:
     integer facet system A y <= c, the translations mu in
     0 .. floor(hi) - floor(lo) per axis, and the largest bound
     sum_i |A_ki| E_i over the facets, with E the extents of mu."""
-    lo, hi = P.bbox()
-    corner = [math.floor(v) for v in lo]
-    extents = [math.floor(h) - l + 1 for l, h in zip(corner, hi)]
+    q = P.denominator
+    corner = [c // q for c in map(min, *P.numerators)]
+    extents = [c // q - l + 1 for l, c in zip(corner, map(max, *P.numerators))]
     A, c = integer_facet_system(P)
     check_budget(
         "orbit candidate-facet pairs",

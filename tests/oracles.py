@@ -6,11 +6,12 @@ bounding-box lattice scan, the triple-loop kappa, the folded route's
 bounding box, the G-orbit count that walks every translation box point by
 point, the multi-tiling check with one orbit query per sample, the
 search's candidates from every index triple, and the tetrahedron angles
-computed on RationalVector arithmetic.  Tests compare the library against
-every one but the G-orbit count for exact equality: scans, counts and
-reports hold integers and strings, and every float the others produce is
-computed in the same order as the library's; the orbit count's angle sum
-is summed in loop order and compared to within rounding.
+computed with a new vector for every difference and cross product.  Tests
+compare the library against every one but the G-orbit count for exact
+equality: scans, counts and reports hold integers and strings, and every
+float the others produce is computed in the same order as the library's;
+the orbit count's angle sum is summed in loop order and compared to
+within rounding.
 """
 
 import itertools
@@ -260,32 +261,49 @@ def index_triple_candidates(B: int) -> np.ndarray:
     return pts
 
 
-def vector_cone_angle(a: RationalVector, b: RationalVector, c: RationalVector) -> float:
-    """Solid angle of the cone on three RationalVector generators."""
+def vsub(a, b):
+    """The difference a - b of two exact points, as a tuple."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def vector_cone_angle(a, b, c) -> float:
+    """Solid angle of the cone on three exact generators."""
     det = det3(a, b, c)
     if det == 0:
         raise DegenerateCone("cone generators are linearly dependent")
-    la = math.sqrt(a.norm_sq())
-    lb = math.sqrt(b.norm_sq())
-    lc = math.sqrt(c.norm_sq())
+    la = math.sqrt(dot(a, a))
+    lb = math.sqrt(dot(b, b))
+    lc = math.sqrt(dot(c, c))
     denom = (
         la * lb * lc
-        + float(b.dot(c)) * la
-        + float(c.dot(a)) * lb
-        + float(a.dot(b)) * lc
+        + float(dot(b, c)) * la
+        + float(dot(c, a)) * lb
+        + float(dot(a, b)) * lc
     )
     return math.atan2(abs(float(det)), denom) / TWO_PI
 
 
 def vector_tetrahedron_angles(points) -> TetrahedronAngles:
-    """tetrahedron_angles with a new RationalVector for every subtraction,
-    negation and cross product."""
+    """tetrahedron_angles with a new vector for every difference and cross
+    product."""
     if len(points) != 4:
         raise DegenerateTetrahedron(f"need 4 points, got {len(points)}")
     pts = [p if isinstance(p, RationalVector) else RationalVector(p) for p in points]
     if any(p.dim != 3 for p in pts):
         raise UnsupportedDimension("tetrahedron vertices must be 3-dimensional")
-    det = det3(pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0])
+    det = det3(vsub(pts[1], pts[0]), vsub(pts[2], pts[0]), vsub(pts[3], pts[0]))
     if det == 0:
         raise DegenerateTetrahedron("zero signed volume")
 
@@ -293,27 +311,27 @@ def vector_tetrahedron_angles(points) -> TetrahedronAngles:
     external = {}
     for i in range(4):
         others = [j for j in range(4) if j != i]
-        gens = [pts[j] - pts[i] for j in others]
+        gens = [vsub(pts[j], pts[i]) for j in others]
         solid.append(vector_cone_angle(*gens))
         for n, j in enumerate(others):
             b, c = gens[:n] + gens[n + 1 :]
-            external[(i, j)] = vector_cone_angle(-gens[n], b, c)
+            external[(i, j)] = vector_cone_angle(vsub(pts[i], pts[j]), b, c)
 
     dihedral = {}
     sq_lengths = {}
     for i in range(4):
         for j in range(i + 1, 4):
             k, l = (m for m in range(4) if m not in (i, j))
-            u = pts[j] - pts[i]
-            m1 = u.cross(pts[k] - pts[i])
-            m2 = u.cross(pts[l] - pts[i])
+            u = vsub(pts[j], pts[i])
+            m1 = cross(u, vsub(pts[k], pts[i]))
+            m2 = cross(u, vsub(pts[l], pts[i]))
             dihedral[(i, j)] = (
                 math.atan2(
-                    abs(float(det)) * math.sqrt(u.norm_sq()), float(m1.dot(m2))
+                    abs(float(det)) * math.sqrt(dot(u, u)), float(dot(m1, m2))
                 )
                 / TWO_PI
             )
-            nsq = u.norm_sq()
+            nsq = dot(u, u)
             sq_lengths[(i, j)] = int(nsq) if nsq.denominator == 1 else nsq
 
     return TetrahedronAngles(

@@ -30,7 +30,7 @@ from polygauss.polysum import (
 )
 from polygauss.weyl import canonical_form, multitiling_check, weyl_elements
 from tests.conftest import FUND_TET, SECOND_TILE_TET, STD_SIMPLEX, make
-from tests.oracles import vector_tetrahedron_angles
+from tests.oracles import vector_tetrahedron_angles, vsub
 
 ORIGIN3 = RationalVector((0, 0, 0))
 
@@ -242,11 +242,9 @@ def test_criterion_7_finite_search_bound_two():
 
 def test_criterion_8_intermediate_identities():
     ta = tetrahedron_angles(FUND_TET)
-    v1 = RationalVector(FUND_TET[1])
-    v2 = RationalVector(FUND_TET[2])
-    v3 = RationalVector(FUND_TET[3])
-    omega_1 = tetrahedron_angles([ORIGIN3, v3, v3 - v2, v1]).solid[0]
-    omega_2 = tetrahedron_angles([ORIGIN3, v3 - v2, v1 - v2, v1]).solid[0]
+    _, v1, v2, v3 = FUND_TET
+    omega_1 = tetrahedron_angles([ORIGIN3, v3, vsub(v3, v2), v1]).solid[0]
+    omega_2 = tetrahedron_angles([ORIGIN3, vsub(v3, v2), vsub(v1, v2), v1]).solid[0]
     checks = {
         "sum solid": (sum(ta.solid), 1 / 6),
         "sum dihedral": (sum(ta.dihedral.values()), 7 / 6),

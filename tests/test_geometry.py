@@ -36,6 +36,9 @@ def test_vertex_identification_drops_redundant_points():
     P = make([(0, 0), (2, 0), (0, 2), (1, 1), (0, 1)])
     got = {tuple(int(c) for c in v.coords) for v in P.vertices}
     assert got == {(0, 0), (2, 0), (0, 2)}
+    # a dropped point's denominator leaves the vertices' alone
+    Q = make([(0, 0), (2, 0), (0, 2), ("1/3", "1/2")])
+    assert (Q.numerators, Q.denominator) == (P.numerators, 1)
 
 
 def test_duplicate_points_collapse(unit_cube):
@@ -204,8 +207,8 @@ def test_membership_matches_facet_system(pts, num):
         return
     x = RationalVector((Fraction(num[0], 10), Fraction(num[1], 10)))
     by_planes = all(
-        sum(Fraction(a) * c for a, c in zip(normal, x.coords)) <= off
-        for normal, off in zip(P.facet_normals, P.facet_offsets)
+        sum(Fraction(a) * c for a, c in zip(normal, x.coords)) <= Fraction(b, P.denominator)
+        for normal, b in zip(P.facet_normals, P.facet_bounds)
     )
     assert (classify_point(P, x) is not None) == by_planes
 
@@ -219,7 +222,7 @@ def test_dilate_contains_scaled_vertices(pts, k):
     Q = dilate(P, k)
     assert volume(Q) == k ** P.dim * volume(P)
     for v in P.vertices:
-        assert classify_point(Q, v * k) is not None
+        assert classify_point(Q, RationalVector(c * k for c in v)) is not None
 
 
 @pytest.mark.parametrize(
@@ -236,16 +239,38 @@ def test_non_integral_coordinates_stay_fractions(raw):
     assert type(c) is Fraction and c == Fraction(raw)
 
 
-def test_integral_sum_of_fractions_is_int():
-    total = rvec("1/2") + rvec("1/2")
-    assert total == rvec(1)
-    assert type(total[0]) is int
-
-
 def test_lattice_polytope_data_stays_int(fund_tet):
     for P in (fund_tet, dilate(fund_tet, 3), translate(fund_tet, rvec(1, -2, 0))):
         assert all(type(c) is int for v in P.vertices for c in v)
-        assert all(type(b) is int for b in P.facet_offsets)
+        assert P.denominator == 1 and all(type(b) is int for b in P.facet_bounds)
+
+
+@pytest.mark.parametrize(
+    "points, move, image",
+    [
+        (
+            [(0, 0, 0), (0, 0, "1/2"), (0, 1, "1/2"), ("1/2", 0, 0)],
+            lambda P: dilate(P, 2),
+            [(0, 0, 0), (0, 0, 1), (0, 2, 1), (1, 0, 0)],
+        ),
+        (
+            [("1/2", "1/2"), ("3/2", "1/2"), ("1/2", "3/2")],
+            lambda P: translate(P, rvec("1/2", "1/2")),
+            [(1, 1), (2, 1), (1, 2)],
+        ),
+    ],
+    ids=["doubled", "moved"],
+)
+def test_p_q_polytope_moved_onto_the_lattice(points, move, image):
+    # a p/q polytope doubled or translated onto the lattice has denominator
+    # 1, and the built-in int data and lattice lines of its image's hull
+    P = make(points)
+    Q, R = move(P), make(image)
+    assert (P.denominator, Q.denominator) == (2, 1)
+    assert Q.numerators == R.numerators and Q.facet_bounds == R.facet_bounds
+    assert all(type(b) is int for b in Q.facet_bounds)
+    for got, want in zip(lattice_lines(Q), lattice_lines(R)):
+        assert np.array_equal(got, want)
 
 
 def _rational_coord(integral: bool):
@@ -266,14 +291,24 @@ def polytopes(draw):
         assume(False)
 
 
-@given(P=polytopes(), n=st.integers(1, 8))
-def test_scan_lattice_matches_grid_oracle(P, n):
+@given(P=polytopes(), n=st.integers(1, 8), shift=st.tuples(*[_rational_coord(False)] * 3))
+def test_scan_lattice_matches_grid_oracle(P, n, shift):
     Q = dilate(P, n)
     pts, face_ids = scan_lattice(Q)
     want_pts, want_ids = grid_scan_lattice(Q)
     assert pts.dtype == face_ids.dtype == np.int64
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(face_ids, want_ids)
+    # the exact data stays in lowest terms through a dilate and a p/q
+    # translate, and gives the vertices n v and v + s computed in Fraction
+    s = shift[: P.dim]
+    moved = translate(P, RationalVector(s))
+    assert Q.vertices == tuple(RationalVector(n * Fraction(c) for c in v) for v in P.vertices)
+    assert moved.vertices == tuple(RationalVector(map(sum, zip(v, s))) for v in P.vertices)
+    for R in (P, Q, moved):
+        assert math.gcd(R.denominator, *itertools.chain(*R.numerators)) == 1
+        for N, b, on in zip(R.facet_normals, R.facet_bounds, R.facet_vertex_ids):
+            assert all(sum(a * c for a, c in zip(N, R.numerators[i])) == b for i in on)
 
 
 @pytest.mark.parametrize(
@@ -395,7 +430,7 @@ def _shadow_shapes(Q):
         shapes.add("|a_k| > 1")
     if 0 in a:
         shapes.add("a_k = 0")
-    if any(b.denominator > 1 for b in Q.facet_offsets):
+    if any(b % Q.denominator for b in Q.facet_bounds):
         shapes.add("fractional offset")
     return shapes
 

@@ -1,6 +1,8 @@
 import cmath
 import gc
+import itertools
 import math
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from polygauss.errors import (
     VolumeNotMinimal,
 )
 from polygauss.gauss import quad_gauss_closed
-from polygauss.geometry import RationalVector, build_polytope, dilate, translate
+from polygauss.geometry import RationalVector, build_polytope, classify_point, dilate, translate
 from polygauss.polysum import (
     closed_form_value,
     kappa,
@@ -191,6 +193,21 @@ def test_dilation_messages_and_numpy_integers(fund_tet):
         for route in (polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded):
             assert route(fund_tet, n).value == route(fund_tet, 3).value
         assert tetra_gauss_sum_formula(FUND_TET, n).value == tetra_gauss_sum_formula(FUND_TET, 3).value
+    # a numpy factor leaves built-in ints in the dilate, also where int64
+    # would wrap: 2^61 away, the dilate by 4 has bounds past 2^63
+    far = translate(fund_tet, RationalVector((2**61, 0, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for P, n in ((fund_tet, 3), (far, 4)):
+            want = dilate(P, n)
+            for m in (np.int64(n), np.int32(n)):
+                Q = dilate(P, m)
+                data = [Q.denominator, *Q.facet_bounds, *itertools.chain(*Q.numerators)]
+                assert all(type(x) is int for x in data)
+                assert (Q.numerators, Q.denominator) == (want.numerators, want.denominator)
+                assert Q.facet_bounds == want.facet_bounds
+                assert [classify_point(Q, v) for v in Q.vertices] == [0, 1, 2, 3]
+    assert max(Q.facet_bounds) == 2**63 + 4
 
 
 def test_formula_route_input_errors():
