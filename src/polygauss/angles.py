@@ -57,26 +57,23 @@ def dihedral_angle(P: Polytope, edge: Face | int) -> float:
 
 
 def _vertex_angle(P: Polytope, vid: int) -> float:
+    edges = [e for e in P.edges() if vid in e.vertex_ids]
     if P.dim == 2:
-        nbrs = []
-        for vs in P.facet_vertex_ids:
-            if vid in vs:
-                (other,) = set(vs) - {vid}
-                nbrs.append(other)
-        if len(nbrs) != 2:
-            raise AssertionError(f"vertex {vid} lies on {len(nbrs)} polygon edges")
         # numerators over q: both products are over q^2, and int true
         # division rounds each quotient once, as float() of the ratio does
         v = P.numerators[vid]
-        (u0, u1), (w0, w1) = ((a - v[0], b - v[1]) for a, b in (P.numerators[k] for k in nbrs))
+        (u0, u1), (w0, w1) = (
+            (a - v[0], b - v[1])
+            for e in edges
+            for a, b in (P.numerators[k] for k in e.vertex_ids if k != vid)
+        )
         cross, dot, q2 = u0 * w1 - u1 * w0, u0 * w0 + u1 * w1, P.denominator**2
         if cross == 0 and dot <= 0:
             raise DegenerateCone("planar cone generators are anti-parallel")
         return math.atan2(abs(cross) / q2, dot / q2) / TWO_PI
     # Girard: a vertex cone with k facets, hence k edges, has angle
     # (1/2) sum_e w_e - (k - 2)/4 over the dihedral angles w_e of its edges.
-    edges = [i for i, f in enumerate(P.faces) if f.dim == 1 and vid in f.vertex_ids]
-    return 0.5 * math.fsum(face_angle(P, e) for e in edges) - (len(edges) - 2) / 4
+    return 0.5 * math.fsum(dihedral_angle(P, e) for e in edges) - (len(edges) - 2) / 4
 
 
 def face_angle(P: Polytope, face_id: int) -> float:

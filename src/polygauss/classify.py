@@ -203,6 +203,9 @@ def gauss_relation_test(
 
     route 'direct' enumerates dilates of the actual polytope; 'tetra' uses
     the dihedral-angle formula (volume-1/6 only)."""
+    ns = tuple(ns)
+    if not ns:
+        raise MalformedInput("ns: expected at least one modulus")
     if route == "direct":
         P = build_polytope(tetra)
         residuals = {
@@ -300,6 +303,8 @@ def run_theorem2_experiment(
     ns = tuple(ns)
     if not ns:
         raise MalformedInput("ns: expected at least one modulus")
+    if route not in ("direct", "tetra"):
+        raise MalformedInput(f"unknown route {route!r}")
     scanned, orbits = _enumerate(B)
     jobs = [(rep, ns, tol, route) for _, rep in orbits]
     if workers > 1:

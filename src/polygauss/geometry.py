@@ -19,7 +19,9 @@ on it and the bitmask of the facets containing it; a face is the
 intersection of those facets, so no two faces share a mask and the full
 face's is 0.  A point in P lies in the relative interior of the face whose
 mask is the set of facets the point is tight on, and one table built with
-the lattice, Polytope.mask_table, turns such masks into face ids.
+the lattice, Polytope.mask_table, turns such masks into face ids (from a
+point, a lattice line's ends or a batch of orbit points); volume pulls P
+into simplices along the same lattice.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # 255 MB in 3-d and 295 MB in 2-d.  fund_tet at n = 256 has 2,862,209
 # points on 33,153 lines, one per head under its shadow.
 POINT_BUDGET = 1 << 24
-_SCAN_CHUNK = 1 << 14  # lines or points whose facet slacks are held at once
+_SCAN_CHUNK = 1 << 14  # heads whose facet rooms lattice_lines holds at once
 
 
 def _exact(c: Rational | str) -> Rational:
@@ -595,22 +597,12 @@ def _require_bitmask_facets(P: Polytope) -> None:
         )
 
 
-def locate_points(P: Polytope, points: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Face of P at each integer row z of `points`, all inside A z <= c: the
-    id of the face in whose relative interior z lies.
-
-    A, c is P's integer facet system or a scaled or shifted copy of it, row
-    for row.  The bitmask of the facets each point is tight on is computed
-    in chunks of points and looked up in P.mask_table.  weyl locates the
-    orbit points inside P of a whole batch of samples this way; the points
-    of lattice lines need no locating, since lattice_lines gives their
-    faces.
-    """
+def face_ids_of_tight(P: Polytope, tight: Iterable[np.ndarray]) -> np.ndarray:
+    """Id of the face of P in whose relative interior each point lies, from
+    one bool row per facet of P, true at the points tight on it; the rows
+    are packed into masks one at a time, so they may come from a generator."""
     _require_bitmask_facets(P)
-    bit = np.int64(1) << np.arange(P.n_facets, dtype=np.int64)
-    masks = np.empty(len(points), dtype=np.int64)
-    for s in range(0, len(points), _SCAN_CHUNK):
-        masks[s : s + _SCAN_CHUNK] = (points[s : s + _SCAN_CHUNK] @ A.T == c) @ bit
+    masks = sum(row.astype(np.int64) << k for k, row in enumerate(tight))
     return _face_ids_of_masks(P, masks)
 
 
@@ -761,62 +753,37 @@ def scan_lattice(P: Polytope, lines: tuple[np.ndarray, ...] | None = None) -> tu
     return line_points(heads, lower, counts), face_ids
 
 
-def cycle_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """The nodes of the single cycle whose edges are the given node pairs, in
-    walking order: from the least node on to the first neighbour paired with
-    it, then around."""
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise AssertionError(f"node {v} has {len(nbrs)} neighbours on a cycle")
-    start = min(adj)
-    cycle = [start, adj[start][0]]
-    while True:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == start:
-            break
-        cycle.append(nxt)
-    if len(cycle) != len(adj):
-        raise AssertionError(f"cycle through {start} misses vertices")
-    return cycle
-
-
 def volume(P: Polytope) -> Fraction:
     """Euclidean volume of P, exact: a sum of simplex volumes over the
     numerators, divided by d! q^d.
 
-    Dimension 3 triangulates each facet polygon along its boundary cycle and
-    cones the triangles over vertex 0; the resulting simplices are disjoint
-    (those on facets through vertex 0 are flat), so absolute determinants
-    can be summed.
+    The simplices pull P from vertex 0, read off the face lattice: vertex 0
+    is joined to each edge off it in 2-d, and in 3-d to each triangle
+    (m, a, b) of a facet off it, m the facet's least vertex and ab one of
+    the facet's edges off m.  They fill P with disjoint interiors, so
+    absolute determinants can be summed.
     """
     if P._volume is not None:
         return P._volume
     V = P.numerators
+    edges = [f.vertex_ids for f in P.edges()]  # each (a, b) with a < b
+    vol = 0
     if P.dim == 1:
         vol = V[-1][0] - V[0][0]
     elif P.dim == 2:
-        # The boundary of a polygon is a single cycle of its edges.
-        cycle = cycle_order(range(len(V)), map(sorted, P.facet_vertex_ids))
-        base = V[cycle[0]]
-        vol = 0
-        for a, b in zip(cycle[1:], cycle[2:]):
-            (u0, u1), (w0, w1) = _sub(V[a], base), _sub(V[b], base)
-            vol += abs(u0 * w1 - u1 * w0)
+        for a, b in edges:
+            if a > 0:  # off vertex 0
+                (u0, u1), (w0, w1) = _sub(V[a], V[0]), _sub(V[b], V[0])
+                vol += abs(u0 * w1 - u1 * w0)
     else:
-        apex = V[0]
-        edges = [f.vertex_ids for f in P.faces if f.dim == 1]
-        vol = 0
         for vs in P.facet_vertex_ids:
-            cycle = cycle_order(vs, (e for e in edges if vs.issuperset(e)))
-            base = V[cycle[0]]
-            z = _sub(base, apex)
-            for a, b in zip(cycle[1:], cycle[2:]):
-                vol += abs(det3(_sub(V[a], base), _sub(V[b], base), z))
+            if 0 in vs:
+                continue
+            m = min(vs)
+            z = _sub(V[m], V[0])
+            for a, b in edges:
+                if a > m and a in vs and b in vs:  # an edge of the facet off m
+                    vol += abs(det3(_sub(V[a], V[m]), _sub(V[b], V[m]), z))
     P._volume = Fraction(vol, math.factorial(P.dim) * P.denominator**P.dim)
     return P._volume
 

@@ -5,12 +5,11 @@ Direct: count the lattice points of nP per face and residue of |x|^2 mod
 n, as an integer table C[f, r]; then G_P(n) = sum_r (sum_f w_f C[f, r])
 e(r / n), with w_f the solid angle of nP on face f.
 
-Folded: fold every lattice point of nP to its representative z/n in the
-wedge 0 <= x_1 <= ... <= x_d <= 1/2 (one per orbit of the
-signed-permutation-plus-translation group); phases depend only on the
-representative because the group preserves |x|^2 mod 1 after scaling, so
-the direct route's table C[f, r] already counts every point at its
-representative's phase, and the two routes share it and its value.
+Folded: folds nothing.  It returns the direct route's value, read off
+the same table C[f, r], and reports as its point count the
+C(floor(n/2) + d, d) representatives z/n of the wedge
+0 <= x_1 <= ... <= x_d <= 1/2, one per orbit of the
+signed-permutation-plus-translation group.
 
 Tetrahedron formula: for minimal (volume 1/6) lattice tetrahedra the whole
 sum collapses to dihedral angles times quadratic Gauss sums plus a small
@@ -268,17 +267,15 @@ def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
 
 
 def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
-    """G_P(n) by summing over one representative per symmetry orbit.
+    """G_P(n) as the direct route computes it, reported with the number of
+    orbit representatives instead of the points scanned.
 
     Representatives are the points z/n with integer z in the sorted wedge
     0 <= z_1 <= ... <= z_d <= n/2: each orbit of the signed-permutation and
-    integer-translation group meets the closed wedge exactly once.  Every
-    scanned point x of nP folds to its representative by z = x mod n,
-    z = min(z, n - z) and sorting, none of which moves |x|^2 mod n; so the
-    phase e(|z|^2 / n), well defined on the orbit because the group
-    preserves norms mod the lattice, is x's own, and the value is the
-    direct route's count table summed.  The point count reported is the
-    number of representatives.
+    integer-translation group meets the closed wedge exactly once.  The
+    group preserves |x|^2 mod n, so a point's phase is its representative's,
+    and the direct route's count table already holds every orbit; nothing
+    is folded.
     """
     value = _counted_sum(P, n)[0]
     count = math.comb(n // 2 + P.dim, P.dim)

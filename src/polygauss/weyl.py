@@ -11,17 +11,18 @@ Euclidean norm, and its inverse is its transpose.
 
 Orbit counts are one vectorised integer query over a batch of points.
 For x = a/q the G-orbit is the set of points (u + q lam)/q with
-u = w a mod q over w in W and lam integral.  The distinct images u of
-every point of the batch, the translations lam that can reach P's bounding
-box and the facet slacks, split into a part per image and a part per
-translation, are int64 arrays; only the candidates inside P are formed,
-and they are located on their faces by geometry.locate_points.  A
-polytope with more than geometry.POINT_BUDGET (candidate, facet) pairs
-per point, |W| x (bounding-box extents) x facets, raises MalformedInput
-before any candidate exists.  Points enter as integer numerators a over a denominator
-q: multitiling_check draws them so over the prime SAMPLE_DENOMINATOR, in
-batches of about _ORBIT_BATCH_CELLS (image, translation, facet) tests, and
-f_P converts its rational x once and queries it alone.
+u = w a mod q over w in W and lam integral.  A candidate's facet slacks
+split into a part per distinct image u of the batch and a part per
+translation lam that can reach P's bounding box, two int64 arrays, so no
+candidate point is formed: it lies in P where every image part is at
+least its translation part, on the face of the facets where they are
+equal.  A polytope with more than geometry.POINT_BUDGET (candidate, facet)
+pairs per point, |W| x (bounding-box extents) x facets, raises
+MalformedInput before any candidate is tested.  Points enter as integer
+numerators a over a denominator q: multitiling_check draws them so over
+the prime SAMPLE_DENOMINATOR, in batches of about _ORBIT_BATCH_CELLS
+(image, translation, facet) tests, and f_P converts its rational x once
+and queries it alone.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .geometry import (
     Polytope,
     RationalVector,
     check_budget,
+    face_ids_of_tight,
     integer_facet_system,
     integer_points,
-    locate_points,
     volume,
 )
 
@@ -99,8 +100,8 @@ def _orbit_face_ids(
     z/q = u/q + lam lies in the bounding box only for
     floor(lo) <= lam <= floor(hi), as 0 <= u/q < 1, so with
     lam = floor(lo) + mu the candidates are z = u + q mu, tested against
-    A z <= q c on P - floor(lo) through their slacks (q c - A u) - q (A mu).
-    Only the candidates inside P are built and located on their faces.
+    A z <= q c on P - floor(lo) through their slacks (q c - A u) - q (A mu),
+    whose two parts are equal on the facets a candidate is tight on.
     """
     A, c, mu, reach = frame
     # 0 <= z_i < q E_i and |c_k| <= sum_i |A_ki| E_i because facet k is
@@ -117,16 +118,14 @@ def _orbit_face_ids(
     u, owner = u[order], owner[order]
     new = np.r_[True, (owner[1:] != owner[:-1]) | (u[1:] != u[:-1]).any(axis=1)]
     u, owner = u[new], owner[new]
-    # facet k's slack at u + q mu is (q c - A u)_k - q (A mu)_k: the test
-    # compares the two parts, one bool per (facet, image, translation), and
-    # forms no int64 array over the candidates
-    qc = q * c
-    inside = np.logical_and.reduce(
-        (qc[:, None] - A @ u.T)[:, :, None] >= q * (A @ mu.T)[:, None, :], axis=0
-    )
+    # facet k's slack at u + q mu is room[k, image] - step[k, shift]: one
+    # bool per (facet, image, translation) compares the parts, and facet by
+    # facet their equality gives the inside candidates' tight rows
+    room = q * c[:, None] - A @ u.T
+    step = q * (A @ mu.T)
+    inside = np.logical_and.reduce(room[:, :, None] >= step[:, None, :], axis=0)
     image, shift = np.nonzero(inside)
-    z = u[image] + q * mu[shift]
-    return owner[image], locate_points(P, z, A, qc)
+    return owner[image], face_ids_of_tight(P, (r[image] == s[shift] for r, s in zip(room, step)))
 
 
 def f_P(P: Polytope, x: RationalVector) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -26,6 +27,13 @@ SECOND_TILE_TET = ((0, 0, 0), (1, 0, 0), (0, 0, -1), (1, 1, 1))
 # so does every vertex of the octahedron conv{+-e_i}
 SQUARE_PYRAMID = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1))
 OCTAHEDRON = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+# 70 points of the circle of radius 1000, rounded to integers: over the
+# denominator 1000 a p/q polygon with more facets than a tight-set bitmask
+# (a signed int64) holds, and as it stands a lattice one
+CIRCLE_70 = tuple(
+    (round(1000 * math.cos(math.tau * k / 70)), round(1000 * math.sin(math.tau * k / 70)))
+    for k in range(70)
+)
 
 
 def make(points) -> Polytope:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polygauss import classify
 from polygauss.classify import (
     DEFAULT_NS,
     FUNDAMENTAL_TETRAHEDRON,
@@ -243,3 +244,21 @@ def test_classification_refuses_empty_ns():
     # all() over no residuals would pass every orbit
     with pytest.raises(MalformedInput, match="ns"):
         run_theorem2_experiment(1, ns=())
+
+
+def test_relation_test_refuses_empty_ns():
+    # all() over no residuals passed the corner simplex, which fails the
+    # relation at n = 3
+    for route in ("direct", "tetra"):
+        with pytest.raises(MalformedInput, match="at least one modulus"):
+            gauss_relation_test(STD_SIMPLEX, ns=(), route=route)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_refuses_an_unknown_route_before_enumerating(monkeypatch, workers):
+    def unreachable(B):
+        raise AssertionError("candidates enumerated before the route was checked")
+
+    monkeypatch.setattr(classify, "_enumerate", unreachable)
+    with pytest.raises(MalformedInput, match="unknown route 'bogus'"):
+        run_theorem2_experiment(3, route="bogus", workers=workers)

@@ -12,7 +12,7 @@ import pytest
 from polygauss import geometry
 from polygauss.cli import main
 from polygauss.gauss import quad_gauss_closed
-from tests.conftest import FUND_TET
+from tests.conftest import CIRCLE_70, FUND_TET
 from tests.oracles import vector_tetrahedron_angles
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "polytopes"
@@ -333,6 +333,22 @@ def test_oversized_check_tiling_fails_fast(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "exceed the budget" in err
+
+
+def test_more_facets_than_a_bitmask_holds_exit_2(capsys, tmp_path):
+    # the p/q 70-gon for the orbit query, which needs no lattice polytope,
+    # and its lattice dilate by 1000 for the sum
+    paths = tmp_path / "pq.json", tmp_path / "lattice.json"
+    for path, scale in zip(paths, ("/1000", "")):
+        vertices = [[f"{c}{scale}" for c in p] for p in CIRCLE_70]
+        path.write_text(json.dumps({"dim": 2, "vertices": vertices}))
+    for argv in (
+        ("check-tiling", "--polytope", str(paths[0])),
+        ("sum", "--polytope", str(paths[1]), "--n", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "bitmask" in err
 
 
 @needs_linux_rusage

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from polygauss import weyl
 from polygauss.angles import face_angle
-from polygauss.errors import DimensionMismatch, MalformedInput
+from polygauss.errors import DimensionMismatch, MalformedInput, UnsupportedDimension
 from polygauss.geometry import RationalVector, dilate, polytope_from_dict, translate
 from polygauss.weyl import (
     MultiTilingReport,
@@ -20,6 +21,7 @@ from polygauss.weyl import (
     weyl_elements,
 )
 from tests.conftest import (
+    CIRCLE_70,
     DATA,
     FUND_TET,
     OCTAHEDRON,
@@ -272,6 +274,32 @@ def test_multitiling_fractional_expected_count():
     rep = multitiling_check(P, sample_count=5, seed=0)
     assert not rep.is_multitiling
     assert rep.expected is None
+
+
+def test_orbit_query_packs_tight_rows_one_facet_at_a_time():
+    # one sample's 384000 orbit points inside a cube of side 20: a (facet,
+    # candidate) int64 array of either slack part takes 18 MB, so gathering
+    # both at once peaks near 49 MB and forming the points z near 28 MB,
+    # while packing one facet's tight row at a time peaks near 20 MB
+    P = make([(i, j, k) for i in (0, 20) for j in (0, 20) for k in (0, 20)])
+    frame = _orbit_frame(P)
+    tracemalloc.start()
+    try:
+        _, ids = _orbit_face_ids(P, frame, [[1234, 2345, 3456]], 10007)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == 48 * 20**3
+    assert peak < 24e6
+
+
+def test_multitiling_check_refuses_more_facets_than_a_bitmask_holds():
+    # the tight masks of 70 facets overflow int64, so no orbit point can be
+    # located; the check says so instead of failing inside numpy
+    P = make([[Fraction(c, 1000) for c in p] for p in CIRCLE_70])
+    assert P.n_facets == 70
+    with pytest.raises(UnsupportedDimension, match="bitmask"):
+        multitiling_check(P)
 
 
 def test_multitiling_deterministic(fund_tet):
