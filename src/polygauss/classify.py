@@ -30,6 +30,7 @@ packed into one int64 key; the canonical key is the minimum over the
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -294,7 +295,9 @@ def run_theorem2_experiment(
     relation for each n, and checks that the passing orbits are exactly the
     orbit of the reference tetrahedron conv{0, e1, e1+e2, e1+e2+e3}.  The
     minimum over rejected orbits of their worst residual is reported so the
-    pass/fail separation is measured rather than assumed.
+    pass/fail separation is measured rather than assumed.  With workers > 1
+    the orbits are tested in a pool of at most os.cpu_count() processes;
+    the report does not depend on the worker count.
     """
     if workers < 1:
         raise MalformedInput(f"workers must be >= 1, got {workers}")
@@ -307,6 +310,7 @@ def run_theorem2_experiment(
         raise MalformedInput(f"unknown route {route!r}")
     scanned, orbits = _enumerate(B)
     jobs = [(rep, ns, tol, route) for _, rep in orbits]
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing  # only a pool needs it; deferred to keep start-up short
 

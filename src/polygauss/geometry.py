@@ -615,6 +615,15 @@ def check_budget(what: str, count: int, remedy: str = "use a smaller n") -> None
         )
 
 
+def check_positive_int(n: int, what: str) -> None:
+    """Raise MalformedInput unless n is an integer >= 1; numpy integers
+    count, bools do not."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise MalformedInput(f"{what} must be an integer, got {n}")
+    if n < 1:
+        raise MalformedInput(f"{what} must be >= 1, got {n}")
+
+
 def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     """The non-empty lattice lines of P parallel to the last axis, in
     lexicographic order of their heads: (heads, lower, counts, faces), each

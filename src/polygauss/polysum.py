@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,6 +68,7 @@ from .gauss import phase_table, quad_gauss_closed
 from .geometry import (
     Polytope,
     check_budget,
+    check_positive_int,
     det3,
     dilate,
     integer_points,
@@ -109,15 +109,6 @@ class GaussSumReport:
             "residual_re": self.residual.real,
             "residual_im": self.residual.imag,
         }
-
-
-def _check_n(n: int, what: str) -> None:
-    """Raise MalformedInput unless n is an integer >= 1; numpy integers
-    count, bools do not."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise MalformedInput(f"{what} must be an integer, got {n}")
-    if n < 1:
-        raise MalformedInput(f"{what} must be >= 1, got {n}")
 
 
 # Line ends whose residues are held at once while counting.
@@ -235,7 +226,7 @@ def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     phases by math.fsum."""
     if P.denominator != 1:
         raise MalformedInput(_NOT_LATTICE)
-    _check_n(n, "dilation factor")
+    check_positive_int(n, "dilation factor")
     Q = dilate(P, n)
     lines = lattice_lines(Q)
     points = int(lines[2].sum())
@@ -348,7 +339,7 @@ def kappa(points: Sequence, n: int) -> complex:
     adding the step, which grows by 2 g_22 per pass, so memory is O(n^2).
     Each of the four sums is the exact sum of its terms counted per
     residue, rounded once, the value math.fsum of the terms gives."""
-    _check_n(n, "modulus")
+    check_positive_int(n, "modulus")
     pts = _minimal_tetrahedron(points)
     if n < 3:  # no composition of n into three positive parts
         return complex(0.0, 0.0)
@@ -402,7 +393,7 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
 
     with w_ij the dihedral angles, n_ij the squared edge lengths, and G the
     quadratic Gauss sum in closed form."""
-    _check_n(n, "dilation factor")
+    check_positive_int(n, "dilation factor")
     pts = _minimal_tetrahedron(points)
     ta = tetrahedron_angles(pts)
     value = complex(-1.0, 0.0)

@@ -11,7 +11,9 @@ Euclidean norm, and its inverse is its transpose.
 
 Orbit counts are one vectorised integer query over a batch of points.
 For x = a/q the G-orbit is the set of points (u + q lam)/q with
-u = w a mod q over w in W and lam integral.  A candidate's facet slacks
+u = w a mod q over w in W and lam integral.  The distinct images are
+found without a sort, each keyed by which of the signed coordinates
++-a_i mod q its coordinates take.  A candidate's facet slacks
 split into a part per distinct image u of the batch and a part per
 translation lam that can reach P's bounding box, two int64 arrays, so no
 candidate point is formed: it lies in P where every image part is at
@@ -42,6 +44,7 @@ from .geometry import (
     Polytope,
     RationalVector,
     check_budget,
+    check_positive_int,
     face_ids_of_tight,
     integer_facet_system,
     integer_points,
@@ -85,6 +88,21 @@ def _orbit_frame(P: Polytope) -> tuple:
     return A, np.array(shifted, dtype=np.int64), mu, reach
 
 
+@lru_cache(maxsize=8)
+def _image_keys(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 tables that key the images w a of a sample by its
+    2d signed coordinates, slot i < d holding a_i and slot d + i holding
+    -a_i: weights[k, w] is (2d)^j if coordinate j of w a is slot k, else
+    0, and slots[key] lists the d slots that a key below (2d)^d names."""
+    W = weyl_elements(d)
+    place = (2 * d) ** np.arange(d, dtype=np.int64)
+    weights = np.concatenate([((W == s) * place[:, None]).sum(axis=1).T for s in (1, -1)])
+    slots = np.arange((2 * d) ** d)[:, None] // place % (2 * d)
+    for t in (weights, slots):
+        t.setflags(write=False)  # cached and shared by every caller
+    return weights, slots
+
+
 def _orbit_face_ids(
     P: Polytope, frame: tuple, a: Sequence[Sequence[int]], q: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +111,15 @@ def _orbit_face_ids(
     integer numerators a and a denominator q >= 1, with
     frame = _orbit_frame(P).
 
-    With a reduced mod q (the orbit is the same), the images
-    u = w a mod q over w in W of all samples are deduplicated by one
-    lexicographic sort keyed on (sample, u), exact for any q: images
+    With a reduced mod q (the orbit is the same), coordinate j of an image
+    u = w a mod q is one of the sample's 2d signed coordinates +-a_i mod q,
+    and which one depends on w alone.  Each signed coordinate is named by
+    the first slot that holds its value, and each image is keyed by the
+    names of its d coordinates in base 2d: two images of a sample are equal
+    exactly when their keys are, and every key is below (2d)^d <= 216
+    whatever q is.  One bool per (sample, key) marks the images present,
+    so the distinct images come out in sample order with no sort, and
+    each is gathered back from its sample's signed coordinates.  Images
     distinct mod q give disjoint point sets.  An orbit point
     z/q = u/q + lam lies in the bounding box only for
     floor(lo) <= lam <= floor(hi), as 0 <= u/q < 1, so with
@@ -111,13 +135,14 @@ def _orbit_face_ids(
     if 2 * q * reach >= 1 << 63:
         raise MalformedInput(f"orbit of a point with denominator {q} overflows int64")
     a = np.array([[v % q for v in row] for row in a], dtype=np.int64)
-    W = weyl_elements(P.dim)
-    u = (a @ W.reshape(-1, P.dim).T).reshape(-1, P.dim) % q  # [s |W| + w] = w a_s
-    owner = np.repeat(np.arange(len(a)), len(W))
-    order = np.lexsort((*u.T, owner))
-    u, owner = u[order], owner[order]
-    new = np.r_[True, (owner[1:] != owner[:-1]) | (u[1:] != u[:-1]).any(axis=1)]
-    u, owner = u[new], owner[new]
+    signed = np.concatenate([a, -a % q], axis=1)  # (S, 2d) signed coordinates
+    names = (signed[:, :, None] == signed[:, None, :]).argmax(axis=2)  # first equal slot
+    weights, slots = _image_keys(P.dim)
+    keys = names @ weights + len(slots) * np.arange(len(a))[:, None]  # [s, w]
+    present = np.zeros(len(a) * len(slots), dtype=bool)
+    present[keys] = True
+    owner, key = np.nonzero(present.reshape(len(a), len(slots)))
+    u = signed.take(slots[key] + signed.shape[1] * owner[:, None])
     # facet k's slack at u + q mu is room[k, image] - step[k, shift]: one
     # bool per (facet, image, translation) compares the parts, and facet by
     # facet their equality gives the inside candidates' tight rows
@@ -144,7 +169,7 @@ def f_P(P: Polytope, x: RationalVector) -> float:
 SAMPLE_DENOMINATOR = 10007  # prime; boundary strata of lattice polytopes
                             # under G have denominators dividing small
                             # integers, so a/10007 never lands on them
-_ORBIT_BATCH_CELLS = 1 << 15  # (image, translation, facet) tests per
+_ORBIT_BATCH_CELLS = 1 << 17  # (image, translation, facet) tests per
                               # orbit query of multitiling_check
 
 
@@ -199,8 +224,7 @@ def multitiling_check(
     |W| x (bounding-box extents) x facets tests for one sample exceed
     geometry.POINT_BUDGET raises MalformedInput.
     """
-    if sample_count < 1:
-        raise MalformedInput(f"sample_count must be >= 1, got {sample_count}")
+    check_positive_int(sample_count, "sample_count")
     d = P.dim
     frame = _orbit_frame(P)
     A, _, mu, _ = frame

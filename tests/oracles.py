@@ -140,20 +140,15 @@ def _common_denominator(x: RationalVector) -> tuple[tuple[int, ...], int]:
     return tuple(int(c * q) for c in x.coords), q
 
 
-def loop_orbit_weight_sum(
-    P: Polytope, x: RationalVector, indicator: bool
-) -> tuple[float, int, bool]:
-    """Sum of weights of P over the G-orbit of x, where G is the signed
-    permutations extended by integer translations.
-
-    With indicator=False the weight is the solid angle (so the result is the
-    orbit sum of angle weights); with indicator=True every point inside
-    closed P counts 1.  Returns (sum, integer hit count, boundary_hit): the
-    latter flags any orbit point landing exactly on the boundary of P, where
-    an indicator is ambiguous.
+def loop_orbit_faces(P: Polytope, x: RationalVector) -> list[int]:
+    """The face id of every distinct point of the G-orbit of x in closed
+    P, where G is the signed permutations extended by integer
+    translations, in loop order: w over weyl_elements, then each
+    translation lam of the bounding box.
 
     Arithmetic is pure-integer: x = a/q, and membership of (w a + q lam)/q
-    is tested as A (w a + q lam) <= q b for the cleared facet system A, b.
+    is tested as A (w a + q lam) <= q b for the cleared facet system A, b;
+    a point's face is the one on the facets where that is an equality.
     """
     a, q = _common_denominator(x)
     A, b = integer_facet_system(P)
@@ -161,9 +156,7 @@ def loop_orbit_weight_sum(
     qb = [q * int(bi) for bi in b.tolist()]
     lo_f, hi_f = P.bbox()
     d = P.dim
-    total = 0.0
-    hits = 0
-    boundary = False
+    faces = []
     seen: set[tuple[int, ...]] = set()
     for u in (weyl_elements(d) @ np.array(a, dtype=object)).tolist():
         ranges = []
@@ -175,35 +168,32 @@ def loop_orbit_weight_sum(
             z = tuple(u[i] + q * lam[i] for i in range(d))
             if z in seen:
                 continue
-            tight = []
-            ok = True
-            for row, bound in zip(A_rows, qb):
-                s = bound - sum(r * zi for r, zi in zip(row, z))
-                if s < 0:
-                    ok = False
-                    break
-                if s == 0:
-                    tight.append(True)
-            if not ok:
+            slacks = [bound - sum(r * zi for r, zi in zip(row, z)) for row, bound in zip(A_rows, qb)]
+            if min(slacks) < 0:
                 continue
             seen.add(z)
-            hits += 1
-            if tight:
-                boundary = True
-                if not indicator:
-                    # exact face lookup for the angle weight
-                    tight_ids = [
-                        i
-                        for i, (row, bound) in enumerate(zip(A_rows, qb))
-                        if bound == sum(r * zi for r, zi in zip(row, z))
-                    ]
-                    fid = face_of_tight_facets(P, tight_ids)
-                    total += face_angle(P, fid)
-                else:
-                    total += 1.0
-            else:
-                total += 1.0
-    return total, hits, boundary
+            faces.append(face_of_tight_facets(P, [k for k, s in enumerate(slacks) if s == 0]))
+    return faces
+
+
+def loop_orbit_weight_sum(
+    P: Polytope, x: RationalVector, indicator: bool
+) -> tuple[float, int, bool]:
+    """Sum of weights of P over the G-orbit of x (loop_orbit_faces),
+    summed in loop order.
+
+    With indicator=False the weight is the solid angle (so the result is the
+    orbit sum of angle weights); with indicator=True every point inside
+    closed P counts 1.  Returns (sum, integer hit count, boundary_hit): the
+    latter flags any orbit point landing exactly on the boundary of P, where
+    an indicator is ambiguous.
+    """
+    full = face_of_tight_facets(P, [])
+    faces = loop_orbit_faces(P, x)
+    total = 0.0
+    for f in faces:
+        total += 1.0 if indicator or f == full else face_angle(P, f)
+    return total, len(faces), any(f != full for f in faces)
 
 
 def loop_multitiling_check(

@@ -227,6 +227,32 @@ def test_classification_workers_equivalent(report_b1):
     assert par.min_rejection_residual == report_b1.min_rejection_residual
 
 
+@pytest.mark.parametrize("cpus,workers,pool", [(2, 100000, 2), (4, 3, 3), (1, 2, None), (None, 2, None)])
+def test_search_pool_holds_at_most_one_process_per_cpu(monkeypatch, report_b1, cpus, workers, pool):
+    # a recording pool that maps in this process, so no process starts
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs, chunksize=1):
+            return [func(j) for j in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+    assert run_theorem2_experiment(1, workers=workers) == report_b1
+    assert sizes == ([] if pool is None else [pool])
+
+
 def test_classification_restricted_ns_admits_more_orbits(report_b1):
     # with only n = 1, 2 the relations are much weaker
     weak = run_theorem2_experiment(1, ns=(1, 2))

@@ -30,7 +30,7 @@ from tests.conftest import (
     load_bundled,
     make,
 )
-from tests.oracles import loop_multitiling_check, loop_orbit_weight_sum
+from tests.oracles import loop_multitiling_check, loop_orbit_faces, loop_orbit_weight_sum
 
 FT_CANONICAL = ((-1, -1, -1), (-1, -1, 0), (-1, 0, 0), (0, 0, 0))
 SECOND_CANONICAL = ((-2, -1, -1), (-1, -1, -1), (-1, -1, 0), (0, 0, 0))
@@ -159,6 +159,37 @@ def test_orbit_count_matches_loop_oracle(oracle_polytopes):
             batched = math.fsum(face_angle(P, f) for f in mine.tolist())
             assert batched == pytest.approx(angles, abs=1e-12), (P, x)
             assert f_P(P, x) == batched, (P, x)
+
+
+COINCIDENT_SHAPES = [
+    [(0,), (1,)],
+    [("-1/2",), ("3/4",)],
+    [(0, 0), (1, 0), (0, 1)],
+    [(0, 0), (3, 1), (1, 3)],
+    FUND_TET,
+    SECOND_TILE_TET,
+    [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)],
+]
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 10007, 2**40 + 15])
+def test_orbit_query_on_coinciding_signed_coordinates(q):
+    # the query names an image's coordinates by the first of the sample's
+    # signed coordinates +-a_i mod q holding their value, so samples where
+    # these coincide (a_i = a_j, a_i = -a_j, a_i = 0, a_i = q/2) have fewer
+    # distinct images than |W|; at q = 2^40 + 15 a key packing the values,
+    # S q^3, would overflow int64 in 3-d
+    rng = random.Random(q)
+    for points in COINCIDENT_SHAPES:
+        P = make(points)
+        r, s = rng.randrange(q), rng.randrange(q)
+        values = [0, r, -r, s] + ([q // 2] if q % 2 == 0 else [])
+        rows = [[v + q * rng.randrange(-2, 3) for v in row] for row in itertools.product(values, repeat=P.dim)]
+        owner, ids = _orbit_face_ids(P, _orbit_frame(P), rows, q)
+        assert (np.diff(owner) >= 0).all()  # sample order
+        for i, a in enumerate(rows):
+            x = RationalVector(Fraction(v, q) for v in a)
+            assert sorted(ids[owner == i].tolist()) == sorted(loop_orbit_faces(P, x)), (P, x)
 
 
 @pytest.mark.parametrize("points", [SQUARE_PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])
@@ -311,6 +342,19 @@ def test_multitiling_deterministic(fund_tet):
 def test_multitiling_bad_sample_count(fund_tet):
     with pytest.raises(MalformedInput):
         multitiling_check(fund_tet, sample_count=0)
+
+
+@pytest.mark.parametrize("count", [2.5, "3", True, False, None, 4.0, -2], ids=repr)
+def test_multitiling_sample_count_must_be_a_positive_integer(fund_tet, count):
+    # a bool is not a count: True would check one sample
+    with pytest.raises(MalformedInput, match="sample_count must be"):
+        multitiling_check(fund_tet, sample_count=count)
+
+
+def test_multitiling_takes_a_numpy_integer_sample_count(fund_tet):
+    rep = multitiling_check(fund_tet, sample_count=np.int64(7), seed=3)
+    assert rep == multitiling_check(fund_tet, sample_count=7, seed=3)
+    assert rep.samples_checked == 7
 
 
 def test_report_to_dict():
