@@ -11,20 +11,25 @@ T' = conv{(0,0,0), (1,0,0), (0,0,-1), (1,1,1)} (README "Findings").
 
 The enumeration is vectorized one first vector at a time: the cross
 products v_i x v_j with every later v_j, dotted with every later v_k, give
-all determinants of triples starting at v_i, and the ones equal to +-1 are
-kept in index-triple order.  Beyond the candidates themselves a step holds
+all determinants of triples starting at v_i, and the index triples of the
+ones equal to +-1 are kept in index-triple order.  Beyond them a step holds
 O(N) normals and a fixed-size chunk of determinants for the N vectors of
 the box, and the running candidate count is held to geometry.POINT_BUDGET,
 so an oversized bound raises MalformedInput.
 
 Canonicalization is by table lookup.  Each vertex translated to a chosen
 origin packs into an integer code whose order is the lexicographic order of
-vertices.  A signed permutation is linear, so it maps codes to codes, and
-one precomputed int32 ((4B+1)^3, |W|) table holds every image.  Per origin
-the four codes are gathered from the table, a cache-sized chunk of
-tetrahedra at a time, sorted by a five-comparator min/max network and
-packed into one int64 key; the canonical key is the minimum over the
-4 x |W| choices.
+vertices.  A code is affine in its vertex, so the code of v_j - v_k is
+lin(v_j) - lin(v_k) + code(0), gathered through the candidate's index
+triple.  A signed permutation is linear, so it maps codes to codes, and one
+precomputed uint16 ((4B+1)^3, |W|) table holds every image.  The origin
+always has code(0), so per origin only the three other codes are gathered
+from the table, a chunk of candidates at a time, sorted by a three-comparator
+network and packed into one int64 key; the canonical key is the minimum over
+the 4 x |W| choices.  Inserting one common element into two sorted tuples
+keeps their lexicographic order, so the keys order orbits as canonical_form
+does, np.unique keeps the same first-seen representatives, and decoding puts
+the origin back.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedInput
-from .geometry import build_polytope, check_budget
+from .geometry import build_polytope, check_budget, check_positive_int
 from .polysum import polyhedral_gauss_sum_direct, tetra_gauss_sum_formula
 from .weyl import canonical_form, weyl_elements
 
@@ -46,18 +51,19 @@ FUNDAMENTAL_TETRAHEDRON = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
 DEFAULT_NS = (1, 2, 3, 4)
 DEFAULT_TOL = 1e-6
 
-# Canonical keys pack 12 coordinates in base 4B+1 into one int64.
+# Codes below (4B+1)^3 <= 37^3 fit the uint16 image table; three pack below 2^63.
 _MAX_PACKED_BOUND = 9
-_CHUNK = 1024  # tetrahedra canonicalised per step; one image gather stays in cache
+_CHUNK = 1024  # candidates canonicalised per step; one image gather stays in cache
 _PAIR_CHUNK = 1 << 16  # (j, k) determinants held at once during enumeration
 
 Tetra = tuple[tuple[int, int, int], ...]
 
 
-def _candidate_tetrahedra(B: int) -> np.ndarray:
-    """(m, 4, 3) int8 vertices of the candidates conv{0, v1, v2, v3}, one per
-    unordered triple of nonzero vectors in [-B, B]^3 that forms a basis of
-    the integer lattice (determinant +-1), in index-triple order.
+def _candidate_triples(B: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates conv{0, v_i, v_j, v_k} as (vecs, triples): the nonzero
+    vectors of [-B, B]^3 as (N, 3) int16 in scan order, and as (m, 3) int16
+    the index triples i < j < k whose vectors form a basis of the integer
+    lattice (determinant +-1), in index-triple order.
 
     For each first vector v_i, det(v_i, v_j, v_k) = (v_i x v_j) . v_k for
     all later j < k is one broadcast product of the normals v_i x v_j with
@@ -87,9 +93,7 @@ def _candidate_tetrahedra(B: int) -> np.ndarray:
             found.append(triples.astype(np.int16))
             count += len(triples)
         check_budget("candidate tetrahedra", count, "use a smaller bound")
-    pts = np.zeros((count, 4, 3), dtype=np.int8)
-    pts[:, 1:] = vecs.astype(np.int8)[np.concatenate(found)]
-    return pts
+    return vecs, np.concatenate(found)
 
 
 def _vertex_codes(v: np.ndarray, B: int) -> np.ndarray:
@@ -101,59 +105,44 @@ def _vertex_codes(v: np.ndarray, B: int) -> np.ndarray:
 
 
 def _image_table(B: int) -> np.ndarray:
-    """((4B+1)^3, |W|) int32 table: entry [v, w] is the code of the image of
-    the vector with code v under the w-th signed permutation.  Codes stay
-    below (4B+1)^3, which int32 holds for every B up to _MAX_PACKED_BOUND."""
+    """((4B+1)^3, |W|) uint16 table: entry [v, w] is the code of the image
+    of the vector with code v under the w-th signed permutation.  Codes stay
+    below (4B+1)^3 <= 37^3 = 50653 for every B up to _MAX_PACKED_BOUND."""
     rng = np.arange(-2 * B, 2 * B + 1, dtype=np.int64)
     vecs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
     images = np.einsum("wij,vj->vwi", weyl_elements(3), vecs)  # [v, w] = w(vecs[v])
-    return _vertex_codes(images, B).astype(np.int32)
+    return _vertex_codes(images, B).astype(np.uint16)
 
 
-def _canonical_keys(pts: np.ndarray, B: int) -> np.ndarray:
-    """Packed canonical key per tetrahedron, minimum over all origin choices
-    and signed permutations (applied through `_image_table`) of the sorted
-    vertex tuple.
-
-    pts: (m, 4, 3) integer vertices with coordinates in [-B, B].  Translated
-    coordinates live in [-2B, 2B], so each vertex packs into base 4B+1 and
-    four vertices into one int64 for bounds up to 9.  The sort runs on the
-    int32 table entries; they are widened to int64 before packing.
-    """
+def _canonical_keys(vecs: np.ndarray, triples: np.ndarray, B: int) -> np.ndarray:
+    """Canonical keys of the candidates conv{0, v_i, v_j, v_k}, packed as the
+    module docstring describes; vecs are (N, 3) integer vectors with
+    coordinates in [-B, B], triples (m, 3) indices into them."""
     vert_cap = (4 * B + 1) ** 3
+    centre = int(_vertex_codes(np.zeros(3, dtype=np.int64), B))
+    lin = _vertex_codes(vecs.astype(np.intp), B) - centre
     table = _image_table(B)
-    keys = np.empty(len(pts), dtype=np.int64)
-    for s in range(0, len(pts), _CHUNK):
-        chunk = pts[s : s + _CHUNK].astype(np.intp)
-        # codes[:, k, j]: vertex j translated so that vertex k is the origin
-        codes = _vertex_codes(chunk[:, None, :, :] - chunk[:, :, None, :], B)
+    keys = np.empty(len(triples), dtype=np.int64)
+    for s in range(0, len(triples), _CHUNK):
+        a, b, c = lin[triples[s : s + _CHUNK]].T
         best = None
-        for k in range(4):
-            a, b, c, d = (table[codes[:, k, j]] for j in range(4))  # (m, |W|)
-            # five-comparator network: afterwards a <= b <= c <= d
-            a, b = np.minimum(a, b), np.maximum(a, b)
-            c, d = np.minimum(c, d), np.maximum(c, d)
-            a, c = np.minimum(a, c), np.maximum(a, c)
-            b, d = np.minimum(b, d), np.maximum(b, d)
-            b, c = np.minimum(b, c), np.maximum(b, c)
-            a = a.astype(np.int64)  # packing overflows int32
-            key = (((a * vert_cap + b) * vert_cap + c) * vert_cap + d).min(axis=1)
+        # lin of the vertices off the origin, for the origin at 0, v_i, v_j and v_k
+        for off in ((a, b, c), (-a, b - a, c - a), (-b, a - b, c - b), (-c, a - c, b - c)):
+            x, y, z = (table.take(u + centre, axis=0) for u in off)  # (m, |W|)
+            # three-comparator network: afterwards x <= y <= z
+            x, y = np.minimum(x, y), np.maximum(x, y)
+            y, z = np.minimum(y, z), np.maximum(y, z)
+            x, y = np.minimum(x, y), np.maximum(x, y)
+            key = ((x.astype(np.int64) * vert_cap + y) * vert_cap + z).min(axis=1)
             best = key if best is None else np.minimum(best, key)
-        keys[s : s + len(chunk)] = best
+        keys[s : s + len(best)] = best
     return keys
 
 
 def _decode_key(key: int, B: int) -> Tetra:
     base = 4 * B + 1
-    shift = 2 * B
-    vert_cap = base ** 3
-    verts = []
-    for _ in range(4):
-        key, vk = divmod(key, vert_cap)
-        x, rest = divmod(vk, base * base)
-        y, z = divmod(rest, base)
-        verts.append((int(x - shift), int(y - shift), int(z - shift)))
-    return tuple(reversed(verts))
+    xyz = [key // base**e % base - 2 * B for e in range(8, -1, -1)]  # nine digits
+    return tuple(sorted([(0, 0, 0), *zip(xyz[0::3], xyz[1::3], xyz[2::3])]))
 
 
 def _enumerate(B: int) -> tuple[int, list[tuple[int, Tetra]]]:
@@ -168,13 +157,11 @@ def _enumerate(B: int) -> tuple[int, list[tuple[int, Tetra]]]:
         raise MalformedInput(
             f"coordinate bound {B} exceeds the packed-key limit {_MAX_PACKED_BOUND}"
         )
-    pts = _candidate_tetrahedra(B)
-    uniq, first = np.unique(_canonical_keys(pts, B), return_index=True)
-    orbits = [
-        (key, tuple(map(tuple, pts[fi].tolist())))
-        for key, fi in zip(uniq.tolist(), first.tolist())
-    ]
-    return len(pts), orbits
+    vecs, triples = _candidate_triples(B)
+    uniq, first = np.unique(_canonical_keys(vecs, triples, B), return_index=True)
+    reps = vecs[triples[first]].tolist()
+    orbits = [(key, ((0, 0, 0), *map(tuple, rep))) for key, rep in zip(uniq.tolist(), reps)]
+    return len(triples), orbits
 
 
 def enumerate_minimal_tetrahedra(B: int) -> Iterator[Tetra]:
@@ -185,6 +172,17 @@ def enumerate_minimal_tetrahedra(B: int) -> Iterator[Tetra]:
     _, orbits = _enumerate(B)
     for _, rep in orbits:
         yield rep
+
+
+def _checked_ns(ns: Sequence[int]) -> tuple[int, ...]:
+    """ns as a tuple, refused unless it holds a modulus and each is an
+    integer >= 1."""
+    ns = tuple(ns)
+    if not ns:
+        raise MalformedInput("ns: expected at least one modulus")
+    for n in ns:
+        check_positive_int(n, "modulus")
+    return ns
 
 
 @dataclass(frozen=True)
@@ -204,9 +202,7 @@ def gauss_relation_test(
 
     route 'direct' enumerates dilates of the actual polytope; 'tetra' uses
     the dihedral-angle formula (volume-1/6 only)."""
-    ns = tuple(ns)
-    if not ns:
-        raise MalformedInput("ns: expected at least one modulus")
+    ns = _checked_ns(ns)
     if route == "direct":
         P = build_polytope(tetra)
         residuals = {
@@ -303,9 +299,7 @@ def run_theorem2_experiment(
         raise MalformedInput(f"workers must be >= 1, got {workers}")
     if not (math.isfinite(tol) and tol > 0):
         raise MalformedInput(f"tolerance must be finite and positive, got {tol}")
-    ns = tuple(ns)
-    if not ns:
-        raise MalformedInput("ns: expected at least one modulus")
+    ns = _checked_ns(ns)
     if route not in ("direct", "tetra"):
         raise MalformedInput(f"unknown route {route!r}")
     scanned, orbits = _enumerate(B)

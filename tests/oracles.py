@@ -5,13 +5,15 @@ bounding-box lattice scan, the triple-loop kappa, the folded route's
 (face, residue) counts from unfolding every orbit representative into the
 bounding box, the G-orbit count that walks every translation box point by
 point, the multi-tiling check with one orbit query per sample, the
-search's candidates from every index triple, and the tetrahedron angles
-computed with a new vector for every difference and cross product.  Tests
-compare the library against every one but the G-orbit count for exact
+search's candidates from every index triple, the search's canonical keys
+from all four vertex codes, and the tetrahedron angles computed with a new
+vector for every difference and cross product.  Tests compare the library
+against every one but the G-orbit count and the four-code keys for exact
 equality: scans, counts and reports hold integers and strings, and every
 float the others produce is computed in the same order as the library's;
 the orbit count's angle sum is summed in loop order and compared to
-within rounding.
+within rounding, and the four-code keys, which differ from the library's
+in value, are compared by the order they put the candidates in.
 """
 
 import itertools
@@ -237,18 +239,49 @@ def loop_multitiling_check(
     )
 
 
-def index_triple_candidates(B: int) -> np.ndarray:
+def index_triple_candidates(B: int) -> tuple[np.ndarray, np.ndarray]:
     """The search's candidates from every index triple of nonzero vectors in
-    [-B, B]^3, kept where the determinant is +-1, in index-triple order."""
+    [-B, B]^3, kept where the determinant is +-1, in index-triple order:
+    (vecs, triples), the vectors in scan order and the kept triples."""
     rng = np.arange(-B, B + 1, dtype=np.int64)
     vecs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
     vecs = vecs[np.any(vecs != 0, axis=1)]
     flat = itertools.chain.from_iterable(itertools.combinations(range(len(vecs)), 3))
-    edges = vecs[np.fromiter(flat, dtype=np.int64).reshape(-1, 3)]  # (M, 3, 3)
-    edges = edges[np.abs(det3(edges[:, 0].T, edges[:, 1].T, edges[:, 2].T)) == 1]
-    pts = np.zeros((len(edges), 4, 3), dtype=np.int64)
-    pts[:, 1:] = edges
-    return pts
+    triples = np.fromiter(flat, dtype=np.int64).reshape(-1, 3)
+    edges = vecs[triples]  # (M, 3, 3)
+    keep = np.abs(det3(edges[:, 0].T, edges[:, 1].T, edges[:, 2].T)) == 1
+    return vecs, triples[keep]
+
+
+def four_code_canonical_keys(pts: np.ndarray, B: int) -> np.ndarray:
+    """Packed canonical key per tetrahedron from all four vertex codes:
+    minimum over the 4 origin choices and the signed permutations of the
+    sorted tuple of the four translated vertices, each packed in base 4B+1
+    and the four in base (4B+1)^3 into one int64 (so B <= 9).
+
+    pts: (m, 4, 3) integer vertices with coordinates in [-B, B].
+    """
+    base = 4 * B + 1
+    shift = 2 * B
+
+    def codes(v):
+        return ((v[..., 0] + shift) * base + v[..., 1] + shift) * base + v[..., 2] + shift
+
+    vert_cap = base**3
+    rng = np.arange(-2 * B, 2 * B + 1, dtype=np.int64)
+    box = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
+    table = codes(np.einsum("wij,vj->vwi", weyl_elements(3), box)).astype(np.int32)  # [v, w]
+    pts = np.asarray(pts, dtype=np.int64)
+    best = None
+    for k in range(4):
+        # [m, w, j]: image of vertex j translated so that vertex k is the origin
+        images = np.sort(table[codes(pts - pts[:, k : k + 1])].transpose(0, 2, 1), axis=2)
+        key = images[..., 0].astype(np.int64)
+        for j in range(1, 4):
+            key = key * vert_cap + images[..., j]
+        key = key.min(axis=1)
+        best = key if best is None else np.minimum(best, key)
+    return best
 
 
 def vsub(a, b):

@@ -5,7 +5,7 @@ from polygauss import classify
 from polygauss.classify import (
     DEFAULT_NS,
     FUNDAMENTAL_TETRAHEDRON,
-    _candidate_tetrahedra,
+    _candidate_triples,
     _canonical_keys,
     _decode_key,
     _enumerate,
@@ -22,13 +22,25 @@ from polygauss.polysum import (
 )
 from polygauss.weyl import canonical_form
 from tests.conftest import SECOND_TILE_TET, STD_SIMPLEX
-from tests.oracles import index_triple_candidates
+from tests.oracles import four_code_canonical_keys, index_triple_candidates
 from tests.test_weyl import FT_CANONICAL, SECOND_CANONICAL
 
 
 @pytest.fixture(scope="module")
 def report_b1():
     return run_theorem2_experiment(1)
+
+
+@pytest.fixture(scope="module")
+def orbits_by_bound():
+    return {B: _enumerate(B) for B in (1, 2, 3)}
+
+
+def _vertices(vecs, triples):
+    """(m, 4, 3) vertices of the candidates conv{0, v_i, v_j, v_k}."""
+    pts = np.zeros((len(triples), 4, 3), dtype=np.int64)
+    pts[:, 1:] = vecs[triples]
+    return pts
 
 
 def test_enumeration_counts_bound_one():
@@ -67,47 +79,73 @@ def test_enumeration_reps_are_minimal_and_in_range():
 
 @pytest.mark.parametrize("B", [1, 2])
 def test_candidates_match_index_triple_oracle(B):
-    # same triples in the same order, so first-seen representatives agree
-    got = _candidate_tetrahedra(B)
-    assert got.dtype == np.int8
-    assert np.array_equal(got, index_triple_candidates(B))
+    # same vectors and triples in the same order, so first-seen
+    # representatives agree
+    vecs, triples = _candidate_triples(B)
+    assert vecs.dtype == triples.dtype == np.int16
+    want_vecs, want_triples = index_triple_candidates(B)
+    assert np.array_equal(vecs, want_vecs)
+    assert np.array_equal(triples, want_triples)
 
 
-def test_enumeration_counts_bound_three():
-    scanned, orbits = _enumerate(3)
+def test_enumeration_counts_bound_three(orbits_by_bound):
+    scanned, orbits = orbits_by_bound[3]
     assert scanned == 213608
     assert len(orbits) == 3027
     assert all(max(map(abs, sum(rep, ()))) <= 3 for _, rep in orbits)
 
 
-def test_packed_key_decodes_to_canonical_form():
-    _, orbits = _enumerate(1)
-    for key, rep in orbits:
-        assert _decode_key(key, 1) == canonical_form(rep)
+def test_enumeration_counts_bound_four():
+    scanned, orbits = _enumerate(4)
+    assert scanned == 865736
+    assert len(orbits) == 12207
+    assert all(max(map(abs, sum(rep, ()))) <= 4 for _, rep in orbits)
 
 
-def _assert_keys_match_oracle(pts, B):
-    keys = _canonical_keys(pts, B)
-    for key, tetra in zip(keys.tolist(), pts.tolist()):
+def test_packed_key_decodes_to_canonical_form(orbits_by_bound):
+    # np.unique sorts the keys, so the orbits come in canonical order
+    for B, (_, orbits) in orbits_by_bound.items():
+        canonical = [_decode_key(key, B) for key, _ in orbits]
+        assert canonical == [canonical_form(rep) for _, rep in orbits]
+        assert all(a < b for a, b in zip(canonical, canonical[1:]))
+
+
+@pytest.mark.parametrize("B", [1, 2])
+def test_canonical_keys_order_candidates_as_four_code_oracle(B):
+    # the keys differ in value, but not in order: the same orbits, in the
+    # same order, with the same first-seen representatives
+    vecs, triples = _candidate_triples(B)
+    keys = _canonical_keys(vecs, triples, B)
+    want = four_code_canonical_keys(_vertices(vecs, triples), B)
+    assert np.array_equal(
+        np.unique(keys, return_index=True)[1], np.unique(want, return_index=True)[1]
+    )
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.argsort(want, kind="stable"))
+
+
+def _assert_keys_match_oracle(vecs, triples, B):
+    keys = _canonical_keys(vecs, triples, B)
+    for key, tetra in zip(keys.tolist(), _vertices(vecs, triples).tolist()):
         assert _decode_key(key, B) == canonical_form(tetra)
 
 
 def test_canonical_keys_match_oracle_on_every_bound_one_candidate():
-    pts = _candidate_tetrahedra(1)
-    assert len(pts) == 1160
-    _assert_keys_match_oracle(pts, 1)
+    vecs, triples = _candidate_triples(1)
+    assert len(triples) == 1160
+    _assert_keys_match_oracle(vecs, triples, 1)
 
 
 def test_canonical_keys_match_oracle_on_bound_two_sample():
-    pts = _candidate_tetrahedra(2)
-    pick = np.random.default_rng(20150807).choice(len(pts), size=500, replace=False)
-    _assert_keys_match_oracle(pts[pick], 2)
+    vecs, triples = _candidate_triples(2)
+    pick = np.random.default_rng(20150807).choice(len(triples), size=500, replace=False)
+    _assert_keys_match_oracle(vecs, triples[pick], 2)
 
 
 def test_canonical_key_round_trips_at_largest_bound():
-    # translated coordinates reach +-18 = 2B, the packed key's extreme
-    tetra = np.array([[(-9, -9, -9), (9, 9, 8), (-8, 9, -8), (-9, -8, -9)]])
-    _assert_keys_match_oracle(tetra, 9)
+    # translated coordinates reach +-18 = 2B on every axis, the packed
+    # key's extreme
+    vecs = np.array([(9, 9, 9), (-9, -8, 0), (0, -9, -9)])
+    _assert_keys_match_oracle(vecs, np.array([[0, 1, 2]]), 9)
 
 
 @pytest.mark.parametrize("route", ["direct", "tetra"])
@@ -158,6 +196,9 @@ def test_relation_test_routes_match():
 def test_relation_test_input_validation():
     with pytest.raises(MalformedInput):
         gauss_relation_test(FUNDAMENTAL_TETRAHEDRON, route="nope")
+    for route in ("direct", "tetra"):
+        with pytest.raises(MalformedInput, match="modulus must be >= 1, got -3"):
+            gauss_relation_test(FUNDAMENTAL_TETRAHEDRON, ns=(1, -3), route=route)
     with pytest.raises(VolumeNotMinimal):
         gauss_relation_test(
             [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], route="tetra"
@@ -280,11 +321,29 @@ def test_relation_test_refuses_empty_ns():
             gauss_relation_test(STD_SIMPLEX, ns=(), route=route)
 
 
+def _unreachable(B):
+    raise AssertionError("candidates enumerated before the arguments were checked")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_search_refuses_an_unknown_route_before_enumerating(monkeypatch, workers):
-    def unreachable(B):
-        raise AssertionError("candidates enumerated before the route was checked")
-
-    monkeypatch.setattr(classify, "_enumerate", unreachable)
+    monkeypatch.setattr(classify, "_enumerate", _unreachable)
     with pytest.raises(MalformedInput, match="unknown route 'bogus'"):
         run_theorem2_experiment(3, route="bogus", workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("route", ["direct", "tetra"])
+@pytest.mark.parametrize(
+    "ns, message",
+    [
+        ((0,), "modulus must be >= 1, got 0"),
+        ((2.5,), "modulus must be an integer, got 2.5"),
+        ((1, -3), "modulus must be >= 1, got -3"),
+    ],
+    ids=["zero", "fraction", "negative"],
+)
+def test_search_checks_every_modulus_before_enumerating(monkeypatch, workers, route, ns, message):
+    monkeypatch.setattr(classify, "_enumerate", _unreachable)
+    with pytest.raises(MalformedInput, match=message):
+        run_theorem2_experiment(3, ns=ns, route=route, workers=workers)

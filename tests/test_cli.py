@@ -355,8 +355,8 @@ def test_more_facets_than_a_bitmask_holds_exit_2(capsys, tmp_path):
 def test_oversized_classify_bound_fails_within_memory():
     # B = 7 is the smallest bound whose candidates (more than 2^24) exceed
     # the budget; B = 6 has 7,842,440.  Enumeration stops at the first
-    # vector whose triples cross the budget, which takes about 11 s and
-    # 141 MB on a 2-CPU Xeon VM.  Holding every candidate and its key would
+    # vector whose triples cross the budget, which takes about 4.4 s and
+    # 142 MB on a 2-CPU Xeon VM.  Holding every candidate and its key would
     # need more than 300 MB.
     code, err, peak_mb = _run_measured("classify", "--bound", "7")
     assert code == 2
