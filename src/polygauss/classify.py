@@ -77,15 +77,17 @@ def _candidate_triples(B: int) -> tuple[np.ndarray, np.ndarray]:
     found = []
     count = 0
     for i in range(len(vecs) - 2):
-        normals = np.cross(vecs[i], vecs[i + 1 :])
-        js = np.flatnonzero(np.gcd.reduce(normals, axis=1) == 1)
+        a0, a1, a2 = vecs[i].tolist()
+        b0, b1, b2 = cols[:, i + 1 :]
+        normals = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)  # v_i x v_j
+        js = np.flatnonzero(np.gcd(np.gcd(*normals[:2]), normals[2]) == 1)
         rows = max(1, _PAIR_CHUNK // (len(vecs) - i - 2))
         for s in range(0, len(js), rows):
             j = js[s : s + rows]
-            n = normals[j]
+            n0, n1, n2 = (n[j, None] for n in normals)
             k0 = i + j[0] + 2  # the first k that can follow any j of this chunk
             c = cols[:, k0:]
-            det = n[:, 0, None] * c[0] + n[:, 1, None] * c[1] + n[:, 2, None] * c[2]
+            det = n0 * c[0] + n1 * c[1] + n2 * c[2]
             row, k = np.divmod(np.flatnonzero(np.abs(det) == 1), c.shape[1])
             j, k = j[row] + i + 1, k + k0
             keep = k > j

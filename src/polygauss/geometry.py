@@ -26,6 +26,7 @@ into simplices along the same lattice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -122,19 +123,18 @@ def independent_rows(rows: Sequence[Sequence[Rational]]) -> list[int]:
     basis.  Elimination is fraction-free (r <- b[p] r - r[p] b), which
     scales rows without changing their span, so integer rows stay integer.
     """
-    basis: list[Sequence[Rational]] = []
-    pivots: list[int] = []
+    basis: list[tuple[int, Sequence[Rational]]] = []  # (pivot, row)
     picked: list[int] = []
     for idx, r in enumerate(rows):
-        for b, p in zip(basis, pivots):
-            if r[p]:
-                r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
-        pivot = next((j for j, x in enumerate(r) if x), None)
-        if pivot is None:
-            continue
-        basis.append(r)
-        pivots.append(pivot)
-        picked.append(idx)
+        for p, b in basis:
+            e = r[p]
+            if e:
+                r = [b[p] * x - e * y for x, y in zip(r, b)]
+        for p, x in enumerate(r):
+            if x:
+                basis.append((p, r))
+                picked.append(idx)
+                break
     return picked
 
 
@@ -159,7 +159,7 @@ def integer_points(points: Sequence, error: str) -> list[tuple[int, ...]]:
 
 
 def _sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _dot(a: Sequence[Rational], b: Sequence[Rational]) -> Rational:
@@ -355,11 +355,11 @@ class Polytope:
         )
 
 
-def _facet_planes(dim: int, points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+def _facet_planes(dim: int, points: list[tuple[int, ...]]) -> dict[tuple[tuple[int, ...], int], int]:
     """All supporting hyperplanes N x = b spanned by d-subsets of the
     integer points, N primitive and oriented so the points satisfy
-    N x <= b."""
-    planes: dict[tuple[tuple[int, ...], int], None] = {}
+    N x <= b, each with the bitmask of the points on it."""
+    planes: dict[tuple[tuple[int, ...], int], int] = {}
     for subset in itertools.combinations(points, dim):
         u = [_sub(p, subset[0]) for p in subset[1:]]
         if dim == 1:
@@ -374,54 +374,44 @@ def _facet_planes(dim: int, points: list[tuple[int, ...]]) -> list[tuple[tuple[i
             continue
         normal = tuple(a // g for a in normal)
         offset = _dot(normal, subset[0])
-        side_lo = side_hi = False
-        for p in points:
-            s = _dot(normal, p) - offset
-            if s > 0:
-                side_hi = True
-            elif s < 0:
-                side_lo = True
-            if side_lo and side_hi:
-                break
-        if side_lo and side_hi:
+        levels = [_dot(normal, p) for p in points]
+        low, high = min(levels), max(levels)
+        if low < offset < high:
             continue  # cuts through the point set, not supporting
-        if side_hi:
-            normal = tuple(-a for a in normal)
-            offset = -offset
-        planes[(normal, offset)] = None
-    return list(planes)
+        on = sum(1 << i for i, h in enumerate(levels) if h == offset)
+        if high > offset:
+            normal, offset = tuple(-a for a in normal), -offset
+        planes[(normal, offset)] = on
+    return planes
 
 
 def _build_face_lattice(
     dim: int,
     vertices: Sequence[tuple[int, ...]],
     facet_vertex_ids: tuple[frozenset[int], ...],
+    through: Sequence[int],
 ) -> tuple[tuple[Face, ...], np.ndarray]:
     """Faces in order of dimension, then vertex ids, so P itself comes last,
-    and the mask table over them (see Polytope)."""
-    face_sets: dict[frozenset[int], int] = {}
-    for i in range(len(vertices)):
-        face_sets[frozenset([i])] = 0
+    and the mask table over them (see Polytope).  through[i] is the mask of
+    the facets through vertex i, and a face's mask the AND of its
+    vertices'."""
+    face_sets = {frozenset([i]): 0 for i in range(len(vertices))}
     for vs in facet_vertex_ids:
         face_sets.setdefault(vs, dim - 1)
-    if dim == 3:
-        for vs1, vs2 in itertools.combinations(facet_vertex_ids, 2):
-            shared = vs1 & vs2
+    if dim == 3:  # an edge is where two facets share two vertices
+        for shared in (a & b for a, b in itertools.combinations(facet_vertex_ids, 2)):
             if len(shared) == 2:
                 face_sets.setdefault(shared, 1)
-    everything = frozenset(range(len(vertices)))
-    face_sets[everything] = dim
+    face_sets[frozenset(range(len(vertices)))] = dim
 
     faces: list[Face] = []
-    for vs, fdim in sorted(face_sets.items(), key=lambda item: (item[1], sorted(item[0]))):
-        ids = tuple(sorted(vs))
+    for fdim, ids in sorted((fdim, tuple(sorted(vs))) for vs, fdim in face_sets.items()):
         rank = affine_rank([vertices[i] for i in ids])
         if rank != fdim:
             raise AssertionError(
                 f"face on vertices {ids} has affine rank {rank}, expected {fdim}"
             )
-        mask = sum(1 << k for k, fvs in enumerate(facet_vertex_ids) if vs <= fvs)
-        faces.append(Face(dim=fdim, vertex_ids=ids, mask=mask))
+        faces.append(Face(fdim, ids, functools.reduce(operator.and_, map(through.__getitem__, ids))))
     masks = [f.mask for f in faces]
     if len(set(masks)) != len(faces):
         raise AssertionError("two faces lie on the same facets")
@@ -457,31 +447,28 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
             f"points span affine dimension {affine_rank(uniq)}, need {dim}"
         )
 
-    planes = sorted(_facet_planes(dim, uniq))
+    planes, masks = zip(*sorted(_facet_planes(dim, uniq).items()))
+    normals, bounds = zip(*planes)
 
-    # A hull vertex is a point whose tight facet normals span the full space.
-    vertices = [
-        p
-        for p in uniq
-        if len(independent_rows([N for N, b in planes if _dot(N, p) == b])) == dim
-    ]
-    facet_vertex_ids = []
-    for normal, offset in planes:
-        on = frozenset(i for i, v in enumerate(vertices) if _dot(normal, v) == offset)
+    # through[i] masks the facets through point i.  A hull vertex is a point
+    # whose tight facet normals span the full space.
+    through = [sum(1 << k for k, on in enumerate(masks) if on >> i & 1) for i in range(len(uniq))]
+    kept = [i for i, t in enumerate(through)
+            if len(independent_rows([N for k, N in enumerate(normals) if t >> k & 1])) == dim]
+    facet_vertex_ids = tuple(frozenset(j for j, i in enumerate(kept) if on >> i & 1) for on in masks)
+    for N, on in zip(normals, facet_vertex_ids):
         if len(on) < dim:
-            raise AssertionError(f"facet {normal} carries only {len(on)} vertices")
-        facet_vertex_ids.append(on)
-    normals = tuple(N for N, _ in planes)
-    numerators, q, bounds = _lowest_terms(vertices, q, [b for _, b in planes])
+            raise AssertionError(f"facet {N} carries only {len(on)} vertices")
+    numerators, q, bounds = _lowest_terms([uniq[i] for i in kept], q, bounds)
 
-    faces, table = _build_face_lattice(dim, numerators, tuple(facet_vertex_ids))
+    faces, table = _build_face_lattice(dim, numerators, facet_vertex_ids, [through[i] for i in kept])
     return Polytope(
         dim=dim,
         numerators=numerators,
         denominator=q,
         facet_normals=normals,
         facet_bounds=bounds,
-        facet_vertex_ids=tuple(facet_vertex_ids),
+        facet_vertex_ids=facet_vertex_ids,
         faces=faces,
         mask_table=table,
         line_plan=_line_plan(normals) if len(normals) <= _MAX_FACETS_FOR_BITMASK else None,

@@ -13,18 +13,21 @@ Orbit counts are one vectorised integer query over a batch of points.
 For x = a/q the G-orbit is the set of points (u + q lam)/q with
 u = w a mod q over w in W and lam integral.  The distinct images are
 found without a sort, each keyed by which of the signed coordinates
-+-a_i mod q its coordinates take.  A candidate's facet slacks
-split into a part per distinct image u of the batch and a part per
-translation lam that can reach P's bounding box, two int64 arrays, so no
-candidate point is formed: it lies in P where every image part is at
-least its translation part, on the face of the facets where they are
-equal.  A polytope with more than geometry.POINT_BUDGET (candidate, facet)
-pairs per point, |W| x (bounding-box extents) x facets, raises
-MalformedInput before any candidate is tested.  Points enter as integer
-numerators a over a denominator q: multitiling_check draws them so over
-the prime SAMPLE_DENOMINATOR, in batches of about _ORBIT_BATCH_CELLS
-(image, translation, facet) tests, and f_P converts its rational x once
-and queries it alone.
++-a_i mod q its coordinates take.  A candidate's facet slacks split
+into a part per distinct image u of the batch and a part per translation
+lam that can carry one of those images into P's bounding box, two int64
+arrays, so no candidate point is formed: it lies in P where every image
+part is at least its translation part, on the face of the facets where
+they are equal.  As 0 <= u_i < q, the top translation of a lattice
+polytope's box holds only images with a u_i = 0, so a generic sample
+meets one translation fewer per axis.  A polytope with more than
+geometry.POINT_BUDGET (candidate, facet) pairs per point,
+|W| x (bounding-box extents) x facets, raises MalformedInput before any
+candidate is tested.  Points enter as integer numerators a over a
+denominator q: multitiling_check draws them so over the prime
+SAMPLE_DENOMINATOR, in batches of about _ORBIT_BATCH_CELLS (image,
+translation, facet) tests, and f_P converts its rational x once, reduced
+mod q, and queries it alone.
 """
 
 from __future__ import annotations
@@ -69,23 +72,34 @@ def weyl_elements(d: int) -> np.ndarray:
 
 def _orbit_frame(P: Polytope) -> tuple:
     """The x-independent part of the orbit count: P - floor(lo) as the
-    integer facet system A y <= c, the translations mu in
-    0 .. floor(hi) - floor(lo) per axis, and the largest bound
-    sum_i |A_ki| E_i over the facets, with E the extents of mu."""
+    integer facet system A y <= c, its box [lo', hi'] as per-axis pairs of
+    numerators over P's denominator, the largest bound sum_i |A_ki| E_i
+    over the facets with E_i = floor(hi'_i) + 1 translations per axis, and
+    |W| x prod E x facets, the most (image, translation, facet) tests a
+    sample needs."""
     q = P.denominator
-    corner = [c // q for c in map(min, *P.numerators)]
-    extents = [c // q - l + 1 for l, c in zip(corner, map(max, *P.numerators))]
+    axes = list(zip(*P.numerators))
+    corner = [min(c) // q for c in axes]
+    box = [(min(c) - q * k, max(c) - q * k) for c, k in zip(axes, corner)]
+    extents = [h // q + 1 for _, h in box]
     A, c = integer_facet_system(P)
-    check_budget(
-        "orbit candidate-facet pairs",
-        len(weyl_elements(P.dim)) * math.prod(extents) * len(A),
-        "use a smaller polytope",
-    )
+    cells = len(weyl_elements(P.dim)) * math.prod(extents) * len(A)
+    check_budget("orbit candidate-facet pairs", cells, "use a smaller polytope")
     rows = A.tolist()
     shifted = [b - sum(a * l for a, l in zip(row, corner)) for row, b in zip(rows, c.tolist())]
     reach = max(sum(abs(a) * e for a, e in zip(row, extents)) for row in rows)
-    mu = np.indices(extents, dtype=np.int64).reshape(P.dim, -1).T
-    return A, np.array(shifted, dtype=np.int64), mu, reach
+    return A, np.array(shifted, dtype=np.int64), box, reach, cells
+
+
+def _translations(P: Polytope, box: list, low: int, high: int, q: int) -> np.ndarray:
+    """The (d, T) grid of translations mu of the box [lo', hi'] that can
+    hold an image u/q with low <= u_i <= high: mu_i from
+    ceil(lo'_i - high/q) to floor(hi'_i - low/q), in exact integers, which
+    lies in 0 .. floor(hi'_i) as 0 <= lo'_i < 1 and 0 <= u_i < q."""
+    p, r = P.denominator, P.denominator * q
+    ends = [(-((high * p - l * q) // r), (h * q - low * p) // r) for l, h in box]
+    mu = np.indices([max(top - bottom + 1, 0) for bottom, top in ends], dtype=np.int64)
+    return mu.reshape(P.dim, -1) + np.array([bottom for bottom, _ in ends])[:, None]
 
 
 @lru_cache(maxsize=8)
@@ -108,7 +122,7 @@ def _orbit_face_ids(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sample, face id) for every distinct point of P in the G-orbit of
     each sample x_s = a[s]/q, in sample order, for an (S, d) array of
-    integer numerators a and a denominator q >= 1, with
+    integer numerators a within int64 and a denominator q >= 1, with
     frame = _orbit_frame(P).
 
     With a reduced mod q (the orbit is the same), coordinate j of an image
@@ -120,21 +134,22 @@ def _orbit_face_ids(
     whatever q is.  One bool per (sample, key) marks the images present,
     so the distinct images come out in sample order with no sort, and
     each is gathered back from its sample's signed coordinates.  Images
-    distinct mod q give disjoint point sets.  An orbit point
-    z/q = u/q + lam lies in the bounding box only for
-    floor(lo) <= lam <= floor(hi), as 0 <= u/q < 1, so with
-    lam = floor(lo) + mu the candidates are z = u + q mu, tested against
-    A z <= q c on P - floor(lo) through their slacks (q c - A u) - q (A mu),
-    whose two parts are equal on the facets a candidate is tight on.
+    distinct mod q give disjoint point sets.  With lam = floor(lo) + mu the
+    candidates are z = u + q mu, tested against A z <= q c on P - floor(lo)
+    through their slacks (q c - A u) - q (A mu), whose two parts are equal
+    on the facets a candidate is tight on.  As 0 <= u_i < q, mu runs over
+    what _translations keeps for the batch's least and greatest u_i, its
+    least and greatest signed coordinate (W puts each on every axis):
+    0 .. E_i - 2 for a lattice P and images with no u_i = 0.
     """
-    A, c, mu, reach = frame
+    A, c, box, reach, _ = frame
     # 0 <= z_i < q E_i and |c_k| <= sum_i |A_ki| E_i because facet k is
     # tight on P - floor(lo), which lies in [0, E); so every slack
     # q c_k - A_k z, and each of its two parts, is below 2 q reach in
     # magnitude, whatever P's position.
     if 2 * q * reach >= 1 << 63:
         raise MalformedInput(f"orbit of a point with denominator {q} overflows int64")
-    a = np.array([[v % q for v in row] for row in a], dtype=np.int64)
+    a = np.array(a, dtype=np.int64) % q
     signed = np.concatenate([a, -a % q], axis=1)  # (S, 2d) signed coordinates
     names = (signed[:, :, None] == signed[:, None, :]).argmax(axis=2)  # first equal slot
     weights, slots = _image_keys(P.dim)
@@ -147,7 +162,7 @@ def _orbit_face_ids(
     # bool per (facet, image, translation) compares the parts, and facet by
     # facet their equality gives the inside candidates' tight rows
     room = q * c[:, None] - A @ u.T
-    step = q * (A @ mu.T)
+    step = q * (A @ _translations(P, box, int(signed.min()), int(signed.max()), q))
     inside = np.logical_and.reduce(room[:, :, None] >= step[:, None, :], axis=0)
     image, shift = np.nonzero(inside)
     return owner[image], face_ids_of_tight(P, (r[image] == s[shift] for r, s in zip(room, step)))
@@ -161,7 +176,7 @@ def f_P(P: Polytope, x: RationalVector) -> float:
     if x.dim != P.dim:
         raise DimensionMismatch(f"point has dimension {x.dim}, polytope {P.dim}")
     q = math.lcm(*(v.denominator for v in x.coords))
-    a = [v.numerator * (q // v.denominator) for v in x.coords]
+    a = [v.numerator * (q // v.denominator) % q for v in x.coords]  # same orbit, within int64
     _, ids = _orbit_face_ids(P, _orbit_frame(P), [a], q)
     return math.fsum(face_angle(P, f) for f in ids.tolist())
 
@@ -196,10 +211,7 @@ class MultiTilingReport:
 def _sample_fundamental_point(rng: random.Random, d: int, q: int) -> list[int]:
     """The numerators a of a random point a/q strictly inside
     0 < x_1 < ... < x_d < 1/2."""
-    top = (q - 1) // 2
-    nums = rng.sample(range(1, top + 1), d)
-    nums.sort()
-    return nums
+    return sorted(rng.sample(range(1, (q - 1) // 2 + 1), d))
 
 
 def multitiling_check(
@@ -227,8 +239,7 @@ def multitiling_check(
     check_positive_int(sample_count, "sample_count")
     d = P.dim
     frame = _orbit_frame(P)
-    A, _, mu, _ = frame
-    batch = max(1, _ORBIT_BATCH_CELLS // (len(weyl_elements(d)) * len(mu) * len(A)))
+    batch = max(1, _ORBIT_BATCH_CELLS // frame[-1])
     expected_frac = len(weyl_elements(d)) * volume(P)
     expected = int(expected_frac) if expected_frac.denominator == 1 else None
     rng = random.Random(seed)

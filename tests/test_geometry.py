@@ -292,6 +292,18 @@ def polytopes(draw):
 
 
 @given(P=polytopes())
+def test_incidence_read_off_the_facet_planes(P):
+    # build_polytope reads which points lie on each plane once, and ANDs a
+    # face's mask from its vertices' masks: a facet holds the vertices its
+    # equation is tight at, and a face lies on the facets holding all its
+    # vertices
+    for N, b, on in zip(P.facet_normals, P.facet_bounds, P.facet_vertex_ids):
+        assert on == {i for i, v in enumerate(P.numerators) if sum(map(int.__mul__, N, v)) == b}
+    for f in P.faces:
+        assert f.mask == sum(1 << k for k, on in enumerate(P.facet_vertex_ids) if set(f.vertex_ids) <= on)
+
+
+@given(P=polytopes())
 def test_volume_is_the_leading_ehrhart_coefficient(P):
     # #(nL & Z^d) is a degree-d polynomial in n for the lattice polytope
     # L = qP, with leading coefficient vol(L) = q^d vol(P) (Ehrhart; Beck

@@ -192,6 +192,95 @@ def test_orbit_query_on_coinciding_signed_coordinates(q):
             assert sorted(ids[owner == i].tolist()) == sorted(loop_orbit_faces(P, x)), (P, x)
 
 
+@pytest.fixture
+def grids(monkeypatch):
+    """The translation grids the orbit queries run, one (d, T) array per
+    query, in call order."""
+    seen = []
+    translations = weyl._translations
+
+    def spy(*args):
+        seen.append(translations(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(weyl, "_translations", spy)
+    return seen
+
+
+def _grid_oracle(P, rows, q):
+    """ceil(lo'_i - max u_i/q) .. floor(hi'_i - min u_i/q) on each axis, in
+    Fractions, over the images u = w a mod q of the batch and the box
+    [lo', hi'] of P - floor(lo)."""
+    images = np.concatenate([np.array(rows) @ w.T % q for w in weyl_elements(P.dim)])
+    axes = []
+    for lo, hi, top, bottom in zip(*P.bbox(), images.max(axis=0).tolist(), images.min(axis=0).tolist()):
+        corner = math.floor(lo)
+        low, high = lo - corner - Fraction(top, q), hi - corner - Fraction(bottom, q)
+        axes.append(range(math.ceil(low), math.floor(high) + 1))
+    return list(itertools.product(*axes))
+
+
+PRUNED_SHAPES = {
+    "interval": [("-1/2",), ("3/4",)],
+    "short-interval": [("3/5",), ("9/10",)],  # missed by u/q near 1/2
+    "wide-box": [(i, j, k) for i in (0, 3) for j in (-1, 1) for k in (2, 6)],
+    "pq-wide": [("-9/4", "2/3"), ("2", "2/3"), ("0", "11/4")],  # lo' = (3/4, 2/3)
+    "fund_tet": FUND_TET,
+}
+
+
+@pytest.mark.parametrize("name", [*PRUNED_SHAPES, "pq_triangle_2d", "far_cube"])
+def test_translation_grid_holds_only_translations_that_can_hold_an_image(request, grids, name):
+    if name in PRUNED_SHAPES:
+        P = make(PRUNED_SHAPES[name])
+    elif name == "far_cube":
+        P = request.getfixturevalue(name)
+    else:
+        P = polytope_from_dict(load_bundled(name))
+    extents = np.array([math.floor(hi) - math.floor(lo) + 1 for lo, hi in zip(*P.bbox())])
+    rng = random.Random(47)
+    for q in (20, 10007):
+        generic = [weyl._sample_fundamental_point(rng, P.dim, q) for _ in range(6)]
+        batches = {
+            "generic": generic,
+            "one": generic[:1],
+            "near": [[rng.choice([1, 2, q // 2 - 1, q // 2, q // 2 + 1]) for _ in range(P.dim)] for _ in range(4)],
+            "zero": generic + [[0] + a[1:] for a in generic[:2]],
+            "middle": [[q // 2 + 1] * P.dim],
+        }
+        for kind, rows in batches.items():
+            owner, ids = _orbit_face_ids(P, _orbit_frame(P), rows, q)
+            mu = grids[-1]
+            assert sorted(map(tuple, mu.T.tolist())) == _grid_oracle(P, rows, q), (P, kind, q)
+            assert ((0 <= mu) & (mu < extents[:, None])).all()
+            for s, a in enumerate(rows):
+                x = RationalVector(Fraction(v, q) for v in a)
+                assert sorted(ids[owner == s].tolist()) == sorted(loop_orbit_faces(P, x)), (P, x)
+            if P.denominator == 1 and kind in ("generic", "zero"):
+                # a lattice box's top translation holds only images with a
+                # u_i = 0, and W carries a zero coordinate to every axis
+                assert mu.max(axis=1).tolist() == (extents - (kind == "generic") - 1).tolist()
+            # u/q near 1/2 on every axis cannot reach back to lo' > 1/2
+            if kind == "middle" and name == "short-interval":
+                assert mu.size == 0
+            if kind == "middle" and name == "pq-wide":
+                assert mu.min(axis=1).tolist() == [1, 1]
+
+
+def test_generic_fund_tet_samples_meet_one_translation(grids, fund_tet):
+    # a generic sample's images have 0 < u_i < q, so only mu = 0 can bring
+    # them into the unit box of fund_tet, against 8 translations unpruned
+    rep = multitiling_check(fund_tet, sample_count=200, seed=7)
+    assert rep.is_multitiling and len(grids) > 1
+    assert all(mu.tolist() == [[0], [0], [0]] for mu in grids)
+
+
+def test_orbit_sum_of_a_point_beyond_int64(fund_tet):
+    # f_P reduces the numerators mod q before the int64 query
+    x = RationalVector((10**30 + Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)))
+    assert f_P(fund_tet, x) == 8.0
+
+
 @pytest.mark.parametrize("points", [SQUARE_PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])
 def test_orbit_count_matches_loop_oracle_on_four_facet_vertices(points):
     P = make(points)
