@@ -35,6 +35,7 @@ the origin back.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -43,7 +44,13 @@ import numpy as np
 
 from .errors import MalformedInput
 from .geometry import build_polytope, check_budget, check_positive_int
-from .polysum import polyhedral_gauss_sum_direct, tetra_gauss_sum_formula
+# polyhedral_gauss_sum_direct is no longer called here; it stays importable
+# from classify because perfbench/tracing.py patches it at this name.
+from .polysum import (  # noqa: F401
+    polyhedral_gauss_sum_direct,
+    polyhedral_gauss_sums_direct,
+    tetra_gauss_sum_formula,
+)
 from .weyl import canonical_form, weyl_elements
 
 FUNDAMENTAL_TETRAHEDRON = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
@@ -177,13 +184,16 @@ def enumerate_minimal_tetrahedra(B: int) -> Iterator[Tetra]:
 
 
 def _checked_ns(ns: Sequence[int]) -> tuple[int, ...]:
-    """ns as a tuple, refused unless it holds a modulus and each is an
-    integer >= 1."""
+    """ns as a tuple of built-in ints, refused unless it holds a modulus,
+    each an integer >= 1, and none twice."""
     ns = tuple(ns)
     if not ns:
         raise MalformedInput("ns: expected at least one modulus")
     for n in ns:
         check_positive_int(n, "modulus")
+    ns = tuple(map(operator.index, ns))  # numpy integers too, so reports serialise
+    if len(set(ns)) < len(ns):
+        raise MalformedInput(f"ns: a modulus is repeated in {list(ns)}")
     return ns
 
 
@@ -202,14 +212,13 @@ def gauss_relation_test(
     """Residual magnitudes |G_T(n) - G(n)^3 / 6| for each n, and whether all
     fall below the tolerance.
 
-    route 'direct' enumerates dilates of the actual polytope; 'tetra' uses
-    the dihedral-angle formula (volume-1/6 only)."""
+    route 'direct' counts the lattice points of the actual polytope's
+    dilates, every n from one scan of lcm(ns) T where that stays small;
+    'tetra' uses the dihedral-angle formula (volume-1/6 only)."""
     ns = _checked_ns(ns)
     if route == "direct":
-        P = build_polytope(tetra)
-        residuals = {
-            n: abs(polyhedral_gauss_sum_direct(P, n).residual) for n in ns
-        }
+        reports = polyhedral_gauss_sums_direct(build_polytope(tetra), ns)
+        residuals = {r.n: abs(r.residual) for r in reports}
     elif route == "tetra":
         residuals = {n: abs(tetra_gauss_sum_formula(tetra, n).residual) for n in ns}
     else:

@@ -34,11 +34,20 @@ is O(lines + rows * n) for the rows (face, |h|^2 mod n) the lines meet,
 instead of O(points).  The threshold is the measured crossover of the two
 paths (see _LINE_PATH_POINTS).
 
+Several n, as in the search's relation test at n = 1, 2, 3, 4, share one
+scan (polyhedral_gauss_sums_direct): for n | M the lattice points of nP
+are the points y of MP whose coordinates M/n divides, y / (M/n) on the
+face of the same id, so one scan_lattice of M = lcm(ns) P is counted for
+every n by the point path's bincount.  It runs only where Blichfeldt's
+bound keeps MP on the point path (d! vol(P) M^d + d <= 2^13 lattice
+points) and lattice_lines accepts MP; otherwise, and for a single n, each
+n is counted on its own dilate.  The tables are equal either way.
+
 No route holds all its lattice points or kappa terms at once: the point
-path holds at most 2^13 points, the line path takes its lines in runs of
-about _COUNT_CHUNK line ends with its rows in chunks of about
-_COUNT_CHUNK cells, each counted into the route's integer table at once,
-and kappa holds one triangle of parts.  Memory is O(chunk + lines +
+path, shared or not, holds at most 2^13 points, the line path takes its
+lines in runs of about _COUNT_CHUNK line ends with its rows in chunks of
+about _COUNT_CHUNK cells, each counted into the route's integer table at
+once, and kappa holds one triangle of parts.  Memory is O(chunk + lines +
 faces * n) on either path and O(n^2) for kappa; the counts, hence the
 values, do not depend on the path or on where the runs fall.
 
@@ -66,6 +75,7 @@ from .angles import face_angle, tetrahedron_angles
 from .errors import DegenerateTetrahedron, MalformedInput, VolumeNotMinimal
 from .gauss import phase_table, quad_gauss_closed
 from .geometry import (
+    POINT_BUDGET,
     Polytope,
     check_budget,
     check_positive_int,
@@ -73,6 +83,7 @@ from .geometry import (
     dilate,
     integer_points,
     lattice_lines,
+    line_box,
     line_points,
     scan_lattice,
     volume,
@@ -209,6 +220,28 @@ def _count_interiors(table: np.ndarray, key: np.ndarray, lower: np.ndarray, coun
 _LINE_PATH_POINTS = 1 << 13
 
 
+def _point_table(fids: np.ndarray, norms: np.ndarray, n: int, faces: int) -> np.ndarray:
+    """C[f, r] of lattice points x, flat, from their face ids and integers
+    congruent to |x|^2 mod n: one bincount of f * n + |x|^2 mod n."""
+    return np.bincount(fids * n + norms % n, minlength=faces * n)
+
+
+def _weighted_value(weights: np.ndarray, counts: np.ndarray, n: int) -> complex:
+    """sum_r (sum_f w_f C[f, r]) e(r / n): the faces in order, then the
+    residue classes' phases by math.fsum."""
+    acc = np.einsum("f,fr->r", weights, counts).tolist()  # no BLAS, no (faces, n) copy
+    table = phase_table(n)
+    re = math.fsum(acc[k] * table[k].real for k in range(n))
+    im = math.fsum(acc[k] * table[k].imag for k in range(n))
+    return complex(re, im)
+
+
+def _face_weights(Q: Polytope) -> np.ndarray:
+    """The solid angle of Q at each face, by face id; every dilate of P
+    shares P's."""
+    return np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
+
+
 def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     """G_P(n) for a lattice polytope P, the int64 table C[f, r] of the
     lattice points x of nP on face f with |x|^2 = r mod n, and their number.
@@ -217,13 +250,14 @@ def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     nP, which give equal tables.  A dilate of at most _LINE_PATH_POINTS
     points, such as every dilate of the search (n <= 4), takes the point
     path: one scan_lattice call materialises all its points with their
-    faces and one bincount counts them.  A larger one, such as fund_tet at
-    n >= 35, takes the line path (_table_by_lines), which counts the two
-    ends of each line on their faces and its interior points per residue
-    class of the last coordinate, in O(lines + rows * n) work.  Either way
-    memory is O(chunk + lines + faces * n).  The value sums w_f C[f, r] over the
-    faces f in order, w_f the solid angle, then the residue classes'
-    phases by math.fsum."""
+    faces and _point_table counts them in one bincount.  A larger one, such
+    as fund_tet at n >= 35, takes the line path (_table_by_lines), which
+    counts the two ends of each line on their faces and its interior points
+    per residue class of the last coordinate, in O(lines + rows * n) work.
+    Either way memory is O(chunk + lines + faces * n).  The value sums
+    w_f C[f, r] over the faces f in order, w_f the solid angle, then the
+    residue classes' phases by math.fsum.  _shared_counted_sums gives the
+    same triple for several n from one scan of a common dilate."""
     if P.denominator != 1:
         raise MalformedInput(_NOT_LATTICE)
     check_positive_int(n, "dilation factor")
@@ -233,16 +267,51 @@ def _counted_sum(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
     if points <= _LINE_PATH_POINTS:
         pts, fids = scan_lattice(Q, lines)
         x = np.remainder(pts, n, out=pts)  # |x|^2 mod n needs only x mod n; its squares fit int64
-        counts = np.bincount(fids * n + np.einsum("ij,ij->i", x, x) % n, minlength=len(Q.faces) * n)
+        counts = _point_table(fids, np.einsum("ij,ij->i", x, x), n, len(Q.faces))
     else:
         counts = _table_by_lines(Q, lines, n)
     counts = counts.reshape(-1, n)
-    weights = np.array([face_angle(Q, fid) for fid in range(len(Q.faces))])
-    acc = np.einsum("f,fr->r", weights, counts).tolist()  # no BLAS, no (faces, n) copy
-    table = phase_table(n)
-    re = math.fsum(acc[k] * table[k].real for k in range(n))
-    im = math.fsum(acc[k] * table[k].imag for k in range(n))
-    return complex(re, im), counts, points
+    return _weighted_value(_face_weights(Q), counts, n), counts, points
+
+
+def _shared_counted_sums(P: Polytope, ns: Sequence[int]) -> dict[int, tuple[complex, np.ndarray, int]] | None:
+    """_counted_sum(P, n) for each distinct n in ns, read off one scan of
+    MP, M = lcm(ns), as the module docstring describes, with the face
+    weights, shared by all dilates, formed once.  None, so that each n is
+    counted on its own dilate, for fewer than two distinct n, where
+    Blichfeldt's bound d! vol(P) M^d + d on MP's lattice points exceeds
+    _LINE_PATH_POINTS, or where lattice_lines refuses MP (its line_box past
+    POINT_BUDGET, or its numbers past int64): the shared scan never refuses
+    what the per-n scans accept.
+    """
+    distinct = sorted(set(ns))
+    if len(distinct) < 2:
+        return None
+    M = math.lcm(*distinct)
+    d = P.dim
+    if math.factorial(d) * volume(P) * M**d + d > _LINE_PATH_POINTS:
+        return None
+    Q = dilate(P, M)
+    if line_box(Q)[2] > POINT_BUDGET:
+        return None
+    try:
+        lines = lattice_lines(Q)
+    except MalformedInput:  # MP's numbers exceed int64 where nP's may not
+        return None
+    pts, fids = scan_lattice(Q, lines)
+    # a point y = k x of MP, k = M / n, has y mod M = k (x mod n): k divides
+    # the gcd of its coordinates mod M, and |y mod M|^2 = k^2 |x mod n|^2
+    y = np.remainder(pts, M, out=pts)
+    norms = np.einsum("ij,ij->i", y, y)
+    common = np.gcd.reduce(y, axis=1)
+    weights = _face_weights(Q)
+    sums = {}
+    for n in distinct:
+        k = M // n
+        on = common % k == 0
+        counts = _point_table(fids[on], norms[on] // (k * k), n, len(Q.faces)).reshape(-1, n)
+        sums[n] = _weighted_value(weights, counts, n), counts, int(counts.sum())
+    return sums
 
 
 def closed_form_value(P: Polytope, n: int) -> complex:
@@ -253,8 +322,24 @@ def closed_form_value(P: Polytope, n: int) -> complex:
 def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     """G_P(n) by enumerating the lattice points of the dilate nP, counted
     per face and residue class of |x|^2 mod n."""
-    value, _, points = _counted_sum(P, n)
-    return GaussSumReport(n, value, ROUTE_DIRECT, points, value - closed_form_value(P, n))
+    return polyhedral_gauss_sums_direct(P, (n,))[0]
+
+
+def polyhedral_gauss_sums_direct(P: Polytope, ns: Sequence[int]) -> tuple[GaussSumReport, ...]:
+    """polyhedral_gauss_sum_direct(P, n) for each n in ns, in order, from
+    one scan of the common dilate lcm(ns) P where _shared_counted_sums
+    takes it, and from each n's own dilate otherwise; the reports are the
+    same either way."""
+    if P.denominator != 1:
+        raise MalformedInput(_NOT_LATTICE)
+    for n in ns:
+        check_positive_int(n, "dilation factor")
+    ns = [operator.index(n) for n in ns]
+    sums = _shared_counted_sums(P, ns) or {n: _counted_sum(P, n) for n in dict.fromkeys(ns)}
+    return tuple(
+        GaussSumReport(n, sums[n][0], ROUTE_DIRECT, sums[n][2], sums[n][0] - closed_form_value(P, n))
+        for n in ns
+    )
 
 
 def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:

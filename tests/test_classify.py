@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,26 @@ def test_classification_refuses_empty_ns():
     # all() over no residuals would pass every orbit
     with pytest.raises(MalformedInput, match="ns"):
         run_theorem2_experiment(1, ns=())
+
+
+def test_numpy_moduli_become_built_in_ints():
+    # the report's ns and residual keys are built-in ints, so its dict
+    # serialises as JSON
+    report = run_theorem2_experiment(1, ns=[np.int64(3), 4])
+    assert report.ns == (3, 4) and all(type(n) is int for n in report.ns)
+    assert json.loads(json.dumps(report.to_dict()))["ns"] == [3, 4]
+    for route in ("direct", "tetra"):
+        res = gauss_relation_test(FUNDAMENTAL_TETRAHEDRON, ns=(np.int32(2), np.int64(3)), route=route)
+        assert [type(n) for n in res.residuals] == [int, int]
+
+
+def test_repeated_modulus_is_refused():
+    # one residual per modulus: (2, 2) would write the CSV's rows twice
+    with pytest.raises(MalformedInput, match="repeated"):
+        run_theorem2_experiment(1, ns=(2, 2))
+    for route in ("direct", "tetra"):
+        with pytest.raises(MalformedInput, match="repeated"):
+            gauss_relation_test(FUNDAMENTAL_TETRAHEDRON, ns=(1, np.int64(3), 3), route=route)
 
 
 def test_relation_test_refuses_empty_ns():

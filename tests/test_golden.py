@@ -2,9 +2,10 @@
 
 A golden file changes only together with a spec change recorded in
 CHANGES.md.  To regenerate one, redirect the stdout of
-`python -m polygauss.cli <argv of its case> --json` to it.  The one CSV
-file is what `classify --bound 2 --route tetra --csv FILE` writes; its
-residual reprs pin the orbit representatives and every angle bit.
+`python -m polygauss.cli <argv of its case> --json` to it.  The CSV files
+are what `classify --bound 2 --route ROUTE --csv FILE` writes on the direct
+and the tetra route; their residual reprs pin the orbit representatives,
+every angle bit and every count of the direct route's shared scan.
 """
 
 import pathlib
@@ -15,7 +16,7 @@ from polygauss.cli import main
 from tests.conftest import DATA
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
-CSV_GOLDEN = GOLDEN / "classify_b2_tetra.csv"
+CSV_ROUTES = ("direct", "tetra")
 
 ROUTES = ("direct", "folded", "tetra")
 SOLIDS = ("fund_tet", "second_tile_tet", "std_simplex", "unit_cube_3d")
@@ -67,7 +68,7 @@ CASES = (
 
 def test_every_golden_file_has_a_case():
     assert {name for name, _ in CASES} == {p.stem for p in GOLDEN.glob("*.json")}
-    assert [p.name for p in GOLDEN.glob("*.csv")] == [CSV_GOLDEN.name]
+    assert sorted(p.name for p in GOLDEN.glob("*.csv")) == [f"classify_b2_{r}.csv" for r in CSV_ROUTES]
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
@@ -78,6 +79,7 @@ def test_cli_json_matches_golden(capsys, name, argv):
 
 def test_classify_csv_matches_golden(capsys, tmp_path):
     out = tmp_path / "orbits.csv"
-    assert main(["classify", "--bound", "2", "--route", "tetra", "--csv", str(out)]) == 0
-    assert capsys.readouterr().err == "wrote 1320 rows to " + str(out) + "\n"
-    assert out.read_bytes() == CSV_GOLDEN.read_bytes()
+    for route in CSV_ROUTES:
+        assert main(["classify", "--bound", "2", "--route", route, "--csv", str(out)]) == 0
+        assert capsys.readouterr().err == "wrote 1320 rows to " + str(out) + "\n"
+        assert out.read_bytes() == (GOLDEN / f"classify_b2_{route}.csv").read_bytes(), route

@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, event, given, seed, settings
 from hypothesis import strategies as st
 
 from polygauss import geometry, polysum
-from polygauss.classify import _enumerate
+from polygauss.classify import DEFAULT_NS, _enumerate, gauss_relation_test
 from polygauss.errors import (
     DegenerateInput,
     DegenerateTetrahedron,
@@ -20,12 +20,22 @@ from polygauss.errors import (
     VolumeNotMinimal,
 )
 from polygauss.gauss import quad_gauss_closed
-from polygauss.geometry import RationalVector, build_polytope, classify_point, dilate, translate
+from polygauss.geometry import (
+    POINT_BUDGET,
+    RationalVector,
+    build_polytope,
+    classify_point,
+    dilate,
+    line_box,
+    translate,
+    volume,
+)
 from polygauss.polysum import (
     closed_form_value,
     kappa,
     polyhedral_gauss_sum_direct,
     polyhedral_gauss_sum_folded,
+    polyhedral_gauss_sums_direct,
     tetra_gauss_sum_formula,
 )
 from polygauss.weyl import weyl_elements
@@ -484,6 +494,11 @@ def test_path_choice(monkeypatch, fund_tet, unit_cube, unit_interval):
         for n in (1, 2, 3, 4):
             polyhedral_gauss_sum_direct(make(rep), n)
     assert chosen == [False] * 21 * 4
+    # the direct relation test scans lcm(1, 2, 3, 4) P once per orbit
+    chosen.clear()
+    for _, rep in _enumerate(1)[1]:
+        gauss_relation_test(rep)
+    assert chosen == [False] * 21
     for P, n in ((fund_tet, 64), (fund_tet, 128), (fund_tet, 256), (unit_cube, 128)):
         chosen.clear()
         polysum._counted_sum(P, n)
@@ -608,3 +623,102 @@ def test_dilate_beyond_int64_is_malformed_input():
     for route in (polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded):
         with pytest.raises(MalformedInput, match="exceed int64"):
             route(P, 2)
+
+
+def per_n_reports(P, ns):
+    return [polyhedral_gauss_sum_direct(P, n) for n in ns]
+
+
+@st.composite
+def polytopes_and_moduli(draw):
+    """A lattice polytope of dimension 1 to 3 and 2 to 4 distinct moduli in
+    1..6; in 3-d their lcm is at most 20, past which Blichfeldt's bound
+    keeps every lattice 3-polytope off the shared scan."""
+    d = draw(st.integers(1, 3))
+    moduli = st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True)
+    ns = draw(moduli.filter(lambda ns: d < 3 or math.lcm(*ns) <= 20))
+    coord = st.integers(-1, 1) if d == 3 else st.integers(-3, 3)
+    try:
+        P = build_polytope(draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3)))
+    except DegenerateInput:
+        assume(False)
+    return P, ns
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(case=polytopes_and_moduli())
+def test_shared_scan_equals_per_n_property(case):
+    # the tables, value reprs and point counts read off one scan of lcm(ns) P
+    # are those of each n's own dilate; the scan runs exactly when
+    # Blichfeldt's bound keeps lcm(ns) P on the point path
+    P, ns = case
+    M, d = math.lcm(*ns), P.dim
+    shared = polysum._shared_counted_sums(P, ns)
+    event(f"d = {d}, shared scan: {shared is not None}")
+    assert (shared is not None) == (math.factorial(d) * volume(P) * M**d + d <= polysum._LINE_PATH_POINTS)
+    for n in ns:
+        value, counts, points = polysum._counted_sum(P, n)
+        if shared is not None:
+            assert shared[n][1].dtype == np.int64 and np.array_equal(shared[n][1], counts), n
+            assert (repr(shared[n][0]), shared[n][2]) == (repr(value), points), n
+    reports = polyhedral_gauss_sums_direct(P, ns)
+    assert [(r.n, repr(r.value), r.point_count, repr(r.residual)) for r in reports] == [
+        (r.n, repr(r.value), r.point_count, repr(r.residual)) for r in per_n_reports(P, ns)
+    ]
+
+
+def test_shared_scan_reports(fund_tet, unit_cube):
+    # one report per n in the given order, as the per-n calls give them;
+    # a repeated n is computed once, and numpy moduli are read as ints
+    for P, ns in ((fund_tet, (4, 1, 3, 2, 6)), (unit_cube, (2, 3)), (fund_tet, (3, np.int64(2), 3))):
+        assert polysum._shared_counted_sums(P, ns) is not None
+        got = polyhedral_gauss_sums_direct(P, ns)
+        assert [type(r.n) for r in got] == [int] * len(ns)
+        assert got == tuple(per_n_reports(P, [int(n) for n in ns]))
+    assert polyhedral_gauss_sums_direct(fund_tet, ()) == ()
+    for ns, message in (((1, 0), "must be >= 1"), ((2, 2.0), "must be an integer")):
+        with pytest.raises(MalformedInput, match=message):
+            polyhedral_gauss_sums_direct(fund_tet, ns)
+    with pytest.raises(MalformedInput, match="integer vertices"):
+        polyhedral_gauss_sums_direct(make([(0,), ("1/2",)]), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "P, ns",
+    [
+        (FUND_TET, (3,)),  # one modulus: nothing to share
+        (FUND_TET, (5, 7, 8, 9)),  # lcm 2520: far past the point path
+        # 12 P reaches 12 2^60 on the last axis, past int64, where 3P and 4P fit
+        (((0, 0, 0), (1, 0, 2**60), (0, 1, 0), (0, 0, 1)), (3, 4)),
+    ],
+)
+def test_shared_scan_falls_back_to_per_n(monkeypatch, P, ns):
+    P = make(P)
+    assert polysum._shared_counted_sums(P, ns) is None
+    scans = []
+    original = polysum.scan_lattice
+    monkeypatch.setattr(polysum, "scan_lattice", lambda Q, lines: scans.append(Q) or original(Q, lines))
+    got = polyhedral_gauss_sums_direct(P, ns)
+    assert [Q.numerators for Q in scans] == [dilate(P, n).numerators for n in ns]
+    assert got == tuple(per_n_reports(P, ns))
+
+
+@pytest.mark.parametrize("K", [171, 511, 512])
+def test_thin_tetrahedra_take_the_per_n_scans(K):
+    # conv{0, e1, e2, (K, K, 1)} has volume 1/6, so 12 P passes Blichfeldt's
+    # bound, but 12 P's bounding box holds more line-facet pairs than
+    # POINT_BUDGET, which 4 P's stays within up to K = 511; the direct test
+    # reads each n off its own dilate then, and at K = 512 is refused as
+    # the n = 4 scan is
+    pts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (K, K, 1))
+    P = make(pts)
+    assert line_box(dilate(P, 12))[2] > POINT_BUDGET
+    assert polysum._shared_counted_sums(P, DEFAULT_NS) is None
+    if K == 512:
+        assert line_box(dilate(P, 4))[2] > POINT_BUDGET
+        with pytest.raises(MalformedInput, match="line-facet pairs"):
+            gauss_relation_test(pts)
+        return
+    residuals = gauss_relation_test(pts).residuals
+    assert residuals == {r.n: abs(r.residual) for r in per_n_reports(P, DEFAULT_NS)}
