@@ -160,8 +160,7 @@ def _enumerate(B: int) -> tuple[int, list[tuple[int, Tetra]]]:
     Returns (count of unimodular candidates before deduplication, list of
     (packed canonical key, first-seen representative)) sorted by key.
     """
-    if B < 1:
-        raise MalformedInput(f"coordinate bound must be >= 1, got {B}")
+    check_positive_int(B, "coordinate bound")
     if B > _MAX_PACKED_BOUND:
         raise MalformedInput(
             f"coordinate bound {B} exceeds the packed-key limit {_MAX_PACKED_BOUND}"
@@ -306,8 +305,7 @@ def run_theorem2_experiment(
     the orbits are tested in a pool of at most os.cpu_count() processes;
     the report does not depend on the worker count.
     """
-    if workers < 1:
-        raise MalformedInput(f"workers must be >= 1, got {workers}")
+    check_positive_int(workers, "workers")
     if not (math.isfinite(tol) and tol > 0):
         raise MalformedInput(f"tolerance must be finite and positive, got {tol}")
     ns = _checked_ns(ns)

@@ -51,15 +51,16 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # Most lattice points, (lattice line, facet) pairs, kappa terms or search
 # candidates one request may enumerate; larger requests raise
 # MalformedInput.  A search candidate takes 6 bytes while it is enumerated
-# and then 20 (int8 vertices and an int64 key).  A G_P(n) request holds its
-# lattice lines and at most polysum._LINE_PATH_POINTS = 2^13 points, or one
-# run of about polysum._COUNT_CHUNK line ends, at a time; so does a relation
-# test's shared scan of lcm(ns) P, held to 2^13 points by Blichfeldt's bound
-# (at most d! vol + d lattice points) before it scans.  kappa holds one
-# triangle of C(n - 1, 2) parts, so the point and term budgets bound its
-# time, not its memory.  The line stage holds, per head under P's shadow,
-# 4 bytes for its row and 8 (d + 4) for the line it may carry (head, first
-# coordinate, count and three faces), and one chunk's facet rooms.  There
+# and then 20 (int8 vertices and an int64 key).  A G_P(n) request, for one n
+# or for several read off one dilate lcm(ns) P, holds its lattice lines and
+# at most polysum._LINE_PATH_POINTS = 2^13 points, or one run of about
+# polysum._COUNT_CHUNK line ends, at a time; several n share a dilate only
+# where Blichfeldt's bound (at most d! vol + d lattice points) holds it to
+# 2^13 points before it is scanned.  kappa holds one triangle of
+# C(n - 1, 2) parts, so the point and term budgets bound its time, not its
+# memory.  The line stage holds, per head under P's shadow, 4 bytes for its
+# row and 8 (d + 4) for the line it may carry (head, first coordinate,
+# count and three faces), and one chunk's facet rooms.  There
 # are at most as many such heads as lines of the bounding box, so at most
 # POINT_BUDGET / facets, and a d-polytope has at least d + 1 facets: under
 # 255 MB in 3-d and 295 MB in 2-d.  fund_tet at n = 256 has 2,862,209
@@ -613,19 +614,6 @@ def check_positive_int(n: int, what: str) -> None:
         raise MalformedInput(f"{what} must be >= 1, got {n}")
 
 
-def line_box(P: Polytope) -> tuple[list[int], list[int], int]:
-    """The least and the greatest lattice corner of P's bounding box and
-    its (lattice line, facet) pairs, lines parallel to the last axis, which
-    lattice_lines refuses past POINT_BUDGET; no pairs when the box holds no
-    lattice point."""
-    q = P.denominator
-    lo = [-(-c // q) for c in map(min, *P.numerators)]
-    hi = [c // q for c in map(max, *P.numerators)]
-    if any(h < l for l, h in zip(lo, hi)):
-        return lo, hi, 0
-    return lo, hi, math.prod([h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]) * P.n_facets
-
-
 def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     """The non-empty lattice lines of P parallel to the last axis, in
     lexicographic order of their heads: (heads, lower, counts, faces), each
@@ -655,17 +643,19 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     column per head under the shadow, so memory is O(heads + chunk x
     facets), and there are no more heads than lines of the box.  A request
     of more than POINT_BUDGET (line, facet) pairs on the bounding box
-    (line_box) raises MalformedInput before anything is allocated, and one
-    of more than POINT_BUDGET lattice points before any point is, with
-    faces formed only for the lines within that budget; so does a polytope
-    whose bounding box, facet bounds or shadow bounds do not fit int64.
+    raises MalformedInput before anything is allocated, and one of more
+    than POINT_BUDGET lattice points before any point is, with faces
+    formed only for the lines within that budget; so does a polytope whose
+    bounding box, facet bounds or shadow bounds do not fit int64.
     """
     _require_bitmask_facets(P)
     q = P.denominator
-    lo, hi, pairs = line_box(P)
-    if not pairs:
+    lo = [-(-c // q) for c in map(min, *P.numerators)]  # the box's least and greatest lattice corners
+    hi = [c // q for c in map(max, *P.numerators)]
+    if any(h < l for l, h in zip(lo, hi)):  # no lattice point
         empty = np.zeros(0, np.int64)
         return np.zeros((0, P.dim - 1), np.int64), empty, empty, np.zeros((3, 0), np.int64)
+    pairs = math.prod([h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]) * P.n_facets  # lines times facets
     check_budget("lattice line-facet pairs", pairs)
     int64_array([lo, hi], "bounding-box coordinates")  # both corners bound the lines
     plan = P.line_plan

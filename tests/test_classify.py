@@ -369,3 +369,20 @@ def test_search_checks_every_modulus_before_enumerating(monkeypatch, workers, ro
     monkeypatch.setattr(classify, "_enumerate", _unreachable)
     with pytest.raises(MalformedInput, match=message):
         run_theorem2_experiment(3, ns=ns, route=route, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"B": 1.5}, "coordinate bound must be an integer, got 1.5"),
+        ({"B": True}, "coordinate bound must be an integer, got True"),
+        ({"B": 0}, "coordinate bound must be >= 1, got 0"),
+        ({"B": 1, "workers": 1.5}, "workers must be an integer, got 1.5"),
+        ({"B": 1, "workers": "2"}, "workers must be an integer, got 2"),
+    ],
+    ids=["fractional-bound", "bool-bound", "zero-bound", "fractional-workers", "string-workers"],
+)
+def test_search_refuses_a_bound_or_worker_count_that_is_not_a_positive_int(kwargs, message):
+    # a float or a string raised a bare TypeError, and B = True ran as B = 1
+    with pytest.raises(MalformedInput, match=message):
+        run_theorem2_experiment(**kwargs)

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import gc
 import itertools
 import math
@@ -21,12 +22,10 @@ from polygauss.errors import (
 )
 from polygauss.gauss import quad_gauss_closed
 from polygauss.geometry import (
-    POINT_BUDGET,
     RationalVector,
     build_polytope,
     classify_point,
     dilate,
-    line_box,
     translate,
     volume,
 )
@@ -305,12 +304,12 @@ def test_kappa_equals_loop_oracle(pts):
 
 
 def counted_sum(P, n, by_lines=None):
-    """polysum._counted_sum on the path its size rule picks, or forced onto
-    the line path (True) or the point path (False)."""
+    """polysum._counted_sums for n alone, on the path its size rule picks,
+    or forced onto the line path (True) or the point path (False)."""
     with pytest.MonkeyPatch.context() as mp:
         if by_lines is not None:
             mp.setattr(polysum, "_LINE_PATH_POINTS", 0 if by_lines else geometry.POINT_BUDGET)
-        return polysum._counted_sum(P, n)
+        return polysum._counted_sums(P, (n,))[n]
 
 
 @pytest.mark.parametrize(
@@ -334,7 +333,7 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, fund_tet, unit_cube
     # a box whose lines, of 40 n + 1 points, outrun the patched chunk
     box = make([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 40)])
     cases = [(P, n) for P in (fund_tet, unit_cube) for n in (9, 10)] + [(box, 3)]
-    want = [polysum._counted_sum(P, n)[1] for P, n in cases]
+    want = [counted_sum(P, n)[1] for P, n in cases]
     monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
     for (P, n), counts in zip(cases, want):
@@ -501,11 +500,11 @@ def test_path_choice(monkeypatch, fund_tet, unit_cube, unit_interval):
     assert chosen == [False] * 21
     for P, n in ((fund_tet, 64), (fund_tet, 128), (fund_tet, 256), (unit_cube, 128)):
         chosen.clear()
-        polysum._counted_sum(P, n)
+        counted_sum(P, n)
         assert chosen and all(chosen), n
     for n, by_lines in ((8191, False), (8192, True)):  # n + 1 points
         chosen.clear()
-        assert polysum._counted_sum(unit_interval, n)[2] == n + 1
+        assert counted_sum(unit_interval, n)[2] == n + 1
         assert chosen == [by_lines], n
 
 
@@ -629,6 +628,17 @@ def per_n_reports(P, ns):
     return [polyhedral_gauss_sum_direct(P, n) for n in ns]
 
 
+@contextlib.contextmanager
+def scan_spy():
+    """The numerators of each dilate polysum scans inside the block, in
+    order."""
+    scans = []
+    original = polysum.scan_lattice
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polysum, "scan_lattice", lambda Q, lines: scans.append(Q.numerators) or original(Q, lines))
+        yield scans
+
+
 @st.composite
 def polytopes_and_moduli(draw):
     """A lattice polytope of dimension 1 to 3 and 2 to 4 distinct moduli in
@@ -650,18 +660,27 @@ def polytopes_and_moduli(draw):
 @given(case=polytopes_and_moduli())
 def test_shared_scan_equals_per_n_property(case):
     # the tables, value reprs and point counts read off one scan of lcm(ns) P
-    # are those of each n's own dilate; the scan runs exactly when
-    # Blichfeldt's bound keeps lcm(ns) P on the point path
+    # are those of each n's own dilate; that scan runs, once, exactly when
+    # Blichfeldt's bound keeps lcm(ns) P on the point path and lattice_lines
+    # accepts it, and each n's own dilate is scanned otherwise
     P, ns = case
     M, d = math.lcm(*ns), P.dim
-    shared = polysum._shared_counted_sums(P, ns)
-    event(f"d = {d}, shared scan: {shared is not None}")
-    assert (shared is not None) == (math.factorial(d) * volume(P) * M**d + d <= polysum._LINE_PATH_POINTS)
+    try:
+        geometry.lattice_lines(dilate(P, M))
+        accepted = True
+    except MalformedInput:
+        accepted = False
+    shared = accepted and math.factorial(d) * volume(P) * M**d + d <= polysum._LINE_PATH_POINTS
+    event(f"d = {d}, shared scan: {shared}")
+    per_n = {n: polysum._counted_sums(P, (n,))[n] for n in ns}
+    with scan_spy() as scans:
+        got = polysum._counted_sums(P, tuple(ns))
+    on_points = [n for n in ns if per_n[n][2] <= polysum._LINE_PATH_POINTS]
+    assert scans == [dilate(P, m).numerators for m in ([M] if shared else on_points)]
     for n in ns:
-        value, counts, points = polysum._counted_sum(P, n)
-        if shared is not None:
-            assert shared[n][1].dtype == np.int64 and np.array_equal(shared[n][1], counts), n
-            assert (repr(shared[n][0]), shared[n][2]) == (repr(value), points), n
+        value, counts, points = per_n[n]
+        assert got[n][1].dtype == np.int64 and np.array_equal(got[n][1], counts), n
+        assert (repr(got[n][0]), got[n][2]) == (repr(value), points), n
     reports = polyhedral_gauss_sums_direct(P, ns)
     assert [(r.n, repr(r.value), r.point_count, repr(r.residual)) for r in reports] == [
         (r.n, repr(r.value), r.point_count, repr(r.residual)) for r in per_n_reports(P, ns)
@@ -672,11 +691,15 @@ def test_shared_scan_reports(fund_tet, unit_cube):
     # one report per n in the given order, as the per-n calls give them;
     # a repeated n is computed once, and numpy moduli are read as ints
     for P, ns in ((fund_tet, (4, 1, 3, 2, 6)), (unit_cube, (2, 3)), (fund_tet, (3, np.int64(2), 3))):
-        assert polysum._shared_counted_sums(P, ns) is not None
-        got = polyhedral_gauss_sums_direct(P, ns)
+        with scan_spy() as scans:
+            got = polyhedral_gauss_sums_direct(P, ns)
+        assert scans == [dilate(P, math.lcm(*map(int, ns))).numerators]
         assert [type(r.n) for r in got] == [int] * len(ns)
         assert got == tuple(per_n_reports(P, [int(n) for n in ns]))
     assert polyhedral_gauss_sums_direct(fund_tet, ()) == ()
+    # a one-shot iterable is read once
+    assert polyhedral_gauss_sums_direct(fund_tet, (n for n in (1, 2))) == tuple(per_n_reports(fund_tet, (1, 2)))
+    assert polyhedral_gauss_sums_direct(fund_tet, iter([3])) == tuple(per_n_reports(fund_tet, (3,)))
     for ns, message in (((1, 0), "must be >= 1"), ((2, 2.0), "must be an integer")):
         with pytest.raises(MalformedInput, match=message):
             polyhedral_gauss_sums_direct(fund_tet, ns)
@@ -693,14 +716,11 @@ def test_shared_scan_reports(fund_tet, unit_cube):
         (((0, 0, 0), (1, 0, 2**60), (0, 1, 0), (0, 0, 1)), (3, 4)),
     ],
 )
-def test_shared_scan_falls_back_to_per_n(monkeypatch, P, ns):
+def test_shared_scan_falls_back_to_per_n(P, ns):
     P = make(P)
-    assert polysum._shared_counted_sums(P, ns) is None
-    scans = []
-    original = polysum.scan_lattice
-    monkeypatch.setattr(polysum, "scan_lattice", lambda Q, lines: scans.append(Q) or original(Q, lines))
-    got = polyhedral_gauss_sums_direct(P, ns)
-    assert [Q.numerators for Q in scans] == [dilate(P, n).numerators for n in ns]
+    with scan_spy() as scans:
+        got = polyhedral_gauss_sums_direct(P, ns)
+    assert scans == [dilate(P, n).numerators for n in ns]
     assert got == tuple(per_n_reports(P, ns))
 
 
@@ -713,12 +733,15 @@ def test_thin_tetrahedra_take_the_per_n_scans(K):
     # the n = 4 scan is
     pts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (K, K, 1))
     P = make(pts)
-    assert line_box(dilate(P, 12))[2] > POINT_BUDGET
-    assert polysum._shared_counted_sums(P, DEFAULT_NS) is None
+    with pytest.raises(MalformedInput, match="line-facet pairs"):
+        geometry.lattice_lines(dilate(P, 12))
     if K == 512:
-        assert line_box(dilate(P, 4))[2] > POINT_BUDGET
+        with pytest.raises(MalformedInput, match="line-facet pairs"):
+            geometry.lattice_lines(dilate(P, 4))
         with pytest.raises(MalformedInput, match="line-facet pairs"):
             gauss_relation_test(pts)
         return
-    residuals = gauss_relation_test(pts).residuals
+    with scan_spy() as scans:
+        residuals = gauss_relation_test(pts).residuals
+    assert scans == [dilate(P, n).numerators for n in DEFAULT_NS]
     assert residuals == {r.n: abs(r.residual) for r in per_n_reports(P, DEFAULT_NS)}
