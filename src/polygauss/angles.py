@@ -78,23 +78,17 @@ def _vertex_angle(P: Polytope, vid: int) -> float:
 
 def face_angle(P: Polytope, face_id: int) -> float:
     """Normalized solid angle of P at any point in the relative interior of
-    the given face.  Cached per polytope; dilates share the cache."""
-    hit = P._angle_cache.get(face_id)
-    if hit is not None:
-        return hit
+    the given face."""
     face = P.faces[face_id]
     if face.dim == P.dim:
-        value = 1.0
-    elif face.dim == P.dim - 1:
-        value = 0.5
-    elif face.dim == 1:
-        value = dihedral_angle(P, face_id)
-    elif face.dim == 0:
-        value = _vertex_angle(P, face.vertex_ids[0])
-    else:
-        raise AssertionError(f"face of dimension {face.dim} in a {P.dim}-polytope")
-    P._angle_cache[face_id] = value
-    return value
+        return 1.0
+    if face.dim == P.dim - 1:
+        return 0.5
+    if face.dim == 1:
+        return dihedral_angle(P, face_id)
+    if face.dim == 0:
+        return _vertex_angle(P, face.vertex_ids[0])
+    raise AssertionError(f"face of dimension {face.dim} in a {P.dim}-polytope")
 
 
 @dataclass(frozen=True)

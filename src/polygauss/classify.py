@@ -35,6 +35,7 @@ the origin back.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -196,6 +197,14 @@ def _checked_ns(ns: Sequence[int]) -> tuple[int, ...]:
     return ns
 
 
+def _check_tol(tol: float) -> None:
+    """Raise MalformedInput unless tol is a finite real number > 0; bools
+    do not count."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
+        raise MalformedInput(f"tolerance must be finite and positive, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class GaussRelationResult:
     residuals: dict[int, float]
@@ -215,6 +224,7 @@ def gauss_relation_test(
     dilates, every n from one scan of lcm(ns) T where that stays small;
     'tetra' uses the dihedral-angle formula (volume-1/6 only)."""
     ns = _checked_ns(ns)
+    _check_tol(tol)
     if route == "direct":
         reports = polyhedral_gauss_sums_direct(build_polytope(tetra), ns)
         residuals = {r.n: abs(r.residual) for r in reports}
@@ -306,8 +316,7 @@ def run_theorem2_experiment(
     the report does not depend on the worker count.
     """
     check_positive_int(workers, "workers")
-    if not (math.isfinite(tol) and tol > 0):
-        raise MalformedInput(f"tolerance must be finite and positive, got {tol}")
+    _check_tol(tol)
     ns = _checked_ns(ns)
     if route not in ("direct", "tetra"):
         raise MalformedInput(f"unknown route {route!r}")

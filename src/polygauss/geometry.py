@@ -31,7 +31,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -202,117 +202,20 @@ class Face:
     mask: int
 
 
-@dataclass(slots=True)
-class _LinePlan:
-    """What lattice_lines reads off a polytope's facet normals N_k, which
-    its dilates and translates share.
-
-    The facets are taken in the order `order`: the up facets, whose normal
-    has a last coordinate a_k > 0, then the down facets (a_k < 0), then
-    those along the lines (a_k = 0); up and down end the first two groups.
-    The facets with |a_k| > 1 come last among the up facets and first
-    among the down ones, so the slice `divided` holds them all.
-
-    sides bound P's shadow on (x0, x1) in 3-d and are empty below: with
-    x2 eliminated, u N_k + v N_j for an up facet k and a down facet j
-    (u = -a_j, v = a_k), or N_k for a facet along the lines (u = 1, v = 0),
-    with k and j in that order; the side's bound is u c_k + v c_j.  A side
-    with no x1 term bounds x0 alone, as the box does, and is dropped.  The
-    sides bounding x1 from above, sides_up of them, come first, and each
-    side is (k, u, j, v, shift), shift being |x1 term| for those and 0 for
-    the rest.
-
-    head holds the x0 terms of the sides and then of the facets (0 below
-    3-d, where the shadow is one row), and reach the largest in magnitude.
-    The columns, read-only, hold: x0 the same terms, rise the sides'
-    |x1 term|, and for the facets inner their term along the shadow's rows
-    (0 in 1-d, which has none), a their a_k, bits their bits and divisor
-    the |a_k| of the divided ones.
-    """
-
-    order: tuple[int, ...]
-    up: int
-    down: int
-    divided: slice
-    sides: tuple[tuple[int, int, int, int, int], ...]
-    sides_up: int
-    head: tuple[int, ...]
-    reach: int
-    divide_sides: bool
-    x0: np.ndarray
-    rise: np.ndarray
-    inner: np.ndarray
-    a: np.ndarray
-    bits: np.ndarray
-    divisor: np.ndarray
-
-
-def _line_plan(normals: Sequence[tuple[int, ...]]) -> _LinePlan:
-    groups = ([], [], [], [], [])  # up with a_k = 1, up, down, down with a_k = -1, along
-    for k, n in enumerate(normals):
-        a = n[-1]
-        groups[(a != 1) if a > 0 else 2 + (a == -1) if a < 0 else 4].append(k)
-    order = tuple(itertools.chain(*groups))
-    N = [normals[k] for k in order]
-    d, up = len(N[0]), len(groups[0]) + len(groups[1])
-    down = up + len(groups[2]) + len(groups[3])
-    divided = slice(len(groups[0]), up + len(groups[2]))
-    sides = []  # (x1 term < 0, x0 term, x1 term, k, u, j, v)
-    if d == 3:
-        for k, j in itertools.product(range(up), range(up, down)):
-            u, v = -N[j][2], N[k][2]
-            r0, r1 = u * N[k][0] + v * N[j][0], u * N[k][1] + v * N[j][1]
-            if r1:
-                sides.append((r1 < 0, r0, r1, k, u, j, v))
-        sides += [(n[1] < 0, n[0], n[1], k, 1, k, 0) for k, n in enumerate(N[down:], down) if n[1]]
-        sides.sort()
-    x0 = [side[1] for side in sides] + [n[0] if d == 3 else 0 for n in N]
-    rise = [abs(side[2]) for side in sides]
-    columns = (
-        x0,
-        rise,
-        [n[-2] if d > 1 else 0 for n in N],
-        [n[-1] for n in N],
-        [1 << k for k in order],
-        [abs(n[-1]) for n in N[divided]],
-    )
-    flat = np.array(list(itertools.chain(*columns)), dtype=np.int64)
-    flat.flags.writeable = False  # shared by P's dilates and translates
-    ends = list(itertools.accumulate(map(len, columns), initial=0))
-    views = [flat[s:e, None] for s, e in zip(ends, ends[1:])]
-    return _LinePlan(
-        order,
-        up,
-        down,
-        divided,
-        tuple((k, u, j, v, max(r1, 0)) for _, _, r1, k, u, j, v in sides),
-        sum(1 for side in sides if not side[0]),
-        tuple(x0),
-        max(map(abs, x0)),
-        any(r > 1 for r in rise),
-        *views[:4],
-        views[4][:, 0],
-        views[5],
-    )
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Polytope:
-    """Convex rational polytope, full-dimensional in its ambient space.
+    """Convex rational polytope, full-dimensional in its ambient space: a
+    frozen value of its exact data and face lattice.
 
-    Treat instances as immutable.  Its exact data is ints: the vertex
-    numerators in lexicographic order over one denominator q (see the
-    module docstring), and the bound b of each primitive facet normal N, so
-    P = {x : N x <= b / q}; vertices and bbox() give them as rationals.  A
-    polytope also holds its structure: facets, faces, mask_table, the
-    read-only (2, faces) array whose rows are the face masks in increasing
-    order and the ids of those faces, and line_plan, what lattice_lines
-    reads off the facet normals (None past the bitmask's facets).  Its
-    dilates and translates share that structure and the angle-weight memo
-    (see _moved); its volume depends on its size and so is its own memo.
-    Results over its lattice points, such as scans and orbit counts, are
-    not kept: a G_P(n) evaluation scans its dilate in runs of lattice lines
-    and keeps only their counts.
+    The exact data is ints: the vertex numerators in lexicographic order
+    over one denominator q (see the module docstring), and the bound b of
+    each primitive facet normal N, so P = {x : N x <= b / q}; vertices and
+    bbox() give them as rationals.  The face lattice is facet_vertex_ids,
+    faces and mask_table, the read-only (2, faces) array whose rows are the
+    face masks in increasing order and the ids of those faces.  Dilates and
+    translates share the normals and the face lattice.  Nothing computed
+    from a polytope is kept on it: its volume, face angles and lattice
+    lines are formed afresh on each call.
     """
 
     dim: int
@@ -323,9 +226,6 @@ class Polytope:
     facet_vertex_ids: tuple[frozenset[int], ...]
     faces: tuple[Face, ...]
     mask_table: np.ndarray = field(repr=False)
-    line_plan: _LinePlan | None = field(repr=False)
-    _angle_cache: dict[int, float] = field(repr=False, default_factory=dict)
-    _volume: Fraction | None = field(repr=False, default=None)
 
     @property
     def vertices(self) -> tuple[RationalVector, ...]:
@@ -474,37 +374,11 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
         facet_vertex_ids=facet_vertex_ids,
         faces=faces,
         mask_table=table,
-        line_plan=_line_plan(normals) if len(normals) <= _MAX_FACETS_FOR_BITMASK else None,
-    )
-
-
-def _moved(
-    P: Polytope, numerators: tuple[tuple[int, ...], ...], q: int, bounds: tuple[int, ...]
-) -> Polytope:
-    """P with new vertex numerators, denominator q and facet bounds, after a
-    dilation or translation.
-
-    The copy shares everything such a move leaves alone: normals, facet
-    vertex ids, faces, the mask table and the angle weights.  Its volume
-    starts empty.
-    """
-    return Polytope(
-        dim=P.dim,
-        numerators=numerators,
-        denominator=q,
-        facet_normals=P.facet_normals,
-        facet_bounds=bounds,
-        facet_vertex_ids=P.facet_vertex_ids,
-        faces=P.faces,
-        mask_table=P.mask_table,
-        line_plan=P.line_plan,
-        _angle_cache=P._angle_cache,
     )
 
 
 def dilate(P: Polytope, n: int) -> Polytope:
-    """The dilate nP for a positive integer n, a new polytope on every call
-    that shares P's structure and angle weights: with g = gcd(n, q), its
+    """The dilate nP for a positive integer n: with g = gcd(n, q), its
     numerators are n/g times P's over the denominator q/g."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise MalformedInput(f"dilation factor must be a positive integer, got {n}")
@@ -513,7 +387,8 @@ def dilate(P: Polytope, n: int) -> Polytope:
     g = math.gcd(n, P.denominator)
     m = operator.index(n) // g  # a built-in int, also for numpy integers
     V = tuple(tuple(m * c for c in v) for v in P.numerators)
-    return _moved(P, V, P.denominator // g, tuple(m * b for b in P.facet_bounds))
+    bounds = tuple(m * b for b in P.facet_bounds)
+    return replace(P, numerators=V, denominator=P.denominator // g, facet_bounds=bounds)
 
 
 def _face_ids_of_masks(P: Polytope, masks: np.ndarray) -> np.ndarray:
@@ -622,11 +497,16 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     its first point, its last point and the points between.
 
     The lattice points of P are those of N x <= c, N the facet normals and
-    c = b // q their bounds over the denominator, floored.  Only the heads under P's shadow are visited:
-    in 3-d the sides of P.line_plan, x2 eliminated from pairs of facets,
-    bound the shadow on (x0, x1), and each x0 of the box gets its exact
-    x1-interval from them by floor division; in 2-d and 1-d the shadow is
-    the box.  On the line through head h, facet k leaves room
+    c = b // q their bounds over the denominator, floored.  Only the heads
+    under P's shadow are visited: in 3-d, x2 is eliminated from pairs of
+    facets at the start of each call, the sides this gives bound the
+    shadow on (x0, x1), and each x0 of the box gets its exact x1-interval
+    from them by floor division; in 2-d and 1-d the shadow is the box.
+    With a_k the last coordinate of N_k, a side is u N_k + v N_j for an up
+    facet k (a_k > 0) and a down facet j (a_k < 0), u = -a_j and v = a_k,
+    or N_k for a facet along the lines (a_k = 0), with the bound u c_k +
+    v c_j; a side with no x1 term bounds x0 alone, as the box does, and is
+    dropped.  On the line through head h, facet k leaves room
     s_k = c_k - N_k[:-1] . h for a_k x_last, so a_k > 0 bounds x_last above
     by floor(s_k / a_k) and a_k < 0 below by ceil(s_k / a_k) =
     -floor(s_k / |a_k|), dividing only where |a_k| > 1; a facet along the
@@ -658,26 +538,66 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     pairs = math.prod([h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]) * P.n_facets  # lines times facets
     check_budget("lattice line-facet pairs", pairs)
     int64_array([lo, hi], "bounding-box coordinates")  # both corners bound the lines
-    plan = P.line_plan
-    m = len(plan.sides)
-    c = [P.facet_bounds[k] // q for k in plan.order]
+    # the facets up, then down, then along the lines; those with |a_k| > 1
+    # last among the up facets and first among the down ones, so the
+    # slice `divided` holds them all
+    groups = ([], [], [], [], [])  # up with a_k = 1, up, down, down with a_k = -1, along
+    for k, n in enumerate(P.facet_normals):
+        a = n[-1]
+        groups[(a != 1) if a > 0 else 2 + (a == -1) if a < 0 else 4].append(k)
+    order = list(itertools.chain(*groups))
+    N = [P.facet_normals[k] for k in order]
+    c = [P.facet_bounds[k] // q for k in order]
+    up = len(groups[0]) + len(groups[1])
+    down = up + len(groups[2]) + len(groups[3])
+    divided = slice(len(groups[0]), up + len(groups[2]))
+    sides = []  # (x1 term < 0, x0 term, x1 term, k, u, j, v), those bounding x1 from above first
+    if P.dim == 3:
+        for k, j in itertools.product(range(up), range(up, down)):
+            u, v = -N[j][2], N[k][2]
+            r0, r1 = u * N[k][0] + v * N[j][0], u * N[k][1] + v * N[j][1]
+            if r1:
+                sides.append((r1 < 0, r0, r1, k, u, j, v))
+        sides += [(n[1] < 0, n[0], n[1], k, 1, k, 0) for k, n in enumerate(N[down:], down) if n[1]]
+        sides.sort()
+    m = len(sides)
+    sides_up = sum(1 for side in sides if not side[0])
     # the sides bounding x1 from above are raised by their x1 term, so
     # their floor quotient is one past the last x1 they allow
-    bound = [u * c[k] + v * c[j] + shift for k, u, j, v, shift in plan.sides] + c
+    bound = [u * c[k] + v * c[j] + max(r1, 0) for _, _, r1, k, u, j, v in sides] + c
+    head = [side[1] for side in sides] + [n[0] if P.dim == 3 else 0 for n in N]  # x0 terms
+    rise = [abs(side[2]) for side in sides]
+    divide_sides = any(r > 1 for r in rise)
     x0 = (lo[0], hi[0]) if P.dim == 3 else (0, 0)  # the shadow's rows, one per x0 in 3-d
     # no room a row leaves, bound - x0 term * x0, is larger in magnitude;
     # being linear in x0, it is largest on the first or the last row
-    reach = max(map(abs, bound)) + plan.reach * max(-x0[0], x0[1])
+    reach = max(map(abs, bound)) + max(map(abs, head)) * max(-x0[0], x0[1])
     if reach >> 63:
-        reach = max(abs(q - h * x) for q, h in zip(bound, plan.head) for x in x0)
+        reach = max(abs(b - h * x) for b, h in zip(bound, head) for x in x0)
     bound = int64_array(bound + [reach], "facet bounds")[:-1]
-    room = bound[:, None] - plan.x0 * np.arange(x0[0], x0[1] + 1)  # (sides, then facets) x rows
+    # one int64 array, read as columns: the sides' and facets' x0 terms,
+    # the sides' |x1 term|, and for the facets their term along the
+    # shadow's rows (0 in 1-d, which has none), a_k, bit and the |a_k| of
+    # the divided ones
+    columns = (
+        head,
+        rise,
+        [n[-2] if P.dim > 1 else 0 for n in N],
+        [n[-1] for n in N],
+        [1 << k for k in order],
+        [abs(n[-1]) for n in N[divided]],
+    )
+    flat = np.array(list(itertools.chain(*columns)), dtype=np.int64)
+    ends = list(itertools.accumulate(map(len, columns), initial=0))
+    head, rise, inner, a, bits, divisor = (flat[s:e, None] for s, e in zip(ends, ends[1:]))
+    bits = bits[:, 0]
+    room = bound[:, None] - head * np.arange(x0[0], x0[1] + 1)  # (sides, then facets) x rows
     shadow, base = room[:m], room[m:]
-    if plan.divide_sides:
-        shadow //= plan.rise
+    if divide_sides:
+        shadow //= rise
     span = (lo[-2], hi[-2]) if P.dim > 1 else (0, 0)  # the box along the rows
-    width = np.minimum.reduce(shadow[: plan.sides_up], axis=0, initial=span[1] + 1)
-    below = np.minimum.reduce(shadow[plan.sides_up :], axis=0, initial=-span[0])
+    width = np.minimum.reduce(shadow[:sides_up], axis=0, initial=span[1] + 1)
+    below = np.minimum.reduce(shadow[sides_up:], axis=0, initial=-span[0])
     width += below
     np.maximum(width, 0, out=width)
     offset = width - width.cumsum() - below  # head i of row r lies at i + offset[r] along it
@@ -687,7 +607,6 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     # the lines, at most one per head: heads, lower, counts and faces
     out = np.empty((P.dim + 4, len(row_of)), np.int64)
     heads, lower, counts, faces = out[: P.dim - 1], out[P.dim - 1], out[P.dim], out[P.dim + 1 :]
-    up, down, divided = plan.up, plan.down, plan.divided
     fractional = [k for k, b in enumerate(P.facet_bounds) if b % q]
     kept = total = 0
     for s in range(0, len(row_of), _SCAN_CHUNK):
@@ -695,13 +614,13 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         x = offset.take(r)
         x += np.arange(s, s + len(r))  # each head's coordinate along its row
         room = base.take(r, axis=1)
-        work = plan.inner * x  # one (facets, heads) buffer for the products
+        work = inner * x  # one (facets, heads) buffer for the products
         room -= work
         t = room
         if divided.start < divided.stop:
             t = work
             t[:] = room
-            t[divided] //= plan.divisor
+            t[divided] //= divisor
         last = np.minimum.reduce(t[:up], axis=0, initial=hi[-1])
         first = np.minimum.reduce(t[up:down], axis=0, initial=-lo[-1])
         np.negative(first, out=first)
@@ -718,9 +637,9 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         del r, x, k  # not held while the masks are formed
         masks = np.empty((3, len(last)), np.int64)  # tight at the first, last point, both
         for end, mask in zip((first, last), masks):
-            np.multiply(plan.a, end, out=work)
+            np.multiply(a, end, out=work)
             np.equal(room, work, out=work)  # 1 where tight
-            np.matmul(plan.bits, work, out=mask)
+            np.matmul(bits, work, out=mask)
         del room, work, t
         np.bitwise_and(masks[0], masks[1], out=masks[2])
         if fractional:  # no lattice point is tight on a facet whose bound q does not divide
@@ -762,8 +681,6 @@ def volume(P: Polytope) -> Fraction:
     the facet's edges off m.  They fill P with disjoint interiors, so
     absolute determinants can be summed.
     """
-    if P._volume is not None:
-        return P._volume
     V = P.numerators
     edges = [f.vertex_ids for f in P.edges()]  # each (a, b) with a < b
     vol = 0
@@ -783,20 +700,20 @@ def volume(P: Polytope) -> Fraction:
             for a, b in edges:
                 if a > m and a in vs and b in vs:  # an edge of the facet off m
                     vol += abs(det3(_sub(V[a], V[m]), _sub(V[b], V[m]), z))
-    P._volume = Fraction(vol, math.factorial(P.dim) * P.denominator**P.dim)
-    return P._volume
+    return Fraction(vol, math.factorial(P.dim) * P.denominator**P.dim)
 
 
 def translate(P: Polytope, shift: RationalVector) -> Polytope:
-    """P + shift, sharing P's structure and angle weights: over the least
-    common multiple of q and the shift's denominators, reduced again."""
+    """P + shift: over the least common multiple of q and the shift's
+    denominators, reduced again."""
     if shift.dim != P.dim:
         raise DimensionMismatch("shift dimension differs from polytope dimension")
     (s,), q = _cleared([shift.coords], P.denominator)
     k = q // P.denominator
     V = [tuple(k * c + t for c, t in zip(v, s)) for v in P.numerators]
     bounds = [k * b + _dot(N, s) for N, b in zip(P.facet_normals, P.facet_bounds)]
-    return _moved(P, *_lowest_terms(V, q, bounds))
+    V, q, bounds = _lowest_terms(V, q, bounds)
+    return replace(P, numerators=V, denominator=q, facet_bounds=bounds)
 
 
 def polytope_to_dict(P: Polytope) -> dict:

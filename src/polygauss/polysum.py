@@ -65,6 +65,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -227,19 +228,19 @@ def _weighted_value(weights: np.ndarray, counts: np.ndarray, n: int) -> complex:
     return complex(re, im)
 
 
-def _counted_sums(P: Polytope, ns: Sequence[int]) -> dict[int, tuple[complex, np.ndarray, int]]:
-    """For each of the distinct moduli ns, G_P(n) of a lattice polytope P,
-    the int64 table C[f, r] of the lattice points x of nP on face f with
-    |x|^2 = r mod n, and their number, read off the one dilate M = lcm(ns)
-    P as the module docstring describes, with the face weights, shared by
-    all dilates, formed once.  For a single n, M = n and lattice_lines'
-    refusals propagate; several n fall back to one call per n where
-    Blichfeldt's bound or lattice_lines refuses MP, so sharing never
-    refuses what the per-n scans accept.
+def _counted_sums(P: Polytope, ns: Sequence[int], vol: Fraction) -> dict[int, tuple[complex, np.ndarray, int]]:
+    """For each of the distinct moduli ns, G_P(n) of a lattice polytope P of
+    volume vol, the int64 table C[f, r] of the lattice points x of nP on
+    face f with |x|^2 = r mod n, and their number, read off the one dilate
+    M = lcm(ns) P as the module docstring describes, with the face weights
+    of MP formed once.  For a single n, M = n and lattice_lines' refusals
+    propagate; several n fall back to one call per n where Blichfeldt's
+    bound or lattice_lines refuses MP, so sharing never refuses what the
+    per-n scans accept.
     """
     M, d = math.lcm(*ns), P.dim
     lines = None
-    if len(ns) == 1 or math.factorial(d) * volume(P) * M**d + d <= _LINE_PATH_POINTS:
+    if len(ns) == 1 or math.factorial(d) * vol * M**d + d <= _LINE_PATH_POINTS:
         Q = dilate(P, M)
         try:
             lines = lattice_lines(Q)
@@ -247,7 +248,7 @@ def _counted_sums(P: Polytope, ns: Sequence[int]) -> dict[int, tuple[complex, np
             if len(ns) == 1:
                 raise
     if lines is None:
-        return {n: _counted_sums(P, (n,))[n] for n in ns}
+        return {n: _counted_sums(P, (n,), vol)[n] for n in ns}
     faces = len(Q.faces)
     if lines[2].sum() > _LINE_PATH_POINTS:  # a single n: M = n
         tables = {M: _table_by_lines(Q, lines, M)}
@@ -294,9 +295,12 @@ def polyhedral_gauss_sums_direct(P: Polytope, ns: Sequence[int]) -> tuple[GaussS
     for n in ns:
         check_positive_int(n, "dilation factor")
     ns = [operator.index(n) for n in ns]
-    sums = _counted_sums(P, tuple(dict.fromkeys(ns))) if ns else {}
+    vol = volume(P)
+    sums = _counted_sums(P, tuple(dict.fromkeys(ns)), vol) if ns else {}
     return tuple(
-        GaussSumReport(n, sums[n][0], ROUTE_DIRECT, sums[n][2], sums[n][0] - closed_form_value(P, n))
+        GaussSumReport(
+            n, sums[n][0], ROUTE_DIRECT, sums[n][2], sums[n][0] - float(vol) * quad_gauss_closed(1, n) ** P.dim
+        )
         for n in ns
     )
 
@@ -437,6 +441,7 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
     with w_ij the dihedral angles, n_ij the squared edge lengths, and G the
     quadratic Gauss sum in closed form."""
     check_positive_int(n, "dilation factor")
+    n = operator.index(n)  # a built-in int, so the report serialises
     pts = _minimal_tetrahedron(points)
     ta = tetrahedron_angles(pts)
     value = complex(-1.0, 0.0)

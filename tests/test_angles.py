@@ -12,7 +12,7 @@ from polygauss.errors import (
     NotAnEdge,
     UnsupportedDimension,
 )
-from polygauss.geometry import RationalVector, classify_point
+from polygauss.geometry import RationalVector, classify_point, dilate
 from polygauss.classify import enumerate_minimal_tetrahedra
 from tests.conftest import FUND_TET, OCTAHEDRON, SECOND_TILE_TET, SQUARE_PYRAMID, make
 from tests.oracles import vector_cone_angle, vector_tetrahedron_angles, vsub
@@ -289,3 +289,13 @@ def test_tetrahedron_angles_match_vector_oracle_on_fractions(points):
     got, want = tetrahedron_angles(pts), vector_tetrahedron_angles(pts)
     assert _same_fields(got, want)
     assert _cone_fields_close(got, want, 1e-12)
+
+
+def test_face_angle_of_a_dilate_does_not_depend_on_earlier_calls():
+    # dilates shared P's angle memo, so the weight of the p/q triangle's
+    # 97-fold dilate at vertex 0 was P's own when P's ran first, one ulp off
+    points = [("-6/7", 6), ("-1/2", "-4/3"), (9, "-8/7")]
+    fresh = face_angle(dilate(make(points), 97), 0)
+    P = make(points)
+    face_angle(P, 0)
+    assert face_angle(dilate(P, 97), 0) == fresh == 0.1424536712764224

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -386,3 +387,19 @@ def test_search_refuses_a_bound_or_worker_count_that_is_not_a_positive_int(kwarg
     # a float or a string raised a bare TypeError, and B = True ran as B = 1
     with pytest.raises(MalformedInput, match=message):
         run_theorem2_experiment(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [-1.0, 0, float("nan"), float("inf"), "1e-6", None, True],
+    ids=["negative", "zero", "nan", "inf", "string", "none", "bool"],
+)
+def test_a_tolerance_that_is_not_a_finite_positive_real_is_refused(monkeypatch, tol):
+    # a negative or nan tol reported T as failing, a string or None raised a
+    # bare TypeError, and the search ran tol = True as 1.0
+    message = f"tolerance must be finite and positive, got {tol!r}"
+    with pytest.raises(MalformedInput, match=re.escape(message)):
+        gauss_relation_test(FUNDAMENTAL_TETRAHEDRON, tol=tol)
+    monkeypatch.setattr(classify, "_enumerate", _unreachable)
+    with pytest.raises(MalformedInput, match=re.escape(message)):
+        run_theorem2_experiment(1, tol=tol)

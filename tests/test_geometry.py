@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -27,7 +28,7 @@ from polygauss.geometry import (
     translate,
     volume,
 )
-from tests.conftest import OCTAHEDRON, SQUARE_PYRAMID, make
+from tests.conftest import FUND_TET, OCTAHEDRON, SQUARE_PYRAMID, make
 from tests.oracles import grid_scan_lattice
 
 
@@ -572,3 +573,15 @@ def test_line_points_fill_each_interval_in_order():
     heads = np.array([[0, 5], [1, 5], [2, 7]])
     rows = line_points(heads, np.array([3, 0, -1]), np.array([2, 0, 3]))
     assert rows.tolist() == [[0, 5, 3], [0, 5, 4], [2, 7, -1], [2, 7, 0], [2, 7, 1]]
+
+
+def test_a_polytope_is_frozen_and_its_moves_share_its_face_lattice():
+    P = make(FUND_TET)  # its own, so a failed refusal cannot alter a shared fixture
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.denominator = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.faces = ()
+    for Q in (dilate(P, 3), translate(P, rvec("1/2", 0, 1))):
+        assert Q is not P
+        assert Q.faces is P.faces and Q.mask_table is P.mask_table
+        assert Q.facet_normals is P.facet_normals

@@ -2,6 +2,7 @@ import cmath
 import contextlib
 import gc
 import itertools
+import json
 import math
 import warnings
 import weakref
@@ -199,9 +200,17 @@ def test_dilation_messages_and_numpy_integers(fund_tet):
         assert str(exc.value) == message
     for n in (np.int64(3), np.int32(3)):
         assert dilate(fund_tet, n).vertices == dilate(fund_tet, 3).vertices
-        for route in (polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded):
-            assert route(fund_tet, n).value == route(fund_tet, 3).value
-        assert tetra_gauss_sum_formula(FUND_TET, n).value == tetra_gauss_sum_formula(FUND_TET, 3).value
+        reports = [route(fund_tet, n) for route in (polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded)]
+        reports.append(tetra_gauss_sum_formula(FUND_TET, n))
+        assert reports == [
+            polyhedral_gauss_sum_direct(fund_tet, 3),
+            polyhedral_gauss_sum_folded(fund_tet, 3),
+            tetra_gauss_sum_formula(FUND_TET, 3),
+        ]
+        # every route reports a built-in n, so each report serialises
+        for report in reports:
+            assert type(report.n) is int
+            assert json.loads(json.dumps(report.to_dict()))["n"] == 3
     # a numpy factor leaves built-in ints in the dilate, also where int64
     # would wrap: 2^61 away, the dilate by 4 has bounds past 2^63
     far = translate(fund_tet, RationalVector((2**61, 0, 0)))
@@ -309,7 +318,7 @@ def counted_sum(P, n, by_lines=None):
     with pytest.MonkeyPatch.context() as mp:
         if by_lines is not None:
             mp.setattr(polysum, "_LINE_PATH_POINTS", 0 if by_lines else geometry.POINT_BUDGET)
-        return polysum._counted_sums(P, (n,))[n]
+        return polysum._counted_sums(P, (n,), volume(P))[n]
 
 
 @pytest.mark.parametrize(
@@ -672,9 +681,9 @@ def test_shared_scan_equals_per_n_property(case):
         accepted = False
     shared = accepted and math.factorial(d) * volume(P) * M**d + d <= polysum._LINE_PATH_POINTS
     event(f"d = {d}, shared scan: {shared}")
-    per_n = {n: polysum._counted_sums(P, (n,))[n] for n in ns}
+    per_n = {n: polysum._counted_sums(P, (n,), volume(P))[n] for n in ns}
     with scan_spy() as scans:
-        got = polysum._counted_sums(P, tuple(ns))
+        got = polysum._counted_sums(P, tuple(ns), volume(P))
     on_points = [n for n in ns if per_n[n][2] <= polysum._LINE_PATH_POINTS]
     assert scans == [dilate(P, m).numerators for m in ([M] if shared else on_points)]
     for n in ns:
