@@ -31,6 +31,7 @@ from .geometry import (
     Polytope,
     Rational,
     RationalVector,
+    as_vector,
     det3,
 )
 
@@ -126,7 +127,7 @@ def tetrahedron_angles(
     """
     if len(points) != 4:
         raise DegenerateTetrahedron(f"need 4 points, got {len(points)}")
-    pts = [p if isinstance(p, RationalVector) else RationalVector(p) for p in points]
+    pts = [as_vector(p) for p in points]
     if any(p.dim != 3 for p in pts):
         raise UnsupportedDimension("tetrahedron vertices must be 3-dimensional")
     # edge[i][j] = v_j - v_i as a coordinate tuple

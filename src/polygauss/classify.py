@@ -174,13 +174,13 @@ def _enumerate(B: int) -> tuple[int, list[tuple[int, Tetra]]]:
 
 
 def enumerate_minimal_tetrahedra(B: int) -> Iterator[Tetra]:
-    """Stream one representative per orbit of volume-1/6 tetrahedra
-    conv{0, v1, v2, v3} with coordinates bounded by B, in a deterministic
-    order.  Representatives are the first candidate encountered in scan
+    """An iterator over one representative per orbit of volume-1/6
+    tetrahedra conv{0, v1, v2, v3} with coordinates bounded by B, in a
+    deterministic order; B is checked, and the orbits found, before it
+    returns.  Representatives are the first candidate encountered in scan
     order, so their coordinates stay within [-B, B]."""
     _, orbits = _enumerate(B)
-    for _, rep in orbits:
-        yield rep
+    return (rep for _, rep in orbits)
 
 
 def _checked_ns(ns: Sequence[int]) -> tuple[int, ...]:

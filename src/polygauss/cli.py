@@ -28,10 +28,8 @@ from .gauss import quad_gauss_closed, quad_gauss_direct
 from .geometry import Polytope, check_budget, polytope_from_dict, volume
 from .polysum import (
     ROUTE_DIRECT,
-    ROUTE_FOLDED,
     ROUTE_TETRA,
     polyhedral_gauss_sum_direct,
-    polyhedral_gauss_sum_folded,
     tetra_gauss_sum_formula,
 )
 from .weyl import SAMPLE_DENOMINATOR, multitiling_check
@@ -56,8 +54,6 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     if args.route == ROUTE_DIRECT:
         report = polyhedral_gauss_sum_direct(P, args.n)
-    elif args.route == ROUTE_FOLDED:
-        report = polyhedral_gauss_sum_folded(P, args.n)
     else:
         report = tetra_gauss_sum_formula([v.coords for v in P.vertices], args.n)
     if args.json:
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--n", type=int, required=True, help="dilation modulus")
     p_sum.add_argument(
         "--route",
-        choices=[ROUTE_DIRECT, ROUTE_FOLDED, ROUTE_TETRA],
+        choices=[ROUTE_DIRECT, ROUTE_TETRA],
         default=ROUTE_DIRECT,
     )
     p_sum.add_argument("--json", action="store_true")

@@ -118,6 +118,11 @@ def rvec(*coords: Rational | str) -> RationalVector:
     return RationalVector(coords)
 
 
+def as_vector(p: RationalVector | Sequence[Rational | str]) -> RationalVector:
+    """p itself if it is a RationalVector, else its exact coordinates as one."""
+    return p if isinstance(p, RationalVector) else RationalVector(p)
+
+
 def independent_rows(rows: Sequence[Sequence[Rational]]) -> list[int]:
     """Indices of a maximal linearly independent subset, by Gaussian elimination.
 
@@ -335,7 +340,7 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
     subsets, which is entirely adequate at these sizes and trivially
     correct.  Input points that are not vertices of the hull are dropped.
     """
-    rows = [(p if isinstance(p, RationalVector) else RationalVector(p)).coords for p in points]
+    rows = [as_vector(p).coords for p in points]
     if not rows:
         raise DegenerateInput("empty point set")
     dim = len(rows[0])
@@ -404,9 +409,10 @@ def _face_ids_of_masks(P: Polytope, masks: np.ndarray) -> np.ndarray:
     return ids.take(pos)
 
 
-def classify_point(P: Polytope, x: RationalVector) -> int | None:
+def classify_point(P: Polytope, x: RationalVector | Sequence[Rational | str]) -> int | None:
     """Id of the face of P whose relative interior holds the rational point
     x, which is P.full_face_id for an interior point; None outside P."""
+    x = as_vector(x)
     if x.dim != P.dim:
         raise DimensionMismatch(f"point has dimension {x.dim}, polytope {P.dim}")
     (a,), r = _cleared([x.coords])  # x = a / r, and facet k holds x iff q N_k a <= r b_k
@@ -703,9 +709,10 @@ def volume(P: Polytope) -> Fraction:
     return Fraction(vol, math.factorial(P.dim) * P.denominator**P.dim)
 
 
-def translate(P: Polytope, shift: RationalVector) -> Polytope:
+def translate(P: Polytope, shift: RationalVector | Sequence[Rational | str]) -> Polytope:
     """P + shift: over the least common multiple of q and the shift's
     denominators, reduced again."""
+    shift = as_vector(shift)
     if shift.dim != P.dim:
         raise DimensionMismatch("shift dimension differs from polytope dimension")
     (s,), q = _cleared([shift.coords], P.denominator)

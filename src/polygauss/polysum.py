@@ -1,15 +1,9 @@
 """The weighted exponential sum G_P(n) over the n-th dilate of a lattice
-polytope, by three routes.
+polytope, by two routes.
 
 Direct: count the lattice points of nP per face and residue of |x|^2 mod
 n, as an integer table C[f, r]; then G_P(n) = sum_r (sum_f w_f C[f, r])
 e(r / n), with w_f the solid angle of nP on face f.
-
-Folded: folds nothing.  It returns the direct route's value, read off
-the same table C[f, r], and reports as its point count the
-C(floor(n/2) + d, d) representatives z/n of the wedge
-0 <= x_1 <= ... <= x_d <= 1/2, one per orbit of the
-signed-permutation-plus-translation group.
 
 Tetrahedron formula: for minimal (volume 1/6) lattice tetrahedra the whole
 sum collapses to dihedral angles times quadratic Gauss sums plus a small
@@ -18,29 +12,28 @@ terms are counted from the Gram form of the edge vectors over one triangle
 of barycentric parts (a, b) ordered by a + b: the interior terms with
 third part c are a prefix of it, one pass per c.
 
-The direct and folded routes build C[f, r] with one counter
-(_counted_sums), which takes every n at once, as the search's relation
-test does at n = 1, 2, 3, 4, and dilates P once, by M = lcm(ns).  For
-n | M the lattice points of nP are the points y of MP whose coordinates
-M/n divides, y / (M/n) on the face of the same id, and a single n is the
-case M = n, where every point counts.  geometry.lattice_lines visits only
-the heads under MP's shadow and gives each line with the faces of its
-first point, its last point and the points between, so no point is
-located.  A dilate of at most _LINE_PATH_POINTS = 2^13 lattice points,
-such as every dilate of the search, takes the point path: one
-scan_lattice call materialises every point with its face, and one
-bincount per n counts those whose coordinates M/n divides.  Several n
-share MP only where Blichfeldt's bound keeps it there (d! vol(P) M^d + d
-<= 2^13 lattice points) and lattice_lines accepts it; otherwise each n is
-counted on its own dilate, and the tables are equal either way.  So only
-a single n can take the line path, on a larger dilate, which counts the
-two ends of each line from their coordinates and its interior points per
-residue class: on the line through head h, |x|^2 = |h|^2 + t^2, so the
-interior points of a line, all on one face, are counted per rho = t mod n
-from the prefix counts of t.  Its work is O(lines + rows * n) for the
-rows (face, |h|^2 mod n) the lines meet, instead of O(points).  The
-threshold is the measured crossover of the two paths (see
-_LINE_PATH_POINTS).
+The direct route builds C[f, r] with one counter (_counted_sums), which
+takes every n at once, as the search's relation test does at n = 1, 2,
+3, 4, and dilates P once, by M = lcm(ns).  For n | M the lattice points
+of nP are the points y of MP whose coordinates M/n divides, y / (M/n) on
+the face of the same id, and a single n is the case M = n, where every
+point counts.  geometry.lattice_lines visits only the heads under MP's
+shadow and gives each line with the faces of its first point, its last
+point and the points between, so no point is located.  A dilate of at
+most _LINE_PATH_POINTS = 2^13 lattice points, such as every dilate of
+the search, takes the point path: one scan_lattice call materialises
+every point with its face, and one bincount per n counts those whose
+coordinates M/n divides.  Several n share MP only where Blichfeldt's
+bound keeps it there (d! vol(P) M^d + d <= 2^13 lattice points) and
+lattice_lines accepts it; otherwise each n is counted on its own dilate,
+and the tables are equal either way.  So only a single n can take the
+line path, on a larger dilate, which counts the two ends of each line
+from their coordinates and its interior points per residue class: on the
+line through head h, |x|^2 = |h|^2 + t^2, so the interior points of a
+line, all on one face, are counted per rho = t mod n from the prefix
+counts of t.  Its work is O(lines + rows * n) for the rows (face, |h|^2
+mod n) the lines meet, instead of O(points).  The threshold is the
+measured crossover of the two paths (see _LINE_PATH_POINTS).
 
 No route holds all its lattice points or kappa terms at once: the point
 path holds at most 2^13 points, the line path takes its lines in runs of
@@ -52,9 +45,9 @@ values, do not depend on the path or on where the runs fall.
 
 All phases are computed from exact integer residues mod n before any
 trigonometry, and every sum is taken in a fixed order, so results are
-deterministic: the direct and folded routes sum the weighted counts over
-faces in order and the n residue classes under compensated summation
-(math.fsum); the tetra route counts kappa's terms per residue, sums them
+deterministic: the direct route sums the weighted counts over faces in
+order and the n residue classes under compensated summation (math.fsum);
+the tetra route counts kappa's terms per residue, sums them
 exactly, rounding once as math.fsum does, and adds the six dihedral terms
 in a plain loop.
 """
@@ -64,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -88,7 +81,6 @@ from .geometry import (
 )
 
 ROUTE_DIRECT = "direct"
-ROUTE_FOLDED = "folded"
 ROUTE_TETRA = "tetra"
 
 _NOT_LATTICE = (
@@ -204,9 +196,9 @@ def _count_interiors(table: np.ndarray, key: np.ndarray, lower: np.ndarray, coun
         table += np.bincount(residue.ravel(), weights=per_rho.ravel(), minlength=len(table)).astype(np.int64)
 
 
-# The most lattice points a dilate may have for the direct and folded
-# routes to take the point path: one scan_lattice call over all its lines
-# and one bincount.  Larger dilates take the line path.  This is the
+# The most lattice points a dilate may have for the direct route to take
+# the point path: one scan_lattice call over all its lines and one
+# bincount.  Larger dilates take the line path.  This is the
 # measured crossover; direct calls, ms, point path / line path,
 # interleaved medians of 41 on a 2-CPU Xeon VM (Python 3.11, numpy 2.4):
 # fund_tet at n = 24 (2,925 points) 0.32 / 0.38, n = 32 (6,545)
@@ -273,11 +265,6 @@ def _counted_sums(P: Polytope, ns: Sequence[int], vol: Fraction) -> dict[int, tu
     return sums
 
 
-def closed_form_value(P: Polytope, n: int) -> complex:
-    """vol(P) G(n)^d, the value the sum takes on multi-tiling polytopes."""
-    return float(volume(P)) * quad_gauss_closed(1, n) ** P.dim
-
-
 def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
     """G_P(n) by enumerating the lattice points of the dilate nP, counted
     per face and residue class of |x|^2 mod n."""
@@ -305,19 +292,9 @@ def polyhedral_gauss_sums_direct(P: Polytope, ns: Sequence[int]) -> tuple[GaussS
     )
 
 
-def polyhedral_gauss_sum_folded(P: Polytope, n: int) -> GaussSumReport:
-    """G_P(n) as the direct route computes it, reported with the number of
-    orbit representatives instead of the points scanned.
-
-    Representatives are the points z/n with integer z in the sorted wedge
-    0 <= z_1 <= ... <= z_d <= n/2: each orbit of the signed-permutation and
-    integer-translation group meets the closed wedge exactly once.  The
-    group preserves |x|^2 mod n, so a point's phase is its representative's,
-    and the direct route's count table already holds every orbit; nothing
-    is folded.
-    """
-    report = polyhedral_gauss_sum_direct(P, n)
-    return replace(report, route=ROUTE_FOLDED, point_count=math.comb(n // 2 + P.dim, P.dim))
+# Only perfbench's sum-large-n and smoke ops still call this name; ROADMAP
+# item 8 deletes it together with those ops.
+polyhedral_gauss_sum_folded = polyhedral_gauss_sum_direct
 
 
 class _MinimalVertices(tuple):

@@ -42,10 +42,12 @@ from typing import Sequence
 import numpy as np
 
 from .angles import face_angle
-from .errors import DimensionMismatch, MalformedInput, UnsupportedDimension
+from .errors import DegenerateInput, DimensionMismatch, MalformedInput, UnsupportedDimension
 from .geometry import (
     Polytope,
+    Rational,
     RationalVector,
+    as_vector,
     check_budget,
     check_positive_int,
     face_ids_of_tight,
@@ -168,11 +170,12 @@ def _orbit_face_ids(
     return owner[image], face_ids_of_tight(P, (r[image] == s[shift] for r, s in zip(room, step)))
 
 
-def f_P(P: Polytope, x: RationalVector) -> float:
+def f_P(P: Polytope, x: RationalVector | Sequence[Rational | str]) -> float:
     """The orbit sum f(x) = sum over g in G of the solid angle of P at g(x),
     where G combines signed permutations with integer translations.  Only
     finitely many terms are nonzero since P is bounded; they are summed by
     math.fsum, so the value does not depend on their order."""
+    x = as_vector(x)
     if x.dim != P.dim:
         raise DimensionMismatch(f"point has dimension {x.dim}, polytope {P.dim}")
     q = math.lcm(*(v.denominator for v in x.coords))
@@ -291,10 +294,12 @@ def canonical_form(points: Sequence) -> tuple[tuple[int, ...], ...]:
     simplices are equivalent under the full group iff their canonical forms
     coincide.
     """
-    pts = np.array(
-        integer_points(points, "canonical form is defined for integer vertices only"),
-        dtype=object,  # Python ints: exact at any size
-    )
+    rows = integer_points(points, "canonical form is defined for integer vertices only")
+    if not rows:
+        raise DegenerateInput("empty point set")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatch("points of mixed dimensions")
+    pts = np.array(rows, dtype=object)  # Python ints: exact at any size
     images = pts @ weyl_elements(pts.shape[1]).transpose(0, 2, 1)  # [w, j] = w(pts[j])
     # [w, k, j]: image j translated by image k to the origin
     shifted = images[:, None] - images[:, :, None]

@@ -1,21 +1,23 @@
 """Literal reference implementations of the vectorised layers.
 
 Each is the straightforward (and slow) form of a library function: the
-bounding-box lattice scan, the triple-loop kappa, the folded route's
-(face, residue) counts from unfolding every orbit representative into the
-bounding box, the G-orbit count that walks every translation box point by
+bounding-box lattice scan, the direct route's G_P(n) summed point by
+point, the triple-loop kappa, the direct route's (face, residue) counts
+from unfolding every orbit representative into the bounding box, the G-orbit count that walks every translation box point by
 point, the multi-tiling check with one orbit query per sample, the
 search's candidates from every index triple, the search's canonical keys
 from all four vertex codes, and the tetrahedron angles computed with a new
 vector for every difference and cross product.  Tests compare the library
-against every one but the G-orbit count and the four-code keys for exact
-equality: scans, counts and reports hold integers and strings, and every
-float the others produce is computed in the same order as the library's;
-the orbit count's angle sum is summed in loop order and compared to
-within rounding, and the four-code keys, which differ from the library's
+against every one but the point-by-point G_P(n), the G-orbit count and
+the four-code keys for exact equality: scans, counts and reports hold
+integers and strings, and every float the others produce is computed in
+the same order as the library's; the point-by-point G_P(n) and the orbit
+count's angle sum are summed in their own order and compared to within
+rounding, and the four-code keys, which differ from the library's
 in value, are compared by the order they put the candidates in.
 """
 
+import cmath
 import itertools
 import math
 import random
@@ -69,6 +71,20 @@ def grid_scan_lattice(P):
     return grid[inside], np.array(face_ids, dtype=np.int64)[which.reshape(-1)]
 
 
+def loop_gauss_sum(P, n):
+    """G_P(n) point by point: each lattice point x of nP from the grid
+    scan, weighted by the solid angle of nP at its face, times
+    e(|x|^2 / n), with the terms summed by math.fsum."""
+    Q = dilate(P, n)
+    pts, fids = grid_scan_lattice(Q)
+    weights = [face_angle(Q, f) for f in range(len(Q.faces))]
+    terms = [
+        weights[f] * cmath.exp(2j * math.pi * (sum(c * c for c in x) % n) / n)
+        for x, f in zip(pts.tolist(), fids.tolist())
+    ]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
 def compositions(n, parts):
     """The compositions of n into `parts` positive parts, one per row of an
     int64 array, in lexicographic order."""
@@ -106,10 +122,11 @@ def loop_kappa(pts, n):
 
 
 def unfolded_counts(P, n):
-    """The folded route's (face, residue) counts C[f, r] by unfolding each
-    wedge representative z into the bounding box of nP: every point x of
-    its orbit in nP, located by the grid scan, counts on its face at
-    r = |z|^2 mod n."""
+    """The direct route's (face, residue) counts C[f, r] by unfolding each
+    wedge representative z, 0 <= z_1 <= ... <= z_d <= n/2, into the
+    bounding box of nP: every point x of its orbit under signed
+    permutations and translations by n, located by the grid scan, counts on
+    its face at r = |z|^2 mod n, since the group preserves |x|^2 mod n."""
     d = P.dim
     Q = dilate(P, n)
     pts, fids = grid_scan_lattice(Q)

@@ -49,7 +49,7 @@ def test_sum_json_value(capsys):
 
 def test_sum_routes_agree(capsys):
     values = {}
-    for route in ("direct", "folded", "tetra"):
+    for route in ("direct", "tetra"):
         code, out, _ = run(
             capsys, "sum", "--polytope", SECOND, "--n", "4", "--route", route, "--json"
         )
@@ -57,8 +57,14 @@ def test_sum_routes_agree(capsys):
         payload = json.loads(out)
         values[route] = complex(payload["re"], payload["im"])
         assert payload["route"] == route
-    assert abs(values["direct"] - values["folded"]) < 1e-10
     assert abs(values["direct"] - values["tetra"]) < 1e-10
+
+
+def test_sum_refuses_the_folded_route(capsys):
+    # the folded route, the direct route under another name, is gone
+    code, out, err = run(capsys, "sum", "--polytope", FUND, "--n", "3", "--route", "folded")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'folded'" in err
 
 
 def test_sum_rejects_bad_n(capsys):
@@ -378,17 +384,6 @@ def test_large_direct_sum_memory():
 
 
 @needs_linux_rusage
-def test_large_folded_sum_memory():
-    # the direct route's line count, whose table the folded route shares;
-    # sorting the folded points by representative peaked at 293 MB
-    code, _, peak_mb = _run_measured(
-        "sum", "--polytope", FUND, "--n", "256", "--route", "folded", "--json"
-    )
-    assert code == 0
-    assert peak_mb < 60
-
-
-@needs_linux_rusage
 def test_large_tetra_sum_memory():
     # 2,860,675 kappa terms counted in passes over a triangle of 32,385
     # parts; the whole composition table peaked at 227 MB, runs of about
@@ -442,7 +437,6 @@ def test_lattice_polytope_far_from_the_origin(capsys, tmp_path):
     path = str(far)
     for argv in (
         ["sum", "--polytope", path, "--n", "3"],
-        ["sum", "--polytope", path, "--n", "3", "--route", "folded"],
         ["check-tiling", "--polytope", path],
     ):
         code, out, err = run(capsys, *argv)

@@ -72,6 +72,7 @@ def test_classify_point_cases(unit_cube):
     at_vertex = classify_point(unit_cube, RationalVector((0, 0, 0)))
     assert unit_cube.faces[at_vertex].vertex_ids == (0,)
     assert classify_point(unit_cube, RationalVector((2, 0, 0))) is None
+    assert classify_point(unit_cube, ("1/2", "1/2", 0)) == on_facet  # a plain tuple
 
 
 def test_volumes(unit_cube, fund_tet, unit_triangle, unit_interval):
@@ -106,6 +107,7 @@ def test_translate_preserves_shape(fund_tet):
     Q = translate(fund_tet, RationalVector((2, -1, 3)))
     assert volume(Q) == volume(fund_tet)
     assert Q.faces[classify_point(Q, RationalVector((2, -1, 3)))].dim == 0
+    assert translate(fund_tet, (2, -1, 3)).vertices == Q.vertices  # a plain tuple
 
 
 @pytest.mark.parametrize("points", [SQUARE_PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])

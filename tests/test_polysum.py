@@ -31,16 +31,14 @@ from polygauss.geometry import (
     volume,
 )
 from polygauss.polysum import (
-    closed_form_value,
     kappa,
     polyhedral_gauss_sum_direct,
-    polyhedral_gauss_sum_folded,
     polyhedral_gauss_sums_direct,
     tetra_gauss_sum_formula,
 )
 from polygauss.weyl import weyl_elements
 from tests.conftest import FUND_TET, SECOND_TILE_TET, STD_SIMPLEX, make
-from tests.oracles import compositions, grid_scan_lattice, loop_kappa, unfolded_counts
+from tests.oracles import compositions, grid_scan_lattice, loop_gauss_sum, loop_kappa, unfolded_counts
 
 SQ3 = math.sqrt(3)
 
@@ -105,15 +103,6 @@ def test_standard_simplex_fails_closed_form(std_simplex):
     assert failing == {3, 4}
 
 
-def test_folded_route_matches_direct(fund_tet, std_simplex, unit_cube, unit_triangle):
-    for P in (fund_tet, std_simplex, unit_cube, unit_triangle):
-        for n in range(1, 7):
-            a = polyhedral_gauss_sum_direct(P, n)
-            b = polyhedral_gauss_sum_folded(P, n)
-            assert abs(a.value - b.value) < 1e-10
-            assert a.route != b.route
-
-
 def test_formula_route_matches_direct(second_tile_tet):
     for pts in (FUND_TET, STD_SIMPLEX, SECOND_TILE_TET):
         P = make(pts)
@@ -161,18 +150,17 @@ def test_report_to_dict(fund_tet):
 
 
 def test_closed_form_value(fund_tet, unit_cube):
-    assert closed_form_value(fund_tet, 3) == pytest.approx(
-        (1j * SQ3) ** 3 / 6, abs=1e-12
-    )
-    assert closed_form_value(unit_cube, 4) == (2 + 2j) ** 3
+    # the residual is taken against vol(P) G(n)^d
+    rep = polyhedral_gauss_sum_direct(fund_tet, 3)
+    assert rep.value - rep.residual == pytest.approx((1j * SQ3) ** 3 / 6, abs=1e-12)
+    rep = polyhedral_gauss_sum_direct(unit_cube, 4)
+    assert rep.value - rep.residual == (2 + 2j) ** 3
 
 
 def test_rejects_non_lattice_polytope():
     P = build_polytope([("0", "0"), ("1/2", "0"), ("0", "1/2")])
     with pytest.raises(MalformedInput):
         polyhedral_gauss_sum_direct(P, 1)
-    with pytest.raises(MalformedInput):
-        polyhedral_gauss_sum_folded(P, 1)
 
 
 def test_rejects_bad_dilation(fund_tet):
@@ -180,7 +168,6 @@ def test_rejects_bad_dilation(fund_tet):
         for call in (
             lambda: dilate(fund_tet, n),
             lambda: polyhedral_gauss_sum_direct(fund_tet, n),
-            lambda: polyhedral_gauss_sum_folded(fund_tet, n),
             lambda: tetra_gauss_sum_formula(FUND_TET, n),
             lambda: kappa(FUND_TET, n),
         ):
@@ -191,7 +178,7 @@ def test_rejects_bad_dilation(fund_tet):
 def test_dilation_messages_and_numpy_integers(fund_tet):
     below_one = {
         "dilation factor must be a positive integer, got 0": lambda: dilate(fund_tet, 0),
-        "dilation factor must be >= 1, got 0": lambda: polyhedral_gauss_sum_folded(fund_tet, 0),
+        "dilation factor must be >= 1, got 0": lambda: polyhedral_gauss_sum_direct(fund_tet, 0),
         "modulus must be >= 1, got 0": lambda: kappa(FUND_TET, 0),
     }
     for message, call in below_one.items():
@@ -200,13 +187,8 @@ def test_dilation_messages_and_numpy_integers(fund_tet):
         assert str(exc.value) == message
     for n in (np.int64(3), np.int32(3)):
         assert dilate(fund_tet, n).vertices == dilate(fund_tet, 3).vertices
-        reports = [route(fund_tet, n) for route in (polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded)]
-        reports.append(tetra_gauss_sum_formula(FUND_TET, n))
-        assert reports == [
-            polyhedral_gauss_sum_direct(fund_tet, 3),
-            polyhedral_gauss_sum_folded(fund_tet, 3),
-            tetra_gauss_sum_formula(FUND_TET, 3),
-        ]
+        reports = [polyhedral_gauss_sum_direct(fund_tet, n), tetra_gauss_sum_formula(FUND_TET, n)]
+        assert reports == [polyhedral_gauss_sum_direct(fund_tet, 3), tetra_gauss_sum_formula(FUND_TET, 3)]
         # every route reports a built-in n, so each report serialises
         for report in reports:
             assert type(report.n) is int
@@ -274,7 +256,6 @@ def test_direct_route_far_from_the_origin(unit_cube):
     far = translate(unit_cube, RationalVector((2 * 10**9,) * 3))
     base = polyhedral_gauss_sum_direct(unit_cube, 5).value
     assert polyhedral_gauss_sum_direct(far, 5).value == base
-    assert abs(polyhedral_gauss_sum_folded(far, 5).value - base) < 1e-10
 
 
 @st.composite
@@ -291,10 +272,8 @@ def lattice_polytopes(draw):
 @seed(20150417)
 @settings(max_examples=100, derandomize=False)
 @given(P=lattice_polytopes(), n=st.integers(1, 12))
-def test_folded_equals_direct_property(P, n):
-    a = polyhedral_gauss_sum_direct(P, n)
-    b = polyhedral_gauss_sum_folded(P, n)
-    assert abs(a.value - b.value) < 1e-10
+def test_direct_equals_loop_oracle_property(P, n):
+    assert abs(polyhedral_gauss_sum_direct(P, n).value - loop_gauss_sum(P, n)) < 1e-10
 
 
 PARITY_TET = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 2, 1))
@@ -324,18 +303,16 @@ def counted_sum(P, n, by_lines=None):
 @pytest.mark.parametrize(
     "name", ["fund_tet", "std_simplex", "unit_cube", "unit_triangle", "unit_interval"]
 )
-def test_folded_route_equals_unfolding_oracle(request, name):
-    # the (face, residue) counts both routes share equal, as integer arrays,
+def test_direct_counts_equal_unfolding_oracle(request, name):
+    # the direct route's (face, residue) counts equal, as integer arrays,
     # those of unfolding every wedge representative over the grid scan:
-    # an independent check of point location and of fold invariance
+    # an independent check of point location and of the residue table
     P = request.getfixturevalue(name)
     for n in (1, 2, 3, 4, 7, 10):
         want = unfolded_counts(P, n)
         for by_lines in (None, False, True):  # the chosen path, then each one
             counts = counted_sum(P, n, by_lines)[1]
             assert counts.dtype == np.int64 and np.array_equal(counts, want), (n, by_lines)
-        folded = polyhedral_gauss_sum_folded(P, n).value
-        assert folded == polyhedral_gauss_sum_direct(P, n).value, n
 
 
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, fund_tet, unit_cube):
@@ -551,13 +528,6 @@ def test_kappa_equals_loop_oracle_property(pts, n):
     assert kappa(pts, n) == loop_kappa(pts, n)
 
 
-def test_folded_point_count_is_representatives(fund_tet, unit_square):
-    for P in (fund_tet, unit_square):
-        for n in (1, 6, 9):
-            rep = polyhedral_gauss_sum_folded(P, n)
-            assert rep.point_count == math.comb(n // 2 + P.dim, P.dim)
-
-
 def test_kappa_prefixes_are_the_compositions():
     # the triangle holds each (a, b) with a, b >= 1, a + b <= n - 1 once,
     # ordered by a + b, with its monomials mod n; the prefix kappa passes
@@ -594,9 +564,7 @@ def test_kappa_refuses_requests_over_the_budget():
         kappa(FUND_TET, 1000)
 
 
-@pytest.mark.parametrize(
-    "route", [polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded]
-)
+@pytest.mark.parametrize("route", [polyhedral_gauss_sum_direct])
 def test_dilate_is_not_retained_after_the_sum(monkeypatch, route):
     # evaluating many n on one polytope holds one dilate (and its scan) at a time
     P = make(FUND_TET)
@@ -617,10 +585,11 @@ def test_dilate_is_not_retained_after_the_sum(monkeypatch, route):
 @pytest.mark.parametrize("K", [2**31, 2**32 + 3, 2**40 + 1])
 def test_direct_route_long_extent(K):
     # n K squared overflows int64 although the box corner is the origin
-    P = make([(0, 0, 0), (1, 0, K), (0, 1, 0), (0, 0, 1)])
+    pts = [(0, 0, 0), (1, 0, K), (0, 1, 0), (0, 0, 1)]
+    P = make(pts)
     for n in (3, 5):
         direct = polyhedral_gauss_sum_direct(P, n).value
-        assert abs(direct - polyhedral_gauss_sum_folded(P, n).value) < 1e-6, n
+        assert abs(direct - tetra_gauss_sum_formula(pts, n).value) < 1e-6, n
 
 
 def test_dilate_beyond_int64_is_malformed_input():
@@ -628,9 +597,8 @@ def test_dilate_beyond_int64_is_malformed_input():
     # outside int64
     P = make([(0, 0, 0), (1, 0, 2**62 + 1), (0, 1, 0), (0, 0, 1)])
     assert polyhedral_gauss_sum_direct(P, 1).point_count == 4
-    for route in (polyhedral_gauss_sum_direct, polyhedral_gauss_sum_folded):
-        with pytest.raises(MalformedInput, match="exceed int64"):
-            route(P, 2)
+    with pytest.raises(MalformedInput, match="exceed int64"):
+        polyhedral_gauss_sum_direct(P, 2)
 
 
 def per_n_reports(P, ns):

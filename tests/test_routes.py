@@ -1,7 +1,7 @@
-"""The three G_P(n) routes agree on random volume-1/6 tetrahedra.
+"""The two G_P(n) routes agree on random volume-1/6 tetrahedra.
 
-Direct enumeration is the ground truth.  The folded route's agreement on
-general lattice polytopes is tests/test_polysum.py's property test.
+Direct enumeration is the ground truth.  Its agreement with a point-by-point
+sum on general lattice polytopes is tests/test_polysum.py's property test.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polygauss.geometry import build_polytope
 from polygauss.polysum import (
     polyhedral_gauss_sum_direct,
-    polyhedral_gauss_sum_folded,
     tetra_gauss_sum_formula,
 )
 
@@ -42,10 +41,9 @@ def unimodular_tetrahedra(draw):
 @seed(SEED)
 @settings(max_examples=100, derandomize=False)
 @given(T=unimodular_tetrahedra(), n=st.integers(1, 12))
-def test_direct_equals_folded_equals_tetra(T, n):
+def test_direct_equals_tetra(T, n):
     P = build_polytope(T)
     direct = polyhedral_gauss_sum_direct(P, n).value
-    assert abs(direct - polyhedral_gauss_sum_folded(P, n).value) < TOL
     assert abs(direct - tetra_gauss_sum_formula(T, n).value) < TOL
 
 
@@ -58,5 +56,4 @@ def test_routes_agree_on_needles(K, L):
     P = build_polytope(T)
     for n in (1, 2, 3):
         direct = polyhedral_gauss_sum_direct(P, n).value
-        assert abs(direct - polyhedral_gauss_sum_folded(P, n).value) < 1e-12
         assert abs(direct - tetra_gauss_sum_formula(T, n).value) < 1e-12

@@ -9,7 +9,7 @@ import pytest
 
 from polygauss import weyl
 from polygauss.angles import face_angle
-from polygauss.errors import DimensionMismatch, MalformedInput, UnsupportedDimension
+from polygauss.errors import DegenerateInput, DimensionMismatch, MalformedInput, UnsupportedDimension
 from polygauss.geometry import RationalVector, dilate, polytope_from_dict, translate
 from polygauss.weyl import (
     MultiTilingReport,
@@ -279,6 +279,7 @@ def test_orbit_sum_of_a_point_beyond_int64(fund_tet):
     # f_P reduces the numerators mod q before the int64 query
     x = RationalVector((10**30 + Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)))
     assert f_P(fund_tet, x) == 8.0
+    assert f_P(fund_tet, x.coords) == 8.0  # a plain tuple of exact coordinates
 
 
 @pytest.mark.parametrize("points", [SQUARE_PYRAMID, OCTAHEDRON], ids=["pyramid", "octahedron"])
@@ -502,3 +503,10 @@ def test_canonical_form_separates_reflection_only_when_group_does():
 def test_canonical_form_integer_only():
     with pytest.raises(MalformedInput):
         canonical_form([("1/2", "0", "0"), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def test_canonical_form_refuses_empty_and_mixed_points():
+    with pytest.raises(DegenerateInput):
+        canonical_form([])
+    with pytest.raises(DimensionMismatch):
+        canonical_form([(0, 0, 0), (1, 0)])
