@@ -53,6 +53,9 @@ CASES = (
             ("fund_tet", 256, ("direct",)),
             ("second_tile_tet", 64, ("direct",)),
             ("unit_cube_3d", 32, ("direct",)),
+            ("unit_cube_2d", 400, ("direct",)),
+            ("triangle_2d", 400, ("direct",)),
+            ("unit_cube_1d", 20000, ("direct",)),
         )
         for route in routes
     ]
