@@ -101,10 +101,5 @@ def quad_gauss_closed(a: int, b: int) -> ComplexValue:
         return 0j
     if b % 2 == 1:
         return d * epsilon(b) * math.sqrt(b) * jacobi_symbol(a, b)
-    if b % 4 == 0:
-        if a % 2 == 0:
-            raise UndefinedCase(f"reduced pair ({a},{b}) still shares a factor")
-        return (
-            d * (1 + 1j) * epsilon(a).conjugate() * math.sqrt(b) * jacobi_symbol(b, a)
-        )
-    raise UndefinedCase(f"no closed-form branch for reduced pair ({a},{b})")
+    # b = 0 mod 4, so a, coprime to b, is odd
+    return d * (1 + 1j) * epsilon(a).conjugate() * math.sqrt(b) * jacobi_symbol(b, a)

@@ -48,10 +48,11 @@ Rational = int | Fraction
 
 _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 
-# Most lattice points, (lattice line, facet) pairs, kappa terms or search
-# candidates one request may enumerate; larger requests raise
-# MalformedInput.  A search candidate takes 6 bytes while it is enumerated
-# and then 20 (int8 vertices and an int64 key).  A G_P(n) request, for one n
+# Most lattice points, (lattice line, facet) pairs, count-table cells
+# (faces x n for the direct route), kappa terms or search candidates one
+# request may enumerate; larger requests raise MalformedInput.  A search
+# candidate takes 6 bytes while it is enumerated and then 20 (int8
+# vertices and an int64 key).  A G_P(n) request, for one n
 # or for several read off one dilate lcm(ns) P, holds its lattice lines and
 # at most polysum._LINE_PATH_POINTS = 2^13 points, or one run of about
 # polysum._COUNT_CHUNK line ends, at a time; several n share a dilate only
@@ -59,12 +60,14 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # 2^13 points before it is scanned.  kappa holds one triangle of
 # C(n - 1, 2) parts, so the point and term budgets bound its time, not its
 # memory.  The line stage holds, per head under P's shadow, 4 bytes for its
-# row and 8 (d + 4) for the line it may carry (head, first coordinate,
-# count and three faces), and one chunk's facet rooms.  There
-# are at most as many such heads as lines of the bounding box, so at most
-# POINT_BUDGET / facets, and a d-polytope has at least d + 1 facets: under
-# 255 MB in 3-d and 295 MB in 2-d.  fund_tet at n = 256 has 2,862,209
-# points on 33,153 lines, one per head under its shadow.
+# row and 8 (d + 4) for the line it may carry (its d - 1 head coordinates,
+# the padding of a 1-d or 2-d head not stored, first coordinate, count and
+# three faces), and one chunk's facet rooms.  There are at most as many
+# such heads as lines of the bounding box, so at most POINT_BUDGET /
+# facets, and a d-polytope has at least d + 1 facets: 2^22 heads of 60
+# bytes, under 255 MB, in 3-d and 2^24 / 3 of 52, under 295 MB, in 2-d.
+# fund_tet at n = 256 has 2,862,209 points on 33,153 lines, one per head
+# under its shadow.
 POINT_BUDGET = 1 << 24
 _SCAN_CHUNK = 1 << 14  # heads whose facet rooms lattice_lines holds at once
 
@@ -495,6 +498,17 @@ def check_positive_int(n: int, what: str) -> None:
         raise MalformedInput(f"{what} must be >= 1, got {n}")
 
 
+def _interval(a: np.ndarray, room: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of room, the least and the greatest integer t in [lo, hi]
+    with a_k t <= room_k on every row k where a_k != 0: a_k > 0 bounds t
+    above by floor(room_k / a_k), a_k < 0 below by -floor(room_k / -a_k).
+    The least exceeds the greatest where there is no such t."""
+    up, down = a > 0, a < 0
+    last = np.minimum.reduce(room.compress(up, 0) // a[up][:, None], axis=0, initial=hi)
+    first = np.minimum.reduce(room.compress(down, 0) // -a[down][:, None], axis=0, initial=-lo)
+    return np.negative(first, out=first), last
+
+
 def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     """The non-empty lattice lines of P parallel to the last axis, in
     lexicographic order of their heads: (heads, lower, counts, faces), each
@@ -503,27 +517,30 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     its first point, its last point and the points between.
 
     The lattice points of P are those of N x <= c, N the facet normals and
-    c = b // q their bounds over the denominator, floored.  Only the heads
-    under P's shadow are visited: in 3-d, x2 is eliminated from pairs of
-    facets at the start of each call, the sides this gives bound the
-    shadow on (x0, x1), and each x0 of the box gets its exact x1-interval
-    from them by floor division; in 2-d and 1-d the shadow is the box.
-    With a_k the last coordinate of N_k, a side is u N_k + v N_j for an up
-    facet k (a_k > 0) and a down facet j (a_k < 0), u = -a_j and v = a_k,
-    or N_k for a facet along the lines (a_k = 0), with the bound u c_k +
-    v c_j; a side with no x1 term bounds x0 alone, as the box does, and is
-    dropped.  On the line through head h, facet k leaves room
-    s_k = c_k - N_k[:-1] . h for a_k x_last, so a_k > 0 bounds x_last above
-    by floor(s_k / a_k) and a_k < 0 below by ceil(s_k / a_k) =
-    -floor(s_k / |a_k|), dividing only where |a_k| > 1; a facet along the
-    lines (a_k = 0) holds on every head under the shadow.  The point (h, t)
-    is tight on facet k iff s_k = a_k t and q divides b_k, so the
-    rooms also give the faces of the line's ends.  A facet with a_k != 0
-    meets the line at most once, so the points between lie on the face of
-    the facets tight at both ends.
+    c = b // q their bounds over the denominator, floored.  The normals of
+    a 1-d or 2-d polytope get leading zeros, so every dimension is scanned
+    as 3-d: heads (x0, x1), lines along x2.  One rule, _interval, gives
+    every interval: rows (a_k, room_k) allow the integers t with a_k t <=
+    room_k.  It runs twice.  First on P's shadow on (x0, x1): x2 is
+    eliminated from each pair of an up facet k (a_k > 0, a_k the last
+    coordinate of N_k) and a down facet j (a_j < 0), giving the side
+    u N_k + v N_j, u = -a_j and v = a_k, with bound u c_k + v c_j; these
+    sides and the facets along the lines (a_k = 0) hold on the shadow, so
+    for each x0 of the box the rows (x1 term, bound - x0 term * x0) give
+    its x1-interval, hence the heads under the shadow.  A side with no x1
+    term bounds x0 alone, as the box does, and is dropped.  The padded
+    normals of a 1-d or 2-d polytope have no x0 term, so its sides would
+    bound x1 alone, as the box does: it forms none, and its shadow is its
+    box, one row at x0 = 0.  Then on the lines: on the line through
+    head h, facet k leaves room s_k = c_k - N_k[:-1] . h, and the rows
+    (a_k, s_k) give its first and last point; a facet along the lines holds
+    on every head under the shadow.  The point (h, t) is tight on facet k
+    iff s_k = a_k t and q divides b_k, so the rooms also give the faces of
+    the line's ends.  A facet with a_k != 0 meets the line at most once, so
+    the points between lie on the face of the facets tight at both ends.
 
     Heads are taken in chunks of _SCAN_CHUNK: their rooms are formed
-    facet-major, c_k less the head's terms on row k, with no integer
+    facet-major, each x0 row's rooms less the x1 terms, with no integer
     matmul, and their tight masks one end at a time in one reused
     (facets, chunk) buffer.  The lines are written into one array with a
     column per head under the shadow, so memory is O(heads + chunk x
@@ -544,72 +561,33 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     pairs = math.prod([h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]) * P.n_facets  # lines times facets
     check_budget("lattice line-facet pairs", pairs)
     int64_array([lo, hi], "bounding-box coordinates")  # both corners bound the lines
-    # the facets up, then down, then along the lines; those with |a_k| > 1
-    # last among the up facets and first among the down ones, so the
-    # slice `divided` holds them all
-    groups = ([], [], [], [], [])  # up with a_k = 1, up, down, down with a_k = -1, along
-    for k, n in enumerate(P.facet_normals):
-        a = n[-1]
-        groups[(a != 1) if a > 0 else 2 + (a == -1) if a < 0 else 4].append(k)
-    order = list(itertools.chain(*groups))
-    N = [P.facet_normals[k] for k in order]
-    c = [P.facet_bounds[k] // q for k in order]
-    up = len(groups[0]) + len(groups[1])
-    down = up + len(groups[2]) + len(groups[3])
-    divided = slice(len(groups[0]), up + len(groups[2]))
-    sides = []  # (x1 term < 0, x0 term, x1 term, k, u, j, v), those bounding x1 from above first
-    if P.dim == 3:
-        for k, j in itertools.product(range(up), range(up, down)):
-            u, v = -N[j][2], N[k][2]
-            r0, r1 = u * N[k][0] + v * N[j][0], u * N[k][1] + v * N[j][1]
-            if r1:
-                sides.append((r1 < 0, r0, r1, k, u, j, v))
-        sides += [(n[1] < 0, n[0], n[1], k, 1, k, 0) for k, n in enumerate(N[down:], down) if n[1]]
-        sides.sort()
-    m = len(sides)
-    sides_up = sum(1 for side in sides if not side[0])
-    # the sides bounding x1 from above are raised by their x1 term, so
-    # their floor quotient is one past the last x1 they allow
-    bound = [u * c[k] + v * c[j] + max(r1, 0) for _, _, r1, k, u, j, v in sides] + c
-    head = [side[1] for side in sides] + [n[0] if P.dim == 3 else 0 for n in N]  # x0 terms
-    rise = [abs(side[2]) for side in sides]
-    divide_sides = any(r > 1 for r in rise)
-    x0 = (lo[0], hi[0]) if P.dim == 3 else (0, 0)  # the shadow's rows, one per x0 in 3-d
+    pad = 3 - P.dim
+    lo, hi = [0] * pad + lo, [0] * pad + hi
+    facets = [((0,) * pad + n, b // q) for n, b in zip(P.facet_normals, P.facet_bounds)]
+    # the shadow's sides: the facets along the lines, and x2 eliminated
+    # from each pair of an up and a down facet
+    sides = [(n, c) for n, c in facets if n[2] == 0] + [
+        ([-m[2] * x + n[2] * y for x, y in zip(n, m)], -m[2] * c + n[2] * e)
+        for n, c in facets if n[2] > 0
+        for m, e in facets if m[2] < 0
+    ]
+    sides = [(n, c) for n, c in sides if n[1]] if P.dim == 3 else []
+    head, bound = zip(*((n[0], c) for n, c in sides + facets))  # the rows' x0 terms and bounds
     # no room a row leaves, bound - x0 term * x0, is larger in magnitude;
     # being linear in x0, it is largest on the first or the last row
-    reach = max(map(abs, bound)) + max(map(abs, head)) * max(-x0[0], x0[1])
+    reach = max(map(abs, bound)) + max(map(abs, head)) * max(-lo[0], hi[0])
     if reach >> 63:
-        reach = max(abs(b - h * x) for b, h in zip(bound, head) for x in x0)
-    bound = int64_array(bound + [reach], "facet bounds")[:-1]
-    # one int64 array, read as columns: the sides' and facets' x0 terms,
-    # the sides' |x1 term|, and for the facets their term along the
-    # shadow's rows (0 in 1-d, which has none), a_k, bit and the |a_k| of
-    # the divided ones
-    columns = (
-        head,
-        rise,
-        [n[-2] if P.dim > 1 else 0 for n in N],
-        [n[-1] for n in N],
-        [1 << k for k in order],
-        [abs(n[-1]) for n in N[divided]],
-    )
-    flat = np.array(list(itertools.chain(*columns)), dtype=np.int64)
-    ends = list(itertools.accumulate(map(len, columns), initial=0))
-    head, rise, inner, a, bits, divisor = (flat[s:e, None] for s, e in zip(ends, ends[1:]))
-    bits = bits[:, 0]
-    room = bound[:, None] - head * np.arange(x0[0], x0[1] + 1)  # (sides, then facets) x rows
-    shadow, base = room[:m], room[m:]
-    if divide_sides:
-        shadow //= rise
-    span = (lo[-2], hi[-2]) if P.dim > 1 else (0, 0)  # the box along the rows
-    width = np.minimum.reduce(shadow[:sides_up], axis=0, initial=span[1] + 1)
-    below = np.minimum.reduce(shadow[sides_up:], axis=0, initial=-span[0])
-    width += below
-    np.maximum(width, 0, out=width)
-    offset = width - width.cumsum() - below  # head i of row r lies at i + offset[r] along it
+        reach = max(abs(b - h * x) for b, h in zip(bound, head) for x in (lo[0], hi[0]))
+    bound = int64_array([*bound, reach], "facet bounds")[:-1]
+    rooms = bound[:, None] - np.array(head, np.int64)[:, None] * np.arange(lo[0], hi[0] + 1)  # rows x x0
+    first, last = _interval(np.array([n[1] for n, _ in sides], np.int64), rooms[: len(sides)], lo[1], hi[1])
+    base = rooms[len(sides) :]
+    width = np.maximum(last - first + 1, 0)
+    offset = first - (width.cumsum() - width)  # head i of row r lies at x1 = i + offset[r]
     # the heads under the shadow, row by row, by their row's index (below
     # the box's lines, so int32)
     row_of = np.repeat(np.arange(len(width), dtype=np.int32), width)
+    inner, a, bits = np.array([(n[1], n[2], 1 << k) for k, (n, _) in enumerate(facets)], np.int64).T
     # the lines, at most one per head: heads, lower, counts and faces
     out = np.empty((P.dim + 4, len(row_of)), np.int64)
     heads, lower, counts, faces = out[: P.dim - 1], out[P.dim - 1], out[P.dim], out[P.dim + 1 :]
@@ -618,18 +596,11 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     for s in range(0, len(row_of), _SCAN_CHUNK):
         r = row_of[s : s + _SCAN_CHUNK]
         x = offset.take(r)
-        x += np.arange(s, s + len(r))  # each head's coordinate along its row
+        x += np.arange(s, s + len(r))  # each head's x1
         room = base.take(r, axis=1)
-        work = inner * x  # one (facets, heads) buffer for the products
+        work = inner[:, None] * x  # one (facets, heads) buffer for the products
         room -= work
-        t = room
-        if divided.start < divided.stop:
-            t = work
-            t[:] = room
-            t[divided] //= divisor
-        last = np.minimum.reduce(t[:up], axis=0, initial=hi[-1])
-        first = np.minimum.reduce(t[up:down], axis=0, initial=-lo[-1])
-        np.negative(first, out=first)
+        first, last = _interval(a, room, lo[2], hi[2])
         k = last - first
         full = (k >= 0).nonzero()[0]
         n = kept + len(full)
@@ -638,22 +609,21 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         if total > POINT_BUDGET:
             continue  # past the budget only the total is kept, for the message
         lower[kept:n] = first[full]
-        for row, col in zip(heads, (r, x)[3 - P.dim :]):  # x0 is the row's index until the end
+        for row, col in zip(heads[::-1], (x, r + np.int64(lo[0]))):  # a head keeps its last dim - 1 of x0, x1
             row[kept:n] = col[full]
         del r, x, k  # not held while the masks are formed
         masks = np.empty((3, len(last)), np.int64)  # tight at the first, last point, both
         for end, mask in zip((first, last), masks):
-            np.multiply(a, end, out=work)
+            np.multiply(a[:, None], end, out=work)
             np.equal(room, work, out=work)  # 1 where tight
             np.matmul(bits, work, out=mask)
-        del room, work, t
+        del room, work
         np.bitwise_and(masks[0], masks[1], out=masks[2])
         if fractional:  # no lattice point is tight on a facet whose bound q does not divide
             masks &= ~sum(1 << k for k in fractional)
         faces[:, kept:n] = _face_ids_of_masks(P, masks.take(full, axis=1))
         kept = n
     check_budget("lattice points", total)
-    heads[: P.dim - 2, :kept] += lo[0]
     return heads[:, :kept].T, lower[:kept], counts[:kept], faces[:, :kept]
 
 

@@ -228,8 +228,10 @@ def _counted_sums(P: Polytope, ns: Sequence[int], vol: Fraction) -> dict[int, tu
     of MP formed once.  For a single n, M = n and lattice_lines' refusals
     propagate; several n fall back to one call per n where Blichfeldt's
     bound or lattice_lines refuses MP, so sharing never refuses what the
-    per-n scans accept.
+    per-n scans accept.  The tables, one row of n cells per face for each
+    n, are checked against the point budget before any is built.
     """
+    check_budget("count-table cells", len(P.faces) * sum(ns))
     M, d = math.lcm(*ns), P.dim
     lines = None
     if len(ns) == 1 or math.factorial(d) * vol * M**d + d <= _LINE_PATH_POINTS:

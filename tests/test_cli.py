@@ -73,6 +73,15 @@ def test_sum_rejects_bad_n(capsys):
     assert "error:" in err
 
 
+def test_sum_refuses_count_tables_over_the_budget(capsys):
+    # the unit interval has 3 faces: 3 n cells fit the 2^24 budget up to
+    # n = 5592405, whose run peaks near 600 MB in the phases and sums
+    interval = str(DATA / "unit_cube_1d.json")
+    code, out, err = run(capsys, "sum", "--polytope", interval, "--n", "5592406")
+    assert code == 2 and out == ""
+    assert "16777218 count-table cells exceed the budget of 16777216" in err
+
+
 def test_check_tiling_accepts(capsys):
     code, out, _ = run(
         capsys, "check-tiling", "--polytope", FUND, "--samples", "30"

@@ -354,10 +354,11 @@ def test_scan_lattice_matches_grid_oracle_on_fixtures(request, fixture):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def test_scan_lattice_chunks_match_grid_oracle(monkeypatch, fund_tet, unit_cube):
-    # chunk boundaries fall inside lines and inside runs of equal heads
+def test_scan_lattice_chunks_match_grid_oracle(monkeypatch, fund_tet, unit_cube, unit_triangle, unit_interval):
+    # chunk boundaries fall inside lines and inside runs of equal heads;
+    # every dimension takes the same chunk loop, the 1-d one over one head
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
-    for P in (fund_tet, unit_cube):
+    for P in (fund_tet, unit_cube, unit_triangle, unit_interval):
         Q = dilate(P, 9)
         got, want = scan_lattice(Q), grid_scan_lattice(Q)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
