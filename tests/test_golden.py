@@ -30,6 +30,7 @@ CASES = (
         for bound in (1, 2)
         for route in ("direct", "tetra")
     ]
+    + [("classify_b3_tetra", ["classify", "--bound", "3", "--route", "tetra"])]
     + [
         (f"angles_{path.stem}", ["angles", "--polytope", str(path)])
         for path in sorted(DATA.glob("*.json"))
