@@ -6,16 +6,25 @@ orbits of the signed-permutation-plus-translation group, tests each orbit
 representative against the closed-form relation G_T(n) = G(n)^3 / 6 for
 n in {1, 2, 3, 4}, and reports which orbits pass.  The converse guess is
 that only the orbit of T = conv{(0,0,0), (1,0,0), (1,1,0), (1,1,1)} passes;
-every search from B = 1 to 5 passes exactly two orbits, T and
+every search from B = 1 to 6 passes exactly two orbits, T and
 T' = conv{(0,0,0), (1,0,0), (0,0,-1), (1,1,1)} (README "Findings").
 
-The enumeration is vectorized one first vector at a time: the cross
-products v_i x v_j with every later v_j, dotted with every later v_k, give
-all determinants of triples starting at v_i, and the index triples of the
-ones equal to +-1 are kept in index-triple order.  Beyond them a step holds
-O(N) normals and a fixed-size chunk of determinants for the N vectors of
-the box, and the running candidate count is held to geometry.POINT_BUDGET,
-so an oversized bound raises MalformedInput.
+The enumeration works on W-classes, W the signed permutations.  W fixes
+the origin, permutes the nonzero vectors of the box and keeps |det| = 1,
+so it permutes the candidates' index triples i < j < k; the vectors are
+indexed in lexicographic order, the order of the vertex codes below.  The
+least triple of a W-class starts with the least vector of its W-orbit,
+so only those first vectors are enumerated.  The cross products v_i x v_j
+with every later v_j, dotted with every later v_k, give all determinants
+of triples starting at v_i, and the index triples of the ones equal to
++-1 are kept in index-triple order.  One pass over them finds which are
+the least of their W-class, and the order |Stab| of each one's
+stabiliser; its class then holds |W| / |Stab| candidates, and their sum
+is the candidate count, held to geometry.POINT_BUDGET, so an oversized
+bound raises MalformedInput.  Every candidate in a class has the same
+canonical key, and the first-seen candidate of a G-orbit is the least of
+its classes' least triples, so only the least triple of each class is
+keyed.
 
 Canonicalization is by table lookup.  Each vertex translated to a chosen
 origin packs into an integer code whose order is the lexicographic order of
@@ -26,10 +35,12 @@ precomputed uint16 ((4B+1)^3, |W|) table holds every image.  The origin
 always has code(0), so per origin only the three other codes are gathered
 from the table, a chunk of candidates at a time, sorted by a three-comparator
 network and packed into one int64 key; the canonical key is the minimum over
-the 4 x |W| choices.  Inserting one common element into two sorted tuples
-keeps their lexicographic order, so the keys order orbits as canonical_form
-does, np.unique keeps the same first-seen representatives, and decoding puts
-the origin back.
+the 4 x |W| choices.  The class pass is the same gather, network and pack
+with the origin fixed at 0: a triple is the least of its class iff no image
+packs below its own codes, and |Stab| images pack equal to them.  Inserting
+one common element into two sorted tuples keeps their lexicographic order,
+so the keys order orbits as canonical_form does, np.unique keeps the same
+first-seen representatives, and decoding puts the origin back.
 """
 
 from __future__ import annotations
@@ -68,23 +79,27 @@ Tetra = tuple[tuple[int, int, int], ...]
 
 
 def _candidate_triples(B: int) -> tuple[np.ndarray, np.ndarray]:
-    """The candidates conv{0, v_i, v_j, v_k} as (vecs, triples): the nonzero
-    vectors of [-B, B]^3 as (N, 3) int16 in scan order, and as (m, 3) int16
-    the index triples i < j < k whose vectors form a basis of the integer
-    lattice (determinant +-1), in index-triple order.
+    """The candidates conv{0, v_i, v_j, v_k} whose first vector v_i is the
+    least of its W-orbit, as (vecs, triples): the nonzero vectors of
+    [-B, B]^3 as (N, 3) int16 in scan order, and as (m, 3) int16 the index
+    triples i < j < k whose vectors form a basis of the integer lattice
+    (determinant +-1), in index-triple order.  A signed permutation can
+    sort |v| in decreasing order and negate every coordinate, so v is the
+    least of its orbit iff v0 <= v1 <= v2 <= 0.
 
-    For each first vector v_i, det(v_i, v_j, v_k) = (v_i x v_j) . v_k for
-    all later j < k is one broadcast product of the normals v_i x v_j with
-    the later vectors, held _PAIR_CHUNK entries at a time.  Only a primitive
-    normal can reach +-1, so the other rows are skipped.
+    For each such v_i, det(v_i, v_j, v_k) = (v_i x v_j) . v_k for all later
+    j < k is one broadcast product of the normals v_i x v_j with the later
+    vectors, held _PAIR_CHUNK entries at a time.  Only a primitive normal
+    can reach +-1, so the other rows are skipped.
     """
     rng = np.arange(-B, B + 1, dtype=np.int16)
     vecs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
     vecs = vecs[np.any(vecs != 0, axis=1)]
     cols = vecs.T.copy()
+    least = (cols[0] <= cols[1]) & (cols[1] <= cols[2]) & (cols[2] <= 0)
     found = []
     count = 0
-    for i in range(len(vecs) - 2):
+    for i in np.flatnonzero(least).tolist():
         a0, a1, a2 = vecs[i].tolist()
         b0, b1, b2 = cols[:, i + 1 :]
         normals = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)  # v_i x v_j
@@ -102,6 +117,7 @@ def _candidate_triples(B: int) -> tuple[np.ndarray, np.ndarray]:
             triples = np.stack([np.full(keep.sum(), i), j[keep], k[keep]], axis=1)
             found.append(triples.astype(np.int16))
             count += len(triples)
+        # each triple held is a candidate, so this many at least
         check_budget("candidate tetrahedra", count, "use a smaller bound")
     return vecs, np.concatenate(found)
 
@@ -117,18 +133,33 @@ def _vertex_codes(v: np.ndarray, B: int) -> np.ndarray:
 def _image_table(B: int) -> np.ndarray:
     """((4B+1)^3, |W|) uint16 table: entry [v, w] is the code of the image
     of the vector with code v under the w-th signed permutation.  Codes stay
-    below (4B+1)^3 <= 37^3 = 50653 for every B up to _MAX_PACKED_BOUND."""
+    below (4B+1)^3 <= 37^3 = 50653 for every B up to _MAX_PACKED_BOUND.
+    A code is affine, code(v) = place . v + code(0), so the code of w(v) is
+    v . (w^T place) + code(0): one (codes, |W|) product."""
     rng = np.arange(-2 * B, 2 * B + 1, dtype=np.int64)
     vecs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    images = np.einsum("wij,vj->vwi", weyl_elements(3), vecs)  # [v, w] = w(vecs[v])
-    return _vertex_codes(images, B).astype(np.uint16)
+    place = np.array([(4 * B + 1) ** 2, 4 * B + 1, 1])
+    centre = _vertex_codes(np.zeros(3, dtype=np.int64), B)
+    return (vecs @ (weyl_elements(3).transpose(0, 2, 1) @ place).T + centre).astype(np.uint16)
+
+
+def _image_keys(table: np.ndarray, codes: Sequence[np.ndarray], B: int) -> np.ndarray:
+    """(m, |W|) int64: entry [t, w] packs the codes of the images under the
+    w-th signed permutation of the three vertices with codes[:, t], in
+    increasing order."""
+    vert_cap = (4 * B + 1) ** 3
+    x, y, z = (table.take(u, axis=0) for u in codes)  # (m, |W|)
+    # three-comparator network: afterwards x <= y <= z
+    x, y = np.minimum(x, y), np.maximum(x, y)
+    y, z = np.minimum(y, z), np.maximum(y, z)
+    x, y = np.minimum(x, y), np.maximum(x, y)
+    return (x.astype(np.int64) * vert_cap + y) * vert_cap + z
 
 
 def _canonical_keys(vecs: np.ndarray, triples: np.ndarray, B: int) -> np.ndarray:
     """Canonical keys of the candidates conv{0, v_i, v_j, v_k}, packed as the
     module docstring describes; vecs are (N, 3) integer vectors with
     coordinates in [-B, B], triples (m, 3) indices into them."""
-    vert_cap = (4 * B + 1) ** 3
     centre = int(_vertex_codes(np.zeros(3, dtype=np.int64), B))
     lin = _vertex_codes(vecs.astype(np.intp), B) - centre
     table = _image_table(B)
@@ -138,15 +169,29 @@ def _canonical_keys(vecs: np.ndarray, triples: np.ndarray, B: int) -> np.ndarray
         best = None
         # lin of the vertices off the origin, for the origin at 0, v_i, v_j and v_k
         for off in ((a, b, c), (-a, b - a, c - a), (-b, a - b, c - b), (-c, a - c, b - c)):
-            x, y, z = (table.take(u + centre, axis=0) for u in off)  # (m, |W|)
-            # three-comparator network: afterwards x <= y <= z
-            x, y = np.minimum(x, y), np.maximum(x, y)
-            y, z = np.minimum(y, z), np.maximum(y, z)
-            x, y = np.minimum(x, y), np.maximum(x, y)
-            key = ((x.astype(np.int64) * vert_cap + y) * vert_cap + z).min(axis=1)
+            key = _image_keys(table, [u + centre for u in off], B).min(axis=1)
             best = key if best is None else np.minimum(best, key)
         keys[s : s + len(best)] = best
     return keys
+
+
+def _class_minima(vecs: np.ndarray, triples: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each candidate conv{0, v_i, v_j, v_k}, whether its index triple
+    is the least of its W-class, and the order of its stabiliser in W:
+    (m,) bool and (m,) int8.  The triple's own codes, i < j < k, are the
+    identity's image, packed."""
+    vert_cap = (4 * B + 1) ** 3
+    codes = _vertex_codes(vecs.astype(np.intp), B)
+    table = _image_table(B)
+    least = np.empty(len(triples), dtype=bool)
+    stab = np.empty(len(triples), dtype=np.int8)
+    for s in range(0, len(triples), _CHUNK):
+        abc = codes[triples[s : s + _CHUNK]].T
+        images = _image_keys(table, abc, B)
+        own = (abc[0] * vert_cap + abc[1]) * vert_cap + abc[2]
+        least[s : s + len(own)] = images.min(axis=1) == own
+        stab[s : s + len(own)] = np.count_nonzero(images == own[:, None], axis=1)
+    return least, stab
 
 
 def _decode_key(key: int, B: int) -> Tetra:
@@ -167,10 +212,14 @@ def _enumerate(B: int) -> tuple[int, list[tuple[int, Tetra]]]:
             f"coordinate bound {B} exceeds the packed-key limit {_MAX_PACKED_BOUND}"
         )
     vecs, triples = _candidate_triples(B)
-    uniq, first = np.unique(_canonical_keys(vecs, triples, B), return_index=True)
-    reps = vecs[triples[first]].tolist()
+    least, stab = _class_minima(vecs, triples, B)
+    minima = triples[least]
+    count = int((len(weyl_elements(3)) // stab[least]).sum())  # orbit-stabiliser, per class
+    check_budget("candidate tetrahedra", count, "use a smaller bound")
+    uniq, first = np.unique(_canonical_keys(vecs, minima, B), return_index=True)
+    reps = vecs[minima[first]].tolist()
     orbits = [(key, ((0, 0, 0), *map(tuple, rep))) for key, rep in zip(uniq.tolist(), reps)]
-    return len(triples), orbits
+    return count, orbits
 
 
 def enumerate_minimal_tetrahedra(B: int) -> Iterator[Tetra]:

@@ -48,11 +48,13 @@ Rational = int | Fraction
 
 _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 
-# Most lattice points, (lattice line, facet) pairs, count-table cells
-# (faces x n for the direct route), kappa terms or search candidates one
-# request may enumerate; larger requests raise MalformedInput.  A search
-# candidate takes 6 bytes while it is enumerated and then 20 (int8
-# vertices and an int64 key).  A G_P(n) request, for one n
+# Most lattice points, (lattice line, facet) pairs, shadow rooms,
+# count-table cells (faces x n for the direct route), kappa terms or search
+# candidates one request may enumerate; larger requests raise MalformedInput.  The search
+# holds only the candidates whose first vector is the least of its
+# W-orbit, 8 bytes each (an int16 index triple, a class-minimum flag and a
+# stabiliser order), and keys only the least of each W-class, 8 bytes more;
+# the rest it counts by orbit-stabiliser.  A G_P(n) request, for one n
 # or for several read off one dilate lcm(ns) P, holds its lattice lines and
 # at most polysum._LINE_PATH_POINTS = 2^13 points, or one run of about
 # polysum._COUNT_CHUNK line ends, at a time; several n share a dilate only
@@ -66,6 +68,9 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # such heads as lines of the bounding box, so at most POINT_BUDGET /
 # facets, and a d-polytope has at least d + 1 facets: 2^22 heads of 60
 # bytes, under 255 MB, in 3-d and 2^24 / 3 of 52, under 295 MB, in 2-d.
+# Before the heads it holds the shadow's rooms, one int64 per side or
+# facet and x0 row of the box, at most POINT_BUDGET of them, and the
+# product that forms them: at most 2^28 bytes, 268 MB.
 # fund_tet at n = 256 has 2,862,209 points on 33,153 lines, one per head
 # under its shadow.
 POINT_BUDGET = 1 << 24
@@ -544,11 +549,13 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     matmul, and their tight masks one end at a time in one reused
     (facets, chunk) buffer.  The lines are written into one array with a
     column per head under the shadow, so memory is O(heads + chunk x
-    facets), and there are no more heads than lines of the box.  A request
-    of more than POINT_BUDGET (line, facet) pairs on the bounding box
-    raises MalformedInput before anything is allocated, and one of more
-    than POINT_BUDGET lattice points before any point is, with faces
-    formed only for the lines within that budget; so does a polytope whose
+    facets + rooms), and there are no more heads than lines of the box.  A
+    request of more than POINT_BUDGET (line, facet) pairs on the bounding
+    box raises MalformedInput before anything is allocated, one of more
+    than POINT_BUDGET shadow rooms (sides and facets, per x0 row of the
+    box) before they are formed, and one of more than POINT_BUDGET lattice
+    points before any point is, with faces formed only for the lines
+    within that budget; so does a polytope whose
     bounding box, facet bounds or shadow bounds do not fit int64.
     """
     _require_bitmask_facets(P)
@@ -572,6 +579,7 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         for m, e in facets if m[2] < 0
     ]
     sides = [(n, c) for n, c in sides if n[1]] if P.dim == 3 else []
+    check_budget("shadow rooms", (len(sides) + len(facets)) * (hi[0] - lo[0] + 1))  # rooms' shape, below
     head, bound = zip(*((n[0], c) for n, c in sides + facets))  # the rows' x0 terms and bounds
     # no room a row leaves, bound - x0 term * x0, is larger in magnitude;
     # being linear in x0, it is largest on the first or the last row

@@ -5,7 +5,8 @@ bounding-box lattice scan, the direct route's G_P(n) summed point by
 point, the triple-loop kappa, the direct route's (face, residue) counts
 from unfolding every orbit representative into the bounding box, the G-orbit count that walks every translation box point by
 point, the multi-tiling check with one orbit query per sample, the
-search's candidates from every index triple, the search's canonical keys
+search's candidates from every index triple, its orbits from keying every
+candidate rather than one per W-class, its canonical keys
 from all four vertex codes, and the tetrahedron angles computed with a new
 vector for every difference and cross product.  Tests compare the library
 against every one but the point-by-point G_P(n), the G-orbit count and
@@ -26,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from polygauss.angles import TWO_PI, TetrahedronAngles, face_angle
+from polygauss.classify import _canonical_keys
 from polygauss.errors import (
     DegenerateCone,
     DegenerateTetrahedron,
@@ -259,15 +261,31 @@ def loop_multitiling_check(
 def index_triple_candidates(B: int) -> tuple[np.ndarray, np.ndarray]:
     """The search's candidates from every index triple of nonzero vectors in
     [-B, B]^3, kept where the determinant is +-1, in index-triple order:
-    (vecs, triples), the vectors in scan order and the kept triples."""
+    (vecs, triples), the vectors in scan order and the kept triples.  Per
+    first vector v_i, every determinant det(v_i, v_j, v_k) = (v_i x v_j) . v_k
+    of later vectors is one matrix product."""
     rng = np.arange(-B, B + 1, dtype=np.int64)
     vecs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
     vecs = vecs[np.any(vecs != 0, axis=1)]
-    flat = itertools.chain.from_iterable(itertools.combinations(range(len(vecs)), 3))
-    triples = np.fromiter(flat, dtype=np.int64).reshape(-1, 3)
-    edges = vecs[triples]  # (M, 3, 3)
-    keep = np.abs(det3(edges[:, 0].T, edges[:, 1].T, edges[:, 2].T)) == 1
-    return vecs, triples[keep]
+    found = [np.zeros((0, 3), dtype=np.int64)]
+    for i in range(len(vecs)):
+        later = vecs[i + 1 :]
+        det = np.cross(vecs[i], later) @ later.T  # [j, k] for i < j and i < k
+        j, k = np.nonzero(np.triu(np.abs(det) == 1, 1))
+        found.append(np.stack([np.full(len(j), i), j + i + 1, k + i + 1], axis=1))
+    return vecs, np.concatenate(found)
+
+
+def all_candidate_orbits(B: int) -> tuple[int, list]:
+    """The search's orbits from every candidate, as classify._enumerate
+    returns them: (candidate count, [(packed canonical key, first-seen
+    representative)] sorted by key), every candidate keyed and np.unique
+    keeping the first candidate of each key in index-triple order."""
+    vecs, triples = index_triple_candidates(B)
+    uniq, first = np.unique(_canonical_keys(vecs, triples, B), return_index=True)
+    reps = vecs[triples[first]].tolist()
+    orbits = [(key, ((0, 0, 0), *map(tuple, rep))) for key, rep in zip(uniq.tolist(), reps)]
+    return len(triples), orbits
 
 
 def four_code_canonical_keys(pts: np.ndarray, B: int) -> np.ndarray:

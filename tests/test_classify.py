@@ -10,6 +10,7 @@ from polygauss.classify import (
     FUNDAMENTAL_TETRAHEDRON,
     _candidate_triples,
     _canonical_keys,
+    _class_minima,
     _decode_key,
     _enumerate,
     enumerate_minimal_tetrahedra,
@@ -22,9 +23,13 @@ from polygauss.polysum import (
     polyhedral_gauss_sum_direct,
     tetra_gauss_sum_formula,
 )
-from polygauss.weyl import canonical_form
+from polygauss.weyl import canonical_form, weyl_elements
 from tests.conftest import SECOND_TILE_TET, STD_SIMPLEX
-from tests.oracles import four_code_canonical_keys, index_triple_candidates
+from tests.oracles import (
+    all_candidate_orbits,
+    four_code_canonical_keys,
+    index_triple_candidates,
+)
 from tests.test_weyl import FT_CANONICAL, SECOND_CANONICAL
 
 
@@ -79,15 +84,51 @@ def test_enumeration_reps_are_minimal_and_in_range():
         assert abs(det) == 1
 
 
+def _orbit_images(vecs):
+    """(|W|, N) index of the image of each vector under each signed
+    permutation, by looking every image up."""
+    index = {v: i for i, v in enumerate(map(tuple, vecs.tolist()))}
+    images = np.einsum("wij,vj->wvi", weyl_elements(3), vecs.astype(np.int64))
+    return np.array([[index[v] for v in map(tuple, img)] for img in images.tolist()])
+
+
 @pytest.mark.parametrize("B", [1, 2])
 def test_candidates_match_index_triple_oracle(B):
-    # same vectors and triples in the same order, so first-seen
-    # representatives agree
+    # the oracle's triples whose first vector is the least of its W-orbit,
+    # in the same order, so first-seen representatives agree
     vecs, triples = _candidate_triples(B)
     assert vecs.dtype == triples.dtype == np.int16
     want_vecs, want_triples = index_triple_candidates(B)
+    least = np.flatnonzero(_orbit_images(want_vecs).min(axis=0) == np.arange(len(want_vecs)))
+    assert len(least) == {1: 3, 2: 9}[B]
     assert np.array_equal(vecs, want_vecs)
-    assert np.array_equal(triples, want_triples)
+    assert np.array_equal(triples, want_triples[np.isin(want_triples[:, 0], least)])
+
+
+@pytest.mark.parametrize("B", [1, 2])
+def test_class_minima_and_stabilisers_match_oracle_classes(B):
+    # group every candidate into its W-class, named by the least index
+    # triple among its images; the flagged triples are exactly the classes'
+    # least members, and 48 / |Stab| is the size of each one's class
+    vecs, triples = _candidate_triples(B)
+    least, stab = _class_minima(vecs, triples, B)
+    _, every = index_triple_candidates(B)
+    n = len(vecs)
+    images = np.sort(_orbit_images(vecs)[:, every], axis=2)  # (|W|, m, 3)
+    name = ((images[..., 0] * n + images[..., 1]) * n + images[..., 2]).min(axis=0)
+    classes, sizes = np.unique(name, return_counts=True)
+    own = (triples[:, 0].astype(np.int64) * n + triples[:, 1]) * n + triples[:, 2]
+    assert np.array_equal(own[least], classes)
+    assert np.array_equal(48 // stab[least], sizes)
+    assert np.all(48 % stab == 0)
+    assert sizes.sum() == len(every)
+
+
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_enumeration_matches_all_candidate_oracle(orbits_by_bound, B):
+    # one key per W-class gives the count, the keys and the first-seen
+    # representatives of keying every candidate
+    assert orbits_by_bound[B] == all_candidate_orbits(B)
 
 
 def test_enumeration_counts_bound_three(orbits_by_bound):
@@ -104,6 +145,13 @@ def test_enumeration_counts_bound_four():
     assert all(max(map(abs, sum(rep, ()))) <= 4 for _, rep in orbits)
 
 
+@pytest.mark.parametrize("B, candidates, orbits", [(5, 3475496, 48836), (6, 7842440, 110173)])
+def test_enumeration_counts_bounds_five_and_six(B, candidates, orbits):
+    # both were checked once against tests.oracles.all_candidate_orbits
+    scanned, found = _enumerate(B)
+    assert (scanned, len(found)) == (candidates, orbits)
+
+
 def test_packed_key_decodes_to_canonical_form(orbits_by_bound):
     # np.unique sorts the keys, so the orbits come in canonical order
     for B, (_, orbits) in orbits_by_bound.items():
@@ -116,7 +164,7 @@ def test_packed_key_decodes_to_canonical_form(orbits_by_bound):
 def test_canonical_keys_order_candidates_as_four_code_oracle(B):
     # the keys differ in value, but not in order: the same orbits, in the
     # same order, with the same first-seen representatives
-    vecs, triples = _candidate_triples(B)
+    vecs, triples = index_triple_candidates(B)
     keys = _canonical_keys(vecs, triples, B)
     want = four_code_canonical_keys(_vertices(vecs, triples), B)
     assert np.array_equal(
@@ -132,13 +180,13 @@ def _assert_keys_match_oracle(vecs, triples, B):
 
 
 def test_canonical_keys_match_oracle_on_every_bound_one_candidate():
-    vecs, triples = _candidate_triples(1)
+    vecs, triples = index_triple_candidates(1)
     assert len(triples) == 1160
     _assert_keys_match_oracle(vecs, triples, 1)
 
 
 def test_canonical_keys_match_oracle_on_bound_two_sample():
-    vecs, triples = _candidate_triples(2)
+    vecs, triples = index_triple_candidates(2)
     pick = np.random.default_rng(20150807).choice(len(triples), size=500, replace=False)
     _assert_keys_match_oracle(vecs, triples[pick], 2)
 

@@ -368,14 +368,14 @@ def test_more_facets_than_a_bitmask_holds_exit_2(capsys, tmp_path):
 
 @needs_linux_rusage
 def test_oversized_classify_bound_fails_within_memory():
-    # B = 7 is the smallest bound whose candidates (more than 2^24) exceed
-    # the budget; B = 6 has 7,842,440.  Enumeration stops at the first
-    # vector whose triples cross the budget, which takes about 4.4 s and
-    # 142 MB on a 2-CPU Xeon VM.  Holding every candidate and its key would
-    # need more than 300 MB.
+    # B = 7 is the smallest bound whose candidates (21,880,520) exceed the
+    # budget; B = 6 has 7,842,440.  They are counted by W-class, from the
+    # 1,515,365 index triples whose first vector is the least of its
+    # W-orbit, which takes about 1.3 s and 62 MB on a 2-CPU Xeon VM.
+    # Holding every candidate and its key would need more than 300 MB.
     code, err, peak_mb = _run_measured("classify", "--bound", "7")
     assert code == 2
-    assert err.startswith("error:") and "candidate tetrahedra exceed the budget" in err
+    assert err.startswith("error: 21880520 candidate tetrahedra exceed the budget")
     assert err.rstrip().endswith("use a smaller bound")
     assert peak_mb < 200
 

@@ -572,6 +572,23 @@ def test_scan_lattice_refuses_requests_over_the_budget(unit_cube, unit_interval)
         scan_lattice(dilate(unit_interval, POINT_BUDGET))
 
 
+def test_lattice_lines_refuses_shadow_rooms_over_the_budget():
+    # a prism over a 20-gon inscribed in the unit circle, along x0: 22
+    # facets, 10 up and 10 down, whose pairs give 90 shadow sides with an
+    # x1 term, so 112 rooms per x0 row.  Its 200001 x 3 lines times 22
+    # facets pass the pair budget, but its 22.4M rooms would take 179 MB,
+    # twice while they are formed.
+    ring = []
+    for j in range(-4, 6):
+        t = Fraction(j, 6)
+        x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        ring += [(x, y), (-x, -y)]
+    P = make([(x0, x, y) for x0 in (0, 200_000) for x, y in ring])
+    assert P.n_facets == 22
+    with pytest.raises(MalformedInput, match="shadow rooms exceed the budget"):
+        lattice_lines(P)
+
+
 def test_line_points_fill_each_interval_in_order():
     heads = np.array([[0, 5], [1, 5], [2, 7]])
     rows = line_points(heads, np.array([3, 0, -1]), np.array([2, 0, 3]))
