@@ -60,6 +60,14 @@ CASES = (
         )
         for route in routes
     ]
+    + [  # the tetra route at the benchmark's sizes, kappa over many passes
+        (
+            f"sum_n{n}_{name}_tetra",
+            ["sum", "--polytope", str(DATA / f"{name}.json"), "--n", str(n), "--route", "tetra"],
+        )
+        for name in ("fund_tet", "second_tile_tet")
+        for n in (64, 128)
+    ]
     + [
         (
             f"tiling_{path.stem}",
