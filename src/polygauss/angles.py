@@ -32,6 +32,7 @@ from .geometry import (
     Rational,
     RationalVector,
     as_vector,
+    cross3,
     det3,
 )
 
@@ -51,9 +52,9 @@ def dihedral_angle(P: Polytope, edge: Face | int) -> float:
     touching = [i for i in range(P.n_facets) if face.mask >> i & 1]
     if len(touching) != 2:
         raise AssertionError(f"edge lies on {len(touching)} facets")
-    (a0, a1, a2), (b0, b1, b2) = (P.facet_normals[k] for k in touching)
-    cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    dot = a0 * b0 + a1 * b1 + a2 * b2
+    a, b = (P.facet_normals[k] for k in touching)
+    cross = cross3(a, b)
+    dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
     return 0.5 - math.atan2(math.sqrt(sum(c * c for c in cross)), float(dot)) / TWO_PI
 
 
@@ -143,16 +144,10 @@ def tetrahedron_angles(
     for i in range(4):
         for j in range(i + 1, 4):
             k, l = (m for m in range(4) if m not in (i, j))
-            u0, u1, u2 = edge[i][j]
-            p0, p1, p2 = edge[i][k]
-            q0, q1, q2 = edge[i][l]
-            # (u x p) . (u x q), expanded
-            m12 = (
-                (u1 * p2 - u2 * p1) * (u1 * q2 - u2 * q1)
-                + (u2 * p0 - u0 * p2) * (u2 * q0 - u0 * q2)
-                + (u0 * p1 - u1 * p0) * (u0 * q1 - u1 * q0)
-            )
-            nsq = u0 * u0 + u1 * u1 + u2 * u2
+            u = edge[i][j]
+            (a0, a1, a2), (b0, b1, b2) = cross3(u, edge[i][k]), cross3(u, edge[i][l])
+            m12 = a0 * b0 + a1 * b1 + a2 * b2  # (u x p) . (u x q)
+            nsq = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
             dihedral[(i, j)] = (
                 math.atan2(abs(float(det)) * math.sqrt(nsq), float(m12)) / TWO_PI
             )

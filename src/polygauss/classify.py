@@ -55,7 +55,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedInput
-from .geometry import build_polytope, check_budget, check_positive_int
+from .geometry import build_polytope, check_budget, check_positive_int, cross3
 # polyhedral_gauss_sum_direct is no longer called here; it stays importable
 # from classify because perfbench/tracing.py patches it at this name.
 from .polysum import (  # noqa: F401
@@ -100,9 +100,7 @@ def _candidate_triples(B: int) -> tuple[np.ndarray, np.ndarray]:
     found = []
     count = 0
     for i in np.flatnonzero(least).tolist():
-        a0, a1, a2 = vecs[i].tolist()
-        b0, b1, b2 = cols[:, i + 1 :]
-        normals = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)  # v_i x v_j
+        normals = cross3(vecs[i].tolist(), cols[:, i + 1 :])  # v_i x v_j
         js = np.flatnonzero(np.gcd(np.gcd(*normals[:2]), normals[2]) == 1)
         rows = max(1, _PAIR_CHUNK // (len(vecs) - i - 2))
         for s in range(0, len(js), rows):

@@ -14,19 +14,20 @@ Fraction appears only at the boundary: in RationalVector, the exact point
 type callers pass in (an int when integral, else a Fraction), and in the
 vertices, bounding box and volume a polytope reports.
 
-The face lattice is explicit.  Every face carries the vertex indices lying
-on it and the bitmask of the facets containing it; a face is the
-intersection of those facets, so no two faces share a mask and the full
-face's is 0.  A point in P lies in the relative interior of the face whose
-mask is the set of facets the point is tight on, and one table built with
-the lattice, Polytope.mask_table, turns such masks into face ids (from a
-point, a lattice line's ends or a batch of orbit points); volume pulls P
-into simplices along the same lattice.
+The face lattice is explicit, and every face is named by its facet mask,
+the bitmask of the facets containing it.  A face is the intersection of
+those facets (Ziegler, Lectures on Polytopes, 1995), so no two faces share
+a mask, the full face's is 0, a facet's has one bit and each face carries
+the vertex indices whose masks contain its own.  A point in P lies in the
+relative interior of the face whose mask is the set of facets the point is
+tight on, and one table built with the lattice, Polytope.mask_table, turns
+such masks into face ids (from a point, a lattice line's ends or a batch
+of orbit points); volume pulls P into simplices along the same lattice,
+and lattice_lines finds P's shadow from its edges.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -70,7 +71,9 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # bytes, under 255 MB, in 3-d and 2^24 / 3 of 52, under 295 MB, in 2-d.
 # Before the heads it holds the shadow's rooms, one int64 per side or
 # facet and x0 row of the box, at most POINT_BUDGET of them, and the
-# product that forms them: at most 2^28 bytes, 268 MB.
+# product that forms them: at most 2^28 bytes, 268 MB.  A side comes from
+# an edge of P between an up and a down facet, so a prism along x0 has
+# two, whatever its polygon.
 # fund_tet at n = 256 has 2,862,209 points on 33,153 lines, one per head
 # under its shadow.
 POINT_BUDGET = 1 << 24
@@ -131,38 +134,21 @@ def as_vector(p: RationalVector | Sequence[Rational | str]) -> RationalVector:
     return p if isinstance(p, RationalVector) else RationalVector(p)
 
 
-def independent_rows(rows: Sequence[Sequence[Rational]]) -> list[int]:
-    """Indices of a maximal linearly independent subset, by Gaussian elimination.
-
-    Scans rows in order and keeps each row that is not in the span of the
-    rows kept so far, so the result is the greedy (lexicographically first)
-    basis.  Elimination is fraction-free (r <- b[p] r - r[p] b), which
-    scales rows without changing their span, so integer rows stay integer.
-    """
-    basis: list[tuple[int, Sequence[Rational]]] = []  # (pivot, row)
-    picked: list[int] = []
-    for idx, r in enumerate(rows):
-        for p, b in basis:
-            e = r[p]
-            if e:
-                r = [b[p] * x - e * y for x, y in zip(r, b)]
-        for p, x in enumerate(r):
-            if x:
-                basis.append((p, r))
-                picked.append(idx)
-                break
-    return picked
+def cross3(a, b):
+    """Cross product a x b of two sequences of three coordinates, as a tuple:
+    exact for ints and Fractions, elementwise for rows of numpy arrays."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def det3(a, b, c):
     """Determinant of the 3x3 matrix with rows a, b, c, each a sequence of
-    three coordinates.  Exact coordinates (int tuples, RationalVectors) give
-    an exact int or Fraction; rows of three numpy arrays give an array of
-    determinants."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    c0, c1, c2 = c
-    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    three coordinates, as a . (b x c).  Exact coordinates (int tuples,
+    RationalVectors) give an exact int or Fraction; rows of three numpy
+    arrays give an array of determinants."""
+    (a0, a1, a2), (m0, m1, m2) = a, cross3(b, c)
+    return a0 * m0 + a1 * m1 + a2 * m2
 
 
 def integer_points(points: Sequence, error: str) -> list[tuple[int, ...]]:
@@ -183,8 +169,20 @@ def _dot(a: Sequence[Rational], b: Sequence[Rational]) -> Rational:
 
 
 def affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine hull of a non-empty set of integer points."""
-    return len(independent_rows([_sub(p, points[0]) for p in points[1:]]))
+    """Dimension of the affine hull of a non-empty set of integer points:
+    the rank of their differences from the first, by elimination.  It is
+    fraction-free (r <- b[p] r - r[p] b), so integer rows stay integer."""
+    basis: list[tuple[int, Sequence[int]]] = []  # (pivot, row)
+    for r in (_sub(p, points[0]) for p in points[1:]):
+        for p, b in basis:
+            e = r[p]
+            if e:
+                r = [b[p] * x - e * y for x, y in zip(r, b)]
+        for p, x in enumerate(r):
+            if x:
+                basis.append((p, r))
+                break
+    return len(basis)
 
 
 def _cleared(rows: Sequence[Sequence[Rational]], q: int = 1) -> tuple[list[tuple[int, ...]], int]:
@@ -223,12 +221,12 @@ class Polytope:
     The exact data is ints: the vertex numerators in lexicographic order
     over one denominator q (see the module docstring), and the bound b of
     each primitive facet normal N, so P = {x : N x <= b / q}; vertices and
-    bbox() give them as rationals.  The face lattice is facet_vertex_ids,
-    faces and mask_table, the read-only (2, faces) array whose rows are the
-    face masks in increasing order and the ids of those faces.  Dilates and
-    translates share the normals and the face lattice.  Nothing computed
-    from a polytope is kept on it: its volume, face angles and lattice
-    lines are formed afresh on each call.
+    bbox() give them as rationals.  The face lattice is faces, facet k
+    being the face of mask 1 << k, and mask_table, the read-only (2, faces)
+    array whose rows are the face masks in increasing order and the ids of
+    those faces.  Dilates and translates share the normals and the face
+    lattice.  Nothing computed from a polytope is kept on it: its volume,
+    face angles and lattice lines are formed afresh on each call.
     """
 
     dim: int
@@ -236,7 +234,6 @@ class Polytope:
     denominator: int
     facet_normals: tuple[tuple[int, ...], ...]
     facet_bounds: tuple[int, ...]
-    facet_vertex_ids: tuple[frozenset[int], ...]
     faces: tuple[Face, ...]
     mask_table: np.ndarray = field(repr=False)
 
@@ -283,8 +280,7 @@ def _facet_planes(dim: int, points: list[tuple[int, ...]]) -> dict[tuple[tuple[i
         elif dim == 2:
             normal = (u[0][1], -u[0][0])
         else:
-            (a0, a1, a2), (b0, b1, b2) = u
-            normal = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+            normal = cross3(*u)
         g = math.gcd(*normal)
         if not g:
             continue
@@ -302,40 +298,28 @@ def _facet_planes(dim: int, points: list[tuple[int, ...]]) -> dict[tuple[tuple[i
 
 
 def _build_face_lattice(
-    dim: int,
-    vertices: Sequence[tuple[int, ...]],
-    facet_vertex_ids: tuple[frozenset[int], ...],
-    through: Sequence[int],
+    vertices: Sequence[tuple[int, ...]], through: Sequence[int]
 ) -> tuple[tuple[Face, ...], np.ndarray]:
     """Faces in order of dimension, then vertex ids, so P itself comes last,
     and the mask table over them (see Polytope).  through[i] is the mask of
-    the facets through vertex i, and a face's mask the AND of its
-    vertices'."""
-    face_sets = {frozenset([i]): 0 for i in range(len(vertices))}
-    for vs in facet_vertex_ids:
-        face_sets.setdefault(vs, dim - 1)
-    if dim == 3:  # an edge is where two facets share two vertices
-        for shared in (a & b for a, b in itertools.combinations(facet_vertex_ids, 2)):
-            if len(shared) == 2:
-                face_sets.setdefault(shared, 1)
-    face_sets[frozenset(range(len(vertices)))] = dim
-
-    faces: list[Face] = []
-    for fdim, ids in sorted((fdim, tuple(sorted(vs))) for vs, fdim in face_sets.items()):
-        rank = affine_rank([vertices[i] for i in ids])
-        if rank != fdim:
-            raise AssertionError(
-                f"face on vertices {ids} has affine rank {rank}, expected {fdim}"
-            )
-        faces.append(Face(fdim, ids, functools.reduce(operator.and_, map(through.__getitem__, ids))))
-    masks = [f.mask for f in faces]
-    if len(set(masks)) != len(faces):
-        raise AssertionError("two faces lie on the same facets")
-    order = sorted(range(len(faces)), key=masks.__getitem__)
+    the facets through vertex i.  A face is the intersection of the facets
+    holding it, so its mask is the AND of its vertices' masks: the faces'
+    masks are the closure of the vertices' under AND, mask 0 is P, and each
+    face holds every vertex whose mask contains its own."""
+    masks = frontier = set(through)
+    while frontier:
+        frontier = {m & t for m in frontier for t in through} - masks
+        masks = masks | frontier
+    faces = []
+    for m in masks:
+        ids = tuple(i for i, t in enumerate(through) if t & m == m)
+        faces.append(Face(affine_rank([vertices[i] for i in ids]), ids, m))
+    faces.sort(key=lambda f: (f.dim, f.vertex_ids))
+    order = sorted(range(len(faces)), key=lambda i: faces[i].mask)
     # Masks of more facets overflow int64; such a polytope is only ever
     # located one point at a time (classify_point), on Python ints.
-    wide = len(facet_vertex_ids) > _MAX_FACETS_FOR_BITMASK
-    table = np.array([[masks[i] for i in order], order], dtype=object if wide else np.int64)
+    wide = max(through).bit_length() > _MAX_FACETS_FOR_BITMASK
+    table = np.array([[faces[i].mask for i in order], order], dtype=object if wide else np.int64)
     table.flags.writeable = False
     return tuple(faces), table
 
@@ -363,28 +347,32 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
             f"points span affine dimension {affine_rank(uniq)}, need {dim}"
         )
 
-    planes, masks = zip(*sorted(_facet_planes(dim, uniq).items()))
+    planes, on = zip(*sorted(_facet_planes(dim, uniq).items()))
     normals, bounds = zip(*planes)
 
-    # through[i] masks the facets through point i.  A hull vertex is a point
-    # whose tight facet normals span the full space.
-    through = [sum(1 << k for k, on in enumerate(masks) if on >> i & 1) for i in range(len(uniq))]
-    kept = [i for i, t in enumerate(through)
-            if len(independent_rows([N for k, N in enumerate(normals) if t >> k & 1])) == dim]
-    facet_vertex_ids = tuple(frozenset(j for j, i in enumerate(kept) if on >> i & 1) for on in masks)
-    for N, on in zip(normals, facet_vertex_ids):
-        if len(on) < dim:
-            raise AssertionError(f"facet {N} carries only {len(on)} vertices")
+    # A point is a hull vertex iff no other point lies on every facet
+    # through it; through[i] masks the facets through vertex i.
+    kept, through = [], []
+    for i in range(len(uniq)):
+        common, mask = -1, 0
+        for k, pts in enumerate(on):
+            if pts >> i & 1:
+                common &= pts
+                mask |= 1 << k
+        if common == 1 << i:
+            kept.append(i)
+            through.append(mask)
     numerators, q, bounds = _lowest_terms([uniq[i] for i in kept], q, bounds)
 
-    faces, table = _build_face_lattice(dim, numerators, facet_vertex_ids, [through[i] for i in kept])
+    faces, table = _build_face_lattice(numerators, through)
+    if {f.mask for f in faces if f.dim == dim - 1} != {1 << k for k in range(len(normals))}:
+        raise AssertionError(f"the faces of dimension {dim - 1} are not the {len(normals)} facets")
     return Polytope(
         dim=dim,
         numerators=numerators,
         denominator=q,
         facet_normals=normals,
         facet_bounds=bounds,
-        facet_vertex_ids=facet_vertex_ids,
         faces=faces,
         mask_table=table,
     )
@@ -526,10 +514,11 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     a 1-d or 2-d polytope get leading zeros, so every dimension is scanned
     as 3-d: heads (x0, x1), lines along x2.  One rule, _interval, gives
     every interval: rows (a_k, room_k) allow the integers t with a_k t <=
-    room_k.  It runs twice.  First on P's shadow on (x0, x1): x2 is
-    eliminated from each pair of an up facet k (a_k > 0, a_k the last
-    coordinate of N_k) and a down facet j (a_j < 0), giving the side
-    u N_k + v N_j, u = -a_j and v = a_k, with bound u c_k + v c_j; these
+    room_k.  It runs twice.  First on P's shadow on (x0, x1), whose sides
+    come from P's edges (Ziegler, Lectures on Polytopes, 1995): x2 is
+    eliminated from the two facets of each edge when one is up (a_k > 0,
+    a_k the last coordinate of N_k) and the other down (a_j < 0), giving
+    the side |a_j| N_k + |a_k| N_j with bound |a_j| c_k + |a_k| c_j; these
     sides and the facets along the lines (a_k = 0) hold on the shadow, so
     for each x0 of the box the rows (x1 term, bound - x0 term * x0) give
     its x1-interval, hence the heads under the shadow.  A side with no x1
@@ -571,14 +560,21 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     pad = 3 - P.dim
     lo, hi = [0] * pad + lo, [0] * pad + hi
     facets = [((0,) * pad + n, b // q) for n, b in zip(P.facet_normals, P.facet_bounds)]
-    # the shadow's sides: the facets along the lines, and x2 eliminated
-    # from each pair of an up and a down facet
-    sides = [(n, c) for n, c in facets if n[2] == 0] + [
-        ([-m[2] * x + n[2] * y for x, y in zip(n, m)], -m[2] * c + n[2] * e)
-        for n, c in facets if n[2] > 0
-        for m, e in facets if m[2] < 0
-    ]
-    sides = [(n, c) for n, c in sides if n[1]] if P.dim == 3 else []
+    sides = []
+    if P.dim == 3:
+        # the shadow's sides: the facets along the lines, and x2 eliminated
+        # from the two facets of each edge, its mask's lowest and highest
+        # bits, when one is up and the other down
+        sides = [(n, c) for n, c in facets if n[2] == 0]
+        for f in P.faces[len(P.numerators) :]:  # the edges follow the vertices
+            if f.dim > 1:
+                break
+            m = f.mask
+            (n, c), (k, e) = facets[(m & -m).bit_length() - 1], facets[m.bit_length() - 1]
+            if n[2] * k[2] < 0:
+                u, v = abs(k[2]), abs(n[2])
+                sides.append(([u * x + v * y for x, y in zip(n, k)], u * c + v * e))
+        sides = [(n, c) for n, c in sides if n[1]]
     check_budget("shadow rooms", (len(sides) + len(facets)) * (hi[0] - lo[0] + 1))  # rooms' shape, below
     head, bound = zip(*((n[0], c) for n, c in sides + facets))  # the rows' x0 terms and bounds
     # no room a row leaves, bound - x0 term * x0, is larger in magnitude;
@@ -662,27 +658,29 @@ def volume(P: Polytope) -> Fraction:
     The simplices pull P from vertex 0, read off the face lattice: vertex 0
     is joined to each edge off it in 2-d, and in 3-d to each triangle
     (m, a, b) of a facet off it, m the facet's least vertex and ab one of
-    the facet's edges off m.  They fill P with disjoint interiors, so
-    absolute determinants can be summed.
+    the facet's edges off m, an edge whose mask holds the facet's one bit.
+    They fill P with disjoint interiors, so absolute determinants can be
+    summed.
     """
     V = P.numerators
-    edges = [f.vertex_ids for f in P.edges()]  # each (a, b) with a < b
+    edges = P.edges()  # each on vertices (a, b) with a < b
     vol = 0
     if P.dim == 1:
         vol = V[-1][0] - V[0][0]
     elif P.dim == 2:
-        for a, b in edges:
+        for a, b in (e.vertex_ids for e in edges):
             if a > 0:  # off vertex 0
                 (u0, u1), (w0, w1) = _sub(V[a], V[0]), _sub(V[b], V[0])
                 vol += abs(u0 * w1 - u1 * w0)
     else:
-        for vs in P.facet_vertex_ids:
-            if 0 in vs:
+        for f in P.faces:
+            m = f.vertex_ids[0]
+            if f.dim != 2 or m == 0:  # a facet off vertex 0, m its least vertex
                 continue
-            m = min(vs)
             z = _sub(V[m], V[0])
-            for a, b in edges:
-                if a > m and a in vs and b in vs:  # an edge of the facet off m
+            for e in edges:
+                a, b = e.vertex_ids
+                if a > m and e.mask & f.mask:
                     vol += abs(det3(_sub(V[a], V[m]), _sub(V[b], V[m]), z))
     return Fraction(vol, math.factorial(P.dim) * P.denominator**P.dim)
 

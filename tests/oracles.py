@@ -1,6 +1,7 @@
 """Literal reference implementations of the vectorised layers.
 
 Each is the straightforward (and slow) form of a library function: the
+face lattice from every few facets' common vertices, the
 bounding-box lattice scan, the direct route's G_P(n) summed point by
 point, the triple-loop kappa, the direct route's (face, residue) counts
 from unfolding every orbit representative into the bounding box, the G-orbit count that walks every translation box point by
@@ -35,6 +36,7 @@ from polygauss.errors import (
 )
 from polygauss.gauss import phase_table
 from polygauss.geometry import (
+    Face,
     Polytope,
     RationalVector,
     det3,
@@ -46,13 +48,69 @@ from polygauss import weyl
 from polygauss.weyl import MultiTilingReport, weyl_elements
 
 
+def facet_vertices(P):
+    """The vertex ids on each facet of P, facet k read off the face whose
+    mask is 1 << k."""
+    on = {f.mask: frozenset(f.vertex_ids) for f in P.faces}
+    return [on[1 << k] for k in range(P.n_facets)]
+
+
 def face_of_tight_facets(P, tight):
     """Id of the face on the common vertices of the facets in `tight`, found
     by intersecting their vertex sets; the full face when `tight` is empty."""
     if not tight:
         return next(i for i, f in enumerate(P.faces) if f.dim == P.dim)
-    common = frozenset.intersection(*(P.facet_vertex_ids[k] for k in tight))
+    on = facet_vertices(P)
+    common = frozenset.intersection(*(on[k] for k in tight))
     return next(i for i, f in enumerate(P.faces) if set(f.vertex_ids) == common)
+
+
+def _rank(rows):
+    """Rank of a list of rational rows, by exact elimination: each nonzero
+    row taken clears its first nonzero column from the rows left."""
+    rank, rows = 0, [[Fraction(x) for x in r] for r in rows]
+    while rows:
+        pivot = rows.pop()
+        c = next((c for c, x in enumerate(pivot) if x), None)
+        if c is not None:
+            rank += 1
+            rows = [[x - r[c] / pivot[c] * y for x, y in zip(r, pivot)] for r in rows]
+    return rank
+
+
+def brute_force_face_lattice(P):
+    """P.faces and P.mask_table from P's vertices and facet equations
+    alone.  Every face is the set of vertices lying on all the facets of a
+    subset of at most d of them: a k-face lies on d - k facets with
+    independent normals, which cut out its affine hull.  So each such
+    subset with a common vertex gives a face, its mask is the facets
+    holding all its vertices and its dimension their affine rank.  Faces
+    are ordered by dimension, then vertex ids; the table's rows are the
+    masks in increasing order and the ids of their faces."""
+    V = P.numerators
+    on = [
+        frozenset(i for i, v in enumerate(V) if sum(a * c for a, c in zip(N, v)) == b)
+        for N, b in zip(P.facet_normals, P.facet_bounds)
+    ]
+    sets = {
+        frozenset(range(len(V))).intersection(*(on[k] for k in subset))
+        for r in range(P.dim + 1)
+        for subset in itertools.combinations(range(P.n_facets), r)
+    }
+    faces = sorted(
+        (
+            Face(
+                _rank([[a - b for a, b in zip(V[i], V[min(vs)])] for i in vs]),
+                tuple(sorted(vs)),
+                sum(1 << k for k, f in enumerate(on) if vs <= f),
+            )
+            for vs in sets
+            if vs
+        ),
+        key=lambda f: (f.dim, f.vertex_ids),
+    )
+    order = sorted(range(len(faces)), key=lambda i: faces[i].mask)
+    return tuple(faces), [[faces[i].mask for i in order], order]
 
 
 def grid_scan_lattice(P):

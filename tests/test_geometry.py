@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -28,8 +29,8 @@ from polygauss.geometry import (
     translate,
     volume,
 )
-from tests.conftest import FUND_TET, OCTAHEDRON, SQUARE_PYRAMID, make
-from tests.oracles import grid_scan_lattice
+from tests.conftest import CIRCLE_70, DATA, FUND_TET, OCTAHEDRON, SQUARE_PYRAMID, make
+from tests.oracles import brute_force_face_lattice, facet_vertices, grid_scan_lattice
 
 
 def test_vertex_identification_drops_redundant_points():
@@ -297,13 +298,47 @@ def polytopes(draw):
 @given(P=polytopes())
 def test_incidence_read_off_the_facet_planes(P):
     # build_polytope reads which points lie on each plane once, and ANDs a
-    # face's mask from its vertices' masks: a facet holds the vertices its
-    # equation is tight at, and a face lies on the facets holding all its
-    # vertices
-    for N, b, on in zip(P.facet_normals, P.facet_bounds, P.facet_vertex_ids):
-        assert on == {i for i, v in enumerate(P.numerators) if sum(map(int.__mul__, N, v)) == b}
+    # face's mask from its vertices' masks: a facet, the face of one bit,
+    # holds the vertices its equation is tight at, and a face lies on the
+    # facets holding all its vertices
+    on = facet_vertices(P)
+    for N, b, vs in zip(P.facet_normals, P.facet_bounds, on):
+        assert vs == {i for i, v in enumerate(P.numerators) if sum(map(int.__mul__, N, v)) == b}
     for f in P.faces:
-        assert f.mask == sum(1 << k for k, on in enumerate(P.facet_vertex_ids) if set(f.vertex_ids) <= on)
+        assert f.mask == sum(1 << k for k, vs in enumerate(on) if set(f.vertex_ids) <= vs)
+
+
+def check_face_lattice(P, step=1):
+    """P's faces and mask table are the brute-force oracle's, each vertex
+    (every step-th) is needed, dropping it lowers the volume, and the
+    vertices alone rebuild the same facets."""
+    faces, table = brute_force_face_lattice(P)
+    assert P.faces == faces
+    assert P.mask_table.tolist() == table
+    vol = volume(P)
+    for i in range(0, len(P.vertices), step):
+        try:
+            assert volume(build_polytope(P.vertices[:i] + P.vertices[i + 1 :])) < vol
+        except DegenerateInput:
+            pass  # the rest spans less than P's dimension
+    Q = build_polytope(P.vertices)
+    assert (Q.facet_normals, Q.facet_bounds, Q.faces) == (P.facet_normals, P.facet_bounds, P.faces)
+
+
+@given(P=polytopes())
+def test_face_lattice_matches_brute_force_oracle(P):
+    check_face_lattice(P)
+
+
+@pytest.mark.parametrize(
+    "points, step",
+    [(json.loads(p.read_text())["vertices"], 1) for p in sorted(DATA.glob("*.json"))]
+    # each of CIRCLE_70's 69-point hulls takes 60 ms to build: every 7th
+    + [(SQUARE_PYRAMID, 1), (OCTAHEDRON, 1), (CIRCLE_70, 7)],
+    ids=[p.stem for p in sorted(DATA.glob("*.json"))] + ["pyramid", "octahedron", "circle-70"],
+)
+def test_face_lattice_of_fixtures_matches_brute_force_oracle(points, step):
+    check_face_lattice(make(points), step)
 
 
 @given(P=polytopes())
@@ -339,7 +374,7 @@ def test_scan_lattice_matches_grid_oracle(P, n, shift):
     assert moved.vertices == tuple(RationalVector(map(sum, zip(v, s))) for v in P.vertices)
     for R in (P, Q, moved):
         assert math.gcd(R.denominator, *itertools.chain(*R.numerators)) == 1
-        for N, b, on in zip(R.facet_normals, R.facet_bounds, R.facet_vertex_ids):
+        for N, b, on in zip(R.facet_normals, R.facet_bounds, facet_vertices(R)):
             assert all(sum(a * c for a, c in zip(N, R.numerators[i])) == b for i in on)
 
 
@@ -572,20 +607,46 @@ def test_scan_lattice_refuses_requests_over_the_budget(unit_cube, unit_interval)
         scan_lattice(dilate(unit_interval, POINT_BUDGET))
 
 
-def test_lattice_lines_refuses_shadow_rooms_over_the_budget():
-    # a prism over a 20-gon inscribed in the unit circle, along x0: 22
-    # facets, 10 up and 10 down, whose pairs give 90 shadow sides with an
-    # x1 term, so 112 rooms per x0 row.  Its 200001 x 3 lines times 22
-    # facets pass the pair budget, but its 22.4M rooms would take 179 MB,
-    # twice while they are formed.
+def _prism(length):
+    """A prism over a 20-gon inscribed in the unit circle, along x0 from 0
+    to length: 22 facets, the two caps and 10 up and 10 down sides."""
     ring = []
     for j in range(-4, 6):
         t = Fraction(j, 6)
         x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
         ring += [(x, y), (-x, -y)]
-    P = make([(x0, x, y) for x0 in (0, 200_000) for x, y in ring])
+    return make([(x0, x, y) for x0 in (0, length) for x, y in ring])
+
+
+def test_lattice_lines_take_a_long_prism_by_its_two_shadow_sides():
+    # only the prism's two edges along x0 at (x1, x2) = (+-1, 0) join an up
+    # and a down facet, so its shadow has two sides and 24 rooms per x0
+    # row: 4.8M over 200001 rows, within the budget.  Eliminating x2 from
+    # every up and down pair gave 90 sides, 22.4M rooms, and refused it.
+    # Here it takes 0.25 s at a peak of 137 MB.
+    P = _prism(200_000)
     assert P.n_facets == 22
-    with pytest.raises(MalformedInput, match="shadow rooms exceed the budget"):
+    heads, lower, counts, faces = lattice_lines(P)
+    assert len(counts) == 600_003 and (counts == 1).all() and (lower == 0).all()
+    # its lines are those of the prism of length 2, the middle row repeated
+    short = _prism(2)
+    assert short.faces == P.faces
+    want = lattice_lines(short)
+    assert np.array_equal(lines_match_grid(short), np.ones(9, np.int64))
+    assert np.array_equal(heads[:, 1], np.tile(want[0][:3, 1], 200_001))
+    assert np.array_equal(heads[:, 0], np.arange(200_001).repeat(3))
+    middle = np.tile(want[3][:, 3:6], 199_999)
+    assert np.array_equal(faces, np.concatenate([want[3][:, :3], middle, want[3][:, 6:]], axis=1))
+
+
+def test_lattice_lines_refuses_shadow_rooms_over_the_budget(monkeypatch):
+    # a thin p/q tetrahedron along x0 with one x1 row: its 1000 x0 rows of
+    # one line and four facets pass a budget of 5000 pairs, but its
+    # shadow's two true sides, x1 >= 0 and x0 / 999 + 2 x1 <= 1, give six
+    # rooms a row, 6000 in all
+    monkeypatch.setattr(geometry, "POINT_BUDGET", 5000)
+    P = make([(0, 0, 0), (999, 0, 0), (0, "1/2", 0), (0, 0, 1)])
+    with pytest.raises(MalformedInput, match="6000 shadow rooms exceed the budget of 5000"):
         lattice_lines(P)
 
 
