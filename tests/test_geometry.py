@@ -621,9 +621,8 @@ def _prism(length):
 def test_lattice_lines_take_a_long_prism_by_its_two_shadow_sides():
     # only the prism's two edges along x0 at (x1, x2) = (+-1, 0) join an up
     # and a down facet, so its shadow has two sides and 24 rooms per x0
-    # row: 4.8M over 200001 rows, within the budget.  Eliminating x2 from
-    # every up and down pair gave 90 sides, 22.4M rooms, and refused it.
-    # Here it takes 0.25 s at a peak of 137 MB.
+    # row: 4.8M over 200001 rows, within the budget, where the 90 sides
+    # with an x1 term from all its 100 up and down pairs would give 22.4M
     P = _prism(200_000)
     assert P.n_facets == 22
     heads, lower, counts, faces = lattice_lines(P)
