@@ -1,7 +1,7 @@
 """Literal reference implementations of the vectorised layers.
 
 Each is the straightforward (and slow) form of a library function: the
-face lattice from every few facets' common vertices, the
+face lattice from the common vertices of every d or fewer facets, the
 bounding-box lattice scan, the direct route's G_P(n) summed point by
 point, the triple-loop kappa, the direct route's (face, residue) counts
 from unfolding every orbit representative into the bounding box, the G-orbit count that walks every translation box point by

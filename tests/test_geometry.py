@@ -309,9 +309,9 @@ def test_incidence_read_off_the_facet_planes(P):
 
 
 def check_face_lattice(P, step=1):
-    """P's faces and mask table are the brute-force oracle's, each vertex
-    (every step-th) is needed, dropping it lowers the volume, and the
-    vertices alone rebuild the same facets."""
+    """P's faces and mask table are the brute-force oracle's, each step-th
+    vertex is needed (dropping it lowers the volume), and the vertices
+    alone rebuild the same facets."""
     faces, table = brute_force_face_lattice(P)
     assert P.faces == faces
     assert P.mask_table.tolist() == table
@@ -333,7 +333,7 @@ def test_face_lattice_matches_brute_force_oracle(P):
 @pytest.mark.parametrize(
     "points, step",
     [(json.loads(p.read_text())["vertices"], 1) for p in sorted(DATA.glob("*.json"))]
-    # each of CIRCLE_70's 69-point hulls takes 60 ms to build: every 7th
+    # each 69-point hull of CIRCLE_70 less a vertex takes 60 ms: every 7th
     + [(SQUARE_PYRAMID, 1), (OCTAHEDRON, 1), (CIRCLE_70, 7)],
     ids=[p.stem for p in sorted(DATA.glob("*.json"))] + ["pyramid", "octahedron", "circle-70"],
 )
