@@ -41,18 +41,17 @@ TWO_PI = 2.0 * math.pi
 
 def dihedral_angle(P: Polytope, edge: Face | int) -> float:
     """Interior dihedral angle along an edge of a 3-polytope, as a fraction
-    of the full circle.  Computed from the two facet normals n1, n2: the
-    angle between the bounding half-planes is pi minus the angle between the
-    outward normals, so w = 1/2 - atan2(|n1 x n2|, n1.n2) / 2 pi."""
+    of the full circle.  Computed from the normals n1, n2 of the edge's two
+    facets, its mask's lowest and highest bits: the angle between the
+    bounding half-planes is pi minus the angle between the outward normals,
+    so w = 1/2 - atan2(|n1 x n2|, n1.n2) / 2 pi."""
     if P.dim != 3:
         raise UnsupportedDimension("dihedral angles need a 3-polytope")
     face = edge if isinstance(edge, Face) else P.faces[edge]
     if face.dim != 1:
         raise NotAnEdge(f"face has dimension {face.dim}, expected 1")
-    touching = [i for i in range(P.n_facets) if face.mask >> i & 1]
-    if len(touching) != 2:
-        raise AssertionError(f"edge lies on {len(touching)} facets")
-    a, b = (P.facet_normals[k] for k in touching)
+    m = face.mask
+    a, b = P.facet_normals[(m & -m).bit_length() - 1], P.facet_normals[m.bit_length() - 1]
     cross = cross3(a, b)
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
     return 0.5 - math.atan2(math.sqrt(sum(c * c for c in cross)), float(dot)) / TWO_PI

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -204,7 +203,7 @@ def _enumerate(B: int) -> tuple[int, list[tuple[int, Tetra]]]:
     Returns (count of unimodular candidates before deduplication, list of
     (packed canonical key, first-seen representative)) sorted by key.
     """
-    check_positive_int(B, "coordinate bound")
+    B = check_positive_int(B, "coordinate bound")
     if B > _MAX_PACKED_BOUND:
         raise MalformedInput(
             f"coordinate bound {B} exceeds the packed-key limit {_MAX_PACKED_BOUND}"
@@ -236,20 +235,20 @@ def _checked_ns(ns: Sequence[int]) -> tuple[int, ...]:
     ns = tuple(ns)
     if not ns:
         raise MalformedInput("ns: expected at least one modulus")
-    for n in ns:
-        check_positive_int(n, "modulus")
-    ns = tuple(map(operator.index, ns))  # numpy integers too, so reports serialise
+    ns = tuple(check_positive_int(n, "modulus") for n in ns)
     if len(set(ns)) < len(ns):
         raise MalformedInput(f"ns: a modulus is repeated in {list(ns)}")
     return ns
 
 
-def _check_tol(tol: float) -> None:
-    """Raise MalformedInput unless tol is a finite real number > 0; bools
-    do not count."""
+def _check_tol(tol: float) -> float:
+    """tol as a built-in float, so a report holding it serialises;
+    MalformedInput unless tol is a finite real number > 0.  Bools do not
+    count."""
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     if not (real and math.isfinite(tol) and tol > 0):
         raise MalformedInput(f"tolerance must be finite and positive, got {tol!r}")
+    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,7 @@ def gauss_relation_test(
     dilates, every n from one scan of lcm(ns) T where that stays small;
     'tetra' uses the dihedral-angle formula (volume-1/6 only)."""
     ns = _checked_ns(ns)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if route == "direct":
         reports = polyhedral_gauss_sums_direct(build_polytope(tetra), ns)
         residuals = {r.n: abs(r.residual) for r in reports}
@@ -362,11 +361,12 @@ def run_theorem2_experiment(
     the orbits are tested in a pool of at most os.cpu_count() processes;
     the report does not depend on the worker count.
     """
-    check_positive_int(workers, "workers")
-    _check_tol(tol)
+    workers = check_positive_int(workers, "workers")
+    tol = _check_tol(tol)
     ns = _checked_ns(ns)
     if route not in ("direct", "tetra"):
         raise MalformedInput(f"unknown route {route!r}")
+    B = check_positive_int(B, "coordinate bound")
     scanned, orbits = _enumerate(B)
     jobs = [(rep, ns, tol, route) for _, rep in orbits]
     workers = min(workers, os.cpu_count() or 1)

@@ -25,7 +25,7 @@ from .angles import face_angle, tetrahedron_angles
 from .classify import DEFAULT_NS, DEFAULT_TOL, run_theorem2_experiment
 from .errors import MalformedInput, PolyGaussError
 from .gauss import quad_gauss_closed, quad_gauss_direct
-from .geometry import Polytope, check_budget, polytope_from_dict, volume
+from .geometry import Polytope, check_budget, check_positive_int, polytope_from_dict, volume
 from .polysum import (
     ROUTE_DIRECT,
     ROUTE_TETRA,
@@ -174,15 +174,13 @@ _BRANCHES = {0: "(1+i)*sqrt(n)", 1: "sqrt(n)", 2: "0", 3: "i*sqrt(n)"}
 
 
 def _cmd_gauss_table(args: argparse.Namespace) -> int:
-    if args.max < 1:
-        raise MalformedInput(f"--max must be >= 1, got {args.max}")
+    top = check_positive_int(args.max, "--max")
     if args.direct:  # the literal sums G(1, n) for n <= max have max(max+1)/2 terms
-        terms = args.max * (args.max + 1) // 2
-        check_budget("literal Gauss-sum terms", terms, "use a smaller --max")
+        check_budget("literal Gauss-sum terms", top * (top + 1) // 2, "use a smaller --max")
     gauss = quad_gauss_direct if args.direct else quad_gauss_closed
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "re", "im", "branch"])
-    for n in range(1, args.max + 1):
+    for n in range(1, top + 1):
         g = gauss(1, n)
         writer.writerow([n, repr(g.real), repr(g.imag), _BRANCHES[n % 4]])
     return 0

@@ -57,13 +57,14 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # stabiliser order), and keys only the least of each W-class, 8 bytes more;
 # the rest it counts by orbit-stabiliser.  A G_P(n) request, for one n
 # or for several read off one dilate lcm(ns) P, holds its lattice lines and
-# at most polysum._LINE_PATH_POINTS = 2^13 points, or one run of about
-# polysum._COUNT_CHUNK line ends, at a time; several n share a dilate only
-# where Blichfeldt's bound (at most d! vol + d lattice points) holds it to
-# 2^13 points before it is scanned.  kappa holds one triangle of
-# C(n - 1, 2) parts, so the point and term budgets bound its time, not its
-# memory.  The line stage holds, per head under P's shadow, 4 bytes for its
-# row and 8 (d + 4) for the line it may carry (its d - 1 head coordinates,
+# at most polysum._LINE_PATH_POINTS = 2^13 points, or one run of lines
+# with at most max(polysum._COUNT_CHUNK, faces x n) line ends and
+# interiors, at a time; several n share a dilate only where Blichfeldt's
+# bound (at most d! vol + d lattice points) holds it to 2^13 points
+# before it is scanned.  kappa holds one triangle of C(n - 1, 2) parts,
+# so the point and term budgets bound its time, not its memory.  The
+# line stage holds, per head under P's shadow, 4 bytes for its row and
+# 8 (d + 4) for the line it may carry (its d - 1 head coordinates,
 # the padding of a 1-d or 2-d head not stored, first coordinate, count and
 # three faces), and one chunk's facet rooms.  There are at most as many
 # such heads as lines of the bounding box, so at most POINT_BUDGET /
@@ -381,12 +382,11 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
 def dilate(P: Polytope, n: int) -> Polytope:
     """The dilate nP for a positive integer n: with g = gcd(n, q), its
     numerators are n/g times P's over the denominator q/g."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise MalformedInput(f"dilation factor must be a positive integer, got {n}")
+    n = check_positive_int(n, "dilation factor")
     if n == 1:
         return P
     g = math.gcd(n, P.denominator)
-    m = operator.index(n) // g  # a built-in int, also for numpy integers
+    m = n // g
     V = tuple(tuple(m * c for c in v) for v in P.numerators)
     bounds = tuple(m * b for b in P.facet_bounds)
     return replace(P, numerators=V, denominator=P.denominator // g, facet_bounds=bounds)
@@ -482,13 +482,14 @@ def check_budget(what: str, count: int, remedy: str = "use a smaller n") -> None
         )
 
 
-def check_positive_int(n: int, what: str) -> None:
-    """Raise MalformedInput unless n is an integer >= 1; numpy integers
-    count, bools do not."""
+def check_positive_int(n: int, what: str) -> int:
+    """n as a built-in int, so what holds it serialises; MalformedInput
+    unless n is an integer >= 1.  numpy integers count, bools do not."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise MalformedInput(f"{what} must be an integer, got {n}")
     if n < 1:
         raise MalformedInput(f"{what} must be >= 1, got {n}")
+    return operator.index(n)
 
 
 def _interval(a: np.ndarray, room: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -577,11 +578,9 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
         sides = [(n, c) for n, c in sides if n[1]]
     check_budget("shadow rooms", (len(sides) + len(facets)) * (hi[0] - lo[0] + 1))  # rooms' shape, below
     head, bound = zip(*((n[0], c) for n, c in sides + facets))  # the rows' x0 terms and bounds
-    # no room a row leaves, bound - x0 term * x0, is larger in magnitude;
-    # being linear in x0, it is largest on the first or the last row
-    reach = max(map(abs, bound)) + max(map(abs, head)) * max(-lo[0], hi[0])
-    if reach >> 63:
-        reach = max(abs(b - h * x) for b, h in zip(bound, head) for x in (lo[0], hi[0]))
+    # the largest room a row leaves, bound - x0 term * x0: being linear in
+    # x0, it is largest in magnitude on the first or the last row
+    reach = max(abs(b - h * x) for b, h in zip(bound, head) for x in (lo[0], hi[0]))
     bound = int64_array([*bound, reach], "facet bounds")[:-1]
     rooms = bound[:, None] - np.array(head, np.int64)[:, None] * np.arange(lo[0], hi[0] + 1)  # rows x x0
     first, last = _interval(np.array([n[1] for n, _ in sides], np.int64), rooms[: len(sides)], lo[1], hi[1])

@@ -36,12 +36,13 @@ mod n) the lines meet, instead of O(points).  The threshold is the
 measured crossover of the two paths (see _LINE_PATH_POINTS).
 
 No route holds all its lattice points or kappa terms at once: the point
-path holds at most 2^13 points, the line path takes its lines in runs of
-about _COUNT_CHUNK line ends with its rows in chunks of about
-_COUNT_CHUNK cells, each counted into the route's integer table at once,
-and kappa holds one triangle of parts.  Memory is O(chunk + lines +
-faces * n) on either path and O(n^2) for kappa; the counts, hence the
-values, do not depend on the path or on where the runs fall.
+path holds at most 2^13 points, the line path takes its lines in fixed
+runs of a third of _COUNT_CHUNK or of its table (a line adds two ends
+and its interiors) with its rows in chunks of about _COUNT_CHUNK cells,
+each counted into the route's integer table at once, and kappa holds
+one triangle of parts.  Memory is O(chunk + lines + faces * n) on either
+path and O(n^2) for kappa; the counts, hence the values, do not depend
+on the path or on where the runs fall.
 
 All phases are computed from exact integer residues mod n before any
 trigonometry, and every sum is taken in a fixed order, so results are
@@ -112,24 +113,11 @@ class GaussSumReport:
         }
 
 
-# Line ends whose residues are held at once while counting.
-# Runs of them are cut at multiples of a chunk never shorter than the table
-# they are counted into, so there are at most points / table + 1 runs and
-# counting stays O(points + table) however the runs fall.
+# Line ends and interiors whose residues are held at once while counting.
+# A line adds at most three (its two ends and its interiors), so a run of
+# max(_COUNT_CHUNK, table) // 3 lines holds at most a chunk, never less
+# than the table it is counted into, and counting stays O(lines + table).
 _COUNT_CHUNK = 1 << 16
-
-
-def _runs(sizes: np.ndarray, cells: int) -> list[tuple[int, int]]:
-    """Consecutive index ranges [start, stop) covering the items of the given
-    sizes, at least one: the k-th closes at the first item where the running
-    total reaches k chunks of max(_COUNT_CHUNK, cells), so a run holds less
-    than a chunk before its last item."""
-    chunk = max(_COUNT_CHUNK, cells)
-    total = sizes.cumsum()
-    if not len(sizes) or total[-1] <= chunk:
-        return [(0, len(sizes))]
-    ends = total.searchsorted(np.arange(chunk, total[-1], chunk)) + 1
-    return list(itertools.pairwise(np.unique([0, *ends, len(sizes)]).tolist()))
 
 
 def _table_by_lines(Q: Polytope, lines, n: int) -> np.ndarray:
@@ -137,16 +125,18 @@ def _table_by_lines(Q: Polytope, lines, n: int) -> np.ndarray:
 
     On the line through head h the points x = (h, t) have |x|^2 = |h|^2 +
     t^2, so a point's residue depends only on sigma = |h|^2 mod n and
-    rho = t mod n.  The lines are taken in runs holding about a chunk of
-    ends and interiors, three for a line of three or more points.  In each
-    run the first point of every line and the last of every line of two or
-    more are counted from their (h, t) on the faces lattice_lines gives
-    them, and _count_interiors counts the points between on theirs.
+    rho = t mod n.  The lines are taken in runs of about a chunk of ends
+    and interiors, a third of a chunk of lines.  In each run the first
+    point of every line and the last of every line of two or more are
+    counted from their (h, t) on the faces lattice_lines gives them, and
+    _count_interiors counts the points between on theirs.
     """
     heads, lower, counts, faces = lines
     size = len(Q.faces) * n
     table = np.zeros(size, dtype=np.int64)
-    for s, e in _runs(np.minimum(counts, 3), size):
+    step = max(_COUNT_CHUNK, size) // 3
+    for s in range(0, len(counts), step):
+        e = s + step
         h, a, k, f = heads[s:e] % n, lower[s:e], counts[s:e], faces[:, s:e]
         sigma = np.einsum("ij,ij->i", h, h) % n
         t = np.stack([a, a + k - 1]) % n  # of the first and the last point
@@ -280,10 +270,7 @@ def polyhedral_gauss_sums_direct(P: Polytope, ns: Sequence[int]) -> tuple[GaussS
     way."""
     if P.denominator != 1:
         raise MalformedInput(_NOT_LATTICE)
-    ns = tuple(ns)
-    for n in ns:
-        check_positive_int(n, "dilation factor")
-    ns = [operator.index(n) for n in ns]
+    ns = [check_positive_int(n, "dilation factor") for n in ns]
     vol = volume(P)
     sums = _counted_sums(P, tuple(dict.fromkeys(ns)), vol) if ns else {}
     return tuple(
@@ -365,7 +352,7 @@ def kappa(points: Sequence, n: int) -> complex:
     adding the step, which grows by 2 g_22 per pass, so memory is O(n^2).
     Each of the four sums is the exact sum of its terms counted per
     residue, rounded once, the value math.fsum of the terms gives."""
-    check_positive_int(n, "modulus")
+    n = check_positive_int(n, "modulus")
     pts = _minimal_tetrahedron(points)
     if n < 3:  # no composition of n into three positive parts
         return complex(0.0, 0.0)
@@ -419,8 +406,7 @@ def tetra_gauss_sum_formula(points: Sequence, n: int) -> GaussSumReport:
 
     with w_ij the dihedral angles, n_ij the squared edge lengths, and G the
     quadratic Gauss sum in closed form."""
-    check_positive_int(n, "dilation factor")
-    n = operator.index(n)  # a built-in int, so the report serialises
+    n = check_positive_int(n, "dilation factor")
     pts = _minimal_tetrahedron(points)
     ta = tetrahedron_angles(pts)
     value = complex(-1.0, 0.0)

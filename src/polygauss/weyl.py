@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -239,13 +241,14 @@ def multitiling_check(
     |W| x (bounding-box extents) x facets tests for one sample exceed
     geometry.POINT_BUDGET raises MalformedInput.
     """
-    check_positive_int(sample_count, "sample_count")
+    sample_count = check_positive_int(sample_count, "sample_count")
     d = P.dim
     frame = _orbit_frame(P)
     batch = max(1, _ORBIT_BATCH_CELLS // frame[-1])
     expected_frac = len(weyl_elements(d)) * volume(P)
     expected = int(expected_frac) if expected_frac.denominator == 1 else None
-    rng = random.Random(seed)
+    # random.Random takes no numpy integer; an integral seed seeds as its int
+    rng = random.Random(operator.index(seed) if isinstance(seed, numbers.Integral) else seed)
     q = SAMPLE_DENOMINATOR
     witnesses: list[tuple[tuple[str, ...], int]] = []
     checked = 0

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,6 +373,24 @@ def test_numpy_moduli_become_built_in_ints():
     for route in ("direct", "tetra"):
         res = gauss_relation_test(FUNDAMENTAL_TETRAHEDRON, ns=(np.int32(2), np.int64(3)), route=route)
         assert [type(n) for n in res.residuals] == [int, int]
+
+
+@pytest.mark.parametrize(
+    "kwargs, tolerance",
+    [
+        ({"B": np.int64(1)}, 1e-6),
+        ({"B": 1, "tol": np.float32(1e-6)}, float(np.float32(1e-6))),
+        ({"B": 1, "tol": Fraction(1, 10**6)}, 1e-6),
+    ],
+    ids=["numpy-bound", "float32-tol", "fraction-tol"],
+)
+def test_report_of_a_numpy_or_fraction_argument_serialises(report_b1, kwargs, tolerance):
+    # the report held the bound or the tolerance as given, so json.dumps
+    # refused its dict; now it holds a built-in int and float
+    report = run_theorem2_experiment(**kwargs)
+    assert type(report.bound) is int and type(report.tolerance) is float
+    d = json.loads(json.dumps(report.to_dict()))
+    assert d == {**report_b1.to_dict(), "tolerance": tolerance}
 
 
 def test_repeated_modulus_is_refused():

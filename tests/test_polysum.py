@@ -176,12 +176,12 @@ def test_rejects_bad_dilation(fund_tet):
 
 
 def test_dilation_messages_and_numpy_integers(fund_tet):
-    below_one = {
-        "dilation factor must be a positive integer, got 0": lambda: dilate(fund_tet, 0),
-        "dilation factor must be >= 1, got 0": lambda: polyhedral_gauss_sum_direct(fund_tet, 0),
-        "modulus must be >= 1, got 0": lambda: kappa(FUND_TET, 0),
-    }
-    for message, call in below_one.items():
+    below_one = [
+        ("dilation factor must be >= 1, got 0", lambda: dilate(fund_tet, 0)),
+        ("dilation factor must be >= 1, got 0", lambda: polyhedral_gauss_sum_direct(fund_tet, 0)),
+        ("modulus must be >= 1, got 0", lambda: kappa(FUND_TET, 0)),
+    ]
+    for message, call in below_one:
         with pytest.raises(MalformedInput) as exc:
             call()
         assert str(exc.value) == message
@@ -419,45 +419,44 @@ def test_both_paths_equal_the_grid_scan_property(case):
 
 
 def test_line_path_in_runs_and_row_chunks(monkeypatch, fund_tet, unit_cube, second_tile_tet):
-    # with the chunk patched to 7, a run holds less than a chunk of faces * n
-    # ends and interiors before its last line, the runs cover every line
-    # once, each run counts its lines' ends and then their interiors in one
-    # pass, each end once, and every chunk of rows holds one row
+    # with the chunk patched to 7, the lines are cut into fixed runs of
+    # max(7, faces * n) // 3 that cover every line once, each run counts its
+    # lines' ends and then their interiors in one pass, each end once, and
+    # every chunk of rows holds one row
     box = make([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 40)])
     cases = [(fund_tet, 30), (unit_cube, 20), (second_tile_tet, 30), (box, 3)]
     want = [counted_sum(P, n, by_lines=False)[1] for P, n in cases]
     monkeypatch.setattr(polysum, "_COUNT_CHUNK", 7)
     monkeypatch.setattr(geometry, "_SCAN_CHUNK", 7)
-    runs, sums, rows = [], [], []
-    cut, count_interiors = polysum._runs, polysum._count_interiors
-
-    def split(sizes, cells):
-        got = cut(sizes, cells)
-        runs[-1].extend(got)
-        return got
+    sums, rows, lines, several = [], [], [], []
+    count_interiors = polysum._count_interiors
 
     def interiors(table, key, lower, counts, n):
         rows[-1].append(len(set(key.tolist())))
+        lines[-1].append(counts)  # this run's lines of three or more points
         sums[-1].append(int(table.sum()))  # ends counted so far, interiors of earlier runs
         count_interiors(table, key, lower, counts, n)
         sums[-1].append(int(table.sum()))
 
-    monkeypatch.setattr(polysum, "_runs", split)
     monkeypatch.setattr(polysum, "_count_interiors", interiors)
     for (P, n), counts in zip(cases, want):
-        runs.append([])
         sums.append([])
         rows.append([])
+        lines.append([])
         assert np.array_equal(counted_sum(P, n, by_lines=True)[1], counts)
         k = geometry.lattice_lines(dilate(P, n))[2]
-        assert [s for s, _ in runs[-1]] == [0] + [e for _, e in runs[-1][:-1]]
-        assert runs[-1][-1][1] == len(k)  # consecutive runs covering every line once
-        assert len(sums[-1]) == 2 * len(runs[-1])  # one pass per run
+        step = max(7, len(P.faces) * n) // 3
+        runs = [(s, min(s + step, len(k))) for s in range(0, len(k), step)]
+        several.append(len(runs) > 1)
+        assert len(sums[-1]) == 2 * len(runs)  # one pass per run
+        for (s, e), inner in zip(runs, lines[-1]):  # each run's interiors are its lines'
+            assert inner.tolist() == (k[s:e][k[s:e] > 2] - 2).tolist()
         ends, inner = np.diff([0] + sums[-1]).reshape(-1, 2).T  # counted by each run
-        assert ends.tolist() == [e - s + np.count_nonzero(k[s:e] > 1) for s, e in runs[-1]]
+        assert ends.tolist() == [e - s + np.count_nonzero(k[s:e] > 1) for s, e in runs]
         assert sum(ends) == len(k) + np.count_nonzero(k > 1)  # first and last ends
         assert sum(inner) == np.maximum(k - 2, 0).sum()
         assert max(rows[-1]) > 1
+    assert several == [True, True, True, False]
     assert [len(r) > 1 for r in rows] == [True, True, True, False]
 
 

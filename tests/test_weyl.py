@@ -447,6 +447,12 @@ def test_multitiling_takes_a_numpy_integer_sample_count(fund_tet):
     assert rep.samples_checked == 7
 
 
+def test_multitiling_takes_a_numpy_integer_seed(fund_tet):
+    # random.Random refused a numpy seed with a bare TypeError
+    for seed in (np.int64(3), np.int32(3)):
+        assert multitiling_check(fund_tet, 5, seed) == multitiling_check(fund_tet, 5, 3)
+
+
 def test_report_to_dict():
     rep = MultiTilingReport(
         is_multitiling=False,
