@@ -32,8 +32,9 @@ from .geometry import (
     Rational,
     RationalVector,
     as_vector,
-    cross3,
-    det3,
+    det,
+    dot,
+    sub,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +45,8 @@ def dihedral_angle(P: Polytope, edge: Face | int) -> float:
     of the full circle.  Computed from the normals n1, n2 of the edge's two
     facets, its mask's lowest and highest bits: the angle between the
     bounding half-planes is pi minus the angle between the outward normals,
-    so w = 1/2 - atan2(|n1 x n2|, n1.n2) / 2 pi."""
+    so w = 1/2 - atan2(|n1 x n2|, n1.n2) / 2 pi, with |n1 x n2|^2 =
+    |n1|^2 |n2|^2 - (n1.n2)^2 (Lagrange's identity) in exact integers."""
     if P.dim != 3:
         raise UnsupportedDimension("dihedral angles need a 3-polytope")
     face = edge if isinstance(edge, Face) else P.faces[edge]
@@ -52,9 +54,8 @@ def dihedral_angle(P: Polytope, edge: Face | int) -> float:
         raise NotAnEdge(f"face has dimension {face.dim}, expected 1")
     m = face.mask
     a, b = P.facet_normals[(m & -m).bit_length() - 1], P.facet_normals[m.bit_length() - 1]
-    cross = cross3(a, b)
-    dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    return 0.5 - math.atan2(math.sqrt(sum(c * c for c in cross)), float(dot)) / TWO_PI
+    ab = dot(a, b)
+    return 0.5 - math.atan2(math.sqrt(dot(a, a) * dot(b, b) - ab * ab), float(ab)) / TWO_PI
 
 
 def _vertex_angle(P: Polytope, vid: int) -> float:
@@ -63,15 +64,11 @@ def _vertex_angle(P: Polytope, vid: int) -> float:
         # numerators over q: both products are over q^2, and int true
         # division rounds each quotient once, as float() of the ratio does
         v = P.numerators[vid]
-        (u0, u1), (w0, w1) = (
-            (a - v[0], b - v[1])
-            for e in edges
-            for a, b in (P.numerators[k] for k in e.vertex_ids if k != vid)
-        )
-        cross, dot, q2 = u0 * w1 - u1 * w0, u0 * w0 + u1 * w1, P.denominator**2
-        if cross == 0 and dot <= 0:
+        u, w = (sub(P.numerators[k], v) for e in edges for k in e.vertex_ids if k != vid)
+        cross, uw, q2 = det([u, w]), dot(u, w), P.denominator**2
+        if cross == 0 and uw <= 0:
             raise DegenerateCone("planar cone generators are anti-parallel")
-        return math.atan2(abs(cross) / q2, dot / q2) / TWO_PI
+        return math.atan2(abs(cross) / q2, uw / q2) / TWO_PI
     # Girard: a vertex cone with k facets, hence k edges, has angle
     # (1/2) sum_e w_e - (k - 2)/4 over the dihedral angles w_e of its edges.
     return 0.5 * math.fsum(dihedral_angle(P, e) for e in edges) - (len(edges) - 2) / 4
@@ -85,11 +82,11 @@ def face_angle(P: Polytope, face_id: int) -> float:
         return 1.0
     if face.dim == P.dim - 1:
         return 0.5
+    if P.dim > 3:
+        raise UnsupportedDimension(f"angles below facets need dimension 1..3, not {P.dim}")
     if face.dim == 1:
         return dihedral_angle(P, face_id)
-    if face.dim == 0:
-        return _vertex_angle(P, face.vertex_ids[0])
-    raise AssertionError(f"face of dimension {face.dim} in a {P.dim}-polytope")
+    return _vertex_angle(P, face.vertex_ids[0])
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,9 @@ def tetrahedron_angles(
     identity (u x p) x (u x q) = det(u, p, q) u for the two face planes
     through edge direction u, giving
 
-        w_ij = atan2(|det| |u|, (u x p).(u x q)) / 2 pi.
+        w_ij = atan2(|det| |u|, (u x p).(u x q)) / 2 pi,
+
+    with (u x p).(u x q) = |u|^2 (p.q) - (u.p)(u.q) in exact arithmetic.
 
     Each solid angle is then the Gram relation w_i = (1/2) sum_j w_ij - 1/4.
     """
@@ -130,25 +129,22 @@ def tetrahedron_angles(
     pts = [as_vector(p) for p in points]
     if any(p.dim != 3 for p in pts):
         raise UnsupportedDimension("tetrahedron vertices must be 3-dimensional")
-    # edge[i][j] = v_j - v_i as a coordinate tuple
-    edge = [
-        [(q[0] - p[0], q[1] - p[1], q[2] - p[2]) for q in pts] for p in pts
-    ]
-    det = det3(edge[0][1], edge[0][2], edge[0][3])
-    if det == 0:
+    # edge[i][j] = v_j - v_i as a coordinate tuple, for the first ends i < 3
+    edge = [[sub(q, p) for q in pts] for p in pts[:3]]
+    signed = det(edge[0][1:])
+    if signed == 0:
         raise DegenerateTetrahedron("zero signed volume")
 
     dihedral: dict[tuple[int, int], float] = {}
     sq_lengths: dict[tuple[int, int], Rational] = {}
-    for i in range(4):
+    for i in range(3):
         for j in range(i + 1, 4):
             k, l = (m for m in range(4) if m not in (i, j))
-            u = edge[i][j]
-            (a0, a1, a2), (b0, b1, b2) = cross3(u, edge[i][k]), cross3(u, edge[i][l])
-            m12 = a0 * b0 + a1 * b1 + a2 * b2  # (u x p) . (u x q)
-            nsq = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+            u, p, q = edge[i][j], edge[i][k], edge[i][l]
+            nsq = dot(u, u)
+            m12 = nsq * dot(p, q) - dot(u, p) * dot(u, q)  # (u x p) . (u x q)
             dihedral[(i, j)] = (
-                math.atan2(abs(float(det)) * math.sqrt(nsq), float(m12)) / TWO_PI
+                math.atan2(abs(float(signed)) * math.sqrt(nsq), float(m12)) / TWO_PI
             )
             sq_lengths[(i, j)] = int(nsq) if nsq.denominator == 1 else nsq
 
@@ -162,5 +158,5 @@ def tetrahedron_angles(
         dihedral=dihedral,
         external=external,
         sq_lengths=sq_lengths,
-        volume=Fraction(abs(det), 6),
+        volume=Fraction(abs(signed), 6),
     )

@@ -54,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedInput
-from .geometry import build_polytope, check_budget, check_positive_int, cross3
+from .geometry import build_polytope, check_budget, check_positive_int, cofactors, dot
 # polyhedral_gauss_sum_direct is no longer called here; it stays importable
 # from classify because perfbench/tracing.py patches it at this name.
 from .polysum import (  # noqa: F401
@@ -99,15 +99,14 @@ def _candidate_triples(B: int) -> tuple[np.ndarray, np.ndarray]:
     found = []
     count = 0
     for i in np.flatnonzero(least).tolist():
-        normals = cross3(vecs[i].tolist(), cols[:, i + 1 :])  # v_i x v_j
+        normals = cofactors([vecs[i].tolist(), cols[:, i + 1 :]])  # v_i x v_j
         js = np.flatnonzero(np.gcd(np.gcd(*normals[:2]), normals[2]) == 1)
         rows = max(1, _PAIR_CHUNK // (len(vecs) - i - 2))
         for s in range(0, len(js), rows):
             j = js[s : s + rows]
-            n0, n1, n2 = (n[j, None] for n in normals)
             k0 = i + j[0] + 2  # the first k that can follow any j of this chunk
             c = cols[:, k0:]
-            det = n0 * c[0] + n1 * c[1] + n2 * c[2]
+            det = dot([n[j, None] for n in normals], c)
             row, k = np.divmod(np.flatnonzero(np.abs(det) == 1), c.shape[1])
             j, k = j[row] + i + 1, k + k0
             keep = k > j

@@ -14,7 +14,7 @@ class DegenerateInput(PolyGaussError):
 
 
 class UnsupportedDimension(PolyGaussError):
-    """Ambient dimension outside the supported range 1..3."""
+    """Dimension out of range: build and volume take 1..4; lattice lines, angles, weyl 1..3."""
 
 
 class DimensionMismatch(PolyGaussError):

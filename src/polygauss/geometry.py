@@ -1,4 +1,4 @@
-"""Exact geometry for rational convex polytopes in ambient dimension 1, 2, or 3.
+"""Exact geometry for rational convex polytopes in ambient dimension 1 to 4.
 
 Polytopes are stored in both representations at once: an exact vertex list
 and a facet system of primitive integer normals with integer bounds.  All
@@ -23,11 +23,13 @@ relative interior of the face whose mask is the set of facets the point is
 tight on, and one table built with the lattice, Polytope.mask_table, turns
 such masks into face ids (from a point, a lattice line's ends or a batch
 of orbit points); volume pulls P into simplices along the same lattice,
-and lattice_lines finds P's shadow from its edges.
+and lattice_lines finds P's shadow from its edges.  Hulls and volumes take
+d <= 4; lattice lines, like the angles and weyl, d <= 3.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -135,23 +137,6 @@ def as_vector(p: RationalVector | Sequence[Rational | str]) -> RationalVector:
     return p if isinstance(p, RationalVector) else RationalVector(p)
 
 
-def cross3(a, b):
-    """Cross product a x b of two sequences of three coordinates, as a tuple:
-    exact for ints and Fractions, elementwise for rows of numpy arrays."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-
-
-def det3(a, b, c):
-    """Determinant of the 3x3 matrix with rows a, b, c, each a sequence of
-    three coordinates, as a . (b x c).  Exact coordinates (int tuples,
-    RationalVectors) give an exact int or Fraction; rows of three numpy
-    arrays give an array of determinants."""
-    (a0, a1, a2), (m0, m1, m2) = a, cross3(b, c)
-    return a0 * m0 + a1 * m1 + a2 * m2
-
-
 def integer_points(points: Sequence, error: str) -> list[tuple[int, ...]]:
     """Coordinates of lattice points as int tuples; raises MalformedInput
     with the given message when any coordinate is not integral."""
@@ -161,12 +146,44 @@ def integer_points(points: Sequence, error: str) -> list[tuple[int, ...]]:
     return pts
 
 
-def _sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+def sub(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
     return tuple(map(operator.sub, a, b))
 
 
-def _dot(a: Sequence[Rational], b: Sequence[Rational]) -> Rational:
+def dot(a: Sequence[Rational], b: Sequence[Rational]) -> Rational:
     return sum(map(operator.mul, a, b))
+
+
+@functools.cache
+def _cofactor_terms(k: int) -> tuple:
+    """The Leibniz terms of det(x, rows) for k rows, grouped by the column j
+    that x takes: per j, pairs (sign, factors), a factor (i, c) being the
+    entry of row i in column c."""
+    terms = [[] for _ in range(k + 1)]
+    for p in itertools.permutations(range(k + 1)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+        terms[p[0]].append((sign, tuple(enumerate(p[1:]))))
+    return tuple(map(tuple, terms))
+
+
+def cofactors(rows):
+    """The signed maximal minors N of k rows with k + 1 coordinates, so that
+    N . x = det(x, rows): (1,) for no rows, the cross product for two.
+    Exact for ints and Fractions, elementwise for rows of numpy arrays."""
+    N = []
+    for terms in _cofactor_terms(len(rows)):
+        s = 0
+        for t, factors in terms:
+            for i, c in factors:
+                t = t * rows[i][c]
+            s = s + t
+        N.append(s)
+    return N
+
+
+def det(rows):
+    """Determinant of the square matrix with the given rows."""
+    return dot(rows[0], cofactors(rows[1:]))
 
 
 def affine_rank(points: Sequence[Sequence[int]]) -> int:
@@ -174,7 +191,7 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
     the rank of their differences from the first, by elimination.  It is
     fraction-free (r <- b[p] r - r[p] b), so integer rows stay integer."""
     basis: list[tuple[int, Sequence[int]]] = []  # (pivot, row)
-    for r in (_sub(p, points[0]) for p in points[1:]):
+    for r in (sub(p, points[0]) for p in points[1:]):
         for p, b in basis:
             e = r[p]
             if e:
@@ -275,19 +292,13 @@ def _facet_planes(dim: int, points: list[tuple[int, ...]]) -> dict[tuple[tuple[i
     N x <= b, each with the bitmask of the points on it."""
     planes: dict[tuple[tuple[int, ...], int], int] = {}
     for subset in itertools.combinations(points, dim):
-        u = [_sub(p, subset[0]) for p in subset[1:]]
-        if dim == 1:
-            normal = (1,)
-        elif dim == 2:
-            normal = (u[0][1], -u[0][0])
-        else:
-            normal = cross3(*u)
+        normal = cofactors([sub(p, subset[0]) for p in subset[1:]])
         g = math.gcd(*normal)
         if not g:
             continue
         normal = tuple(a // g for a in normal)
-        offset = _dot(normal, subset[0])
-        levels = [_dot(normal, p) for p in points]
+        offset = dot(normal, subset[0])
+        levels = [dot(normal, p) for p in points]
         low, high = min(levels), max(levels)
         if low < offset < high:
             continue  # cuts through the point set, not supporting
@@ -329,16 +340,16 @@ def build_polytope(points: Sequence[RationalVector | Sequence[Rational | str]]) 
     """Convex hull of a rational point set, as an exact Polytope.
 
     The points' denominators are cleared once, and the hull is found on
-    their int numerators.  Facets are found by brute force over d-element
-    subsets, which is entirely adequate at these sizes and trivially
-    correct.  Input points that are not vertices of the hull are dropped.
+    their int numerators, in dimension 1 to 4.  Facets are found by brute
+    force over d-element subsets, which is entirely adequate at these sizes
+    and trivially correct.  Input points that are not vertices are dropped.
     """
     rows = [as_vector(p).coords for p in points]
     if not rows:
         raise DegenerateInput("empty point set")
     dim = len(rows[0])
-    if not 1 <= dim <= 3:
-        raise UnsupportedDimension(f"ambient dimension {dim} not in 1..3")
+    if not 1 <= dim <= 4:
+        raise UnsupportedDimension(f"ambient dimension {dim} not in 1..4")
     if any(len(r) != dim for r in rows):
         raise DimensionMismatch("points of mixed dimensions")
     rows, q = _cleared(rows)
@@ -414,7 +425,7 @@ def classify_point(P: Polytope, x: RationalVector | Sequence[Rational | str]) ->
     (a,), r = _cleared([x.coords])  # x = a / r, and facet k holds x iff q N_k a <= r b_k
     mask = 0
     for i, (normal, b) in enumerate(zip(P.facet_normals, P.facet_bounds)):
-        s = P.denominator * _dot(normal, a) - r * b
+        s = P.denominator * dot(normal, a) - r * b
         if s > 0:
             return None
         if s == 0:
@@ -548,6 +559,8 @@ def lattice_lines(P: Polytope) -> tuple[np.ndarray, ...]:
     within that budget; so does a polytope whose
     bounding box, facet bounds or shadow bounds do not fit int64.
     """
+    if P.dim > 3:
+        raise UnsupportedDimension(f"lattice lines need dimension 1..3, not {P.dim}")
     _require_bitmask_facets(P)
     q = P.denominator
     lo = [-(-c // q) for c in map(min, *P.numerators)]  # the box's least and greatest lattice corners
@@ -651,37 +664,30 @@ def scan_lattice(P: Polytope, lines: tuple[np.ndarray, ...] | None = None) -> tu
 
 
 def volume(P: Polytope) -> Fraction:
-    """Euclidean volume of P, exact: a sum of simplex volumes over the
-    numerators, divided by d! q^d.
+    """Euclidean volume of P, d = 1 to 4, exact: a sum of simplex volumes
+    over the numerators, divided by d! q^d.
 
-    The simplices pull P from vertex 0, read off the face lattice: vertex 0
-    is joined to each edge off it in 2-d, and in 3-d to each triangle
-    (m, a, b) of a facet off it, m the facet's least vertex and ab one of
-    the facet's edges off m, an edge whose mask holds the facet's one bit.
-    They fill P with disjoint interiors, so absolute determinants can be
-    summed.
+    The simplices are a pulling triangulation (De Loera, Rambau and Santos,
+    Triangulations, 2010) read off the face lattice: a face is pulled from
+    its least vertex v into each face one dimension down that misses v
+    (whose mask holds the face's and whose least vertex is past v), and so
+    on down to the vertices, so each simplex is spanned by the least
+    vertices of a chain of faces.  They fill P with disjoint interiors, so
+    absolute determinants can be summed.
     """
     V = P.numerators
-    edges = P.edges()  # each on vertices (a, b) with a < b
-    vol = 0
-    if P.dim == 1:
-        vol = V[-1][0] - V[0][0]
-    elif P.dim == 2:
-        for a, b in (e.vertex_ids for e in edges):
-            if a > 0:  # off vertex 0
-                (u0, u1), (w0, w1) = _sub(V[a], V[0]), _sub(V[b], V[0])
-                vol += abs(u0 * w1 - u1 * w0)
-    else:
-        for f in P.faces:
-            m = f.vertex_ids[0]
-            if f.dim != 2 or m == 0:  # a facet off vertex 0, m its least vertex
-                continue
-            z = _sub(V[m], V[0])
-            for e in edges:
-                a, b = e.vertex_ids
-                if a > m and e.mask & f.mask:
-                    vol += abs(det3(_sub(V[a], V[m]), _sub(V[b], V[m]), z))
-    return Fraction(vol, math.factorial(P.dim) * P.denominator**P.dim)
+
+    def pulled(face: Face, apexes: tuple[int, ...]) -> int:
+        v = face.vertex_ids[0]
+        if face.dim == 0:
+            return abs(det([sub(V[a], V[v]) for a in apexes]))
+        return sum(
+            pulled(f, apexes + (v,))
+            for f in P.faces
+            if f.dim == face.dim - 1 and f.vertex_ids[0] > v and f.mask & face.mask == face.mask
+        )
+
+    return Fraction(pulled(P.faces[-1], ()), math.factorial(P.dim) * P.denominator**P.dim)
 
 
 def translate(P: Polytope, shift: RationalVector | Sequence[Rational | str]) -> Polytope:
@@ -693,7 +699,7 @@ def translate(P: Polytope, shift: RationalVector | Sequence[Rational | str]) -> 
     (s,), q = _cleared([shift.coords], P.denominator)
     k = q // P.denominator
     V = [tuple(k * c + t for c, t in zip(v, s)) for v in P.numerators]
-    bounds = [k * b + _dot(N, s) for N, b in zip(P.facet_normals, P.facet_bounds)]
+    bounds = [k * b + dot(N, s) for N, b in zip(P.facet_normals, P.facet_bounds)]
     V, q, bounds = _lowest_terms(V, q, bounds)
     return replace(P, numerators=V, denominator=q, facet_bounds=bounds)
 

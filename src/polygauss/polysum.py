@@ -72,8 +72,9 @@ from .geometry import (
     Polytope,
     check_budget,
     check_positive_int,
-    det3,
+    det,
     dilate,
+    dot,
     integer_points,
     lattice_lines,
     line_points,
@@ -298,12 +299,12 @@ def _minimal_tetrahedron(points: Sequence) -> _MinimalVertices:
     pts = integer_points(points, "tetrahedron formula needs integer vertices")
     if len(pts) != 4 or any(len(p) != 3 for p in pts):
         raise DegenerateTetrahedron("need exactly 4 integer points in dimension 3")
-    det = det3(*(tuple(x - y for x, y in zip(pts[k], pts[0])) for k in (1, 2, 3)))
-    if det == 0:
+    signed = det([tuple(x - y for x, y in zip(pts[k], pts[0])) for k in (1, 2, 3)])
+    if signed == 0:
         raise DegenerateTetrahedron("zero signed volume")
-    if abs(det) != 1:
+    if abs(signed) != 1:
         raise VolumeNotMinimal(
-            f"edge-vector determinant is {det}, need +-1 (volume 1/6)"
+            f"edge-vector determinant is {signed}, need +-1 (volume 1/6)"
         )
     return _MinimalVertices(pts)
 
@@ -360,10 +361,7 @@ def kappa(points: Sequence, n: int) -> complex:
     # Gram entries of the edge vectors reduced mod n, below 3 n^2: residues
     # are formed below 40 n^3, far inside int64 for any n under the budget.
     u = [[(x - y) % n for x, y in zip(p, pts[3])] for p in pts[:3]]
-    g00, g01, g02, g11, g12, g22 = [
-        p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-        for p, q in itertools.combinations_with_replacement(u, 2)
-    ]
+    g00, g01, g02, g11, g12, g22 = [dot(p, q) for p, q in itertools.combinations_with_replacement(u, 2)]
     forms = np.array(
         [
             g00 - 2 * g02 + g22, 2 * (g01 - g02 - g12 + g22), g11 - 2 * g12 + g22, 0, 0, 0,

@@ -39,7 +39,6 @@ from polygauss.geometry import (
     Face,
     Polytope,
     RationalVector,
-    det3,
     dilate,
     integer_facet_system,
     volume,
@@ -391,6 +390,14 @@ def cross(a, b):
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def det3(a, b, c):
+    """The 3 x 3 determinant with rows a, b, c, written out term by term."""
+    return (
+        a[0] * b[1] * c[2] + a[1] * b[2] * c[0] + a[2] * b[0] * c[1]
+        - a[2] * b[1] * c[0] - a[0] * b[2] * c[1] - a[1] * b[0] * c[2]
     )
 
 

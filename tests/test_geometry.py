@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from polygauss import geometry
+from polygauss.angles import face_angle
 from polygauss.errors import DegenerateInput, MalformedInput, UnsupportedDimension
 from polygauss.geometry import (
     POINT_BUDGET,
@@ -29,6 +30,8 @@ from polygauss.geometry import (
     translate,
     volume,
 )
+from polygauss.polysum import polyhedral_gauss_sums_direct
+from polygauss.weyl import multitiling_check
 from tests.conftest import CIRCLE_70, DATA, FUND_TET, OCTAHEDRON, SQUARE_PYRAMID, make
 from tests.oracles import brute_force_face_lattice, facet_vertices, grid_scan_lattice
 
@@ -187,7 +190,39 @@ def test_from_dict_error_paths(data, needle):
 
 def test_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
-        build_polytope([(0, 0, 0, 0), (1, 0, 0, 0)])
+        build_polytope([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+
+
+FOUR_POLYTOPES = {
+    # Freudenthal's simplex, one of the 4! in the unit 4-cube
+    "simplex": ([(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)], (5, 10, 10, 5), Fraction(1, 24)),
+    "cube": (list(itertools.product((0, 1), repeat=4)), (16, 32, 24, 8), 1),
+    "cross-polytope": (
+        [tuple(s * (i == k) for i in range(4)) for k in range(4) for s in (1, -1)],
+        (8, 24, 32, 16),
+        Fraction(2, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("points, f_vector, vol", FOUR_POLYTOPES.values(), ids=FOUR_POLYTOPES)
+def test_four_polytopes_build_with_their_volumes(points, f_vector, vol):
+    # build_polytope and volume take d = 4; what needs lattice lines, the
+    # angles below facets or W = the signed permutations refuses it
+    P = make(points)
+    assert tuple(sum(f.dim == k for f in P.faces) for k in range(4)) == f_vector
+    assert volume(P) == vol
+    check_face_lattice(P)
+    assert volume(dilate(P, 3)) == 81 * vol
+    assert volume(translate(dilate(P, 2), rvec("1/2", -1, "2/3", 5))) == 16 * vol
+    for refused in (lattice_lines, lambda P: polyhedral_gauss_sums_direct(P, (1, 2)), multitiling_check):
+        with pytest.raises(UnsupportedDimension):
+            refused(P)
+    first = [sum(f_vector[:k]) for k in range(5)]  # the faces are in order of dimension
+    for k in range(3):
+        with pytest.raises(UnsupportedDimension):
+            face_angle(P, first[k])
+    assert (face_angle(P, first[3]), face_angle(P, first[4])) == (0.5, 1.0)
 
 
 def test_degenerate_input():

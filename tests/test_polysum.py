@@ -227,11 +227,11 @@ def test_tetra_route_checks_the_tetrahedron_once(monkeypatch):
     # kappa takes the vertices the formula checked; called alone it checks
     calls = []
 
-    def det(*rows):
+    def det(rows):
         calls.append(rows)
-        return geometry.det3(*rows)
+        return geometry.det(rows)
 
-    monkeypatch.setattr(polysum, "det3", det)
+    monkeypatch.setattr(polysum, "det", det)
     tetra_gauss_sum_formula(FUND_TET, 5)
     assert len(calls) == 1
     kappa(FUND_TET, 5)
