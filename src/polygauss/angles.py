@@ -138,11 +138,18 @@ def tetrahedron_angles(
     dihedral: dict[tuple[int, int], float] = {}
     sq_lengths: dict[tuple[int, int], Rational] = {}
     for i in range(3):
-        for j in range(i + 1, 4):
-            k, l = (m for m in range(4) if m not in (i, j))
-            u, p, q = edge[i][j], edge[i][k], edge[i][l]
+        # The Gram entries of the edges from v_i, a < b < c its other ends,
+        # that its edges ij (j > i) need: each pair once, each square once,
+        # 15 over the three first ends.  For u, p, q = e_j, e_k, e_l the
+        # wedge product (u x p) . (u x q) is g_jj g_kl - g_jk g_jl.
+        a, b, c = (m for m in range(4) if m != i)
+        ea, eb, ec = edge[i][a], edge[i][b], edge[i][c]
+        gab, gac, gbc = dot(ea, eb), dot(ea, ec), dot(eb, ec)
+        for j, u, g_kl, g_jk_jl in ((a, ea, gbc, gab * gac), (b, eb, gac, gab * gbc), (c, ec, gab, gac * gbc)):
+            if j < i:
+                continue
             nsq = dot(u, u)
-            m12 = nsq * dot(p, q) - dot(u, p) * dot(u, q)  # (u x p) . (u x q)
+            m12 = nsq * g_kl - g_jk_jl
             dihedral[(i, j)] = (
                 math.atan2(abs(float(signed)) * math.sqrt(nsq), float(m12)) / TWO_PI
             )

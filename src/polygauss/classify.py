@@ -4,7 +4,10 @@ Enumerates every tetrahedron conv{0, v1, v2, v3} with vertex coordinates in
 [-B, B] and |det(v1, v2, v3)| = 1 (volume 1/6), deduplicates them into
 orbits of the signed-permutation-plus-translation group, tests each orbit
 representative against the closed-form relation G_T(n) = G(n)^3 / 6 for
-n in {1, 2, 3, 4}, and reports which orbits pass.  The converse guess is
+n in {1, 2, 3, 4}, and reports which orbits pass.  The direct route counts
+nT's lattice points as the compositions of n into four parts
+(polysum.unimodular_gauss_sums), with no scan; the tetra route sums the
+dihedral-angle formula.  The converse guess is
 that only the orbit of T = conv{(0,0,0), (1,0,0), (1,1,0), (1,1,1)} passes;
 every search from B = 1 to 6 passes exactly two orbits, T and
 T' = conv{(0,0,0), (1,0,0), (0,0,-1), (1,1,1)} (README "Findings").
@@ -41,10 +44,18 @@ packs below its own codes, and |Stab| images pack equal to them.  Inserting
 one common element into two sorted tuples keeps their lexicographic order,
 so the keys order orbits as canonical_form does, np.unique keeps the same
 first-seen representatives, and decoding puts the origin back.
+
+A report's outcomes share their vertex tuples.  The representatives take
+theirs from one list of the box's vectors, and the canonical forms are
+decoded through one table of the (4B+1)^3 code vectors; both are built once
+per call and dropped with it.  So a report holds each distinct vertex
+tuple once, where it held three new ones per orbit in each of its
+canonical form and its representative.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -59,8 +70,8 @@ from .geometry import build_polytope, check_budget, check_positive_int, cofactor
 # from classify because perfbench/tracing.py patches it at this name.
 from .polysum import (  # noqa: F401
     polyhedral_gauss_sum_direct,
-    polyhedral_gauss_sums_direct,
     tetra_gauss_sum_formula,
+    unimodular_gauss_sums,
 )
 from .weyl import canonical_form, weyl_elements
 
@@ -190,10 +201,18 @@ def _class_minima(vecs: np.ndarray, triples: np.ndarray, B: int) -> tuple[np.nda
     return least, stab
 
 
-def _decode_key(key: int, B: int) -> Tetra:
-    base = 4 * B + 1
-    xyz = [key // base**e % base - 2 * B for e in range(8, -1, -1)]  # nine digits
-    return tuple(sorted([(0, 0, 0), *zip(xyz[0::3], xyz[1::3], xyz[2::3])]))
+def _code_vectors(B: int) -> list[tuple[int, int, int]]:
+    """The vectors of [-2B, 2B]^3 as int tuples, indexed by their codes."""
+    side = range(-2 * B, 2 * B + 1)
+    return list(itertools.product(side, side, side))
+
+
+def _decode_key(key: int, vectors: list[tuple[int, int, int]]) -> Tetra:
+    """The canonical tetrahedron of a packed key, its vertices taken from
+    vectors = _code_vectors(B), so the tetrahedra decoded through one
+    table share their vertex tuples; the origin's code is the middle one."""
+    cap = len(vectors)
+    return tuple(sorted([vectors[cap // 2], vectors[key // cap**2], vectors[key // cap % cap], vectors[key % cap]]))
 
 
 def _enumerate(B: int) -> tuple[int, list[tuple[int, Tetra]]]:
@@ -213,9 +232,9 @@ def _enumerate(B: int) -> tuple[int, list[tuple[int, Tetra]]]:
     count = int((len(weyl_elements(3)) // stab[least]).sum())  # orbit-stabiliser, per class
     check_budget("candidate tetrahedra", count, "use a smaller bound")
     uniq, first = np.unique(_canonical_keys(vecs, minima, B), return_index=True)
-    reps = vecs[minima[first]].tolist()
-    orbits = [(key, ((0, 0, 0), *map(tuple, rep))) for key, rep in zip(uniq.tolist(), reps)]
-    return count, orbits
+    box = list(map(tuple, vecs.tolist()))  # shared by the representatives
+    reps = [((0, 0, 0), *map(box.__getitem__, t)) for t in minima[first].tolist()]
+    return count, list(zip(uniq.tolist(), reps))
 
 
 def enumerate_minimal_tetrahedra(B: int) -> Iterator[Tetra]:
@@ -262,16 +281,17 @@ def gauss_relation_test(
     tol: float = DEFAULT_TOL,
     route: str = "direct",
 ) -> GaussRelationResult:
-    """Residual magnitudes |G_T(n) - G(n)^3 / 6| for each n, and whether all
-    fall below the tolerance.
+    """Residual magnitudes |G_T(n) - vol(T) G(n)^3| for each n, and whether
+    all fall below the tolerance.  Both routes take volume-1/6 tetrahedra
+    only, and refuse others with VolumeNotMinimal.
 
-    route 'direct' counts the lattice points of the actual polytope's
-    dilates, every n from one scan of lcm(ns) T where that stays small;
-    'tetra' uses the dihedral-angle formula (volume-1/6 only)."""
+    route 'direct' counts the lattice points of T's dilates, each nT's as
+    the compositions of n into four parts; 'tetra' uses the dihedral-angle
+    formula."""
     ns = _checked_ns(ns)
     tol = _check_tol(tol)
     if route == "direct":
-        reports = polyhedral_gauss_sums_direct(build_polytope(tetra), ns)
+        reports = unimodular_gauss_sums(build_polytope(tetra), ns)
         residuals = {r.n: abs(r.residual) for r in reports}
     elif route == "tetra":
         residuals = {n: abs(tetra_gauss_sum_formula(tetra, n).residual) for n in ns}
@@ -378,12 +398,13 @@ def run_theorem2_experiment(
         results = [_test_orbit(j) for j in jobs]
 
     reference = canonical_form(FUNDAMENTAL_TETRAHEDRON)
+    vectors = _code_vectors(B)
     outcomes: list[OrbitOutcome] = []
     min_reject: float | None = None
     for (key, rep), res in zip(orbits, results):
         outcomes.append(
             OrbitOutcome(
-                canonical=_decode_key(key, B),
+                canonical=_decode_key(key, vectors),
                 representative=rep,
                 residuals=res.residuals,
                 passed=res.passed,

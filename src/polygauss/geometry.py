@@ -57,13 +57,12 @@ _MAX_FACETS_FOR_BITMASK = 62  # tight-set bitmasks live in a signed int64
 # holds only the candidates whose first vector is the least of its
 # W-orbit, 8 bytes each (an int16 index triple, a class-minimum flag and a
 # stabiliser order), and keys only the least of each W-class, 8 bytes more;
-# the rest it counts by orbit-stabiliser.  A G_P(n) request, for one n
-# or for several read off one dilate lcm(ns) P, holds its lattice lines and
-# at most polysum._LINE_PATH_POINTS = 2^13 points, or one run of lines
-# with at most max(polysum._COUNT_CHUNK, faces x n) line ends and
-# interiors, at a time; several n share a dilate only where Blichfeldt's
-# bound (at most d! vol + d lattice points) holds it to 2^13 points
-# before it is scanned.  kappa holds one triangle of C(n - 1, 2) parts,
+# the rest it counts by orbit-stabiliser.  A G_P(n) request holds the
+# lattice lines of nP and at most polysum._LINE_PATH_POINTS = 2^13
+# points, or one run of lines with at most max(polysum._COUNT_CHUNK,
+# faces x n) line ends and interiors, at a time; the search's direct
+# test, on a unimodular simplex, holds at most 2^13 compositions of n
+# instead, and no lines.  kappa holds one triangle of C(n - 1, 2) parts,
 # so the point and term budgets bound its time, not its memory.  The
 # line stage holds, per head under P's shadow, 4 bytes for its row and
 # 8 (d + 4) for the line it may carry (its d - 1 head coordinates,

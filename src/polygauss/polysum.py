@@ -12,35 +12,35 @@ terms are counted from the Gram form of the edge vectors over one triangle
 of barycentric parts (a, b) ordered by a + b: the interior terms with
 third part c are a prefix of it, one pass per c.
 
-The direct route builds C[f, r] with one counter (_counted_sums), which
-takes every n at once, as the search's relation test does at n = 1, 2,
-3, 4, and dilates P once, by M = lcm(ns).  For n | M the lattice points
-of nP are the points y of MP whose coordinates M/n divides, y / (M/n) on
-the face of the same id, and a single n is the case M = n, where every
-point counts.  geometry.lattice_lines visits only the heads under MP's
+The direct route builds C[f, r] with one counter (_counted_sums) on the
+dilate nP.  geometry.lattice_lines visits only the heads under nP's
 shadow and gives each line with the faces of its first point, its last
 point and the points between, so no point is located.  A dilate of at
-most _LINE_PATH_POINTS = 2^13 lattice points, such as every dilate of
-the search, takes the point path: one scan_lattice call materialises
-every point with its face, and one bincount per n counts those whose
-coordinates M/n divides.  Several n share MP only where Blichfeldt's
-bound keeps it there (d! vol(P) M^d + d <= 2^13 lattice points) and
-lattice_lines accepts it; otherwise each n is counted on its own dilate,
-and the tables are equal either way.  So only a single n can take the
-line path, on a larger dilate, which counts the two ends of each line
-from their coordinates and its interior points per residue class: on the
-line through head h, |x|^2 = |h|^2 + t^2, so the interior points of a
-line, all on one face, are counted per rho = t mod n from the prefix
-counts of t.  Its work is O(lines + rows * n) for the rows (face, |h|^2
-mod n) the lines meet, instead of O(points).  The threshold is the
-measured crossover of the two paths (see _LINE_PATH_POINTS).
+most _LINE_PATH_POINTS = 2^13 lattice points takes the point path: one
+scan_lattice call materialises every point with its face, and one
+bincount counts them.  A larger dilate takes the line path, which counts
+the two ends of each line from their coordinates and its interior points
+per residue class: on the line through head h, |x|^2 = |h|^2 + t^2, so
+the interior points of a line, all on one face, are counted per
+rho = t mod n from the prefix counts of t.  Its work is O(lines + rows *
+n) for the rows (face, |h|^2 mod n) the lines meet, instead of O(points).
+The threshold is the measured crossover of the two paths (see
+_LINE_PATH_POINTS).
+
+A lattice d-simplex of volume 1 / d!, d <= 3, such as every tetrahedron
+of the search, needs no scan (unimodular_gauss_sums): the lattice points
+of nP are the sums c . v over the compositions c of n into d + 1 parts,
+on the face its support spans, so C[f, r] is one bincount over the
+compositions, kept per (n, d), at residues read off P's vertices mod n.
+Its tables are _counted_sums' and its face weights those of P, so its
+reports equal the direct route's to the last bit.
 
 No route holds all its lattice points or kappa terms at once: the point
-path holds at most 2^13 points, the line path takes its lines in fixed
-runs of a third of _COUNT_CHUNK or of its table (a line adds two ends
-and its interiors) with its rows in chunks of about _COUNT_CHUNK cells,
-each counted into the route's integer table at once, and kappa holds
-one triangle of parts.  Memory is O(chunk + lines + faces * n) on either
+path and the compositions hold at most 2^13 points, the line path takes
+its lines in fixed runs of a third of _COUNT_CHUNK or of its table (a
+line adds two ends and its interiors) with its rows in chunks of about
+_COUNT_CHUNK cells, each counted into the route's integer table at once,
+and kappa holds one triangle of parts.  Memory is O(chunk + lines + faces * n) on either
 path and O(n^2) for kappa; the counts, hence the values, do not depend
 on the path or on where the runs fall.
 
@@ -59,7 +59,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -79,6 +78,7 @@ from .geometry import (
     lattice_lines,
     line_points,
     scan_lattice,
+    sub,
     volume,
 )
 
@@ -211,51 +211,33 @@ def _weighted_value(weights: np.ndarray, counts: np.ndarray, n: int) -> complex:
     return complex(re, im)
 
 
-def _counted_sums(P: Polytope, ns: Sequence[int], vol: Fraction) -> dict[int, tuple[complex, np.ndarray, int]]:
-    """For each of the distinct moduli ns, G_P(n) of a lattice polytope P of
-    volume vol, the int64 table C[f, r] of the lattice points x of nP on
-    face f with |x|^2 = r mod n, and their number, read off the one dilate
-    M = lcm(ns) P as the module docstring describes, with the face weights
-    of MP formed once.  For a single n, M = n and lattice_lines' refusals
-    propagate; several n fall back to one call per n where Blichfeldt's
-    bound or lattice_lines refuses MP, so sharing never refuses what the
-    per-n scans accept.  The tables, one row of n cells per face for each
-    n, are checked against the point budget before any is built.
+def _counted_sums(P: Polytope, n: int) -> tuple[complex, np.ndarray, int]:
+    """G_P(n) of a lattice polytope P, the int64 table C[f, r] of the
+    lattice points x of nP on face f with |x|^2 = r mod n, and their
+    number, read off the dilate nP on the path its size picks, as the
+    module docstring describes; lattice_lines' refusals propagate.  The
+    table, one row of n cells per face, is checked against the point
+    budget before it is built.
     """
-    check_budget("count-table cells", len(P.faces) * sum(ns))
-    M, d = math.lcm(*ns), P.dim
-    lines = None
-    if len(ns) == 1 or math.factorial(d) * vol * M**d + d <= _LINE_PATH_POINTS:
-        Q = dilate(P, M)
-        try:
-            lines = lattice_lines(Q)
-        except MalformedInput:  # MP's box or numbers may exceed each nP's
-            if len(ns) == 1:
-                raise
-    if lines is None:
-        return {n: _counted_sums(P, (n,), vol)[n] for n in ns}
+    check_budget("count-table cells", len(P.faces) * n)
+    Q = dilate(P, n)
+    lines = lattice_lines(Q)
     faces = len(Q.faces)
-    if lines[2].sum() > _LINE_PATH_POINTS:  # a single n: M = n
-        tables = {M: _table_by_lines(Q, lines, M)}
+    if lines[2].sum() > _LINE_PATH_POINTS:
+        table = _table_by_lines(Q, lines, n)
     else:
         pts, fids = scan_lattice(Q, lines)
-        # a point y = k x of MP, k = M / n, has y mod M = k (x mod n): k
-        # divides the gcd of its coordinates mod M, and |y mod M|^2 =
-        # k^2 |x mod n|^2; y mod M keeps the squares within int64
-        y = np.remainder(pts, M, out=pts)
-        norms = np.einsum("ij,ij->i", y, y)
-        common = np.gcd.reduce(y, axis=1) if len(ns) > 1 else None
-        tables = {}
-        for n in ns:
-            k = M // n
-            on = slice(None) if k == 1 else common % k == 0
-            tables[n] = np.bincount(fids[on] * n + norms[on] // (k * k) % n, minlength=faces * n)
+        y = np.remainder(pts, n, out=pts)  # keeps the squares within int64
+        table = np.bincount(fids * n + np.einsum("ij,ij->i", y, y) % n, minlength=faces * n)
     weights = np.array([face_angle(Q, fid) for fid in range(faces)])
-    sums = {}
-    for n, table in tables.items():
-        counts = table.reshape(-1, n)
-        sums[n] = _weighted_value(weights, counts, n), counts, int(table.sum())
-    return sums
+    counts = table.reshape(-1, n)
+    return _weighted_value(weights, counts, n), counts, int(table.sum())
+
+
+def _report(n: int, d: int, vol: float, value: complex, points: int) -> GaussSumReport:
+    """The direct route's report of G_P(n) = value for a d-polytope P of
+    volume vol, with its residual against vol G(n)^d."""
+    return GaussSumReport(n, value, ROUTE_DIRECT, points, value - vol * quad_gauss_closed(1, n) ** d)
 
 
 def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
@@ -265,21 +247,75 @@ def polyhedral_gauss_sum_direct(P: Polytope, n: int) -> GaussSumReport:
 
 
 def polyhedral_gauss_sums_direct(P: Polytope, ns: Sequence[int]) -> tuple[GaussSumReport, ...]:
-    """polyhedral_gauss_sum_direct(P, n) for each n in ns, in order, from
-    one scan of the common dilate lcm(ns) P where _counted_sums takes it,
-    and from each n's own dilate otherwise; the reports are the same either
-    way."""
+    """polyhedral_gauss_sum_direct(P, n) for each n in ns, in order, each
+    from its own dilate; a repeated n is counted once."""
     if P.denominator != 1:
         raise MalformedInput(_NOT_LATTICE)
     ns = [check_positive_int(n, "dilation factor") for n in ns]
-    vol = volume(P)
-    sums = _counted_sums(P, tuple(dict.fromkeys(ns)), vol) if ns else {}
-    return tuple(
-        GaussSumReport(
-            n, sums[n][0], ROUTE_DIRECT, sums[n][2], sums[n][0] - float(vol) * quad_gauss_closed(1, n) ** P.dim
-        )
-        for n in ns
-    )
+    sums = {n: _counted_sums(P, n) for n in dict.fromkeys(ns)}
+    vol = float(volume(P))
+    return tuple(_report(n, P.dim, vol, sums[n][0], sums[n][2]) for n in ns)
+
+
+@lru_cache(maxsize=8)
+def _compositions(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(n + d, d) compositions of n into d + 1 parts >= 0, one per row
+    of a read-only int64 array, and the id of the face each one's support
+    spans in a d-simplex.  By stars and bars they are the gaps between d
+    bars placed among n + d slots.  A d-simplex's faces are its nonempty
+    vertex sets, in the face lattice's order: by dimension, then vertex
+    ids.  Kept, since the search counts n = 1..4 for every orbit."""
+    bars = np.array(list(itertools.combinations(range(n + d), d)), dtype=np.int64).reshape(-1, d)
+    slots = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), n + d)])
+    parts = np.diff(slots, axis=1) - 1
+    sets = (s for k in range(1, d + 2) for s in itertools.combinations(range(d + 1), k))
+    ids = np.zeros(1 << (d + 1), dtype=np.int64)  # face id by vertex mask
+    for fid, s in enumerate(sets):
+        ids[sum(1 << i for i in s)] = fid
+    face = ids[(parts > 0) @ (1 << np.arange(d + 1))]
+    for a in (parts, face):
+        a.setflags(write=False)  # shared between calls
+    return parts, face
+
+
+def _unimodular_table(P: Polytope, n: int) -> np.ndarray:
+    """C[f, r] of the dilate nP of a lattice d-simplex P of volume 1 / d!,
+    as _counted_sums counts it, without a scan.  Its vertices v_i span
+    the lattice from each other, so the lattice points of nP are the
+    sums c . v over the compositions c of n into d + 1 parts, one point
+    each, on the face spanned by the v_i with c_i > 0; and x = c . v has
+    x = c . (v mod n) mod n, whose entries stay below n^2 however far P
+    lies from the origin."""
+    parts, face = _compositions(n, P.dim)
+    y = parts @ np.array([[c % n for c in v] for v in P.numerators], dtype=np.int64) % n
+    return np.bincount(face * n + np.einsum("ij,ij->i", y, y) % n, minlength=len(P.faces) * n).reshape(-1, n)
+
+
+def unimodular_gauss_sums(P: Polytope, ns: Sequence[int]) -> tuple[GaussSumReport, ...]:
+    """polyhedral_gauss_sum_direct(P, n) for each n in ns, in order, for a
+    lattice d-simplex P, d <= 3, of volume 1 / d!; each report equals that
+    one's to the last bit.  Where nP has at most _LINE_PATH_POINTS points,
+    C(n + d, d) of them, its table comes from _unimodular_table; larger n
+    take the line path.  The face weights of P, those of every dilate, are
+    formed once; a repeated n is counted once.  Any other polytope raises
+    VolumeNotMinimal, and a 4-simplex, whose angles face_angle refuses,
+    UnsupportedDimension."""
+    if P.denominator != 1:
+        raise MalformedInput(_NOT_LATTICE)
+    ns = [check_positive_int(n, "dilation factor") for n in ns]
+    d, V = P.dim, P.numerators
+    if len(V) != d + 1 or abs(det([sub(v, V[0]) for v in V[1:]])) != 1:
+        raise VolumeNotMinimal(f"need a lattice simplex of volume 1/{math.factorial(d)}")
+    weights = np.array([face_angle(P, fid) for fid in range(len(P.faces))])
+    reports = {}
+    for n in dict.fromkeys(ns):
+        points = math.comb(n + d, d)
+        if points > _LINE_PATH_POINTS:
+            value, _, points = _counted_sums(P, n)
+        else:
+            value = _weighted_value(weights, _unimodular_table(P, n), n)
+        reports[n] = _report(n, d, 1 / math.factorial(d), value, points)
+    return tuple(reports[n] for n in ns)
 
 
 # Only perfbench's sum-large-n and smoke ops still call this name; ROADMAP

@@ -12,6 +12,7 @@ from polygauss.classify import (
     _candidate_triples,
     _canonical_keys,
     _class_minima,
+    _code_vectors,
     _decode_key,
     _enumerate,
     enumerate_minimal_tetrahedra,
@@ -156,7 +157,8 @@ def test_enumeration_counts_bounds_five_and_six(B, candidates, orbits):
 def test_packed_key_decodes_to_canonical_form(orbits_by_bound):
     # np.unique sorts the keys, so the orbits come in canonical order
     for B, (_, orbits) in orbits_by_bound.items():
-        canonical = [_decode_key(key, B) for key, _ in orbits]
+        vectors = _code_vectors(B)
+        canonical = [_decode_key(key, vectors) for key, _ in orbits]
         assert canonical == [canonical_form(rep) for _, rep in orbits]
         assert all(a < b for a, b in zip(canonical, canonical[1:]))
 
@@ -176,8 +178,9 @@ def test_canonical_keys_order_candidates_as_four_code_oracle(B):
 
 def _assert_keys_match_oracle(vecs, triples, B):
     keys = _canonical_keys(vecs, triples, B)
+    vectors = _code_vectors(B)
     for key, tetra in zip(keys.tolist(), _vertices(vecs, triples).tolist()):
-        assert _decode_key(key, B) == canonical_form(tetra)
+        assert _decode_key(key, vectors) == canonical_form(tetra)
 
 
 def test_canonical_keys_match_oracle_on_every_bound_one_candidate():
@@ -251,10 +254,9 @@ def test_relation_test_input_validation():
     for route in ("direct", "tetra"):
         with pytest.raises(MalformedInput, match="modulus must be >= 1, got -3"):
             gauss_relation_test(FUNDAMENTAL_TETRAHEDRON, ns=(1, -3), route=route)
-    with pytest.raises(VolumeNotMinimal):
-        gauss_relation_test(
-            [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], route="tetra"
-        )
+    for route in ("direct", "tetra"):
+        with pytest.raises(VolumeNotMinimal):
+            gauss_relation_test([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], route=route)
 
 
 def test_routes_agree_on_all_orbits_bound_one():

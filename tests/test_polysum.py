@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from polygauss import geometry, polysum
@@ -19,6 +19,7 @@ from polygauss.errors import (
     DegenerateInput,
     DegenerateTetrahedron,
     MalformedInput,
+    UnsupportedDimension,
     VolumeNotMinimal,
 )
 from polygauss.gauss import quad_gauss_closed
@@ -297,7 +298,7 @@ def counted_sum(P, n, by_lines=None):
     with pytest.MonkeyPatch.context() as mp:
         if by_lines is not None:
             mp.setattr(polysum, "_LINE_PATH_POINTS", 0 if by_lines else geometry.POINT_BUDGET)
-        return polysum._counted_sums(P, (n,), volume(P))[n]
+        return polysum._counted_sums(P, n)
 
 
 @pytest.mark.parametrize(
@@ -478,11 +479,11 @@ def test_path_choice(monkeypatch, fund_tet, unit_cube, unit_interval):
         for n in (1, 2, 3, 4):
             polyhedral_gauss_sum_direct(make(rep), n)
     assert chosen == [False] * 21 * 4
-    # the direct relation test scans lcm(1, 2, 3, 4) P once per orbit
+    # the direct relation test counts its n from compositions: no path runs
     chosen.clear()
     for _, rep in _enumerate(1)[1]:
         gauss_relation_test(rep)
-    assert chosen == [False] * 21
+    assert chosen == []
     for P, n in ((fund_tet, 64), (fund_tet, 128), (fund_tet, 256), (unit_cube, 128)):
         chosen.clear()
         counted_sum(P, n)
@@ -618,11 +619,9 @@ def scan_spy():
 @st.composite
 def polytopes_and_moduli(draw):
     """A lattice polytope of dimension 1 to 3 and 2 to 4 distinct moduli in
-    1..6; in 3-d their lcm is at most 20, past which Blichfeldt's bound
-    keeps every lattice 3-polytope off the shared scan."""
+    1..6."""
     d = draw(st.integers(1, 3))
-    moduli = st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True)
-    ns = draw(moduli.filter(lambda ns: d < 3 or math.lcm(*ns) <= 20))
+    ns = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True))
     coord = st.integers(-1, 1) if d == 3 else st.integers(-3, 3)
     try:
         P = build_polytope(draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3)))
@@ -631,45 +630,30 @@ def polytopes_and_moduli(draw):
     return P, ns
 
 
+def report_reprs(reports):
+    return [(r.n, repr(r.value), r.route, r.point_count, repr(r.residual)) for r in reports]
+
+
 @seed(20261020)
 @settings(max_examples=100, deadline=None)
 @given(case=polytopes_and_moduli())
-def test_shared_scan_equals_per_n_property(case):
-    # the tables, value reprs and point counts read off one scan of lcm(ns) P
-    # are those of each n's own dilate; that scan runs, once, exactly when
-    # Blichfeldt's bound keeps lcm(ns) P on the point path and lattice_lines
-    # accepts it, and each n's own dilate is scanned otherwise
+def test_direct_sums_equal_per_n_property(case):
+    # the reports, in order, are the per-n calls', each n its own dilate
     P, ns = case
-    M, d = math.lcm(*ns), P.dim
-    try:
-        geometry.lattice_lines(dilate(P, M))
-        accepted = True
-    except MalformedInput:
-        accepted = False
-    shared = accepted and math.factorial(d) * volume(P) * M**d + d <= polysum._LINE_PATH_POINTS
-    event(f"d = {d}, shared scan: {shared}")
-    per_n = {n: polysum._counted_sums(P, (n,), volume(P))[n] for n in ns}
     with scan_spy() as scans:
-        got = polysum._counted_sums(P, tuple(ns), volume(P))
-    on_points = [n for n in ns if per_n[n][2] <= polysum._LINE_PATH_POINTS]
-    assert scans == [dilate(P, m).numerators for m in ([M] if shared else on_points)]
-    for n in ns:
-        value, counts, points = per_n[n]
-        assert got[n][1].dtype == np.int64 and np.array_equal(got[n][1], counts), n
-        assert (repr(got[n][0]), got[n][2]) == (repr(value), points), n
-    reports = polyhedral_gauss_sums_direct(P, ns)
-    assert [(r.n, repr(r.value), r.point_count, repr(r.residual)) for r in reports] == [
-        (r.n, repr(r.value), r.point_count, repr(r.residual)) for r in per_n_reports(P, ns)
-    ]
+        reports = polyhedral_gauss_sums_direct(P, ns)
+    on_points = [n for n, r in zip(ns, reports) if r.point_count <= polysum._LINE_PATH_POINTS]
+    assert scans == [dilate(P, n).numerators for n in on_points]
+    assert report_reprs(reports) == report_reprs(per_n_reports(P, ns))
 
 
-def test_shared_scan_reports(fund_tet, unit_cube):
+def test_direct_sums_reports(fund_tet, unit_cube):
     # one report per n in the given order, as the per-n calls give them;
     # a repeated n is computed once, and numpy moduli are read as ints
     for P, ns in ((fund_tet, (4, 1, 3, 2, 6)), (unit_cube, (2, 3)), (fund_tet, (3, np.int64(2), 3))):
         with scan_spy() as scans:
             got = polyhedral_gauss_sums_direct(P, ns)
-        assert scans == [dilate(P, math.lcm(*map(int, ns))).numerators]
+        assert scans == [dilate(P, n).numerators for n in dict.fromkeys(map(int, ns))]
         assert [type(r.n) for r in got] == [int] * len(ns)
         assert got == tuple(per_n_reports(P, [int(n) for n in ns]))
     assert polyhedral_gauss_sums_direct(fund_tet, ()) == ()
@@ -686,13 +670,13 @@ def test_shared_scan_reports(fund_tet, unit_cube):
 @pytest.mark.parametrize(
     "P, ns",
     [
-        (FUND_TET, (3,)),  # one modulus: nothing to share
-        (FUND_TET, (5, 7, 8, 9)),  # lcm 2520: far past the point path
-        # 12 P reaches 12 2^60 on the last axis, past int64, where 3P and 4P fit
+        (FUND_TET, (3,)),
+        (FUND_TET, (5, 7, 8, 9)),
+        # 3 P and 4 P reach 4 2^60 on the last axis, within int64
         (((0, 0, 0), (1, 0, 2**60), (0, 1, 0), (0, 0, 1)), (3, 4)),
     ],
 )
-def test_shared_scan_falls_back_to_per_n(P, ns):
+def test_direct_sums_scan_each_n_on_its_own_dilate(P, ns):
     P = make(P)
     with scan_spy() as scans:
         got = polyhedral_gauss_sums_direct(P, ns)
@@ -700,24 +684,138 @@ def test_shared_scan_falls_back_to_per_n(P, ns):
     assert got == tuple(per_n_reports(P, ns))
 
 
+def assert_kernel_equals_counted_sums(P, ns, oracle=None):
+    """The kernel's tables, and its reports to the last bit, are
+    _counted_sums' on P, or on the oracle polytope given in its place (a
+    lattice translate of P, whose tables and weights are P's)."""
+    oracle = P if oracle is None else oracle
+    reports = polysum.unimodular_gauss_sums(P, ns)
+    want = [polysum._counted_sums(oracle, n) for n in ns]
+    for n, (value, counts, points) in zip(ns, want):
+        if math.comb(n + P.dim, P.dim) <= polysum._LINE_PATH_POINTS:
+            table = polysum._unimodular_table(P, n)
+            assert table.dtype == np.int64 and np.array_equal(table, counts), n
+    vol = float(volume(oracle))
+    assert report_reprs(reports) == report_reprs(
+        polysum._report(n, P.dim, vol, value, points) for n, (value, _, points) in zip(ns, want)
+    )
+
+
+@st.composite
+def unimodular_simplices(draw):
+    """A lattice d-simplex of volume 1 / d!, d = 1..3: the vertices t and
+    t + m_i, m_i the rows of a random unimodular matrix (a product of
+    elementary row operations and a sign), t a random translate."""
+    d = draw(st.integers(1, 3))
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    steps = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-3, 3))
+    for i, j, k in draw(st.lists(steps, max_size=8)):
+        if i != j:
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        m[0] = [-x for x in m[0]]
+    t = draw(st.tuples(*[st.integers(-(10**6), 10**6)] * d))
+    return [t] + [tuple(map(sum, zip(t, row))) for row in m]
+
+
+@seed(20261022)
+@settings(max_examples=60, deadline=None)
+@given(pts=unimodular_simplices(), ns=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
+def test_unimodular_kernel_equals_counted_sums_property(pts, ns):
+    # 40 P has up to 12341 points in 3-d, so both kernel paths are drawn
+    assert_kernel_equals_counted_sums(make(pts), ns)
+
+
+def test_unimodular_kernel_on_every_orbit_to_bound_two():
+    for B in (1, 2):
+        for _, rep in _enumerate(B)[1]:
+            assert_kernel_equals_counted_sums(make(rep), DEFAULT_NS)
+
+
+def test_unimodular_kernel_far_from_the_origin():
+    # 2^60 along the first axis: the scan takes n <= 2 and refuses larger n,
+    # whose facet bounds leave int64, while the kernel reduces the vertices
+    # mod n first.  The far tetrahedron's tables and weights are those of
+    # its translate to the origin, since |x + n t|^2 = |x|^2 mod n.
+    near = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 3, 1)]
+    far = make([(x + 2**60, y, z) for x, y, z in near])
+    assert_kernel_equals_counted_sums(far, (1, 2))
+    assert_kernel_equals_counted_sums(far, (3, 4, 5, 12, 34), oracle=make(near))
+    with pytest.raises(MalformedInput, match="exceed int64"):
+        polysum._counted_sums(far, 3)
+    # 35 P has C(38, 3) = 8436 points, past the kernel, so it takes the scan
+    assert math.comb(34 + 3, 3) <= polysum._LINE_PATH_POINTS < math.comb(35 + 3, 3)
+    with pytest.raises(MalformedInput, match="exceed int64"):
+        polysum.unimodular_gauss_sums(far, (35,))
+
+
+def test_unimodular_compositions(fund_tet, unit_triangle, unit_interval):
+    # C(n + d, d) compositions of n into d + 1 parts >= 0, each once, with
+    # the id of the face its support spans in a simplex, kept read-only
+    # between calls
+    for P in (unit_interval, unit_triangle, fund_tet):
+        d = P.dim
+        ids = {f.vertex_ids: fid for fid, f in enumerate(P.faces)}
+        for n in (1, 2, 3, 7):
+            parts, face = polysum._compositions(n, d)
+            assert parts.shape == (math.comb(n + d, d), d + 1)
+            assert sorted(parts.tolist()) == (compositions(n + d + 1, d + 1) - 1).tolist()
+            assert face.tolist() == [ids[tuple(i for i, c in enumerate(row) if c)] for row in parts.tolist()]
+            assert not parts.flags.writeable and not face.flags.writeable
+            assert polysum._compositions(n, d)[0] is parts
+
+
+def test_unimodular_kernel_refusals(fund_tet, unit_cube, unit_triangle):
+    with pytest.raises(MalformedInput, match="integer vertices"):
+        polysum.unimodular_gauss_sums(make([(0,), ("1/2",)]), (1,))
+    for P in (unit_cube, make([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]), make([(0, 0), (2, 0), (0, 1)])):
+        with pytest.raises(VolumeNotMinimal):
+            polysum.unimodular_gauss_sums(P, (1,))
+    with pytest.raises(UnsupportedDimension):
+        polysum.unimodular_gauss_sums(make([(0,) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)]), (1,))
+    with pytest.raises(MalformedInput, match="must be >= 1"):
+        polysum.unimodular_gauss_sums(fund_tet, (1, 0))
+    assert polysum.unimodular_gauss_sums(unit_triangle, ()) == ()
+    # a repeated n is counted once and reported twice
+    assert polysum.unimodular_gauss_sums(fund_tet, (3, 2, 3)) == tuple(per_n_reports(fund_tet, (3, 2, 3)))
+
+
+def permuted_face_ids(P, Q, perm):
+    """For Q, P with its coordinates permuted by perm, the id in Q of each
+    face of P, in P's order."""
+    index = {v: i for i, v in enumerate(Q.numerators)}
+    image = [index[tuple(v[k] for k in perm)] for v in P.numerators]
+    ids = {frozenset(f.vertex_ids): fid for fid, f in enumerate(Q.faces)}
+    return [ids[frozenset(image[i] for i in f.vertex_ids)] for f in P.faces]
+
+
 @pytest.mark.parametrize("K", [171, 511, 512])
 def test_thin_tetrahedra_take_the_per_n_scans(K):
-    # conv{0, e1, e2, (K, K, 1)} has volume 1/6, so 12 P passes Blichfeldt's
-    # bound, but 12 P's bounding box holds more line-facet pairs than
-    # POINT_BUDGET, which 4 P's stays within up to K = 511; the direct test
-    # reads each n off its own dilate then, and at K = 512 is refused as
-    # the n = 4 scan is
+    # conv{0, e1, e2, (K, K, 1)} has volume 1/6.  The direct sums scan each
+    # n on its own dilate, and up to K = 511 4 P's bounding box holds at
+    # most POINT_BUDGET line-facet pairs.  The direct relation test scans
+    # none: it counts compositions, so at K = 512 it takes the n = 4 the
+    # scan refuses, and its table is that scan's on P with its thin axis
+    # first, whose box is small, faces matched by their vertices
     pts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (K, K, 1))
     P = make(pts)
-    with pytest.raises(MalformedInput, match="line-facet pairs"):
-        geometry.lattice_lines(dilate(P, 12))
-    if K == 512:
-        with pytest.raises(MalformedInput, match="line-facet pairs"):
-            geometry.lattice_lines(dilate(P, 4))
-        with pytest.raises(MalformedInput, match="line-facet pairs"):
-            gauss_relation_test(pts)
-        return
     with scan_spy() as scans:
         residuals = gauss_relation_test(pts).residuals
-    assert scans == [dilate(P, n).numerators for n in DEFAULT_NS]
-    assert residuals == {r.n: abs(r.residual) for r in per_n_reports(P, DEFAULT_NS)}
+    assert scans == []
+    assert residuals == {r.n: abs(r.residual) for r in polysum.unimodular_gauss_sums(P, DEFAULT_NS)}
+    accepted = DEFAULT_NS if K < 512 else DEFAULT_NS[:3]
+    assert_kernel_equals_counted_sums(P, accepted)
+    if K < 512:
+        with scan_spy() as scans:
+            got = polyhedral_gauss_sums_direct(P, DEFAULT_NS)
+        assert scans == [dilate(P, n).numerators for n in DEFAULT_NS]
+        assert got == tuple(per_n_reports(P, DEFAULT_NS))
+        return
+    with pytest.raises(MalformedInput, match="line-facet pairs"):
+        polyhedral_gauss_sums_direct(P, DEFAULT_NS)
+    thin_first = make([(z, x, y) for x, y, z in pts])
+    value, counts, points = polysum._counted_sums(thin_first, 4)
+    assert np.array_equal(polysum._unimodular_table(P, 4), counts[permuted_face_ids(P, thin_first, (2, 0, 1))])
+    report = polysum.unimodular_gauss_sums(P, (4,))[0]
+    assert report.point_count == points == 35
+    assert abs(report.value - value) < 1e-12

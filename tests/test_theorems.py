@@ -14,6 +14,8 @@ from polygauss.errors import DegenerateInput
 from polygauss.gauss import quad_gauss_closed
 from polygauss.geometry import build_polytope, dilate, volume
 from polygauss.polysum import polyhedral_gauss_sums_direct
+from polygauss.weyl import weyl_elements
+from tests.test_geometry import polytopes
 
 
 @st.composite
@@ -74,3 +76,26 @@ def test_macdonald_parity_in_three_dimensions(P):
     a = [polyhedral_gauss_sums_direct(dilate(P, t), (1,))[0].value for t in (1, 2, 3)]
     for t in (2, 3):
         assert abs(a[t - 1] - t * a[0] - (t**3 - t) * volume(P)) < 1e-9
+
+
+@given(P=polytopes(), pick=st.integers(0, 47), shift=st.lists(st.integers(-(10**6), 10**6), min_size=3, max_size=3))
+def test_gauss_sums_are_invariant_under_the_group(P, pick, shift):
+    """G_{gP}(n) = G_P(n) for g x = w x + t, w a signed permutation and t
+    an integer vector.
+
+    Proof: x -> w x + n t maps the lattice points of nP onto those of
+    n gP, and each face of nP onto the face of n gP it spans; being an
+    isometry, it keeps every solid angle.  And |w x + n t|^2 = |x|^2 +
+    2n (w x . t) + n^2 |t|^2 = |x|^2 mod n, so every term e(|x|^2 / n) is
+    kept too.  G is defined on lattice polytopes, so p/q draws are skipped.
+    """
+    assume(P.denominator == 1)
+    d = P.dim
+    w = weyl_elements(d)[pick % len(weyl_elements(d))].tolist()
+    image = build_polytope(
+        [tuple(sum(r * c for r, c in zip(row, v)) + t for row, t in zip(w, shift)) for v in P.numerators]
+    )
+    ns = range(1, 7)
+    for a, b in zip(polyhedral_gauss_sums_direct(P, ns), polyhedral_gauss_sums_direct(image, ns)):
+        assert a.point_count == b.point_count
+        assert abs(a.value - b.value) < 1e-9 * max(1.0, abs(a.value))
